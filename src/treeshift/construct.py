@@ -47,7 +47,6 @@ from .series import (
     DEFAULT_CONFIG,
     OmegaSpec,
     SequenceSpec,
-    SeriesCertificate,
     build_omega,
     dyadic_floor,
     power_series_certificate,
@@ -181,17 +180,6 @@ def normalize(alpha: AlphaFamily, cfg: CertConfig = DEFAULT_CONFIG):
     return cert.enclosure.recip(), cert
 
 
-def branch_weights(alpha: AlphaFamily, c: Interval, kappa) -> ModelWeights:
-    """Branch part of the weight system: |lambda_{i,1}|^2 = c*alpha_i*q_i
-    and |lambda_{i,j}|^2 = q_i for j >= 2; trunk left empty."""
-    return ModelWeights(alpha=alpha, c=c, kappa=kappa, trunk=())
-
-
-def _moment_series(alpha: AlphaFamily, l: int, cfg: CertConfig) -> SeriesCertificate:
-    """Certificate for sum_i alpha_i q_i^{-l} (negative moments, l >= 0)."""
-    return power_series_certificate(alpha, -l, cfg)
-
-
 def trunk_weights(
     alpha: AlphaFamily, kappa, levels: int, cfg: CertConfig = DEFAULT_CONFIG
 ) -> Tuple[Interval, ...]:
@@ -206,19 +194,14 @@ def trunk_weights(
         raise ValueError("more trunk weights requested than non-root trunk vertices")
     out = []
     for l in range(levels):
-        num = _moment_series(alpha, l, cfg).enclosure
-        den = _moment_series(alpha, l + 1, cfg).enclosure
+        num = power_series_certificate(alpha, -l, cfg).enclosure
+        den = power_series_certificate(alpha, -l - 1, cfg).enclosure
         out.append(num / den)
     return tuple(out)
 
 
 @lru_cache(maxsize=65536)
-def _cached_dirac(q: SequenceSpec, i: int) -> AtomicMeasure:
-    return AtomicMeasure.dirac(q.value(i))
-
-
-@lru_cache(maxsize=65536)
-def _cached_dirac_at(t: Fraction) -> AtomicMeasure:
+def _cached_dirac(t: Fraction) -> AtomicMeasure:
     return AtomicMeasure.dirac(t)
 
 
@@ -226,15 +209,18 @@ def _cached_dirac_at(t: Fraction) -> AtomicMeasure:
 class MeasureSystem:
     """Measures of a generated system: delta_{q_i} on every branch vertex,
     Dirac mixtures at vertex 0 and down the trunk, eps identically 0 (the
-    trunk recursion keeps every mass exactly 1)."""
+    trunk recursion keeps every mass exactly 1).  The optional table
+    `locations` overrides q_i as the branch atom for i <= its length."""
 
     q: SequenceSpec
     mixtures: Tuple[MixtureMeasure, ...]  # index = trunk level (0 = vertex 0)
-    eps_root_slack: Fraction = Fraction(0)
+    locations: Tuple[Fraction, ...] = ()
 
     def measure_at(self, v: Vertex):
         if isinstance(v, Branch):
-            return _cached_dirac(self.q, v.i)
+            if v.i <= len(self.locations):
+                return _cached_dirac(self.locations[v.i - 1])
+            return _cached_dirac(self.q.value(v.i))
         if isinstance(v, Trunk):
             if v.k < len(self.mixtures):
                 return self.mixtures[v.k]
@@ -254,7 +240,7 @@ def build_measure_system(
     exactly 1 and every eps vanishes."""
     mixtures = []
     for l in range(levels):
-        prefactor = _moment_series(alpha, l, cfg).enclosure.recip()
+        prefactor = power_series_certificate(alpha, -l, cfg).enclosure.recip()
         mixtures.append(MixtureMeasure(alpha=alpha, shift=l, prefactor=prefactor))
     return MeasureSystem(q=alpha.q, mixtures=tuple(mixtures))
 
@@ -338,55 +324,66 @@ def generate(request: CounterexampleRequest) -> CounterexampleArtifact:
 
 def _certify(artifact: CounterexampleArtifact, cfg: CertConfig) -> dict:
     """All certificates attached to a generated artifact."""
-    n = artifact.n
-    alpha, c = artifact.alpha, artifact.c
-    certs: dict = {}
+    alpha = artifact.alpha
+    res = identity_residuals(artifact, cfg)
+    certs = {
+        "nd": {m: power_series_certificate(alpha, m, cfg) for m in range(1, artifact.n + 2)},
+        "zgod_prime_residual": res.zgod_prime,
+        "widly1": res.widly1,
+        "mass_residuals": res.mass,
+        "consist6": {"max_residual": res.consist6_max, "vertices_checked": len(res.consist6)},
+        "cc": {
+            "max_residual": res.cc.max_residual,
+            "algebra_bound": res.cc.algebra_bound,
+            "h_positive_on_support": res.cc.h_positive_on_support,
+        },
+    }
+    if res.widly1_prime is not None:
+        l, r = res.widly1_prime
+        certs["widly1_prime"] = {"l": l, "residual": r, "holds_leq_1": r <= cfg.check_tol}
+    return certs
 
-    nd = {}
-    for m in range(1, n + 2):
-        nd[m] = power_series_certificate(alpha, m, cfg)
-    certs["nd"] = nd
 
-    # normalization: c * sum alpha_i must be 1 within enclosure width
-    a0 = power_series_certificate(alpha, 0, cfg).enclosure
-    certs["zgod_prime_residual"] = _one_residual(c * a0)
+@dataclass(frozen=True)
+class IdentityResiduals:
+    """Exact residuals of the identities an artifact promises: `generate`
+    serialises them into its certificates, `verify` turns them into records."""
 
-    # trunk identities from the actual weight table
-    widly1 = {}
+    zgod_prime: Fraction  # |c * sum_i alpha_i - 1|
+    widly1: Dict[int, Fraction]  # trunk product identity at level l
+    widly1_prime: Optional[Tuple[int, Fraction]]  # (kappa, residual) on a finite trunk
+    mass: Dict[int, Fraction]  # |mass - 1| of the mixture at trunk level l
+    consist6: Dict[Vertex, ConsistencyResult]
+    cc: wco.CCReport
+
+    @property
+    def consist6_max(self) -> Fraction:
+        return max((r.residual_upper for r in self.consist6.values()), default=Fraction(0))
+
+
+def identity_residuals(artifact: CounterexampleArtifact, cfg: CertConfig) -> IdentityResiduals:
+    """Normalization, trunk product, mixture mass, consistency and CC
+    residuals over the artifact's weights and measures, which read their
+    tables where they have them and the rules elsewhere."""
+    alpha, c, kappa = artifact.alpha, artifact.c, artifact.request.kappa
+    zgod_prime = _one_residual(c * power_series_certificate(alpha, 0, cfg).enclosure)
+    widly1, widly1_prime = {}, None
     P = coerce(Fraction(1))
-    for l in range(1, len(artifact.weights.trunk) + 1):
-        P = P * artifact.weights.trunk[l - 1]
-        series = _moment_series(alpha, l, cfg).enclosure
-        residual = _one_residual(P * c * series)
-        kappa = artifact.request.kappa
+    for l, w in enumerate(artifact.weights.trunk, start=1):
+        P = P * w
+        r = _one_residual(P * c * power_series_certificate(alpha, -l, cfg).enclosure)
         if kappa is not INF and l == kappa:
-            certs["widly1_prime"] = {"l": l, "residual": residual, "holds_leq_1": True}
+            widly1_prime = (l, r)  # the terminal inequality, held as an equality
         else:
-            widly1[l] = residual
-    certs["widly1"] = widly1
-
-    # mixture masses
-    certs["mass_residuals"] = {
-        l: _one_residual(mix.prefactor * _moment_series(alpha, l, cfg).enclosure)
+            widly1[l] = r
+    mass = {
+        l: _one_residual(mix.prefactor * power_series_certificate(alpha, -l, cfg).enclosure)
         for l, mix in enumerate(artifact.measures.mixtures)
     }
-
-    consist = consist6_residuals(artifact, cfg)
-    certs["consist6"] = {
-        "max_residual": max(
-            (r.residual_upper for r in consist.values()), default=Fraction(0)
-        ),
-        "vertices_checked": len(consist),
-    }
-
+    consist6 = consist6_residuals(artifact, cfg)
     data = wco.from_shift(artifact.tree, artifact.weights)
     cc = wco.cc_residual(data, artifact.measures, artifact.window, cfg)
-    certs["cc"] = {
-        "max_residual": cc.max_residual,
-        "algebra_bound": cc.algebra_bound,
-        "h_positive_on_support": cc.h_positive_on_support,
-    }
-    return certs
+    return IdentityResiduals(zgod_prime, widly1, widly1_prime, mass, consist6, cc)
 
 
 def _one_residual(iv: Interval) -> Fraction:
@@ -406,10 +403,9 @@ def checkable_vertices(tree: ModelTree, window: Window):
 
 
 def consist6_residuals(
-    artifact_or_parts, cfg: CertConfig = DEFAULT_CONFIG
+    a: CounterexampleArtifact, cfg: CertConfig = DEFAULT_CONFIG
 ) -> Dict[Vertex, ConsistencyResult]:
     """Consistency residual at every checkable window vertex of an artifact."""
-    a = artifact_or_parts
     out: Dict[Vertex, ConsistencyResult] = {}
     for u in checkable_vertices(a.tree, a.window):
         kid_data = [
@@ -542,90 +538,116 @@ class VerificationReport:
     passed: bool
     records: Tuple[CheckRecord, ...]
     consist6_by_vertex: Tuple[Tuple[str, str], ...] = ()
+    residuals: Optional[IdentityResiduals] = None  # None when the document did not parse
 
     def failures(self) -> Tuple[CheckRecord, ...]:
         return tuple(r for r in self.records if not r.passed)
 
 
-@dataclass(frozen=True)
-class _TableWeights(ModelWeights):
-    """ModelWeights whose in-window values come from stored tables (so that
-    verification exercises the stored numbers, not the rules)."""
-
-    first_table: Tuple[Interval, ...] = ()
-    tail_table: Tuple[Fraction, ...] = ()
-
-    def branch_first_squared(self, i: int):
-        if i <= len(self.first_table):
-            return self.first_table[i - 1]
-        return super().branch_first_squared(i)
-
-    def branch_tail_squared(self, i: int):
-        if i <= len(self.tail_table):
-            return self.tail_table[i - 1]
-        return super().branch_tail_squared(i)
+class _Malformed(Exception):
+    """A document whose shape does not match its declared window."""
 
 
-@dataclass(frozen=True)
-class _TableMixture(MixtureMeasure):
-    """Mixture whose in-window atom masses and locations come from tables."""
-
-    mass_table: Tuple[Interval, ...] = ()
-    location_table: Tuple[Fraction, ...] = ()
-
-    def atom_mass(self, i: int):
-        if i <= len(self.mass_table):
-            return self.mass_table[i - 1]
-        return super().atom_mass(i)
-
-    def atom_location(self, i: int):
-        if i <= len(self.location_table):
-            return self.location_table[i - 1]
-        return super().atom_location(i)
+def _at(node, path: str, prefix: str = ""):
+    """The value at the dotted JSON path `path` below `node`, itself at `prefix`."""
+    for key in path.split("."):
+        if not isinstance(node, dict) or key not in node:
+            raise _Malformed(f"{prefix}{path}: missing")
+        node = node[key]
+    return node
 
 
-@dataclass(frozen=True)
-class _TableMeasures:
-    q: SequenceSpec
-    mixtures: Tuple[_TableMixture, ...]
-    locations: Tuple[Fraction, ...]
+def _table(node, path: str, count: int, pos_key: str, parse, prefix: str = ""):
+    """Parse the table at `path` below `node`: exactly `count` entries, the
+    `pos_key` field of entry p equal to p + 1 for a branch index `i` and to
+    p for a trunk level, each entry read by parse(entry, its JSON path)."""
+    start = 1 if pos_key == "i" else 0
+    rows = _at(node, path, prefix)
+    path = prefix + path
+    if not isinstance(rows, list) or len(rows) != count:
+        size = len(rows) if isinstance(rows, list) else "no"
+        raise _Malformed(f"{path}: {size} entries, the window needs {count}")
+    out = []
+    for p, row in enumerate(rows):
+        where = f"{path}[{p}]"
+        try:
+            if row[pos_key] != start + p:
+                raise ValueError(f"{pos_key} = {row[pos_key]!r}, expected {start + p}")
+            out.append(parse(row, where))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise _Malformed(f"{where}: {type(exc).__name__}: {exc}") from None
+    return tuple(out)
 
-    def measure_at(self, v: Vertex):
-        if isinstance(v, Branch):
-            if v.i <= len(self.locations):
-                return _cached_dirac_at(self.locations[v.i - 1])
-            return _cached_dirac(self.q, v.i)
-        if isinstance(v, Trunk) and v.k < len(self.mixtures):
-            return self.mixtures[v.k]
-        raise NoCertificateError(f"no stored measure for {v}")
 
-    def eps_at(self, v: Vertex) -> Fraction:
-        return Fraction(0)
-
-
-def _parse_tables(doc: dict, alpha: AlphaFamily, c: Interval, kappa):
-    wt = doc["weights"]
-    first = tuple(interval_from_json(e["w2"]) for e in wt["branch_first"])
-    tail = tuple(rat_from_str(e["w2"]) for e in wt["branch_tail"])
-    trunk = tuple(interval_from_json(e["w2"]) for e in wt["trunk"])
-    weights = _TableWeights(
-        alpha=alpha, c=c, kappa=kappa, trunk=trunk, first_table=first, tail_table=tail
+def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[Window]):
+    """The artifact a document stores, its tables overriding the rules for
+    the indices they cover.  Every table must have the length the stored
+    window gives it, so no later check reads past a table or runs longer
+    than the tables; a shape error raises _Malformed naming its JSON path."""
+    kappa = request.kappa
+    stored = Window(**_at(doc, "window"))
+    eff = stored if window is None else Window(
+        min(stored.max_trunk, window.max_trunk),
+        min(stored.max_branch, window.max_branch),
+        min(stored.max_depth, window.max_depth),
     )
-    ms = doc["measures"]
-    locations = tuple(rat_from_str(e["t"]) for e in ms["branch_atoms"])
-    mixtures = []
-    for m in ms["mixtures"]:
-        mixtures.append(
-            _TableMixture(
-                alpha=alpha,
-                shift=m["shift"],
-                prefactor=interval_from_json(m["prefactor"]),
-                mass_table=tuple(interval_from_json(e["mass"]) for e in m["atoms"]),
-                location_table=locations,
-            )
-        )
-    measures = _TableMeasures(q=alpha.q, mixtures=tuple(mixtures), locations=locations)
-    return weights, measures
+    W = stored.max_branch
+    alpha = AlphaFamily(
+        q=request.q,
+        omega=OmegaSpec.from_json(_at(doc, "omega")),
+        power=_at(doc, "alpha.power"),
+        scale=Fraction(_at(doc, "alpha.scale")),
+    )
+    c = interval_from_json(_at(doc, "c"))
+
+    def interval(e, _):
+        return interval_from_json(e["w2"])
+
+    weights = ModelWeights(
+        alpha=alpha,
+        c=c,
+        kappa=kappa,
+        first=_table(doc, "weights.branch_first", W, "i", interval),
+        tail=_table(doc, "weights.branch_tail", W, "i", lambda e, _: rat_from_str(e["w2"])),
+        trunk=_table(doc, "weights.trunk", _trunk_levels(kappa, stored), "l", interval),
+    )
+
+    def atom(e, where):
+        t = rat_from_str(e["t"])
+        if t <= 0:
+            raise _Malformed(f"{where}.t: atom at {t}, branch atoms must be > 0")
+        return t
+
+    locations = _table(doc, "measures.branch_atoms", W, "i", atom)
+
+    def mixture(m, where):
+        masses = _table(m, "atoms", W, "i", lambda e, _: interval_from_json(e["mass"]), where + ".")
+        return MixtureMeasure(alpha, m["shift"], interval_from_json(m["prefactor"]),
+                              masses=masses, locations=locations)
+
+    mixtures = _table(doc, "measures.mixtures", _mixture_levels(kappa, stored), "shift", mixture)
+    if not isinstance(_at(doc, "certificates.nd"), dict):
+        raise _Malformed("certificates.nd: not an object")
+    return CounterexampleArtifact(
+        request=request,
+        tree=ModelTree(eta=INF, kappa=kappa),
+        window=eff,
+        omega=alpha.omega,
+        alpha=alpha,
+        c=c,
+        weights=weights,
+        measures=MeasureSystem(q=request.q, mixtures=mixtures, locations=locations),
+        boundedness=doc.get("boundedness", ""),
+    )
+
+
+def _gaps(rows):
+    """(vertex, gap, detail) for each (vertex, stored, expected, detail) row
+    whose stored value lies a positive distance from the expected one."""
+    for vertex, stored, expected, detail in rows:
+        gap = coerce(stored).gap_to(expected)
+        if gap > 0:
+            yield vertex, gap, detail
 
 
 def verify(
@@ -636,11 +658,15 @@ def verify(
     """Re-run every certificate check against the stored tables of an
     artifact document.
 
-    Checks: stored values against rule reconstruction (two enclosures of the
-    same quantity must intersect), the exact branch identities, consistency
-    residuals at every checkable vertex, trunk product identities, CC on the
-    window's atom algebra, mixture masses, the power-domain certificates with
-    a recomputed divergence witness, and positivity of all weights.
+    A document whose tables do not have the shape of its window fails a
+    single `parse-artifact` record naming the JSON path.  Otherwise the
+    checks are: stored values against rule reconstruction (two enclosures
+    of the same quantity must intersect), the exact branch identities, and
+    then, through the same `identity_residuals` that `generate` certifies
+    with, consistency residuals at every checkable vertex, trunk product
+    identities, mixture masses and CC on the window's atom algebra; last
+    the power-domain certificates with a recomputed divergence witness, and
+    positivity of all weights.
     """
     if isinstance(doc, CounterexampleArtifact):
         doc = doc.to_json_dict()
@@ -660,6 +686,14 @@ def verify(
             )
         )
 
+    def table_records(name, misses, **passed):
+        """A FAIL record per (vertex, residual, detail) miss, or one PASS."""
+        misses = list(misses)
+        for vertex, residual, detail in misses:
+            rec(name, False, vertex=vertex, residual=residual, detail=detail)
+        if not misses:
+            rec(name, True, **passed)
+
     try:
         request = CounterexampleRequest.from_json(doc["request"])
     except Exception as exc:  # structural failure: nothing else can run
@@ -672,127 +706,59 @@ def verify(
     n = request.n
 
     try:
-        stored_window = Window(**doc["window"])
-        eff = stored_window
-        if window is not None:
-            eff = Window(
-                min(stored_window.max_trunk, window.max_trunk),
-                min(stored_window.max_branch, window.max_branch),
-                min(stored_window.max_depth, window.max_depth),
-            )
-
-        omega = OmegaSpec.from_json(doc["omega"])
-        alpha = AlphaFamily(
-            q=request.q, omega=omega, power=doc["alpha"]["power"],
-            scale=Fraction(doc["alpha"]["scale"]),
-        )
-        c_stored = interval_from_json(doc["c"])
-        weights, measures = _parse_tables(doc, alpha, c_stored, kappa)
+        art = _parse_artifact(doc, request, window)
     except Exception as exc:
         return VerificationReport(
             False, (CheckRecord("parse-artifact", False, detail=str(exc)),)
         )
-    tree = ModelTree(eta=INF, kappa=kappa)
-    W = min(eff.max_branch, len(weights.first_table))
+    alpha, weights, measures = art.alpha, art.weights, art.measures
+    W = art.window.max_branch
 
-    # omega reconstruction
-    omega_expected = choose_subsequence(request.q, cfg)
     rec(
         "omega-reconstruction",
-        omega == omega_expected,
+        art.omega == choose_subsequence(request.q, cfg),
         detail="greedy subsequence matches stored spec",
     )
 
-    # rule reconstruction of c and stored tables
+    # rule reconstruction of c and of every stored table
     c_expected, _ = normalize(alpha, cfg)
-    rec(
-        "normalization-constant",
-        c_stored.intersects(c_expected),
-        residual=c_stored.gap_to(c_expected),
+    rec("normalization-constant", art.c.intersects(c_expected), residual=art.c.gap_to(c_expected))
+    rule = ModelWeights(
+        alpha=alpha, c=c_expected, kappa=kappa,
+        trunk=trunk_weights(alpha, kappa, len(weights.trunk), cfg),
     )
-    fresh = ModelWeights(alpha=alpha, c=c_expected, kappa=kappa, trunk=())
-    ok_all = True
+    rows = []
     for i in range(1, W + 1):
-        expected = fresh.branch_first_squared(i)
-        stored = weights.first_table[i - 1]
-        gap = stored.gap_to(expected)
-        if gap > 0 or not stored.intersects(expected):
-            ok_all = False
-            rec("weight-reconstruction", False, vertex=Branch(i, 1), residual=gap)
-        expected_tail = alpha.q.value(i)
-        if weights.tail_table[i - 1] != expected_tail:
-            ok_all = False
-            rec(
-                "weight-reconstruction",
-                False,
-                vertex=Branch(i, 2),
-                residual=abs(weights.tail_table[i - 1] - expected_tail),
-                detail="chain weight differs from rule",
-            )
-    trunk_expected = trunk_weights(alpha, kappa, _trunk_levels(kappa, stored_window), cfg)
-    for l, stored in enumerate(weights.trunk):
-        if l >= len(trunk_expected):
-            ok_all = False
-            rec("weight-reconstruction", False, vertex=Trunk(l), detail="extra trunk weight")
-            continue
-        gap = stored.gap_to(trunk_expected[l])
-        if gap > 0:
-            ok_all = False
-            rec("weight-reconstruction", False, vertex=Trunk(l), residual=gap)
-    if ok_all:
-        rec("weight-reconstruction", True)
+        rows.append((Branch(i, 1), weights.branch_first_squared(i),
+                     rule.branch_first_squared(i), ""))
+        rows.append((Branch(i, 2), weights.branch_tail_squared(i), rule.branch_tail_squared(i),
+                     "chain weight differs from rule"))
+    rows += [(Trunk(l), w, rule.trunk[l], "") for l, w in enumerate(weights.trunk)]
+    table_records("weight-reconstruction", _gaps(rows))
 
-    ok_all = True
-    for i in range(1, W + 1):
-        if measures.locations[i - 1] != alpha.q.value(i):
-            ok_all = False
-            rec(
-                "atom-reconstruction",
-                False,
-                vertex=Branch(i, 1),
-                residual=abs(measures.locations[i - 1] - alpha.q.value(i)),
-                detail="branch atom location differs from q",
-            )
-    mix_expected = build_measure_system(alpha, kappa, len(measures.mixtures), cfg)
-    for l, mix in enumerate(measures.mixtures):
-        ref = mix_expected.mixtures[l]
-        gap = mix.prefactor.gap_to(ref.prefactor)
-        if gap > 0:
-            ok_all = False
-            rec("atom-reconstruction", False, vertex=Trunk(l), residual=gap,
-                detail="mixture prefactor off rule")
-        for i in range(1, W + 1):
-            gap = mix.mass_table[i - 1].gap_to(ref.atom_mass(i))
-            if gap > 0:
-                ok_all = False
-                rec(
-                    "atom-reconstruction",
-                    False,
-                    vertex=Trunk(l),
-                    residual=gap,
-                    detail=f"mixture atom i={i} off rule",
-                )
-    if ok_all:
-        rec("atom-reconstruction", True)
+    rows = [
+        (Branch(i, 1), measures.locations[i - 1], alpha.q.value(i),
+         "branch atom location differs from q")
+        for i in range(1, W + 1)
+    ]
+    expected = build_measure_system(alpha, kappa, len(measures.mixtures), cfg)
+    for l, (mix, ref) in enumerate(zip(measures.mixtures, expected.mixtures)):
+        rows.append((Trunk(l), mix.prefactor, ref.prefactor, "mixture prefactor off rule"))
+        rows += [(Trunk(l), mix.atom_mass(i), ref.atom_mass(i), f"mixture atom i={i} off rule")
+                 for i in range(1, W + 1)]
+    table_records("atom-reconstruction", _gaps(rows))
 
-    # zgod0: branch moments match weight products exactly (both reduce to
-    # powers of the same rational, so the check is equality of that rational)
-    ok_all = True
-    for i in range(1, W + 1):
-        t = measures.locations[i - 1]
-        w2 = weights.tail_table[i - 1]
-        if any(w2**m != t**m for m in range(1, 5)):
-            ok_all = False
-            rec("zgod0", False, vertex=Branch(i, 2), residual=abs(w2 - t))
-    if ok_all:
-        rec("zgod0", True, residual=0)
+    # zgod0: branch moments match weight products exactly (both are powers
+    # of one rational, so the check is equality of the chain weight and the atom)
+    rows = [(Branch(i, 2), weights.branch_tail_squared(i), measures.locations[i - 1], "")
+            for i in range(1, W + 1)]
+    table_records("zgod0", _gaps(rows), residual=0)
 
-    # consistency residuals from stored tables
-    parts = _VerifyParts(tree=tree, window=eff, weights=weights, measures=measures)
+    res = identity_residuals(art, cfg)
     worst = Fraction(0)
     worst_vertex = None
     consist_by_vertex = []
-    for u, result in consist6_residuals(parts, cfg).items():
+    for u, result in res.consist6.items():
         upper = result.residual_upper
         consist_by_vertex.append(
             (str(u), "0" if upper == 0 else "~" + rat_to_decimal(upper, 6))
@@ -804,37 +770,17 @@ def verify(
     if worst <= tol:
         rec("consist6", True, vertex=worst_vertex, residual=worst)
 
-    # normalization identity and trunk identities from stored values
-    a0 = power_series_certificate(alpha, 0, cfg).enclosure
-    r = _one_residual(c_stored * a0)
-    rec("zgod-prime", r <= tol, residual=r)
-    P = coerce(Fraction(1))
-    for l in range(1, len(weights.trunk) + 1):
-        P = P * weights.trunk[l - 1]
-        series = _moment_series(alpha, l, cfg).enclosure
-        value = P * c_stored * series
-        r = _one_residual(value)
-        if kappa is not INF and l == kappa:
-            rec(
-                "widly1-prime",
-                value.lo <= 1 + tol and r <= tol,
-                vertex=Trunk(l - 1),
-                residual=r,
-                detail="terminal trunk inequality held as equality",
-            )
-        else:
-            rec(f"widly1[l={l}]", r <= tol, vertex=Trunk(l - 1), residual=r)
-
-    # mixture masses
-    for l, mix in enumerate(measures.mixtures):
-        r = _one_residual(mix.prefactor * _moment_series(alpha, l, cfg).enclosure)
+    rec("zgod-prime", res.zgod_prime <= tol, residual=res.zgod_prime)
+    for l, r in res.widly1.items():
+        rec(f"widly1[l={l}]", r <= tol, vertex=Trunk(l - 1), residual=r)
+    if res.widly1_prime is not None:
+        l, r = res.widly1_prime
+        rec("widly1-prime", r <= tol, vertex=Trunk(l - 1), residual=r,
+            detail="terminal trunk inequality held as equality")
+    for l, r in res.mass.items():
         rec(f"mass[mu_-{l}]", r <= tol, vertex=Trunk(l), residual=r)
-
-    # CC on the atom algebra
-    data = wco.from_shift(tree, weights)
-    cc = wco.cc_residual(data, measures, eff, cfg)
-    rec("cc", cc.algebra_bound <= tol, residual=cc.algebra_bound)
-    rec("h-positive-on-support", cc.h_positive_on_support)
+    rec("cc", res.cc.algebra_bound <= tol, residual=res.cc.algebra_bound)
+    rec("h-positive-on-support", res.cc.h_positive_on_support)
 
     # power-domain certificates
     for m in range(1, n + 2):
@@ -857,28 +803,17 @@ def verify(
         rec(f"nd[{m}]", ok, residual=None, detail=detail or stored["verdict"])
 
     # positivity of every stored weight
-    ok_all = True
-    for i in range(1, W + 1):
-        if weights.first_table[i - 1].lo <= 0 or weights.tail_table[i - 1] <= 0:
-            ok_all = False
-            rec("weights-positive", False, vertex=Branch(i, 1))
-    for l, w in enumerate(weights.trunk):
-        if w.lo <= 0:
-            ok_all = False
-            rec("weights-positive", False, vertex=Trunk(l))
-    if ok_all:
-        rec("weights-positive", True)
+    misses = [
+        (Branch(i, 1), None, "")
+        for i in range(1, W + 1)
+        if weights.branch_first_squared(i).lo <= 0 or weights.branch_tail_squared(i) <= 0
+    ]
+    misses += [(Trunk(l), None, "") for l, w in enumerate(weights.trunk) if w.lo <= 0]
+    table_records("weights-positive", misses)
 
     return VerificationReport(
         all(r.passed for r in records),
         tuple(records),
         consist6_by_vertex=tuple(consist_by_vertex),
+        residuals=res,
     )
-
-
-@dataclass(frozen=True)
-class _VerifyParts:
-    tree: ModelTree
-    window: Window
-    weights: ModelWeights
-    measures: object

@@ -67,13 +67,6 @@ class AtomicMeasure:
     def support(self) -> Tuple[Fraction, ...]:
         return tuple(t for t, _ in self.atoms)
 
-    def mass_at(self, t) -> Fraction:
-        t = as_fraction(t)
-        for loc, p in self.atoms:
-            if loc == t:
-                return p
-        return Fraction(0)
-
     def to_json(self):
         return {"atoms": [[rat_to_str(t), rat_to_str(p)] for t, p in self.atoms]}
 
@@ -117,21 +110,26 @@ class MixtureMeasure:
     prefactor encloses 1 / sum_i alpha_i q_i^(-shift), so the total mass is
     exactly 1; atom masses carry the enclosure width.  shift = 0 gives the
     branching-vertex measure, shift = l the measure l steps down the trunk.
+    The optional tables `masses` and `locations` override the rule for atom
+    indices i <= their length.
     """
 
     alpha: AlphaFamily
     shift: int
     prefactor: Interval
+    masses: Tuple[Interval, ...] = ()
+    locations: Tuple[Fraction, ...] = ()
 
     def atom_location(self, i: int) -> Fraction:
+        if i <= len(self.locations):
+            return self.locations[i - 1]
         return self.alpha.q.value(i)
 
     def atom_mass(self, i: int) -> Interval:
+        if i <= len(self.masses):
+            return self.masses[i - 1]
         exact = self.alpha.value(i) * self.atom_location(i) ** (-self.shift)
         return self.prefactor * exact
-
-    def total_mass(self) -> Fraction:
-        return Fraction(1)
 
     def moment_certificate(self, l: int, cfg: CertConfig = DEFAULT_CONFIG):
         """(enclosure, certificate) of the l-th moment; enclosure None when

@@ -119,10 +119,6 @@ class Interval:
         """Upper bound on |x| over x in self."""
         return max(abs(self.lo), abs(self.hi))
 
-    def hull(self, other) -> "Interval":
-        other = coerce(other)
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def intersects(self, other) -> bool:
         other = coerce(other)
         return self.lo <= other.hi and other.lo <= self.hi
@@ -207,12 +203,6 @@ def scalar_to_json(x: Scalar):
     if isinstance(x, Interval):
         return interval_to_json(x)
     return rat_to_str(x)
-
-
-def scalar_from_json(obj) -> Scalar:
-    if isinstance(obj, list):
-        return interval_from_json(obj)
-    return Fraction(obj)
 
 
 def rat_to_decimal(x: Fraction, digits: int = 15) -> str:

@@ -47,7 +47,6 @@ class ExplicitWeights:
     """Squared weights |lambda_v|^2 on the non-root vertices of a finite tree."""
 
     squared: Mapping[Vertex, Fraction]
-    norm_scale: Interval = Interval.point(1)
 
     @staticmethod
     def for_tree(tree: ExplicitTree, squared: Mapping) -> "ExplicitWeights":
@@ -74,22 +73,27 @@ class ModelWeights:
 
     |lambda_{i,1}|^2 = c * alpha_i * q_i (interval-scaled exact rational),
     |lambda_{i,j}|^2 = q_i for j >= 2, and trunk weights are ratios of
-    neighbouring moment series, one enclosure per trunk level.
+    neighbouring moment series, one enclosure per trunk level.  The
+    optional tables `first` and `tail` hold |lambda_{i,1}|^2 and
+    |lambda_{i,j}|^2 (j >= 2) for i <= their length and override the rule
+    there; a parsed artifact document carries its stored numbers in them.
     """
 
     alpha: AlphaFamily
     c: Interval
     kappa: Union[int, float]
     trunk: Tuple[Interval, ...]
-
-    @property
-    def norm_scale(self) -> Interval:
-        return self.c
+    first: Tuple[Interval, ...] = ()
+    tail: Tuple[Fraction, ...] = ()
 
     def branch_first_squared(self, i: int) -> Interval:
+        if i <= len(self.first):
+            return self.first[i - 1]
         return self.c * (self.alpha.value(i) * self.alpha.q.value(i))
 
     def branch_tail_squared(self, i: int) -> Fraction:
+        if i <= len(self.tail):
+            return self.tail[i - 1]
         return self.alpha.q.value(i)
 
     def squared_at(self, v: Vertex) -> Scalar:

@@ -133,3 +133,23 @@ def test_window_flags(tmp_path):
     assert doc["window"] == {"max_trunk": 4, "max_branch": 12, "max_depth": 6}
     assert len(doc["weights"]["branch_first"]) == 12
     assert run(["verify", str(out)]) == 0
+
+
+def test_verify_malformed_document_exits_1(artifact_path, tmp_path, capsys):
+    doc = json.loads(artifact_path.read_text())
+    del doc["window"]
+    bad = tmp_path / "nowindow.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] parse-artifact (window: missing)" in out
+
+
+def test_report_malformed_document_exits_1(artifact_path, tmp_path, capsys):
+    doc = json.loads(artifact_path.read_text())
+    del doc["certificates"]
+    bad = tmp_path / "nocerts.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["report", str(bad), "--format", "csv"]) == 1
+    out = capsys.readouterr().out
+    assert "parse-artifact,0,,,certificates.nd: missing" in out

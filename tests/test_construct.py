@@ -11,6 +11,7 @@ with integral tail sandwiches, cross-checked against mpmath.zeta):
   1/zeta(4)       = 0.92393840292159016702...
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -315,3 +316,76 @@ def test_mixture_levels_match_window():
     art0 = get_artifact(2, 0)
     assert len(art0.measures.mixtures) == 1
     assert art0.weights.trunk == ()
+
+
+# --- artifact bytes and malformed documents ---
+
+
+SMALL_WINDOW = ts.Window(3, 12, 4)
+
+
+@pytest.fixture(scope="module")
+def small_artifacts():
+    return {
+        q.tail.value: generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=SMALL_WINDOW))
+        for q in (LINEAR_Q, MIXED_Q)
+    }
+
+
+def test_artifact_bytes_pinned(small_artifacts):
+    """The serialized artifact is a stable format: any change to these bytes
+    is a schema change and must be documented."""
+    digests = {
+        q: hashlib.sha256(art.to_json().encode()).hexdigest()
+        for q, art in small_artifacts.items()
+    }
+    assert digests == {
+        "linear": "854e96d2f87c8a3ac6e5f353e745d6fe2f13a7dd910bafe6fba7857753a24c77",
+        "mixed": "3383b63a7c1350137dc260779472072452ed887e293a83a230dd64e8fe33bb7c",
+    }
+
+
+def _truncate(path):
+    def edit(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        node.pop()
+    return edit
+
+
+def _drop_mixture(doc):
+    del doc["measures"]["mixtures"][1]
+
+
+def _drop_certificates(doc):
+    del doc["certificates"]
+
+
+def _atom_at_zero(doc):
+    doc["measures"]["branch_atoms"][4]["t"] = "0"
+
+
+def _huge_window(doc):
+    doc["window"]["max_branch"] = 10**6
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (_truncate(("weights", "branch_first")), "weights.branch_first"),
+        (_truncate(("weights", "branch_tail")), "weights.branch_tail"),
+        (_truncate(("measures", "branch_atoms")), "measures.branch_atoms"),
+        (_drop_mixture, "measures.mixtures"),
+        (_drop_certificates, "certificates.nd"),
+        (_atom_at_zero, "measures.branch_atoms[4].t"),
+        (_huge_window, "weights.branch_first"),
+    ],
+)
+def test_verify_rejects_malformed_shape(small_artifacts, edit, path):
+    doc = small_artifacts["linear"].to_json_dict()
+    edit(doc)
+    report = verify(doc)
+    assert not report.passed
+    assert [r.name for r in report.records] == ["parse-artifact"]
+    assert report.records[0].detail.startswith(path)
