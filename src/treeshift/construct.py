@@ -20,7 +20,7 @@ window; `verify` re-checks a document from its tables.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple, Union
@@ -61,6 +61,8 @@ from .tree import (
     Vertex,
     Window,
     children,
+    children_visible,
+    tree_to_json,
     window_vertices,
 )
 from . import wco
@@ -92,11 +94,7 @@ class CounterexampleRequest:
             "n": self.n,
             "kappa": "inf" if self.kappa is INF else self.kappa,
             "q": self.q.to_json(),
-            "window": {
-                "max_trunk": self.window.max_trunk,
-                "max_branch": self.window.max_branch,
-                "max_depth": self.window.max_depth,
-            },
+            "window": asdict(self.window),
             "cert": {
                 "series_width": rat_to_str(self.cert.series_width),
                 "check_tol": rat_to_str(self.cert.check_tol),
@@ -392,14 +390,9 @@ def _one_residual(iv: Interval) -> Fraction:
 
 
 def checkable_vertices(tree: ModelTree, window: Window):
-    """Window vertices where the consistency identity is verifiable: all of
-    the trunk and vertex 0 (the mixture/child truncations agree atom by
-    atom), and branch vertices whose chain child is inside the window."""
-    for u in window_vertices(tree, window):
-        if isinstance(u, Trunk):
-            yield u
-        elif u.j < window.max_depth:
-            yield u
+    """Window vertices where the consistency identity is verifiable (see
+    `tree.children_visible`)."""
+    return (u for u in window_vertices(tree, window) if children_visible(tree, u, window))
 
 
 def consist6_residuals(
@@ -429,12 +422,8 @@ def _artifact_doc(a: CounterexampleArtifact) -> dict:
     doc = {
         "schema": SCHEMA,
         "request": a.request.to_json(),
-        "tree": {"model": {"eta": "inf", "kappa": "inf" if a.request.kappa is INF else a.request.kappa}},
-        "window": {
-            "max_trunk": a.window.max_trunk,
-            "max_branch": a.window.max_branch,
-            "max_depth": a.window.max_depth,
-        },
+        "tree": tree_to_json(a.tree),
+        "window": asdict(a.window),
         "omega": a.omega.to_json(),
         "alpha": a.alpha.to_json(),
         "c": interval_to_json(a.c),
@@ -585,7 +574,10 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
     window gives it, so no later check reads past a table or runs longer
     than the tables; a shape error raises _Malformed naming its JSON path."""
     kappa = request.kappa
-    stored = Window(**_at(doc, "window"))
+    try:
+        stored = Window(**_at(doc, "window"))
+    except (TypeError, ValueError) as exc:
+        raise _Malformed(f"window: {exc}") from None
     eff = stored if window is None else Window(
         min(stored.max_trunk, window.max_trunk),
         min(stored.max_branch, window.max_branch),
@@ -626,8 +618,20 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
                               masses=masses, locations=locations)
 
     mixtures = _table(doc, "measures.mixtures", _mixture_levels(kappa, stored), "shift", mixture)
-    if not isinstance(_at(doc, "certificates.nd"), dict):
+    nd = _at(doc, "certificates.nd")
+    if not isinstance(nd, dict):
         raise _Malformed("certificates.nd: not an object")
+    for m in map(str, range(1, request.n + 2)):
+        if m not in nd:
+            continue  # verify fails it as a missing certificate
+        verdict = _at(nd, f"{m}.verdict", "certificates.nd.")
+        if verdict not in ("convergent", "divergent"):
+            raise _Malformed(f"certificates.nd.{m}.verdict: {verdict!r} is not a verdict")
+        if verdict == "divergent":
+            try:
+                rat_from_str(_at(nd, f"{m}.witness_partial_lb", "certificates.nd."))
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise _Malformed(f"certificates.nd.{m}.witness_partial_lb: {exc}") from None
     return CounterexampleArtifact(
         request=request,
         tree=ModelTree(eta=INF, kappa=kappa),
@@ -714,11 +718,10 @@ def verify(
     alpha, weights, measures = art.alpha, art.weights, art.measures
     W = art.window.max_branch
 
-    rec(
-        "omega-reconstruction",
-        art.omega == choose_subsequence(request.q, cfg),
-        detail="greedy subsequence matches stored spec",
-    )
+    omega_ok = art.omega == choose_subsequence(request.q, cfg)
+    rec("omega-reconstruction", omega_ok, detail="greedy subsequence matches stored spec")
+    if not omega_ok:  # every rule below is built from the stored omega
+        return VerificationReport(False, tuple(records))
 
     # rule reconstruction of c and of every stored table
     c_expected, _ = normalize(alpha, cfg)

@@ -161,13 +161,6 @@ def atoms_view(measure: Measure, imax: Optional[int] = None) -> Tuple[Tuple[Frac
     return tuple(sorted(merged.items(), key=lambda kv: kv[0]))
 
 
-def _view_mass_at(view, t: Fraction) -> Scalar:
-    for loc, mass in view:
-        if loc == t:
-            return mass
-    return Fraction(0)
-
-
 def _is_zero_weight(w2: Scalar) -> bool:
     return (not isinstance(w2, Interval) and w2 == 0) or (
         isinstance(w2, Interval) and w2.lo == 0 and w2.hi == 0
@@ -197,6 +190,27 @@ class ConsistencyResult:
         return scalar_abs_upper(self.max_residual)
 
 
+def _identity_views(mu: Measure, children_data, atom_limit: Optional[int]):
+    """The {location: mass} view of mu, the (weight, view) pairs of the
+    children with nonzero weight, restricted to atoms of nonzero mass, and
+    the sorted union of all their locations with 0."""
+    view = dict(atoms_view(mu, atom_limit))
+    child_views = [(w2, dict(atoms_view(m, atom_limit))) for w2, m in children_data]
+    locations = sorted(set(view).union(*(v for _, v in child_views), [Fraction(0)]))
+    child_views = [
+        (w2, {t: mass for t, mass in v.items() if scalar_upper(mass) != 0})
+        for w2, v in child_views
+        if not _is_zero_weight(w2)
+    ]
+    return view, child_views, locations
+
+
+def _consistency_result(diffs, implied_eps: Scalar) -> ConsistencyResult:
+    """The result for per-atom differences (t, lhs - rhs)."""
+    per_atom = tuple((t, d.abs() if isinstance(d, Interval) else abs(d)) for t, d in diffs)
+    return ConsistencyResult(per_atom, _scalar_max(r for _, r in per_atom), implied_eps)
+
+
 def check_consist6_at(
     mu_u: Measure,
     eps_u,
@@ -209,48 +223,21 @@ def check_consist6_at(
     atom supports and {0}: the left side is mu_u({t}), the right side is
     sum_v |lambda_v|^2 (1/t) mu_v({t}) for t > 0 and eps_u at t = 0.
     Children carrying an atom at 0 with nonzero weight make the right side
-    infinite and raise InfiniteTermError.
+    infinite and raise InfiniteTermError (a zero weight gives 0 * inf = 0).
     """
     eps_u = as_fraction(eps_u) if not isinstance(eps_u, Interval) else eps_u
-    u_view = atoms_view(mu_u, atom_limit)
-    child_views = [(w2, atoms_view(m, atom_limit)) for w2, m in children_data]
-
-    locations = {t for t, _ in u_view}
-    for _, view in child_views:
-        locations.update(t for t, _ in view)
-    locations.add(Fraction(0))
-
-    per_atom = []
-    implied_eps: Scalar = Fraction(0)
-    for t in sorted(locations):
-        lhs = _view_mass_at(u_view, t)
-        if t == 0:
-            rhs: Scalar = eps_u
-            for w2, view in child_views:
-                mass0 = _view_mass_at(view, Fraction(0))
-                if scalar_upper(mass0) > 0:
-                    if _is_zero_weight(w2):
-                        continue  # 0 * inf = 0
-                    raise InfiniteTermError(
-                        "child atom at 0 with nonzero weight makes 1/t integral infinite"
-                    )
-            implied_eps = lhs
-        else:
-            rhs = Fraction(0)
-            for w2, view in child_views:
-                mass = _view_mass_at(view, t)
-                if scalar_upper(mass) == 0 or _is_zero_weight(w2):
-                    continue
-                rhs = scalar_add(rhs, scalar_mul(w2, scalar_mul(Fraction(1, 1) / t, mass)))
-        diff = scalar_sub(lhs, rhs)
-        residual = diff.abs() if isinstance(diff, Interval) else abs(diff)
-        per_atom.append((t, residual))
-
-    return ConsistencyResult(
-        per_atom=tuple(per_atom),
-        max_residual=_scalar_max(r for _, r in per_atom),
-        implied_eps=implied_eps,
-    )
+    u_view, child_views, locations = _identity_views(mu_u, children_data, atom_limit)
+    zero = Fraction(0)
+    if any(scalar_upper(view.get(zero, zero)) > 0 for _, view in child_views):
+        raise InfiniteTermError("child atom at 0 with nonzero weight makes 1/t integral infinite")
+    diffs = []
+    for t in locations:
+        rhs: Scalar = eps_u if t == 0 else zero
+        for w2, view in child_views:
+            if t != 0 and t in view:
+                rhs = scalar_add(rhs, scalar_mul(w2, scalar_mul(1 / t, view[t])))
+        diffs.append((t, scalar_sub(u_view.get(t, zero), rhs)))
+    return _consistency_result(diffs, implied_eps=u_view.get(zero, zero))
 
 
 def check_cc_dt(
@@ -260,32 +247,16 @@ def check_cc_dt(
 ) -> ConsistencyResult:
     """Residual of the first-moment identity derived from consistency:
     int_sigma t dmu_x = sum_y |lambda_y|^2 mu_y(sigma), atom by atom."""
-    x_view = atoms_view(mu_x, atom_limit)
-    child_views = [(w2, atoms_view(m, atom_limit)) for w2, m in children_data]
-
-    locations = {t for t, _ in x_view}
-    for _, view in child_views:
-        locations.update(t for t, _ in view)
-    locations.add(Fraction(0))
-
-    per_atom = []
-    for t in sorted(locations):
-        lhs = scalar_mul(t, _view_mass_at(x_view, t)) if t != 0 else Fraction(0)
+    x_view, child_views, locations = _identity_views(mu_x, children_data, atom_limit)
+    diffs = []
+    for t in locations:
+        lhs = scalar_mul(t, x_view[t]) if t != 0 and t in x_view else Fraction(0)
         rhs: Scalar = Fraction(0)
         for w2, view in child_views:
-            mass = _view_mass_at(view, t)
-            if scalar_upper(mass) == 0 or _is_zero_weight(w2):
-                continue
-            rhs = scalar_add(rhs, scalar_mul(w2, mass))
-        diff = scalar_sub(lhs, rhs)
-        residual = diff.abs() if isinstance(diff, Interval) else abs(diff)
-        per_atom.append((t, residual))
-
-    return ConsistencyResult(
-        per_atom=tuple(per_atom),
-        max_residual=_scalar_max(r for _, r in per_atom),
-        implied_eps=Fraction(0),
-    )
+            if t in view:
+                rhs = scalar_add(rhs, scalar_mul(w2, view[t]))
+        diffs.append((t, scalar_sub(lhs, rhs)))
+    return _consistency_result(diffs, implied_eps=Fraction(0))
 
 
 def weighted_moment_series(

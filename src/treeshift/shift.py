@@ -287,8 +287,8 @@ def dense_defined_power(
         raise ValueError("power must be >= 0")
     if n > cfg.max_power:
         raise ValueError(f"power {n} exceeds the configured cap {cfg.max_power}")
+    checked = branching_vertices(tree, window) if reduce else list(window_vertices(tree, window))
     if isinstance(tree, ExplicitTree):
-        checked = branching_vertices(tree, window) if reduce else list(tree.vertices)
         certs = tuple(
             DomainCertificate(u, n, True, norm_sq=power_norm_sq(tree, weights, u, n, window))
             for u in checked
@@ -298,10 +298,8 @@ def dense_defined_power(
     if measures is None:
         raise NoCertificateError("model trees need a measure system for domain checks")
     if n == 0:
-        checked = branching_vertices(tree, window) if reduce else list(window_vertices(tree, window))
         certs = tuple(DomainCertificate(u, 0, True, norm_sq=Fraction(1)) for u in checked)
         return DomainReport(0, True, certs)
-    checked = branching_vertices(tree, window) if reduce else list(window_vertices(tree, window))
     certs = tuple(
         _measure_domain_certificate(u, measures.measure_at(u), n, cfg) for u in checked
     )

@@ -106,6 +106,9 @@ class Window:
     max_depth: int = 30
 
     def __post_init__(self):
+        for name, bound in vars(self).items():
+            if isinstance(bound, bool) or not isinstance(bound, int):
+                raise ValueError(f"{name} must be an integer, got {bound!r}")
         if self.max_trunk < 0 or self.max_branch < 1 or self.max_depth < 1:
             raise ValueError("window bounds out of range")
 
@@ -257,13 +260,29 @@ def children(tree: TreeSpec, u: Vertex, window: Window) -> list:
         return list(tree.children_map[u])
     if isinstance(u, Trunk):
         if u.k == 0:
-            eta = tree.eta if tree.eta is not INF else INF
-            top = window.max_branch if eta is INF else min(int(eta), window.max_branch)
+            top = window.max_branch if tree.eta is INF else min(int(tree.eta), window.max_branch)
             return [Branch(i, 1) for i in range(1, top + 1)] if window.max_depth >= 1 else []
         child = Trunk(u.k - 1)
         return [child] if in_window(tree, child, window) else []
     child = Branch(u.i, u.j + 1)
     return [child] if in_window(tree, child, window) else []
+
+
+def children_visible(tree: TreeSpec, u: Vertex, window: Window) -> bool:
+    """Whether the window holds every child the consistency identity at u
+    needs, so that its residual at u can be checked.
+
+    Explicit trees ignore the window.  A trunk vertex -k has the single
+    child -(k-1), inside the window whenever -k is.  Vertex 0 has infinitely
+    many children, but its identity is still checkable: the window keeps
+    branches i <= max_branch, and the truncated mixture at 0 keeps exactly
+    the atoms q_i of those children, so both sides agree atom by atom.  A
+    branch vertex (i, j) has the single chain child (i, j+1), which the
+    window cuts off at j = max_depth.
+    """
+    if isinstance(tree, ExplicitTree) or isinstance(u, Trunk):
+        return True
+    return u.j < window.max_depth
 
 
 def child_count_untruncated(tree: TreeSpec, u: Vertex):

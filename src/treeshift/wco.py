@@ -20,6 +20,7 @@ from .errors import InfiniteTermError, NoCertificateError
 from .measures import (
     AtomicMeasure,
     MixtureMeasure,
+    atoms_view,
     check_consist6_at,
     indices_with_value,
     moment,
@@ -48,6 +49,7 @@ from .tree import (
     Window,
     ZERO,
     children,
+    children_visible,
     parent,
     vertex_sort_key,
     window_vertices,
@@ -147,93 +149,48 @@ def cond_expectation(
 # --- sigma evaluation on the finite atom algebra ---
 
 
-def _mixture_mass_at(mix: MixtureMeasure, t: Fraction, imax: int) -> Scalar:
-    """Full mass of a Dirac mixture at location t: in-window atoms through
-    atom_mass (so stored tables are honoured), plus off-window collisions
-    through the coefficient rule."""
-    total: Scalar = Fraction(0)
-    hit = False
-    for i in range(1, imax + 1):
-        if mix.atom_location(i) == t:
-            total = scalar_add(total, mix.atom_mass(i))
-            hit = True
-    tail_exact = Fraction(0)
-    for i in indices_with_value(mix.alpha.q, t, imax):
-        tail_exact += mix.alpha.value(i) * t ** (-mix.shift)
-        hit = True
-    if not hit:
-        return Fraction(0)
-    if tail_exact:
-        total = scalar_add(total, mix.prefactor * tail_exact)
-    return total
-
-
 def _row(P, v: Vertex) -> Measure:
     if hasattr(P, "measure_at"):
         return P.measure_at(v)
     return P[v]
 
 
-def _sigma_masses(measure: Measure, sigmas, atom_set, imax: int):
-    """Masses of `measure` on every sigma.
-
-    Atoms of the test algebra outside the measure's own support carry mass
-    0, so only the measure's own atoms are scanned.
-    """
-    per_atom = {}
-    if isinstance(measure, AtomicMeasure):
-        for t, p in measure.atoms:
-            if t in atom_set:
-                per_atom[t] = p
-    else:
+def _atom_masses(measure: Measure, atom_set, imax: int) -> Dict[Fraction, Scalar]:
+    """Nonzero masses of `measure` at the test atoms.  A mixture reads its
+    in-window view (so stored tables are honoured) and adds the off-window
+    atoms at the same location through the coefficient rule."""
+    view = dict(atoms_view(measure, imax))
+    if isinstance(measure, MixtureMeasure):
         for t in atom_set:
-            m = _mixture_mass_at(measure, t, imax)
-            if scalar_abs_upper(m) != 0:
-                per_atom[t] = m
-    total: Scalar = Fraction(1)
-    rest: Scalar = total
-    for m in per_atom.values():
+            tail = sum(
+                (measure.alpha.value(i) * t ** (-measure.shift)
+                 for i in indices_with_value(measure.alpha.q, t, imax)),
+                Fraction(0),
+            )
+            if tail:
+                view[t] = scalar_add(view.get(t, Fraction(0)), measure.prefactor * tail)
+    return {t: m for t, m in view.items() if t in atom_set and scalar_abs_upper(m) != 0}
+
+
+def _over_sigmas(per_atom: Dict[Fraction, Scalar], total: Scalar, sigmas):
+    """Spread per-atom values with total `total` over every sigma."""
+    rest = total
+    # exact, so any order gives the same rest; small denominators first keep
+    # the intermediate ones small (high-index mixture masses have huge ones)
+    for m in sorted(per_atom.values(), key=lambda m: scalar_upper(m).denominator):
         rest = scalar_sub(rest, m)
-    out = []
-    for sigma in sigmas:
-        if sigma[0] == "atom":
-            out.append(per_atom.get(sigma[1], Fraction(0)))
-        elif sigma[0] == "all":
-            out.append(total)
-        else:
-            out.append(rest)
-    return out
+    values = {"all": total, "rest": rest}
+    return [per_atom.get(s[1], Fraction(0)) if s[0] == "atom" else values[s[0]] for s in sigmas]
 
 
-def _sigma_first_moments(measure: Measure, sigmas, atom_set, imax: int, cfg):
-    """First moments of `measure` over every sigma."""
-    per_atom = {}
+def _first_moment(measure: Measure, cfg: CertConfig) -> Scalar:
+    """int t dmeasure, a certified enclosure for a mixture."""
     if isinstance(measure, AtomicMeasure):
-        total: Scalar = moment(measure, 1)
-        for t, p in measure.atoms:
-            if t in atom_set:
-                per_atom[t] = t * p
-    else:
-        for t in atom_set:
-            m = _mixture_mass_at(measure, t, imax)
-            if scalar_abs_upper(m) != 0:
-                per_atom[t] = scalar_mul(t, m)
-        enclosure, _ = measure.moment_certificate(1, cfg)
-        if enclosure is None:
-            raise NoCertificateError("divergent first moment in CC right-hand side")
-        total = enclosure
-    rest: Scalar = total
-    for m in per_atom.values():
-        rest = scalar_sub(rest, m)
-    out = []
-    for sigma in sigmas:
-        if sigma[0] == "atom":
-            out.append(per_atom.get(sigma[1], Fraction(0)))
-        elif sigma[0] == "all":
-            out.append(total)
-        else:
-            out.append(rest)
-    return out
+        return moment(measure, 1)
+    enclosure, _ = measure.moment_certificate(1, cfg)
+    if enclosure is None:
+        raise NoCertificateError("divergent first moment in CC right-hand side")
+    return enclosure
 
 
 def _collect_atoms(data, P, window: Window):
@@ -315,10 +272,14 @@ def cc_residual(
             )
             tail_all = coerce(h) - in_window_w2  # off-window children, sigma = all
         kid_info = [
-            (data.weights.squared_at(y), _sigma_masses(row, sigmas, atom_set, imax))
+            (data.weights.squared_at(y),
+             _over_sigmas(_atom_masses(row, atom_set, imax), Fraction(1), sigmas))
             for y, row in zip(kids, rows[1:])
         ]
-        rhs_nums = _sigma_first_moments(row_x, sigmas, atom_set, imax, cfg)
+        x_masses = _atom_masses(row_x, atom_set, imax)
+        rhs_nums = _over_sigmas(
+            {t: scalar_mul(t, m) for t, m in x_masses.items()}, _first_moment(row_x, cfg), sigmas
+        )
         atom_resid: Dict[str, Fraction] = {}
         for idx, sigma in enumerate(sigmas):
             lhs_num: Scalar = Fraction(0)
@@ -412,7 +373,7 @@ def roundtrip_measures(
     eps: Dict[Vertex, Scalar] = {}
     skipped = []
     for u in window_vertices(data.tree, window):
-        if not _children_fully_visible(data.tree, u, window):
+        if not children_visible(data.tree, u, window):
             skipped.append(u)
             continue
         kid_data = [
@@ -442,10 +403,3 @@ def roundtrip_measures(
         skipped=tuple(skipped),
     )
 
-
-def _children_fully_visible(tree, u: Vertex, window: Window) -> bool:
-    if isinstance(tree, ExplicitTree):
-        return True
-    if isinstance(u, Trunk):
-        return True  # single child one level down, always in window
-    return u.j < window.max_depth  # chain child (i, j+1)

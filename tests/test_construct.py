@@ -370,6 +370,19 @@ def _huge_window(doc):
     doc["window"]["max_branch"] = 10**6
 
 
+def _edit(*path, value=None):
+    """Set the entry at `path` to `value`, or delete it when value is None."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, path",
     [
@@ -380,6 +393,14 @@ def _huge_window(doc):
         (_drop_certificates, "certificates.nd"),
         (_atom_at_zero, "measures.branch_atoms[4].t"),
         (_huge_window, "weights.branch_first"),
+        (_edit("certificates", "nd", "2", "verdict"), "certificates.nd.2.verdict"),
+        (_edit("certificates", "nd", "2", "witness_partial_lb"),
+         "certificates.nd.2.witness_partial_lb"),
+        (_edit("certificates", "nd", "1", value="convergent"), "certificates.nd.1"),
+        (_edit("certificates", "nd", "2", "witness_partial_lb", value="abc"),
+         "certificates.nd.2.witness_partial_lb"),
+        (_edit("window", "max_branch", value=12.0), "window"),
+        (_edit("window", "max_depth", value=4.0), "window"),
     ],
 )
 def test_verify_rejects_malformed_shape(small_artifacts, edit, path):
@@ -389,3 +410,16 @@ def test_verify_rejects_malformed_shape(small_artifacts, edit, path):
     assert not report.passed
     assert [r.name for r in report.records] == ["parse-artifact"]
     assert report.records[0].detail.startswith(path)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("head", []), ("head", ["a"]), ("slope", 0), ("intercept", -5)]
+)
+def test_verify_stops_at_wrong_omega(small_artifacts, key, value):
+    """Every later rule is built from the stored omega, so a wrong one ends
+    verification at its reconstruction record."""
+    doc = small_artifacts["linear"].to_json_dict()
+    doc["omega"][key] = value
+    report = verify(doc)
+    assert not report.passed
+    assert [(r.name, r.passed) for r in report.records] == [("omega-reconstruction", False)]

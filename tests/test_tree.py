@@ -157,6 +157,12 @@ def test_model_tree_validation():
         ModelTree(eta=2, kappa=-1)
 
 
+def test_window_bounds_must_be_integers():
+    for bounds in ((10, 12.0, 30), (10, 50, 4.0), (True, 50, 30), (10, 50, False)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Window(*bounds)
+
+
 def test_parent_child_duality():
     tree = ModelTree(eta=4, kappa=3)
     for u in window_vertices(tree, WIDE):

@@ -1,5 +1,6 @@
 """Composition-operator view: h, conditional expectation, CC, round trip."""
 
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,6 +20,7 @@ from treeshift import (
     h_function,
     roundtrip_measures,
 )
+from treeshift.measures import indices_with_value
 
 mp.mp.dps = 40
 WIDE = Window(max_trunk=10, max_branch=10, max_depth=10)
@@ -219,3 +221,15 @@ def test_roundtrip_detects_broken_row(artifact_n1_k3):
     result = roundtrip_measures(from_shift(art.tree, art.weights), P, small)
     assert result.residuals[Branch(3, 3)] >= 1  # its own atom went missing
     assert result.max_residual >= 1
+
+
+def test_cc_counts_off_window_mixture_atoms():
+    """q_1 = q_60 = 60: the mixtures' atom at 60 carries mass from index 60,
+    beyond the 12-branch window, which CC must add through the rule."""
+    q = ts.SequenceSpec(ts.Tail.LINEAR, prefix=(Fraction(60),))
+    assert indices_with_value(q, Fraction(60), 12) == (60,)
+    art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=Window(3, 12, 4)))
+    assert ts.verify(art.to_json_dict()).passed
+    assert hashlib.sha256(art.to_json().encode()).hexdigest() == (
+        "d28e7100aac4e8b453d1db96fabe475807959ef86e0d3800707303b0d0809e87"
+    )
