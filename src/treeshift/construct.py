@@ -69,6 +69,16 @@ from . import wco
 
 SCHEMA = "treeshift-artifact/1"
 
+# the fixed constants as a document must state them under `request.cert`
+_FIXED_CERT_JSON = {
+    "check_tol": rat_to_str(CertConfig.check_tol),
+    "max_terms": CertConfig.max_terms,
+    "off_omega_terms": CertConfig.off_omega_terms,
+    "scan_horizon": CertConfig.scan_horizon,
+    "dyadic_bits": CertConfig.dyadic_bits,
+    "max_power": CertConfig.max_power,
+}
+
 
 @dataclass(frozen=True)
 class CounterexampleRequest:
@@ -82,8 +92,8 @@ class CounterexampleRequest:
     window: Window = Window()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError("n must be an integer >= 1")
         if self.n + 1 > self.cert.max_power:
             raise ValueError("n+1 exceeds the configured power cap")
         if self.kappa is not INF and (not isinstance(self.kappa, int) or self.kappa < 0):
@@ -97,32 +107,24 @@ class CounterexampleRequest:
             "window": asdict(self.window),
             "cert": {
                 "series_width": rat_to_str(self.cert.series_width),
-                "check_tol": rat_to_str(self.cert.check_tol),
                 "divergence_threshold": rat_to_str(self.cert.divergence_threshold),
-                "max_terms": self.cert.max_terms,
-                "off_omega_terms": self.cert.off_omega_terms,
-                "scan_horizon": self.cert.scan_horizon,
-                "dyadic_bits": self.cert.dyadic_bits,
-                "max_power": self.cert.max_power,
+                **_FIXED_CERT_JSON,
             },
         }
 
     @staticmethod
     def from_json(obj) -> "CounterexampleRequest":
         cert = obj["cert"]
+        for key, value in _FIXED_CERT_JSON.items():
+            if cert.get(key) != value:
+                raise ValueError(f"cert.{key}: {cert.get(key)!r}, the library fixes {value!r}")
         return CounterexampleRequest(
             n=obj["n"],
             kappa=INF if obj["kappa"] == "inf" else obj["kappa"],
             q=SequenceSpec.from_json(obj["q"]),
             cert=CertConfig(
                 series_width=Fraction(cert["series_width"]),
-                check_tol=Fraction(cert["check_tol"]),
                 divergence_threshold=Fraction(cert["divergence_threshold"]),
-                max_terms=cert["max_terms"],
-                off_omega_terms=cert["off_omega_terms"],
-                scan_horizon=cert["scan_horizon"],
-                dyadic_bits=cert["dyadic_bits"],
-                max_power=cert["max_power"],
             ),
             window=Window(**obj["window"]),
         )
@@ -539,8 +541,11 @@ class _Malformed(Exception):
 
 def _at(node, path: str, prefix: str = ""):
     """The value at the dotted JSON path `path` below `node`, itself at `prefix`."""
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
+    keys = path.split(".")
+    for depth, key in enumerate(keys):
+        if not isinstance(node, dict):
+            raise _Malformed(f"{(prefix + '.'.join(keys[:depth])).rstrip('.')}: not an object")
+        if key not in node:
             raise _Malformed(f"{prefix}{path}: missing")
         node = node[key]
     return node
@@ -584,10 +589,13 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
         min(stored.max_depth, window.max_depth),
     )
     W = stored.max_branch
+    power = _at(doc, "alpha.power")
+    if power != request.n:
+        raise _Malformed(f"alpha.power: {power!r}, the request has n = {request.n}")
     alpha = AlphaFamily(
         q=request.q,
         omega=OmegaSpec.from_json(_at(doc, "omega")),
-        power=_at(doc, "alpha.power"),
+        power=request.n,
         scale=Fraction(_at(doc, "alpha.scale")),
     )
     c = interval_from_json(_at(doc, "c"))
@@ -657,20 +665,20 @@ def _gaps(rows):
 def verify(
     doc: Union[dict, CounterexampleArtifact],
     window: Optional[Window] = None,
-    cfg: Optional[CertConfig] = None,
 ) -> VerificationReport:
     """Re-run every certificate check against the stored tables of an
     artifact document.
 
-    A document whose tables do not have the shape of its window fails a
-    single `parse-artifact` record naming the JSON path.  Otherwise the
-    checks are: stored values against rule reconstruction (two enclosures
-    of the same quantity must intersect), the exact branch identities, and
-    then, through the same `identity_residuals` that `generate` certifies
-    with, consistency residuals at every checkable vertex, trunk product
-    identities, mixture masses and CC on the window's atom algebra; last
-    the power-domain certificates with a recomputed divergence witness, and
-    positivity of all weights.
+    A request that states other fixed constants than the library's fails a
+    single `parse-request` record, and a document whose tables do not have
+    the shape of its window a single `parse-artifact` record naming the JSON
+    path.  Otherwise the checks are: stored values against rule
+    reconstruction (two enclosures of the same quantity must intersect), the
+    exact branch identities, and then, through the same `identity_residuals`
+    that `generate` certifies with, consistency residuals at every checkable
+    vertex, trunk product identities, mixture masses and CC on the window's
+    atom algebra; last the power-domain certificates with a recomputed
+    divergence witness, and positivity of all weights.
     """
     if isinstance(doc, CounterexampleArtifact):
         doc = doc.to_json_dict()
@@ -704,7 +712,7 @@ def verify(
         return VerificationReport(
             False, (CheckRecord("parse-request", False, detail=str(exc)),)
         )
-    cfg = cfg or request.cert
+    cfg = request.cert
     tol = cfg.check_tol
     kappa = request.kappa
     n = request.n

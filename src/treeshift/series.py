@@ -22,7 +22,7 @@ by construction, never heuristic.
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .errors import NoCertificateError, SupNotWitnessedError
 from .rationals import Interval, as_fraction, rat_to_str
@@ -34,21 +34,25 @@ _MAX_STABILIZE_SCAN = 10_000
 
 @dataclass(frozen=True)
 class CertConfig:
-    """Tunables for certificate evaluation.
+    """Certificate settings: two values a caller sets, six library constants.
 
-    series_width is the per-series enclosure width target; checks against
-    spec identities use check_tol.  max_terms caps the number of explicit
-    terms of any one series (the achieved width is recorded either way).
+    series_width is the per-series enclosure width target; a divergence
+    witness must exceed divergence_threshold.  Identities are checked against
+    check_tol, and max_terms caps the explicit terms of any one series.
     """
 
     series_width: Fraction = Fraction(1, 10**12)
-    check_tol: Fraction = Fraction(1, 10**10)
     divergence_threshold: Fraction = Fraction(10)
-    max_terms: int = 1_200_000
-    off_omega_terms: int = 48
-    scan_horizon: int = 1_000_000
-    dyadic_bits: int = 320
-    max_power: int = 16
+    check_tol: ClassVar[Fraction] = Fraction(1, 10**10)
+    max_terms: ClassVar[int] = 1_200_000
+    off_omega_terms: ClassVar[int] = 48
+    scan_horizon: ClassVar[int] = 1_000_000
+    dyadic_bits: ClassVar[int] = 320
+    max_power: ClassVar[int] = 16
+
+    def __post_init__(self):
+        if not (self.series_width > 0 and self.divergence_threshold > 0):
+            raise ValueError("series_width and divergence_threshold must be positive")
 
 
 DEFAULT_CONFIG = CertConfig()
@@ -466,8 +470,8 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     )
 
 
-def dyadic_floor(x: Fraction, bits: int = 128) -> Fraction:
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
+def dyadic_floor(x: Fraction) -> Fraction:
+    return Fraction((x.numerator << 128) // x.denominator, 1 << 128)
 
 
 def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
@@ -522,17 +526,7 @@ def power_series_certificate(
     alpha: AlphaFamily, l: int, cfg: CertConfig = DEFAULT_CONFIG
 ) -> SeriesCertificate:
     """Certificate for sum_i alpha_i * q_i^l over the full index set."""
-    key = (
-        alpha.q,
-        alpha.omega,
-        alpha.power,
-        l,
-        cfg.series_width,
-        cfg.max_terms,
-        cfg.off_omega_terms,
-        cfg.dyadic_bits,
-        cfg.divergence_threshold,
-    )
+    key = (alpha.q, alpha.omega, alpha.power, l, cfg.series_width, cfg.divergence_threshold)
     cert = _BASE_CACHE.get(key)
     if cert is None:
         if l <= alpha.power:

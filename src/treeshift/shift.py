@@ -306,17 +306,16 @@ def dense_defined_power(
     return DomainReport(n, all(c.in_domain for c in certs), certs)
 
 
-def glowne_power_check(artifact, n: int, cfg: Optional[CertConfig] = None) -> DomainCertificate:
+def glowne_power_check(artifact, n: int) -> DomainCertificate:
     """Domain verdict for S^n on a generated artifact via the branch series
     sum_i |lambda_{i,1}|^2 * q_i^{n-1} = c * sum_i alpha_i q_i^n."""
-    cfg = cfg or artifact.request.cert
     if n < 0:
         raise ValueError("power must be >= 0")
-    if n > cfg.max_power:
-        raise ValueError(f"power {n} exceeds the configured cap {cfg.max_power}")
+    if n > CertConfig.max_power:
+        raise ValueError(f"power {n} exceeds the configured cap {CertConfig.max_power}")
     if n == 0:
         return DomainCertificate(ZERO, 0, True, norm_sq=Fraction(1))
-    cert = power_series_certificate(artifact.alpha, n, cfg)
+    cert = power_series_certificate(artifact.alpha, n, artifact.request.cert)
     if cert.is_convergent:
         return DomainCertificate(ZERO, n, True, norm_sq=artifact.c * cert.enclosure, evidence=cert)
     return DomainCertificate(ZERO, n, False, evidence=cert)

@@ -14,7 +14,7 @@ elements are bounded by the sum of the per-generator residuals.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 from .errors import InfiniteTermError, NoCertificateError
 from .measures import (
@@ -28,7 +28,6 @@ from .measures import (
 from .rationals import (
     Interval,
     Scalar,
-    as_fraction,
     coerce,
     scalar_abs_upper,
     scalar_add,
@@ -225,7 +224,6 @@ def cc_residual(
     P,
     window: Window,
     cfg: CertConfig = DEFAULT_CONFIG,
-    test_atoms: Optional[Tuple[Fraction, ...]] = None,
 ) -> CCReport:
     """Max residual of the CC identity over sibling classes and the finite
     algebra generated by the test atoms.
@@ -234,7 +232,7 @@ def cc_residual(
     branch rule delta_{q_i}; the off-window part of the class at the
     branching vertex is then accounted for exactly through the weight rule.
     """
-    atoms = tuple(sorted(as_fraction(t) for t in test_atoms)) if test_atoms else _collect_atoms(data, P, window)
+    atoms = _collect_atoms(data, P, window)
     atom_set = frozenset(atoms)
     imax = window.max_branch
 

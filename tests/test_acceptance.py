@@ -12,6 +12,7 @@ mpmath.zeta at 40 digits):
   zeta(3)/zeta(4) = 1.11062653532614811717...
 """
 
+import hashlib
 import json
 import math
 import random
@@ -81,6 +82,45 @@ def test_criterion_1_counterexample_grid():
         worst_cell = max(worst_cell, elapsed)
         assert elapsed <= 10, f"cell {_cell_name(n, kappa, q)} took {elapsed:.1f}s"
     print(f"\n[criterion 1] PASS - 24-cell grid verified, worst cell {worst_cell:.2f}s")
+
+
+GRID_SHA256 = {
+    (1, 0, "linear"): "c8e5ae7f46bb02adae1cce6a4defc7a8f0b8c7b406a43a9002ac333707e47d36",
+    (1, 0, "mixed"): "012ed769e828656327dcc154e044f34ad0b2dd30259c28aaeddf6a636683ef3a",
+    (1, 1, "linear"): "eb26fcec77671443aa39aa5d330755b79e5eaccb41d1b12bd020b10cd813793c",
+    (1, 1, "mixed"): "71a0401832231aced878fe836fdedb623f01764d2b8f55fafbd933e3a6cf4139",
+    (1, 3, "linear"): "059f4f8c8aa9e370e1ab96b84cf829674945af343591f00ec4795a1086bd07d4",
+    (1, 3, "mixed"): "cd25fb8ed1a273f8cac8208a2dd99fe5e30d9c3798d4a805df6c0112a7d1f15b",
+    (1, ts.INF, "linear"): "bf0fd381f0989410908265480098e70a099bc64240bb98d8f2c3289127227143",
+    (1, ts.INF, "mixed"): "c7a7a940b39911aedbf1044dd0b112cffc66f04bc479ab4518017d6573cc0fd7",
+    (2, 0, "linear"): "a523f5a931d9c464056b69c2ff46253c4f6cfdfd6ed98589dc18a02c2fb22b03",
+    (2, 0, "mixed"): "4c2015296ce227bd106dce5bf04f66494ec4d3b9eb96b8694c1b378a39de2ca7",
+    (2, 1, "linear"): "c1ce27a5a5e0287e2dcbf4cb1e0e35bb00a8231e28228acbc4aeedb6709d965e",
+    (2, 1, "mixed"): "b2aebe8a74a826bf90dc5eab60bb011bd0d6d945f6835579115ad3fae5d10ec8",
+    (2, 3, "linear"): "323d11651bcbd4a8c8111e2f9627cd6f1e81aee8d92f5f9783b57aaa58691a31",
+    (2, 3, "mixed"): "ffc416f8863f9dab914bdd39248b843e3161045174a5977c64ba4f7b3ac625e6",
+    (2, ts.INF, "linear"): "d116f44d06d24cc163dfbb2edb5e5447455199c38b22fe8e3dd91714b572e9d8",
+    (2, ts.INF, "mixed"): "a95d133947ca2f7f4cc359e776a763e3acce2cd5b68770e3504c118be2623769",
+    (3, 0, "linear"): "7288541f32d790022408ae1f32dc46093b546a002f9cc271e3777d008a11b906",
+    (3, 0, "mixed"): "75ac1262cc5aa6ad534cf22c2c896aa327d10ab89a3ee8d562801c90cb20dd05",
+    (3, 1, "linear"): "d06e52727e2817f706129f9a57a66a97d48fd780ce5c0bd38f1521acd5ed5895",
+    (3, 1, "mixed"): "ef67535c0befb114900b471f47856cb0df16b4f43d2f4723772dbad52c3d7a2a",
+    (3, 3, "linear"): "28068d0f15c44be1477e58a11c50e591fac1c711cf15ac01fc740feef09545f3",
+    (3, 3, "mixed"): "d2fae47bbd438427cbc5a99bdcbc846e6ec7dc27ff839dfa448bbbc6ec3cfe3e",
+    (3, ts.INF, "linear"): "5f6b87598e27a50f9950ec841064d9a008ea5442afc90be9116826b44f11af4d",
+    (3, ts.INF, "mixed"): "d0dd88e72001377be4945ca7ea1e36b546fa88f37eecbfbd6cbd745ee613bf91",
+}
+
+
+def test_grid_artifacts_pinned():
+    """Every grid artifact is a stable format: any change to its bytes is a
+    schema change and must be documented.  The artifacts come from the cache
+    criterion 1 fills."""
+    digests = {}
+    for n, kappa, q in GRID:
+        text = get_artifact(n, kappa, q).to_json()
+        digests[(n, kappa, q.tail.value)] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == GRID_SHA256
 
 
 def test_criterion_2_derived_constants():

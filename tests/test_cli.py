@@ -153,3 +153,20 @@ def test_report_malformed_document_exits_1(artifact_path, tmp_path, capsys):
     assert run(["report", str(bad), "--format", "csv"]) == 1
     out = capsys.readouterr().out
     assert "parse-artifact,0,,,certificates.nd: missing" in out
+
+
+def test_other_fixed_constant_rejected(artifact_path, tmp_path, capsys):
+    doc = json.loads(artifact_path.read_text())
+    doc["request"]["cert"]["dyadic_bits"] = 100000
+    bad = tmp_path / "bits.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", str(bad)]) == 1
+    assert "[FAIL] parse-request (cert.dyadic_bits: 100000" in capsys.readouterr().out
+    assert run(["domain-check", str(bad), "--power", "1"]) == 2
+    assert "cert.dyadic_bits" in capsys.readouterr().err
+
+
+def test_nonpositive_width_exit_2(tmp_path):
+    out = tmp_path / "w.json"
+    assert run(["generate", "--n", "1", "--width", "-3", "--out", str(out)]) == 2
+    assert not out.exists()

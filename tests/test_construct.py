@@ -11,8 +11,10 @@ with integral tail sandwiches, cross-checked against mpmath.zeta):
   1/zeta(4)       = 0.92393840292159016702...
 """
 
+import dataclasses
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -401,6 +403,9 @@ def _edit(*path, value=None):
          "certificates.nd.2.witness_partial_lb"),
         (_edit("window", "max_branch", value=12.0), "window"),
         (_edit("window", "max_depth", value=4.0), "window"),
+        (_edit("alpha", "power", value=1.5), "alpha.power"),
+        (_edit("alpha", "power", value=2), "alpha.power"),
+        (_edit("weights", value=[]), "weights: not an object"),
     ],
 )
 def test_verify_rejects_malformed_shape(small_artifacts, edit, path):
@@ -423,3 +428,74 @@ def test_verify_stops_at_wrong_omega(small_artifacts, key, value):
     report = verify(doc)
     assert not report.passed
     assert [(r.name, r.passed) for r in report.records] == [("omega-reconstruction", False)]
+
+
+def _scalar_leaves(node, path):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _scalar_leaves(value, path + (key,))
+    elif not isinstance(node, list):
+        yield path
+
+
+FIXED_CERT_KEYS = ("check_tol", "max_terms", "off_omega_terms", "scan_horizon", "dyadic_bits",
+                   "max_power")
+REQUEST_LEAVES = tuple(_scalar_leaves(
+    ts.CounterexampleRequest(n=1, kappa=3, window=SMALL_WINDOW).to_json(), ("request",)
+))
+
+
+@pytest.mark.parametrize("value", [1.5, None, "x", -3])
+@pytest.mark.parametrize(
+    "path", REQUEST_LEAVES + (("alpha", "power"), ("alpha", "scale")), ids=".".join
+)
+def test_verify_total_on_retyped_leaves(small_artifacts, path, value):
+    """Any scalar of the request or alpha, retyped or out of range, gives a
+    failing report and never an exception; a fixed constant fails parsing."""
+    doc = small_artifacts["linear"].to_json_dict()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    report = verify(doc)
+    assert not report.passed
+    if path[:2] == ("request", "cert") and path[2] in FIXED_CERT_KEYS:
+        assert [r.name for r in report.records] == ["parse-request"]
+        assert report.records[0].detail.startswith(f"cert.{path[2]}")
+
+
+def test_cert_config_keeps_two_settable_values():
+    assert [f.name for f in dataclasses.fields(ts.CertConfig)] == [
+        "series_width", "divergence_threshold"
+    ]
+    with pytest.raises(TypeError):
+        ts.CertConfig(check_tol=Fraction(1))
+
+
+def test_verify_rejects_forged_tolerance(small_artifacts):
+    """A document that loosens the tolerance and precision to pass weights
+    10 % off the rule is rejected before any check runs under its values."""
+    doc = small_artifacts["linear"].to_json_dict()
+    doc["request"]["cert"].update(check_tol="100", dyadic_bits=1, max_terms=16)
+    up = Fraction(11, 10)
+    doc["c"] = [str(Fraction(x) * up) for x in doc["c"]]
+    for entry in doc["weights"]["branch_first"]:
+        entry["w2"] = [str(Fraction(x) * up) for x in entry["w2"]]
+    report = verify(doc)
+    assert [(r.name, r.passed) for r in report.records] == [("parse-request", False)]
+    assert report.records[0].detail.startswith("cert.check_tol")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("check_tol", "1/100"), ("max_terms", 16), ("off_omega_terms", 8), ("scan_horizon", 10),
+     ("dyadic_bits", 100000), ("max_power", 3)],
+)
+def test_verify_rejects_other_fixed_constants(small_artifacts, key, value):
+    doc = small_artifacts["linear"].to_json_dict()
+    doc["request"]["cert"][key] = value
+    started = time.monotonic()
+    report = verify(doc)
+    assert time.monotonic() - started < 1
+    assert [(r.name, r.passed) for r in report.records] == [("parse-request", False)]
+    assert report.records[0].detail.startswith(f"cert.{key}")
