@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .construct import (
     CounterexampleRequest,
+    approx_residual,
     artifact_from_json_dict,
     generate,
     verify,
@@ -146,10 +147,13 @@ def _cmd_domain_check(args) -> int:
 
 def _cmd_report(args) -> int:
     report = verify(_load_doc(args.artifact))
+    res = report.residuals  # None when the document did not parse
     if args.format == "json":
         payload = {
             "passed": report.passed,
-            "consist6_residuals": dict(report.consist6_by_vertex),
+            "consist6_residuals": {} if res is None else {  # keyed by class representative
+                str(u): approx_residual(r.residual_upper) for u, r in res.consist6.items()
+            },
             "checks": [
                 {
                     "name": r.name,
@@ -161,8 +165,7 @@ def _cmd_report(args) -> int:
                 for r in report.records
             ],
         }
-        res = report.residuals
-        if res is not None:  # the document parsed and every identity was evaluated
+        if res is not None:
             payload.update(
                 cc_max_residual=rat_to_str(res.cc.max_residual),
                 cc_algebra_bound=rat_to_str(res.cc.algebra_bound),

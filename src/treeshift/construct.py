@@ -20,9 +20,10 @@ window; `verify` re-checks a document from its tables.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import reduce
+from operator import getitem
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import NoCertificateError
@@ -50,7 +51,7 @@ from .series import (
     build_omega,
     dyadic_floor,
     power_series_certificate,
-    witness_partial_sum,
+    witness_partial_sum,  # not called here; perfbench/spans.py rebinds this name when tracing
 )
 from .shift import ModelWeights
 from .tree import (
@@ -114,19 +115,27 @@ class CounterexampleRequest:
 
     @staticmethod
     def from_json(obj) -> "CounterexampleRequest":
-        cert = obj["cert"]
+        """The request a document states; ValueError names a missing or mistyped key."""
+
+        def read(path, parse=lambda value: value):
+            try:
+                return parse(reduce(getitem, path.split("."), obj))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
+
         for key, value in _FIXED_CERT_JSON.items():
-            if cert.get(key) != value:
-                raise ValueError(f"cert.{key}: {cert.get(key)!r}, the library fixes {value!r}")
+            stated = read(f"cert.{key}")
+            if stated != value:
+                raise ValueError(f"cert.{key}: {stated!r}, the library fixes {value!r}")
         return CounterexampleRequest(
-            n=obj["n"],
-            kappa=INF if obj["kappa"] == "inf" else obj["kappa"],
-            q=SequenceSpec.from_json(obj["q"]),
+            n=read("n"),
+            kappa=read("kappa", lambda kappa: INF if kappa == "inf" else kappa),
+            q=read("q", SequenceSpec.from_json),
             cert=CertConfig(
-                series_width=Fraction(cert["series_width"]),
-                divergence_threshold=Fraction(cert["divergence_threshold"]),
+                series_width=read("cert.series_width", Fraction),
+                divergence_threshold=read("cert.divergence_threshold", Fraction),
             ),
-            window=Window(**obj["window"]),
+            window=read("window", lambda window: Window(**window)),
         )
 
 
@@ -200,11 +209,6 @@ def trunk_weights(
     return tuple(out)
 
 
-@lru_cache(maxsize=65536)
-def _cached_dirac(t: Fraction) -> AtomicMeasure:
-    return AtomicMeasure.dirac(t)
-
-
 @dataclass(frozen=True)
 class MeasureSystem:
     """Measures of a generated system: delta_{q_i} on every branch vertex,
@@ -219,8 +223,8 @@ class MeasureSystem:
     def measure_at(self, v: Vertex):
         if isinstance(v, Branch):
             if v.i <= len(self.locations):
-                return _cached_dirac(self.locations[v.i - 1])
-            return _cached_dirac(self.q.value(v.i))
+                return AtomicMeasure.dirac(self.locations[v.i - 1])
+            return AtomicMeasure.dirac(self.q.value(v.i))
         if isinstance(v, Trunk):
             if v.k < len(self.mixtures):
                 return self.mixtures[v.k]
@@ -273,30 +277,26 @@ class CounterexampleArtifact:
 
 
 def _trunk_levels(kappa, window: Window) -> int:
-    """Number of trunk weights |lambda_{-l}|^2 materialized (l = 0..L-1)."""
-    if kappa == 0:
-        return 0
-    if kappa is INF:
-        return window.max_trunk + 1
-    return min(int(kappa) - 1, window.max_trunk) + 1
+    """Number of trunk weights |lambda_{-l}|^2 materialized (l = 0..L-1), one
+    per window trunk vertex but the root -kappa (min(INF, m) is m)."""
+    return min(kappa, window.max_trunk + 1)
 
 
 def _mixture_levels(kappa, window: Window) -> int:
     """Number of trunk measures materialized (levels 0..M-1, level 0 = vertex 0)."""
-    if kappa is INF:
-        return window.max_trunk + 1
-    return min(int(kappa), window.max_trunk) + 1
+    return min(kappa, window.max_trunk) + 1
+
+
+def _artifact_window(request: CounterexampleRequest) -> Window:
+    """The request's window with the trunk cut at the root -kappa."""
+    return replace(request.window, max_trunk=min(request.window.max_trunk, request.kappa))
 
 
 def generate(request: CounterexampleRequest) -> CounterexampleArtifact:
     """Run the full pipeline and certify every promised identity."""
     cfg = request.cert
     kappa = request.kappa
-    window = request.window if kappa is INF else Window(
-        min(request.window.max_trunk, int(kappa)),
-        request.window.max_branch,
-        request.window.max_depth,
-    )
+    window = _artifact_window(request)
     tree = ModelTree(eta=INF, kappa=kappa)
 
     boundedness = boundedness_guard(request.q, cfg)
@@ -326,12 +326,15 @@ def _certify(artifact: CounterexampleArtifact, cfg: CertConfig) -> dict:
     """All certificates attached to a generated artifact."""
     alpha = artifact.alpha
     res = identity_residuals(artifact, cfg)
+    # the class of representative (i, 1) is every (i, j) with 1 <= j < max_depth
+    covered = sum(artifact.window.max_depth - 1 if isinstance(u, Branch) else 1
+                  for u in res.consist6)
     certs = {
         "nd": {m: power_series_certificate(alpha, m, cfg) for m in range(1, artifact.n + 2)},
         "zgod_prime_residual": res.zgod_prime,
         "widly1": res.widly1,
         "mass_residuals": res.mass,
-        "consist6": {"max_residual": res.consist6_max, "vertices_checked": len(res.consist6)},
+        "consist6": {"max_residual": res.consist6_max, "vertices_checked": covered},
         "cc": {
             "max_residual": res.cc.max_residual,
             "algebra_bound": res.cc.algebra_bound,
@@ -353,8 +356,8 @@ class IdentityResiduals:
     widly1: Dict[int, Fraction]  # trunk product identity at level l
     widly1_prime: Optional[Tuple[int, Fraction]]  # (kappa, residual) on a finite trunk
     mass: Dict[int, Fraction]  # |mass - 1| of the mixture at trunk level l
-    consist6: Dict[Vertex, ConsistencyResult]
-    cc: wco.CCReport
+    consist6: Dict[Vertex, ConsistencyResult]  # keyed by vertex class representative
+    cc: wco.CCReport  # one class per representative
 
     @property
     def consist6_max(self) -> Fraction:
@@ -364,7 +367,16 @@ class IdentityResiduals:
 def identity_residuals(artifact: CounterexampleArtifact, cfg: CertConfig) -> IdentityResiduals:
     """Normalization, trunk product, mixture mass, consistency and CC
     residuals over the artifact's weights and measures, which read their
-    tables where they have them and the rules elsewhere."""
+    tables where they have them and the rules elsewhere.
+
+    Consistency and CC are evaluated once per vertex class, on the window
+    cut to depth min(max_depth, 2): every trunk vertex, vertex 0 and one
+    representative (i, 1) per branch.  Sound, because
+    `ModelWeights.squared_at` and `MeasureSystem.measure_at` read branch i's
+    tables (or rule) independently of j: for 1 <= j < max_depth the identity
+    at (i, j), and the CC class of (i, j) with h = branch_tail(i), read
+    exactly the inputs of (i, 1), CC's test atoms included.
+    """
     alpha, c, kappa = artifact.alpha, artifact.c, artifact.request.kappa
     zgod_prime = _one_residual(c * power_series_certificate(alpha, 0, cfg).enclosure)
     widly1, widly1_prime = {}, None
@@ -380,9 +392,11 @@ def identity_residuals(artifact: CounterexampleArtifact, cfg: CertConfig) -> Ide
         l: _one_residual(mix.prefactor * power_series_certificate(alpha, -l, cfg).enclosure)
         for l, mix in enumerate(artifact.measures.mixtures)
     }
-    consist6 = consist6_residuals(artifact, cfg)
+    window = artifact.window
+    classes = replace(artifact, window=replace(window, max_depth=min(window.max_depth, 2)))
+    consist6 = consist6_residuals(classes, cfg)
     data = wco.from_shift(artifact.tree, artifact.weights)
-    cc = wco.cc_residual(data, artifact.measures, artifact.window, cfg)
+    cc = wco.cc_residual(data, artifact.measures, classes.window, cfg)
     return IdentityResiduals(zgod_prime, widly1, widly1_prime, mass, consist6, cc)
 
 
@@ -508,6 +522,11 @@ def artifact_from_json_dict(doc: dict) -> CounterexampleArtifact:
 # --- verification ---
 
 
+def approx_residual(r: Fraction) -> str:
+    """The human-facing summary of a residual: "0" or a ~decimal of six digits."""
+    return "0" if r == 0 else "~" + rat_to_decimal(r, 6)
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     name: str
@@ -528,7 +547,6 @@ class CheckRecord:
 class VerificationReport:
     passed: bool
     records: Tuple[CheckRecord, ...]
-    consist6_by_vertex: Tuple[Tuple[str, str], ...] = ()
     residuals: Optional[IdentityResiduals] = None  # None when the document did not parse
 
     def failures(self) -> Tuple[CheckRecord, ...]:
@@ -640,6 +658,8 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
                 rat_from_str(_at(nd, f"{m}.witness_partial_lb", "certificates.nd."))
             except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise _Malformed(f"certificates.nd.{m}.witness_partial_lb: {exc}") from None
+    if _artifact_window(request) != stored:
+        raise _Malformed(f"request.window: gives {_artifact_window(request)}, not {stored}")
     return CounterexampleArtifact(
         request=request,
         tree=ModelTree(eta=INF, kappa=kappa),
@@ -670,24 +690,24 @@ def verify(
     artifact document.
 
     A request that states other fixed constants than the library's fails a
-    single `parse-request` record, and a document whose tables do not have
-    the shape of its window a single `parse-artifact` record naming the JSON
-    path.  Otherwise the checks are: stored values against rule
-    reconstruction (two enclosures of the same quantity must intersect), the
-    exact branch identities, and then, through the same `identity_residuals`
-    that `generate` certifies with, consistency residuals at every checkable
-    vertex, trunk product identities, mixture masses and CC on the window's
-    atom algebra; last the power-domain certificates with a recomputed
-    divergence witness, and positivity of all weights.
+    single `parse-request` record.  A document whose tables do not have the
+    shape of its window, or whose window is not the one its request gives,
+    fails a single `parse-artifact` record naming the JSON path.  Otherwise
+    the checks are: stored values against rule reconstruction (two
+    enclosures of the same quantity must intersect), the exact branch
+    identities, and then, through the same `identity_residuals` that
+    `generate` certifies with, consistency residuals once per vertex class,
+    trunk product identities, mixture masses and CC on the window's atom
+    algebra; last the power-domain certificates with a recomputed divergence
+    witness, and positivity of all weights.
     """
     if isinstance(doc, CounterexampleArtifact):
         doc = doc.to_json_dict()
     records = []
 
     def rec(name, passed, vertex=None, residual=None, detail=""):
-        if residual is not None and isinstance(residual, Fraction):
-            # human-facing summary: a short decimal approximation suffices
-            residual = "0" if residual == 0 else "~" + rat_to_decimal(residual, 6)
+        if isinstance(residual, Fraction):
+            residual = approx_residual(residual)
         records.append(
             CheckRecord(
                 name,
@@ -766,20 +786,10 @@ def verify(
     table_records("zgod0", _gaps(rows), residual=0)
 
     res = identity_residuals(art, cfg)
-    worst = Fraction(0)
-    worst_vertex = None
-    consist_by_vertex = []
-    for u, result in res.consist6.items():
-        upper = result.residual_upper
-        consist_by_vertex.append(
-            (str(u), "0" if upper == 0 else "~" + rat_to_decimal(upper, 6))
-        )
-        if upper > worst:
-            worst, worst_vertex = upper, u
-        if upper > tol:
-            rec("consist6", False, vertex=u, residual=upper)
-    if worst <= tol:
-        rec("consist6", True, vertex=worst_vertex, residual=worst)
+    uppers = {u: r.residual_upper for u, r in res.consist6.items()}
+    worst = max(uppers, key=uppers.get) if res.consist6_max else None  # first at the max
+    table_records("consist6", ((u, r, "") for u, r in uppers.items() if r > tol),
+                  vertex=worst, residual=res.consist6_max)
 
     rec("zgod-prime", res.zgod_prime <= tol, residual=res.zgod_prime)
     for l, r in res.widly1.items():
@@ -804,12 +814,9 @@ def verify(
         ok = cert.is_convergent == expect_convergent == (stored["verdict"] == "convergent")
         detail = ""
         if not cert.is_convergent and ok:
-            K = cert.witness_index
-            recomputed = witness_partial_sum(alpha, m, K)
-            ok = (
-                recomputed > cfg.divergence_threshold
-                and dyadic_floor(recomputed) == Fraction(stored["witness_partial_lb"])
-            )
+            K, S = cert.witness_index, cert.witness_partial
+            lb = Fraction(stored["witness_partial_lb"])
+            ok = S > cfg.divergence_threshold and dyadic_floor(S) == lb
             detail = f"witness partial sum at K={K} recomputed, exceeds {cfg.divergence_threshold}"
         rec(f"nd[{m}]", ok, residual=None, detail=detail or stored["verdict"])
 
@@ -822,9 +829,4 @@ def verify(
     misses += [(Trunk(l), None, "") for l, w in enumerate(weights.trunk) if w.lo <= 0]
     table_records("weights-positive", misses)
 
-    return VerificationReport(
-        all(r.passed for r in records),
-        tuple(records),
-        consist6_by_vertex=tuple(consist_by_vertex),
-        residuals=res,
-    )
+    return VerificationReport(all(r.passed for r in records), tuple(records), residuals=res)

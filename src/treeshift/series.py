@@ -402,7 +402,6 @@ class _DyadicSum:
 
 
 _BASE_CACHE: dict = {}
-_WITNESS_CACHE: dict = {}
 
 
 def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
@@ -540,19 +539,13 @@ def power_series_certificate(
 def witness_partial_sum(alpha: AlphaFamily, l: int, upto: int) -> Fraction:
     """Exact partial sum of the on-Omega terms of sum alpha_i q_i^l / scale.
 
-    This is the direct recomputation path for divergence witnesses.
+    An uncached direct loop: the reference that the `witness_partial` of a
+    divergence certificate is compared against.
     """
-    return _witness_partial_cached(alpha.q, alpha.omega, l - alpha.power, upto)
-
-
-def _witness_partial_cached(q, omega, m, upto) -> Fraction:
-    key = (q, omega, m, upto)
-    S = _WITNESS_CACHE.get(key)
-    if S is None:
-        S = Fraction(0)
-        for k in range(1, upto + 1):
-            S += q.value(omega.index(k)) ** m / (k * k)
-        _WITNESS_CACHE[key] = S
+    m = l - alpha.power
+    S = Fraction(0)
+    for k in range(1, upto + 1):
+        S += alpha.q.value(alpha.omega.index(k)) ** m / (k * k)
     return S
 
 

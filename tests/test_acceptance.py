@@ -24,7 +24,13 @@ import pytest
 
 import treeshift as ts
 from treeshift import Branch, Window
-from treeshift.construct import consist6_residuals, trunk_weights, verify
+from treeshift.construct import (
+    _parse_artifact,
+    consist6_residuals,
+    identity_residuals,
+    trunk_weights,
+    verify,
+)
 from treeshift.measures import AtomicMeasure, moment
 from treeshift.oracle import matrix_power_norm, truncate
 from treeshift.series import AlphaFamily, build_omega, witness_partial_sum
@@ -265,25 +271,27 @@ def _corrupt(doc, path, factor):
     return doc
 
 
+UP, DOWN = Fraction(1001, 1000), Fraction(999, 1000)
+CORRUPTIONS = [
+    ((1, 3, ts.LINEAR_Q), UP, ("weights", "branch_first", 0, "w2")),
+    ((1, 3, ts.LINEAR_Q), DOWN, ("weights", "branch_first", 44, "w2")),
+    ((1, 3, ts.LINEAR_Q), UP, ("weights", "branch_tail", 7, "w2")),
+    ((1, 3, ts.LINEAR_Q), DOWN, ("weights", "trunk", 0, "w2")),
+    ((1, 3, ts.LINEAR_Q), UP, ("weights", "trunk", 2, "w2")),
+    ((1, 3, ts.LINEAR_Q), UP, ("measures", "branch_atoms", 4, "t")),
+    ((1, 3, ts.LINEAR_Q), DOWN, ("measures", "mixtures", 0, "atoms", 9, "mass")),
+    ((1, 3, ts.LINEAR_Q), UP, ("measures", "mixtures", 2, "prefactor")),
+    ((2, ts.INF, ts.MIXED_Q), UP, ("weights", "branch_first", 11, "w2")),
+    ((2, ts.INF, ts.MIXED_Q), DOWN, ("weights", "trunk", 5, "w2")),
+    ((2, ts.INF, ts.MIXED_Q), UP, ("measures", "branch_atoms", 20, "t")),
+    ((3, 1, ts.MIXED_Q), DOWN, ("measures", "mixtures", 1, "atoms", 0, "mass")),
+]
+
+
 def test_criterion_8_negative_controls():
     """Any single >= 1e-3 relative corruption fails verify, naming a vertex."""
-    up = Fraction(1001, 1000)
-    down = Fraction(999, 1000)
     cases = []
-    for art_key, factor, path in [
-        ((1, 3, ts.LINEAR_Q), up, ("weights", "branch_first", 0, "w2")),
-        ((1, 3, ts.LINEAR_Q), down, ("weights", "branch_first", 44, "w2")),
-        ((1, 3, ts.LINEAR_Q), up, ("weights", "branch_tail", 7, "w2")),
-        ((1, 3, ts.LINEAR_Q), down, ("weights", "trunk", 0, "w2")),
-        ((1, 3, ts.LINEAR_Q), up, ("weights", "trunk", 2, "w2")),
-        ((1, 3, ts.LINEAR_Q), up, ("measures", "branch_atoms", 4, "t")),
-        ((1, 3, ts.LINEAR_Q), down, ("measures", "mixtures", 0, "atoms", 9, "mass")),
-        ((1, 3, ts.LINEAR_Q), up, ("measures", "mixtures", 2, "prefactor")),
-        ((2, ts.INF, ts.MIXED_Q), up, ("weights", "branch_first", 11, "w2")),
-        ((2, ts.INF, ts.MIXED_Q), down, ("weights", "trunk", 5, "w2")),
-        ((2, ts.INF, ts.MIXED_Q), up, ("measures", "branch_atoms", 20, "t")),
-        ((3, 1, ts.MIXED_Q), down, ("measures", "mixtures", 1, "atoms", 0, "mass")),
-    ]:
+    for art_key, factor, path in CORRUPTIONS:
         doc = get_artifact(*art_key).to_json_dict()
         report = verify(_corrupt(doc, path, factor))
         assert not report.passed, path
@@ -295,3 +303,44 @@ def test_criterion_8_negative_controls():
         assert named, f"no vertex named for corruption at {path}"
         cases.append((path, named[0].vertex))
     print(f"\n[criterion 8] PASS - {len(cases)} corruptions all detected with named vertices")
+
+
+def _representative(u):
+    return Branch(u.i, 1) if isinstance(u, Branch) else u
+
+
+def _assert_classes_cover_window(art):
+    """identity_residuals, which checks each vertex class once, gives every
+    window vertex the residuals of the full-window sweeps."""
+    res = identity_residuals(art, art.request.cert)
+    full = consist6_residuals(art)
+    assert set(res.consist6) == {_representative(u) for u in full}
+    for u, result in full.items():
+        assert res.consist6[_representative(u)] == result, u
+    assert res.consist6_max == max(r.residual_upper for r in full.values())
+
+    cc = cc_residual(from_shift(art.tree, art.weights), art.measures, art.window)
+    classes = {c.vertex: c for c in res.cc.per_class}
+    assert set(classes) == {_representative(c.vertex) for c in cc.per_class}
+    for c in cc.per_class:
+        rep = classes[_representative(c.vertex)]
+        assert (rep.worst_sigma, rep.max_residual, rep.algebra_bound) == (
+            c.worst_sigma, c.max_residual, c.algebra_bound), c.vertex
+    assert (res.cc.max_residual, res.cc.algebra_bound, res.cc.h_positive_on_support) == (
+        cc.max_residual, cc.algebra_bound, cc.h_positive_on_support)
+
+
+@pytest.mark.parametrize("art_key", [
+    (1, 3, ts.LINEAR_Q), (2, ts.INF, ts.MIXED_Q), (3, ts.INF, ts.LINEAR_Q), (1, 0, ts.MIXED_Q),
+], ids=lambda key: _cell_name(*key))
+def test_identity_classes_cover_grid_window(art_key):
+    _assert_classes_cover_window(get_artifact(*art_key))
+
+
+@pytest.mark.parametrize("art_key, factor, path", CORRUPTIONS, ids=[
+    f"{_cell_name(*key)}-{'.'.join(map(str, path))}" for key, _, path in CORRUPTIONS
+])
+def test_identity_classes_cover_corrupted_window(art_key, factor, path):
+    doc = _corrupt(get_artifact(*art_key).to_json_dict(), path, factor)
+    request = ts.CounterexampleRequest.from_json(doc["request"])
+    _assert_classes_cover_window(_parse_artifact(doc, request, None))

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,9 @@ def test_report_json(artifact_path, tmp_path):
     assert payload["passed"] is True
     assert "cc_max_residual" in payload and "h_positive_on_support" in payload
     assert payload["consist6_residuals"]["v(0)"] is not None
+    # one entry per vertex class: (i, 1) stands for every (i, j) of its chain
+    assert "v(1,1)" in payload["consist6_residuals"]
+    assert "v(1,2)" not in payload["consist6_residuals"]
 
 
 def test_report_csv(artifact_path, tmp_path):
@@ -170,3 +174,16 @@ def test_nonpositive_width_exit_2(tmp_path):
     out = tmp_path / "w.json"
     assert run(["generate", "--n", "1", "--width", "-3", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("domain-check", ["--power", "1"]),
+    ("partial-sums", ["--exponent", "1", "--out", "sums.csv"]),
+])
+def test_missing_request_key_exit_2(artifact_path, tmp_path, monkeypatch, capsys, command, flags):
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(artifact_path.read_text())
+    del doc["request"]["cert"]["series_width"]
+    Path("nowidth.json").write_text(json.dumps(doc))
+    assert run([command, "nowidth.json", *flags]) == 2
+    assert "cert.series_width" in capsys.readouterr().err

@@ -406,6 +406,7 @@ def _edit(*path, value=None):
         (_edit("alpha", "power", value=1.5), "alpha.power"),
         (_edit("alpha", "power", value=2), "alpha.power"),
         (_edit("weights", value=[]), "weights: not an object"),
+        (_edit("request", "window", "max_branch", value=11), "request.window"),
     ],
 )
 def test_verify_rejects_malformed_shape(small_artifacts, edit, path):
@@ -415,6 +416,17 @@ def test_verify_rejects_malformed_shape(small_artifacts, edit, path):
     assert not report.passed
     assert [r.name for r in report.records] == ["parse-artifact"]
     assert report.records[0].detail.startswith(path)
+
+
+def test_verify_work_independent_of_depth(small_artifacts):
+    """Each identity is checked once per vertex class, so a declared depth of
+    a million costs nothing: the tables do not grow with it."""
+    doc = small_artifacts["linear"].to_json_dict()
+    doc["window"]["max_depth"] = doc["request"]["window"]["max_depth"] = 10**6
+    started = time.monotonic()
+    report = verify(doc)
+    assert time.monotonic() - started < 2
+    assert report.passed, [r.line() for r in report.failures()]
 
 
 @pytest.mark.parametrize(
