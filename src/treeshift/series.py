@@ -12,8 +12,12 @@ coefficients alpha are produced by the counterexample construction:
 Convergent verdicts carry an interval enclosure: partial sums are
 accumulated in fixed-point arithmetic with directed rounding (denominator
 2^dyadic_bits), and the tails are bracketed by exact integral bounds.
-Divergent verdicts carry a harmonic minorant plus an exact partial sum
-that crosses a configurable threshold.
+Divergent verdicts carry a harmonic minorant, the witness index at which
+the on-Omega partial sum first crosses a configurable threshold, and a
+certified dyadic lower bound of that partial sum, itself above the
+threshold; the exact partial sum itself is not kept.  Both kinds of sum
+run as integer kernels that add floor(2^bits * term) for each exact term,
+so they store the same numbers an exact rational loop would.
 
 Everything below a certificate is an exact rational; enclosures are sound
 by construction, never heuristic.
@@ -291,9 +295,14 @@ class AlphaFamily:
 
 
 def _slon4_denominator(q: SequenceSpec, n: int, i: int) -> Fraction:
-    """sum_{k=1}^{i} q_i^{n+1-k}: the row sum bounding alpha_i on column k."""
+    """sum_{k=1}^{i} q_i^{n+1-k}: the row sum bounding alpha_i on column k.
+
+    Summed in closed form as the geometric series q^{n+1-i} (q^i - 1)/(q - 1).
+    """
     qv = q.value(i)
-    return sum((qv ** (n + 1 - k) for k in range(1, i + 1)), Fraction(0))
+    if qv == 1:
+        return Fraction(i)
+    return qv ** (n + 1 - i) * (qv**i - 1) / (qv - 1)
 
 
 @dataclass(frozen=True)
@@ -305,9 +314,11 @@ class SeriesCertificate:
     (directed fixed-point rounding) and [tail_lo, tail_hi] brackets the
     omitted tail by exact integral/geometric comparison.
 
-    Divergent: the on-Omega terms dominate 1/k; witness_partial is the
-    exact partial sum of those terms at witness_index and strictly
-    exceeds the threshold.
+    Divergent: the on-Omega terms dominate 1/k; witness_index is the first
+    k at which the exact partial sum of those terms exceeds the threshold
+    with a dyadic floor (denominator 2^128) that does too, and
+    witness_partial_lb is that floor: a certified lower bound of the
+    partial sum, strictly above the threshold.
     """
 
     terms: str
@@ -325,7 +336,6 @@ class SeriesCertificate:
     minorant: str = ""
     threshold: Optional[Fraction] = None
     witness_index: Optional[int] = None
-    witness_partial: Optional[Fraction] = None
     witness_partial_lb: Optional[Fraction] = None  # compact dyadic bound > threshold
 
     @property
@@ -351,8 +361,6 @@ class SeriesCertificate:
                 tail_hi=rat_to_str(self.tail_hi),
             )
         else:
-            # the exact partial sum has an lcm-sized denominator; persist the
-            # certified dyadic lower bound instead (still strictly > threshold)
             out.update(
                 minorant=self.minorant,
                 threshold=rat_to_str(self.threshold),
@@ -420,21 +428,25 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
             break
         K = min(2 * K, cfg.max_terms)
 
+    # on-Omega terms q_{i_k}^{-m}/k^2, each floored onto the accumulator's
+    # grid by one integer division: the floor of 2^bits * term depends only
+    # on the term's value, so this adds what _DyadicSum.add would
     acc = _DyadicSum(cfg.dyadic_bits)
-    head_len = len(omega.head)
-    shift = acc.bits
+    one = acc.one
     if m == 0:
-        # terms are exactly 1/k^2, independent of q
-        for k in range(1, K + 1):
-            acc.lo_int += (1 << shift) // (k * k)
-        acc.count += K
+        # terms are exactly 1/k^2, independent of q; k <= max_terms < 2^30
+        # keeps each division by a single machine digit
+        acc.lo_int += sum(one // k // k for k in range(1, K + 1))
     else:
-        for k in range(1, K + 1):
-            if k <= head_len:
-                qv = q.value(omega.head[k - 1])
-            else:
-                qv = a * k + b
-            acc.add(qv ** (-m) / (k * k))
+        head_len = min(len(omega.head), K)
+        for k in range(1, head_len + 1):
+            qv = q.value(omega.head[k - 1])
+            acc.lo_int += (qv.denominator**m * one) // (qv.numerator**m * k * k)
+        slope, icept = omega.slope, omega.intercept
+        acc.lo_int += sum(
+            one // ((slope * k + icept) ** m * k * k) for k in range(head_len + 1, K + 1)
+        )
+    acc.count += K
 
     off_used = 0
     if not off_empty:
@@ -473,20 +485,44 @@ def dyadic_floor(x: Fraction) -> Fraction:
     return Fraction((x.numerator << 128) // x.denominator, 1 << 128)
 
 
+_WITNESS_BITS = 192  # 128 bits of the stored dyadic floor plus 64 guard bits
+
+
 def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
-    """Unscaled divergent certificate for l >= n+1: harmonic minorant."""
+    """Unscaled divergent certificate for l >= n+1: harmonic minorant.
+
+    The witness is the first k at which the on-Omega partial sum S_k
+    exceeds the threshold T and so does dyadic_floor(S_k).  S_k is summed
+    as the integer lo, adding floor(2^W * term) per term (W = 192), so
+    after k terms S_k lies in [lo, lo + k] / 2^W.  That bracket decides
+    each step: S_k <= T when (lo + k)/2^W <= T, and when lo/2^W > T with
+    lo and lo + k agreeing above bit 64, S_k > T and dyadic_floor(S_k) is
+    exactly (lo >> 64)/2^128.  A step the bracket leaves open (S_k within
+    k/2^W of T or of a 2^-128 grid point) is decided on the exact sum
+    witness_partial_sum.  witness_index and witness_partial_lb are thus
+    those of the exact rule, at a cost linear in the index.
+    """
     m = l - n  # >= 1
     T = as_fraction(cfg.divergence_threshold)
-    S = Fraction(0)
+    t_den, t_num_w = T.denominator, T.numerator << _WITNESS_BITS
+    guard = _WITNESS_BITS - 128
+    lo = 0
     k = 0
     while True:
         k += 1
         qv = q.value(omega.index(k))
         if qv < k:
             raise NoCertificateError(f"q_{{i_{k}}} = {qv} < {k}: minorant broken")
-        S += qv**m / (k * k)
+        lo += (qv.numerator**m << _WITNESS_BITS) // (qv.denominator**m * k * k)
+        if (lo + k) * t_den <= t_num_w:
+            lb = None  # S_k <= T
+        elif lo * t_den > t_num_w and lo >> guard == (lo + k) >> guard:
+            lb = Fraction(lo >> guard, 1 << 128)
+        else:
+            S = witness_partial_sum(AlphaFamily(q, omega, n), l, k)
+            lb = dyadic_floor(S) if S > T else None
         # stop at the first crossing whose dyadic floor still exceeds T
-        if S > T and dyadic_floor(S) > T:
+        if lb is not None and lb > T:
             break
         if k > 10_000_000:
             raise NoCertificateError("divergence witness not reached")
@@ -499,8 +535,7 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
         ),
         threshold=T,
         witness_index=k,
-        witness_partial=S,
-        witness_partial_lb=dyadic_floor(S),
+        witness_partial_lb=lb,
     )
 
 
@@ -539,8 +574,10 @@ def power_series_certificate(
 def witness_partial_sum(alpha: AlphaFamily, l: int, upto: int) -> Fraction:
     """Exact partial sum of the on-Omega terms of sum alpha_i q_i^l / scale.
 
-    An uncached direct loop: the reference that the `witness_partial` of a
-    divergence certificate is compared against.
+    An uncached direct loop in exact rationals, quadratic in `upto`: the
+    reference for a divergence certificate, whose witness_partial_lb is the
+    dyadic_floor of this sum at witness_index.  The certificate's own
+    fixed-point kernel falls back to it on steps its bracket leaves open.
     """
     m = l - alpha.power
     S = Fraction(0)

@@ -33,7 +33,7 @@ from treeshift.construct import (
 )
 from treeshift.measures import AtomicMeasure, moment
 from treeshift.oracle import matrix_power_norm, truncate
-from treeshift.series import AlphaFamily, build_omega, witness_partial_sum
+from treeshift.series import AlphaFamily, build_omega, dyadic_floor, witness_partial_sum
 from treeshift.shift import _measure_domain_certificate, dense_defined_power, glowne_power_check
 from treeshift.wco import cc_residual, from_shift, roundtrip_measures
 
@@ -77,9 +77,12 @@ def test_criterion_1_counterexample_grid():
         assert glowne_power_check(art, n).in_domain
         cert = glowne_power_check(art, n + 1)
         assert not cert.in_domain
-        recomputed = witness_partial_sum(art.alpha, n + 1, cert.evidence.witness_index)
+        K = cert.evidence.witness_index
+        recomputed = witness_partial_sum(art.alpha, n + 1, K)
         assert recomputed > 10
-        assert recomputed == cert.evidence.witness_partial
+        assert dyadic_floor(recomputed) == cert.evidence.witness_partial_lb
+        prev = witness_partial_sum(art.alpha, n + 1, K - 1)  # K is the first crossing
+        assert not (prev > 10 and dyadic_floor(prev) > 10)
 
         report = verify(art.to_json_dict())
         assert report.passed, [r.line() for r in report.failures()]

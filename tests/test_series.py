@@ -10,6 +10,7 @@ mpmath.zeta at 40 digits on the other (both agree to all shown digits).
   zeta(5) = 1.0369277551433699263...
 """
 
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,9 +20,12 @@ from hypothesis import strategies as st
 
 import treeshift as ts
 from treeshift import AlphaFamily, LINEAR_Q, MIXED_Q, SequenceSpec, Tail
+from treeshift import series
 from treeshift.errors import NoCertificateError, SupNotWitnessedError
 from treeshift.series import (
+    CertConfig,
     _DyadicSum,
+    _slon4_denominator,
     build_omega,
     dyadic_floor,
     finite_series_certificate,
@@ -102,6 +106,26 @@ def test_off_omega_alpha_formula():
         fam.off_omega_value(2)  # on Omega
 
 
+RATIONAL_PREFIX_Q = SequenceSpec(Tail.LINEAR, prefix=(Fraction(5), Fraction(1, 2), Fraction(7)))
+
+
+def _summed_row(q, n, i):
+    """sum_{k=1}^{i} q_i^{n+1-k} term by term: the reference for the closed form."""
+    qv = q.value(i)
+    return sum((qv ** (n + 1 - k) for k in range(1, i + 1)), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [LINEAR_Q, MIXED_Q, SequenceSpec(Tail.CONSTANT, prefix=(Fraction(1),)), RATIONAL_PREFIX_Q],
+    ids=["linear", "mixed", "constant-1", "rational-prefix"],
+)
+def test_row_sum_closed_form_matches_summed_row(q):
+    for n in range(1, 5):
+        for i in range(1, 120):
+            assert _slon4_denominator(q, n, i) == _summed_row(q, n, i), (n, i)
+
+
 # --- convergent certificates ---
 
 
@@ -149,6 +173,37 @@ def test_mixed_certificate_soundness():
         assert cert.enclosure.lo <= partial + Fraction(1, 200) + Fraction(1, 2**399)
 
 
+def _fraction_partials(fam, l, K):
+    """[partial_lo, partial_hi] by the exact Fraction loop: one
+    _DyadicSum.add per on-Omega term k <= K and per off-Omega term."""
+    q, omega, n = fam.q, fam.omega, fam.power
+    acc = _DyadicSum(CertConfig.dyadic_bits)
+    for k in range(1, K + 1):
+        if k <= len(omega.head):
+            qv = q.value(omega.head[k - 1])
+        else:
+            qv = Fraction(omega.slope * k + omega.intercept)
+        acc.add(qv ** (l - n) / (k * k))
+    if not omega.covers_all:
+        for i in range(1, max(CertConfig.off_omega_terms, n + 1 - l, 1) + 1):
+            if not omega.contains(i):
+                acc.add(Fraction(1, 2**i) * q.value(i) ** l / _summed_row(q, n, i))
+    return acc.bounds()
+
+
+@pytest.mark.parametrize(
+    "q",
+    [RATIONAL_PREFIX_Q, SequenceSpec(Tail.LINEAR, prefix=(Fraction(7, 2), Fraction(1, 2), Fraction(7)))],
+    ids=["integer-head", "rational-head"],
+)
+def test_convergent_kernel_matches_fraction_loop(q):
+    fam = AlphaFamily(q, build_omega(q), power=2)
+    cfg = CertConfig(series_width=Fraction(1, 10**6))
+    for l in range(fam.power, -4, -1):
+        cert = series._convergent_base(fam.q, fam.omega, fam.power, l, cfg)
+        assert (cert.partial_lo, cert.partial_hi) == _fraction_partials(fam, l, cert.omega_terms), l
+
+
 def test_certificate_structure_invariants():
     omega = build_omega(LINEAR_Q)
     fam = AlphaFamily(LINEAR_Q, omega, power=2)
@@ -180,11 +235,11 @@ def test_harmonic_witness_crossing():
     assert cert.threshold == 10
     # first harmonic partial sum beyond 10 (verified by exact summation)
     assert cert.witness_index == 12367
-    assert cert.witness_partial > 10
+    S = witness_partial_sum(fam, 2, 12367)
+    assert S > 10
     assert witness_partial_sum(fam, 2, 12366) <= 10
-    assert witness_partial_sum(fam, 2, 12367) == cert.witness_partial
     assert cert.witness_partial_lb > 10
-    assert dyadic_floor(cert.witness_partial) == cert.witness_partial_lb
+    assert dyadic_floor(S) == cert.witness_partial_lb
     assert "1/k" in cert.minorant
 
 
@@ -195,6 +250,75 @@ def test_mixed_witness_crossing():
     assert not cert.is_convergent
     assert cert.witness_index == 261  # terms q_{i_k}/k^2, crossing T = 10
     assert witness_partial_sum(fam, 3, cert.witness_index) > 10
+
+
+def _partial_sums(fam, l):
+    """(k, S_k) for the exact on-Omega partial sums of sum alpha_i q_i^l / scale."""
+    S, k = Fraction(0), 0
+    while True:
+        k += 1
+        S += fam.q.value(fam.omega.index(k)) ** (l - fam.power) / (k * k)
+        yield k, S
+
+
+@pytest.mark.parametrize("threshold, index", [(Fraction(1), 2), (Fraction(11, 6), 4)])
+def test_witness_at_exact_partial_sum(monkeypatch, threshold, index):
+    # H_1 = 1 and H_3 = 11/6: the fixed-point bracket cannot decide the step
+    # whose sum equals the threshold, so that step falls back to the exact sum
+    fam = AlphaFamily(LINEAR_Q, build_omega(LINEAR_Q), power=1)
+    exact_steps = []
+
+    def counted(alpha, l, upto):
+        exact_steps.append(upto)
+        return witness_partial_sum(alpha, l, upto)
+
+    monkeypatch.setattr(series, "witness_partial_sum", counted)
+    cfg = CertConfig(divergence_threshold=threshold)
+    cert = series._divergent_base(fam.q, fam.omega, fam.power, 2, cfg)
+    assert exact_steps == [index - 1]
+    assert witness_partial_sum(fam, 2, index - 1) == threshold
+    assert cert.witness_index == index
+    assert cert.witness_partial_lb == dyadic_floor(witness_partial_sum(fam, 2, index))
+
+
+@given(
+    prefix=st.lists(
+        st.fractions(min_value=Fraction(1, 4), max_value=8, max_denominator=6), max_size=4
+    ),
+    tail=st.sampled_from([Tail.LINEAR, Tail.MIXED]),
+    power=st.integers(min_value=1, max_value=2),
+    threshold=st.fractions(min_value=1, max_value=6, max_denominator=12),
+    on_partial_sum=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_witness_is_first_exact_crossing(prefix, tail, power, threshold, on_partial_sum):
+    q = SequenceSpec(tail, tuple(prefix))
+    fam = AlphaFamily(q, build_omega(q), power=power)
+    l = power + 1
+    if on_partial_sum:
+        # move the threshold onto an exact partial sum: an undecided step
+        threshold = next(S for _, S in _partial_sums(fam, l) if S >= threshold)
+    index, S = next(
+        (k, S) for k, S in _partial_sums(fam, l) if S > threshold and dyadic_floor(S) > threshold
+    )
+    cert = power_series_certificate(fam, l, CertConfig(divergence_threshold=threshold))
+    assert cert.witness_index == index
+    assert cert.witness_partial_lb == dyadic_floor(S)
+
+
+def test_witness_cost_linear_in_index():
+    # an exact Fraction sum to this K is quadratic in K; the integer kernel is linear
+    fam = AlphaFamily(LINEAR_Q, build_omega(LINEAR_Q), power=1)
+    cfg = CertConfig(divergence_threshold=Fraction(13))
+    started = time.perf_counter()
+    cert = series._divergent_base(fam.q, fam.omega, fam.power, 2, cfg)
+    elapsed = time.perf_counter() - started
+    K = cert.witness_index
+    assert K == 248_397
+    assert mp.harmonic(K - 1) < 13 < mp.harmonic(K)
+    lb = cert.witness_partial_lb
+    assert 13 < mp.mpf(lb.numerator) / lb.denominator <= mp.harmonic(K)
+    assert elapsed < 5, f"threshold 13 witness took {elapsed:.1f}s"
 
 
 def test_far_supercritical_divergence():
