@@ -49,6 +49,7 @@ from .series import (
     OmegaSpec,
     SequenceSpec,
     build_omega,
+    local_memo,
     power_series_certificate,
     witness_partial_sum,  # not called here; perfbench/spans.py rebinds this name when tracing
 )
@@ -652,11 +653,12 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
         verdict = _at(nd, f"{m}.verdict", "certificates.nd.")
         if verdict not in ("convergent", "divergent"):
             raise _Malformed(f"certificates.nd.{m}.verdict: {verdict!r} is not a verdict")
-        if verdict == "divergent":
-            try:
-                rat_from_str(_at(nd, f"{m}.witness_partial_lb", "certificates.nd."))
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise _Malformed(f"certificates.nd.{m}.witness_partial_lb: {exc}") from None
+        key, parse = (("enclosure", interval_from_json) if verdict == "convergent"
+                      else ("witness_partial_lb", rat_from_str))
+        try:
+            parse(_at(nd, f"{m}.{key}", "certificates.nd."))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise _Malformed(f"certificates.nd.{m}.{key}: {exc}") from None
     if _artifact_window(request) != stored:
         raise _Malformed(f"request.window: gives {_artifact_window(request)}, not {stored}")
     return CounterexampleArtifact(
@@ -697,9 +699,17 @@ def verify(
     identities, and then, through the same `identity_residuals` that
     `generate` certifies with, consistency residuals once per vertex class,
     trunk product identities, mixture masses and CC on the window's atom
-    algebra; last the power-domain certificates with a recomputed divergence
-    witness, and positivity of all weights.
+    algebra; last the power-domain certificates (each stored convergent
+    enclosure must meet the recomputed one and be at most series_width wide,
+    each divergence witness must equal the recomputed one), and positivity
+    of all weights.  Every series certificate is recomputed within the call
+    (`series.local_memo`), never read from what `generate` cached.
     """
+    with local_memo():
+        return _verify(doc, window)
+
+
+def _verify(doc: Union[dict, CounterexampleArtifact], window: Optional[Window]):
     if isinstance(doc, CounterexampleArtifact):
         doc = doc.to_json_dict()
     records = []
@@ -811,13 +821,19 @@ def verify(
             continue
         expect_convergent = m <= n
         ok = cert.is_convergent == expect_convergent == (stored["verdict"] == "convergent")
-        detail = ""
-        if not cert.is_convergent and ok:
+        detail, residual = stored["verdict"], None
+        if cert.is_convergent and ok:
+            enclosure = interval_from_json(stored["enclosure"])
+            residual = enclosure.gap_to(cert.enclosure)
+            ok = residual == 0 and enclosure.width <= cfg.series_width
+            detail = (f"stored enclosure against the recomputed one, stored width "
+                      f"{approx_residual(enclosure.width)}, series_width {cfg.series_width}")
+        elif ok:
             K = cert.witness_index
             lb = Fraction(stored["witness_partial_lb"])
             ok = lb == cert.witness_partial_lb and lb > cfg.divergence_threshold
             detail = f"witness partial sum at K={K} recomputed, exceeds {cfg.divergence_threshold}"
-        rec(f"nd[{m}]", ok, residual=None, detail=detail or stored["verdict"])
+        rec(f"nd[{m}]", ok, residual=residual, detail=detail)
 
     # positivity of every stored weight
     misses = [

@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is also part of the default `pytest` run.
 
 Reference constants frozen here were recomputed independently (exact
-partial sums with integral tail sandwiches, cross-checked against
+partial sums with Euler-Maclaurin tail brackets, cross-checked against
 mpmath.zeta at 40 digits):
 
   zeta(3)         = 1.20205690315959428540...
@@ -33,7 +33,13 @@ from treeshift.construct import (
 )
 from treeshift.measures import AtomicMeasure, moment
 from treeshift.oracle import matrix_power_norm, truncate
-from treeshift.series import AlphaFamily, build_omega, dyadic_floor, witness_partial_sum
+from treeshift.series import (
+    AlphaFamily,
+    build_omega,
+    dyadic_floor,
+    power_series_certificate,
+    witness_partial_sum,
+)
 from treeshift.shift import _measure_domain_certificate, dense_defined_power, glowne_power_check
 from treeshift.wco import cc_residual, from_shift, roundtrip_measures
 
@@ -94,30 +100,30 @@ def test_criterion_1_counterexample_grid():
 
 
 GRID_SHA256 = {
-    (1, 0, "linear"): "c8e5ae7f46bb02adae1cce6a4defc7a8f0b8c7b406a43a9002ac333707e47d36",
-    (1, 0, "mixed"): "012ed769e828656327dcc154e044f34ad0b2dd30259c28aaeddf6a636683ef3a",
-    (1, 1, "linear"): "eb26fcec77671443aa39aa5d330755b79e5eaccb41d1b12bd020b10cd813793c",
-    (1, 1, "mixed"): "71a0401832231aced878fe836fdedb623f01764d2b8f55fafbd933e3a6cf4139",
-    (1, 3, "linear"): "059f4f8c8aa9e370e1ab96b84cf829674945af343591f00ec4795a1086bd07d4",
-    (1, 3, "mixed"): "cd25fb8ed1a273f8cac8208a2dd99fe5e30d9c3798d4a805df6c0112a7d1f15b",
-    (1, ts.INF, "linear"): "bf0fd381f0989410908265480098e70a099bc64240bb98d8f2c3289127227143",
-    (1, ts.INF, "mixed"): "c7a7a940b39911aedbf1044dd0b112cffc66f04bc479ab4518017d6573cc0fd7",
-    (2, 0, "linear"): "a523f5a931d9c464056b69c2ff46253c4f6cfdfd6ed98589dc18a02c2fb22b03",
-    (2, 0, "mixed"): "4c2015296ce227bd106dce5bf04f66494ec4d3b9eb96b8694c1b378a39de2ca7",
-    (2, 1, "linear"): "c1ce27a5a5e0287e2dcbf4cb1e0e35bb00a8231e28228acbc4aeedb6709d965e",
-    (2, 1, "mixed"): "b2aebe8a74a826bf90dc5eab60bb011bd0d6d945f6835579115ad3fae5d10ec8",
-    (2, 3, "linear"): "323d11651bcbd4a8c8111e2f9627cd6f1e81aee8d92f5f9783b57aaa58691a31",
-    (2, 3, "mixed"): "ffc416f8863f9dab914bdd39248b843e3161045174a5977c64ba4f7b3ac625e6",
-    (2, ts.INF, "linear"): "d116f44d06d24cc163dfbb2edb5e5447455199c38b22fe8e3dd91714b572e9d8",
-    (2, ts.INF, "mixed"): "a95d133947ca2f7f4cc359e776a763e3acce2cd5b68770e3504c118be2623769",
-    (3, 0, "linear"): "7288541f32d790022408ae1f32dc46093b546a002f9cc271e3777d008a11b906",
-    (3, 0, "mixed"): "75ac1262cc5aa6ad534cf22c2c896aa327d10ab89a3ee8d562801c90cb20dd05",
-    (3, 1, "linear"): "d06e52727e2817f706129f9a57a66a97d48fd780ce5c0bd38f1521acd5ed5895",
-    (3, 1, "mixed"): "ef67535c0befb114900b471f47856cb0df16b4f43d2f4723772dbad52c3d7a2a",
-    (3, 3, "linear"): "28068d0f15c44be1477e58a11c50e591fac1c711cf15ac01fc740feef09545f3",
-    (3, 3, "mixed"): "d2fae47bbd438427cbc5a99bdcbc846e6ec7dc27ff839dfa448bbbc6ec3cfe3e",
-    (3, ts.INF, "linear"): "5f6b87598e27a50f9950ec841064d9a008ea5442afc90be9116826b44f11af4d",
-    (3, ts.INF, "mixed"): "d0dd88e72001377be4945ca7ea1e36b546fa88f37eecbfbd6cbd745ee613bf91",
+    (1, 0, "linear"): "3ec1f2e1bfb52fff9a78ea365c11ccb60f23929c65c1a72eedee7c3919119f25",
+    (1, 0, "mixed"): "6acdaaf06567520d6970633c0290e48f369da479ff81584c3c12247534d88fd8",
+    (1, 1, "linear"): "462cbe066b6923bd8b8700742cee7c8085350571e07ab542370469476f408df8",
+    (1, 1, "mixed"): "5dc7695839083c66b3cbcd91649b959513adbef1132d328716d91891375a9850",
+    (1, 3, "linear"): "27eb97d9e8a2ee8ce7506ed20221fe7eda8fb18a5aaa4f67d4b6876e859bf0f6",
+    (1, 3, "mixed"): "9b7f0de462e95aa0f35b81f9c8927056a3ad9e2e6be99eeff3e6194cad62a7e3",
+    (1, ts.INF, "linear"): "4d29fc1a204e90ccde0b3feb43ab73d7395c8dfe59ef4571449dd558f954a4fe",
+    (1, ts.INF, "mixed"): "f030ede1194d6347a738a3fcf861797b821f4ec49bff2d6d99a1a1b04a7319dd",
+    (2, 0, "linear"): "3106801cbc7eca69c11650c8c9dc9f40d6392efb546fec8a577730fd9aa5e6ab",
+    (2, 0, "mixed"): "42485d7e99c29f263a5d2ca917f6d830a128479a2e8334328343dc34f0af4286",
+    (2, 1, "linear"): "a50e70e56737805d8fecf160e6039eae5ed3240d9e11ae93ba910c05fcc3b668",
+    (2, 1, "mixed"): "7f9d3f02e649fd608a6e1519f80da6075a5c7c82db72e4cf902f9e26665722e6",
+    (2, 3, "linear"): "00defdde9c3583a1fd22e170c1bab4ffb7e0d18c6b30b0a81b092d38f63217b0",
+    (2, 3, "mixed"): "38fd36be4c5be1b7437a322ef90d8cc5df838380e8d662215ddaadb1b105b51e",
+    (2, ts.INF, "linear"): "5b1e26bb0853432a1ccc6cbd31d39ef13c0b874b752fff11e8a58deccc31317e",
+    (2, ts.INF, "mixed"): "df29b042d25150d3d812d747bc5828acfac9b75c175cb7a802ddd9d8997930c7",
+    (3, 0, "linear"): "2ea95f60c74517e26fc9529375d39e08696e2b887436fd154b3792ae9242af3c",
+    (3, 0, "mixed"): "804052a703fadb3009e7c82dd6d14cfc971792a6185f67d855a5158bef1e618d",
+    (3, 1, "linear"): "62c7e9305434586a07c3c9ae305343b803521c086fd238354b954b59b938aa81",
+    (3, 1, "mixed"): "55e77b9dcfb61130bfd37ff4931eb0b2f08a7b27969280034454273ec7da675f",
+    (3, 3, "linear"): "145d6777ca12bc9c00021c0a791aefe6d12151414cffd4c80d49708f37b72272",
+    (3, 3, "mixed"): "3ebb59c3baab844645afd1f1b81b43c4fda70a64b405355020f038db3452a1d0",
+    (3, ts.INF, "linear"): "1110748426751220418b8f448f6bc4f8f8446c2f3e2548ffa2634ac34fedb5b9",
+    (3, ts.INF, "mixed"): "61537de1888aed719c84682df19e54959f769dfacee280b473af2e97c8dfaac3",
 }
 
 
@@ -130,6 +136,21 @@ def test_grid_artifacts_pinned():
         text = get_artifact(n, kappa, q).to_json()
         digests[(n, kappa, q.tail.value)] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == GRID_SHA256
+
+
+def test_grid_series_certificates_sum_few_terms():
+    """nd[n] is certified from at most 64 on-Omega terms in every grid cell,
+    where an integral tail sandwich summed 2^20; on linear q every convergent
+    series a cell uses is, and max_terms binds on no cell."""
+    for n, kappa, q in GRID:
+        art = get_artifact(n, kappa, q)
+        cfg = art.request.cert
+        assert art.certificates["nd"][n].omega_terms <= 64, _cell_name(n, kappa, q)
+        for l in range(n, -len(art.weights.trunk) - 1, -1):
+            cert = power_series_certificate(art.alpha, l, cfg)
+            assert cert.omega_terms < cfg.max_terms, (_cell_name(n, kappa, q), l)
+            if q is ts.LINEAR_Q:
+                assert cert.omega_terms <= 64, (_cell_name(n, kappa, q), l)
 
 
 def test_criterion_2_derived_constants():

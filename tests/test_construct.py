@@ -36,6 +36,8 @@ from treeshift.construct import (
 )
 from treeshift.errors import SupNotWitnessedError
 from treeshift.measures import atoms_view
+from treeshift import series
+from treeshift.rationals import Interval
 from treeshift.series import AlphaFamily, power_series_certificate
 
 from conftest import get_artifact
@@ -342,9 +344,80 @@ def test_artifact_bytes_pinned(small_artifacts):
         for q, art in small_artifacts.items()
     }
     assert digests == {
-        "linear": "854e96d2f87c8a3ac6e5f353e745d6fe2f13a7dd910bafe6fba7857753a24c77",
-        "mixed": "3383b63a7c1350137dc260779472072452ed887e293a83a230dd64e8fe33bb7c",
+        "linear": "b6b6834c4b37fe261c100412fc0318c0a3d081310fda90e35c8a8a880d948fef",
+        "mixed": "81742ff08f928d48851b7a9a0a7517bdedad3b119d1f7579fcc470df0a231d6a",
     }
+
+
+def test_verify_checks_stored_convergent_enclosure(small_artifacts):
+    """A stored nd enclosure of a convergent series must meet the recomputed
+    one and be at most series_width wide."""
+    recomputed = small_artifacts["linear"].certificates["nd"][1].enclosure
+    lo, hi = recomputed.lo, recomputed.hi
+    wide = [lo, lo + Fraction(1, 10**11)]
+    for enclosure in ([0, 1000], [hi + 1, hi + 2], [lo - 2, lo - 1], wide):
+        doc = small_artifacts["linear"].to_json_dict()
+        nd1 = doc["certificates"]["nd"]["1"]
+        nd1.update(enclosure=[str(x) for x in enclosure], partial_lo="-5")
+        report = verify(doc)
+        assert [r.name for r in report.failures()] == ["nd[1]"], enclosure
+
+
+@pytest.mark.parametrize("value", [["3", "2"], ["a", "1"], "x", [None, "1"], None])
+def test_verify_rejects_malformed_enclosure(small_artifacts, value):
+    doc = small_artifacts["linear"].to_json_dict()
+    if value is None:
+        del doc["certificates"]["nd"]["1"]["enclosure"]
+    else:
+        doc["certificates"]["nd"]["1"]["enclosure"] = value
+    report = verify(doc)
+    assert [(r.name, r.passed) for r in report.records] == [("parse-artifact", False)]
+    assert report.records[0].detail.startswith("certificates.nd.1.enclosure")
+
+
+def test_verify_ignores_cached_certificates(monkeypatch):
+    """verify recomputes every series certificate it checks: a wrong nd[1]
+    put into the cache after generate reaches the next generated document,
+    and verify fails it, while the intact document still passes."""
+    request = ts.CounterexampleRequest(n=1, kappa=3, q=LINEAR_Q, window=SMALL_WINDOW)
+    intact = generate(request).to_json_dict()
+    real = series._convergent_base
+
+    def shifted(q, omega, n, l, cfg):
+        cert = real(q, omega, n, l, cfg)
+        up = Fraction(1, 1000)
+        return dataclasses.replace(cert, enclosure=Interval(cert.enclosure.lo + up,
+                                                            cert.enclosure.hi + up))
+
+    try:
+        series._cached_base_certificate.cache_clear()
+        monkeypatch.setattr(series, "_convergent_base", shifted)
+        power_series_certificate(AlphaFamily(LINEAR_Q, choose_subsequence(LINEAR_Q), 1), 1,
+                                 request.cert)
+        monkeypatch.undo()
+        doc = generate(request).to_json_dict()
+        nd1 = doc["certificates"]["nd"]["1"]
+        assert nd1["enclosure"] != intact["certificates"]["nd"]["1"]["enclosure"]
+        report = verify(doc)
+        assert [r.name for r in report.failures()] == ["nd[1]"]
+        assert verify(intact).passed
+    finally:
+        series._cached_base_certificate.cache_clear()
+
+
+def test_fine_width_generates_and_verifies():
+    """Linear q reaches width 1e-30 from 16 on-Omega terms per series, so
+    generate and verify stay fast."""
+    width = Fraction(1, 10**30)
+    request = ts.CounterexampleRequest(n=1, kappa=3, q=LINEAR_Q, window=SMALL_WINDOW,
+                                       cert=ts.CertConfig(series_width=width))
+    art = generate(request)
+    convergent = [c for c in art.certificates["nd"].values() if c.is_convergent]
+    assert convergent and all(c.width <= width for c in convergent)
+    started = time.monotonic()
+    report = verify(art.to_json_dict())
+    assert time.monotonic() - started < 5
+    assert report.passed, [r.line() for r in report.failures()]
 
 
 def _truncate(path):

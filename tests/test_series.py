@@ -1,8 +1,8 @@
 """Certified series: subsequence choice, coefficient formulas, enclosures.
 
 Reference constants were recomputed independently before being frozen here:
-exact Fraction partial sums with integral tail sandwiches on one side, and
-mpmath.zeta at 40 digits on the other (both agree to all shown digits).
+exact Fraction partial sums with Euler-Maclaurin tail brackets on one side,
+and mpmath.zeta at 40 digits on the other (both agree to all shown digits).
 
   zeta(2) = 1.6449340668482264365...
   zeta(3) = 1.2020569031595942854...
@@ -10,6 +10,7 @@ mpmath.zeta at 40 digits on the other (both agree to all shown digits).
   zeta(5) = 1.0369277551433699263...
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -22,15 +23,18 @@ import treeshift as ts
 from treeshift import AlphaFamily, LINEAR_Q, MIXED_Q, SequenceSpec, Tail
 from treeshift import series
 from treeshift.errors import NoCertificateError, SupNotWitnessedError
+from treeshift.rationals import Interval
 from treeshift.series import (
     CertConfig,
     _DyadicSum,
     _slon4_denominator,
+    bernoulli_even,
     build_omega,
     dyadic_floor,
     finite_series_certificate,
     power_series_certificate,
     witness_partial_sum,
+    zeta_tail_brackets,
 )
 
 mp.mp.dps = 40
@@ -171,6 +175,104 @@ def test_mixed_certificate_soundness():
         )
         assert partial <= cert.enclosure.hi
         assert cert.enclosure.lo <= partial + Fraction(1, 200) + Fraction(1, 2**399)
+
+
+# --- the Euler-Maclaurin zeta tail ---
+
+
+def _zeta_tail(p, N, J):
+    """(S, R) of zeta_tail_brackets(p, N) after J Bernoulli terms."""
+    return next((S, R) for j, S, R in zeta_tail_brackets(p, N) if j == J)
+
+
+def _stated_remainder(p, N, J):
+    """|B_{2J+2}|/(2J+2)! (p)_{2J+1} N^{-p-2J-1}, from its definition."""
+    rising = math.prod(range(p, p + 2 * J + 1))
+    return abs(bernoulli_even(J + 1)) * rising / (math.factorial(2 * J + 2) * N ** (p + 2 * J + 1))
+
+
+def _assert_bracket_contains_hurwitz_zeta(p, N, J):
+    S, R = _zeta_tail(p, N, J)
+    lo, hi = S - R, S + R
+    assert hi - lo == 2 * _stated_remainder(p, N, J)
+    # mpmath reaches zeta(p, N) through zeta(p) minus a partial sum, so its
+    # error is absolute: resolve R on the scale of 1, plus guard digits
+    with mp.workdps(30 + len(str(R.denominator // R.numerator))):
+        assert contains_mpf(Interval(lo, hi), mp.zeta(p, N)), (p, N, J)
+
+
+def test_bernoulli_numbers():
+    assert [bernoulli_even(j) for j in range(6)] == [
+        1, Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66)
+    ]
+    assert bernoulli_even(10) == Fraction(-174611, 330)
+    with mp.workdps(60):
+        for j in range(1, 40):
+            b = bernoulli_even(j)
+            assert mp.almosteq(mp.mpf(b.numerator) / b.denominator, mp.bernoulli(2 * j), 1e-50)
+
+
+@pytest.mark.parametrize("N", [17, 33, 65, 1025])
+def test_zeta_tail_bracket_contains_mpmath(N):
+    for p in range(2, 41):
+        for J in (1, 2, 4, 8, 15):
+            _assert_bracket_contains_hurwitz_zeta(p, N, J)
+
+
+@given(
+    p=st.integers(min_value=2, max_value=40),
+    N=st.integers(min_value=1, max_value=5000),
+    J=st.integers(min_value=1, max_value=30),
+)
+@settings(max_examples=80, deadline=None)
+def test_zeta_tail_bracket_contains_mpmath_random(p, N, J):
+    _assert_bracket_contains_hurwitz_zeta(p, N, J)
+
+
+def test_zeta_tail_bracket_sizing():
+    # the sizes the default certificates rely on: K = 16 on-Omega terms leave
+    # zeta(p, 17), which a handful of Bernoulli terms pin below 1e-14, and a
+    # 1e-30 target needs 15 terms at N = 17 or 8 at N = 65
+    assert all(2 * _zeta_tail(p, 17, 4)[1] < Fraction(1, 10**14) for p in range(2, 41))
+    first = {N: next(J for J, _, R in zeta_tail_brackets(2, N) if 2 * R < Fraction(1, 10**30))
+             for N in (17, 65)}
+    assert first == {17: 15, 65: 8}
+
+
+def test_certificate_tails_are_dyadic():
+    """Tail bounds are rounded outward onto the accumulator's grid, so every
+    endpoint of an enclosure is k / 2^dyadic_bits."""
+    grid = 2**CertConfig.dyadic_bits
+    for q in (LINEAR_Q, MIXED_Q):
+        fam = AlphaFamily(q, build_omega(q), power=2)
+        for l in range(2, -4, -1):
+            cert = power_series_certificate(fam, l)
+            for x in (cert.tail_lo, cert.tail_hi, cert.enclosure.lo, cert.enclosure.hi):
+                assert grid % x.denominator == 0, (q, l, x)
+            assert "Euler-Maclaurin" in cert.tail_rule
+
+
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_tail_bounds_round_outward(m):
+    """The dyadic tail bounds hold the exact bracket within one grid step."""
+    bits = CertConfig.dyadic_bits
+    grid = Fraction(1, 2**bits)
+    lo, hi, J = series._on_tail_bounds(Fraction(1), Fraction(0), m, 16, Fraction(1, 10**20), bits)
+    S, R = _zeta_tail(m + 2, 17, J)
+    assert lo <= S - R < lo + grid
+    assert hi - grid < S + R <= hi
+
+
+def test_linear_certificates_sum_sixteen_terms():
+    """The Omega tail of linear q has intercept 0, so the bracket alone
+    narrows it: the first K = 16 meets widths 1e-12 and 1e-30, where an
+    integral sandwich needed K = 2^20 for sum 1/k^2 at 1e-12."""
+    fam = AlphaFamily(LINEAR_Q, build_omega(LINEAR_Q), power=3)
+    for width in (Fraction(1, 10**12), Fraction(1, 10**30)):
+        cfg = CertConfig(series_width=width)
+        for l in range(3, -12, -1):
+            cert = power_series_certificate(fam, l, cfg)
+            assert cert.omega_terms == 16 and cert.width <= width, (width, l)
 
 
 def _fraction_partials(fam, l, K):

@@ -231,5 +231,5 @@ def test_cc_counts_off_window_mixture_atoms():
     art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=Window(3, 12, 4)))
     assert ts.verify(art.to_json_dict()).passed
     assert hashlib.sha256(art.to_json().encode()).hexdigest() == (
-        "d28e7100aac4e8b453d1db96fabe475807959ef86e0d3800707303b0d0809e87"
+        "1d3ce5914ea6a2ecb2941ec5d4224625764c5fe48935a4d4026477792732ac7c"
     )
