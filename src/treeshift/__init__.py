@@ -14,6 +14,7 @@ from .errors import (
     SupNotWitnessedError,
     TreeshiftError,
     UnknownVertexError,
+    WidthNotReachedError,
     WindowOverflowError,
 )
 from .rationals import Interval

@@ -22,11 +22,11 @@ window; `verify` re-checks a document from its tables.
 import json
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import getitem
 from typing import Dict, Optional, Tuple, Union
 
-from .errors import NoCertificateError
+from .errors import NoCertificateError, SupNotWitnessedError
 from .measures import (
     AtomicMeasure,
     ConsistencyResult,
@@ -220,11 +220,17 @@ class MeasureSystem:
     mixtures: Tuple[MixtureMeasure, ...]  # index = trunk level (0 = vertex 0)
     locations: Tuple[Fraction, ...] = ()
 
+    @cached_property
+    def _diracs(self) -> Dict[int, AtomicMeasure]:
+        return {}
+
     def measure_at(self, v: Vertex):
+        """The measure at v; every vertex of branch i shares one Dirac instance."""
         if isinstance(v, Branch):
-            if v.i <= len(self.locations):
-                return AtomicMeasure.dirac(self.locations[v.i - 1])
-            return AtomicMeasure.dirac(self.q.value(v.i))
+            if v.i not in self._diracs:
+                t = self.locations[v.i - 1] if v.i <= len(self.locations) else self.q.value(v.i)
+                self._diracs[v.i] = AtomicMeasure.dirac(t)
+            return self._diracs[v.i]
         if isinstance(v, Trunk):
             if v.k < len(self.mixtures):
                 return self.mixtures[v.k]
@@ -678,9 +684,9 @@ def _gaps(rows):
     """(vertex, gap, detail) for each (vertex, stored, expected, detail) row
     whose stored value lies a positive distance from the expected one."""
     for vertex, stored, expected, detail in rows:
-        gap = coerce(stored).gap_to(expected)
-        if gap > 0:
-            yield vertex, gap, detail
+        stored = coerce(stored)
+        if not stored.intersects(expected):  # comparisons only, on the common path
+            yield vertex, stored.gap_to(expected), detail
 
 
 def verify(
@@ -693,7 +699,10 @@ def verify(
     A request that states other fixed constants than the library's fails a
     single `parse-request` record.  A document whose tables do not have the
     shape of its window, or whose window is not the one its request gives,
-    fails a single `parse-artifact` record naming the JSON path.  Otherwise
+    fails a single `parse-artifact` record naming the JSON path, and one
+    whose series no certificate covers (a bounded q, or a series_width or
+    divergence_threshold out of reach) fails a single `series-certificate`
+    record.  Otherwise
     the checks are: stored values against rule reconstruction (two
     enclosures of the same quantity must intersect), the exact branch
     identities, and then, through the same `identity_residuals` that
@@ -706,7 +715,12 @@ def verify(
     (`series.local_memo`), never read from what `generate` cached.
     """
     with local_memo():
-        return _verify(doc, window)
+        try:
+            return _verify(doc, window)
+        except (NoCertificateError, SupNotWitnessedError) as exc:
+            return VerificationReport(
+                False, (CheckRecord("series-certificate", False, detail=str(exc)),)
+            )
 
 
 def _verify(doc: Union[dict, CounterexampleArtifact], window: Optional[Window]):

@@ -21,6 +21,10 @@ class NoCertificateError(TreeshiftError):
     """A series lacks the tail metadata needed for a certified verdict."""
 
 
+class WidthNotReachedError(NoCertificateError):
+    """No convergent certificate reaches the requested series width."""
+
+
 class SupNotWitnessedError(TreeshiftError):
     """No index with q_i >= k was found within the scan horizon."""
 

@@ -12,19 +12,18 @@ normalization constant of a generated system enters.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import InfiniteTermError, NoCertificateError
 from .rationals import (
     Interval,
     Scalar,
+    accumulate,
     as_fraction,
     coerce,
     rat_to_str,
     scalar_abs_upper,
-    scalar_add,
-    scalar_mul,
-    scalar_sub,
     scalar_upper,
 )
 from .series import (
@@ -111,7 +110,8 @@ class MixtureMeasure:
     exactly 1; atom masses carry the enclosure width.  shift = 0 gives the
     branching-vertex measure, shift = l the measure l steps down the trunk.
     The optional tables `masses` and `locations` override the rule for atom
-    indices i <= their length.
+    indices i <= their length.  The finite views below are built once per
+    instance and index limit, and kept with the instance.
     """
 
     alpha: AlphaFamily
@@ -130,6 +130,47 @@ class MixtureMeasure:
             return self.masses[i - 1]
         exact = self.alpha.value(i) * self.atom_location(i) ** (-self.shift)
         return self.prefactor * exact
+
+    @cached_property
+    def _views(self) -> Dict[int, Tuple[Tuple[Fraction, Interval], ...]]:
+        return {}
+
+    @cached_property
+    def _masses_at(self) -> Dict[tuple, Dict[Fraction, Interval]]:
+        return {}
+
+    def view(self, imax: int) -> Tuple[Tuple[Fraction, Interval], ...]:
+        """(location, mass) over the atoms with index <= imax, merged over
+        coinciding locations and sorted by location."""
+        if imax not in self._views:
+            merged: dict = {}
+            for i in range(1, imax + 1):
+                t = self.atom_location(i)
+                mass = self.atom_mass(i)
+                merged[t] = merged[t] + mass if t in merged else mass
+            self._views[imax] = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
+        return self._views[imax]
+
+    def masses_at(self, locations: FrozenSet[Fraction], imax: int) -> Dict[Fraction, Interval]:
+        """{t: mass at t} over the locations t with nonzero mass: the atoms
+        with index <= imax as `view` gives them, plus the atoms beyond imax
+        at the same location by the coefficient rule (see
+        `indices_with_value`).  The caller must not mutate the result."""
+        key = (locations, imax)
+        if key not in self._masses_at:
+            masses = dict(self.view(imax))
+            for t in locations:
+                tail = sum(
+                    (self.alpha.value(i) * t ** (-self.shift)
+                     for i in indices_with_value(self.alpha.q, t, imax)),
+                    Fraction(0),
+                )
+                if tail:
+                    masses[t] = masses.get(t, Fraction(0)) + self.prefactor * tail
+            self._masses_at[key] = {
+                t: m for t, m in masses.items() if t in locations and scalar_abs_upper(m) != 0
+            }
+        return self._masses_at[key]
 
     def moment_certificate(self, l: int, cfg: CertConfig = DEFAULT_CONFIG):
         """(enclosure, certificate) of the l-th moment; enclosure None when
@@ -153,12 +194,7 @@ def atoms_view(measure: Measure, imax: Optional[int] = None) -> Tuple[Tuple[Frac
         return measure.atoms
     if imax is None:
         raise ValueError("mixtures need an index limit for a finite view")
-    merged: dict = {}
-    for i in range(1, imax + 1):
-        t = measure.atom_location(i)
-        mass = measure.atom_mass(i)
-        merged[t] = merged[t] + mass if t in merged else mass
-    return tuple(sorted(merged.items(), key=lambda kv: kv[0]))
+    return measure.view(imax)
 
 
 def _is_zero_weight(w2: Scalar) -> bool:
@@ -196,7 +232,9 @@ def _identity_views(mu: Measure, children_data, atom_limit: Optional[int]):
     the sorted union of all their locations with 0."""
     view = dict(atoms_view(mu, atom_limit))
     child_views = [(w2, dict(atoms_view(m, atom_limit))) for w2, m in children_data]
-    locations = sorted(set(view).union(*(v for _, v in child_views), [Fraction(0)]))
+    # each view is sorted, so the union comes nearly sorted: few comparisons
+    child_locations = (t for _, v in child_views for t in v)
+    locations = sorted(dict.fromkeys([Fraction(0), *view, *child_locations]))
     child_views = [
         (w2, {t: mass for t, mass in v.items() if scalar_upper(mass) != 0})
         for w2, v in child_views
@@ -230,13 +268,12 @@ def check_consist6_at(
     zero = Fraction(0)
     if any(scalar_upper(view.get(zero, zero)) > 0 for _, view in child_views):
         raise InfiniteTermError("child atom at 0 with nonzero weight makes 1/t integral infinite")
-    diffs = []
-    for t in locations:
-        rhs: Scalar = eps_u if t == 0 else zero
-        for w2, view in child_views:
-            if t != 0 and t in view:
-                rhs = scalar_add(rhs, scalar_mul(w2, scalar_mul(1 / t, view[t])))
-        diffs.append((t, scalar_sub(u_view.get(t, zero), rhs)))
+    rhs: Dict[Fraction, Scalar] = {zero: eps_u}
+    for w2, view in child_views:  # each child adds at its own atoms only
+        for t, mass in view.items():
+            if t != 0:
+                accumulate(rhs, t, w2 * ((1 / t) * mass))
+    diffs = [(t, u_view.get(t, zero) - rhs.get(t, zero)) for t in locations]
     return _consistency_result(diffs, implied_eps=u_view.get(zero, zero))
 
 
@@ -248,14 +285,14 @@ def check_cc_dt(
     """Residual of the first-moment identity derived from consistency:
     int_sigma t dmu_x = sum_y |lambda_y|^2 mu_y(sigma), atom by atom."""
     x_view, child_views, locations = _identity_views(mu_x, children_data, atom_limit)
+    rhs: Dict[Fraction, Scalar] = {}
+    for w2, view in child_views:
+        for t, mass in view.items():
+            accumulate(rhs, t, w2 * mass)
     diffs = []
     for t in locations:
-        lhs = scalar_mul(t, x_view[t]) if t != 0 and t in x_view else Fraction(0)
-        rhs: Scalar = Fraction(0)
-        for w2, view in child_views:
-            if t in view:
-                rhs = scalar_add(rhs, scalar_mul(w2, view[t]))
-        diffs.append((t, scalar_sub(lhs, rhs)))
+        lhs = t * x_view[t] if t != 0 and t in x_view else Fraction(0)
+        diffs.append((t, lhs - rhs.get(t, Fraction(0))))
     return _consistency_result(diffs, implied_eps=Fraction(0))
 
 

@@ -68,31 +68,53 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     # --- arithmetic (exact, no rounding) ---
+    #
+    # Sums, negations, products and `abs` build their result with `_ordered`,
+    # which skips the lo <= hi check: each computes the endpoints in order.  A
+    # product with a rational multiplies both endpoints by it (swapping them
+    # for a negative one), and a product of two nonnegative intervals is
+    # [lo*lo', hi*hi']; both equal the four-product min/max.
+
+    @staticmethod
+    def _ordered(lo: Fraction, hi: Fraction) -> "Interval":
+        iv = object.__new__(Interval)
+        object.__setattr__(iv, "lo", lo)
+        object.__setattr__(iv, "hi", hi)
+        return iv
 
     def __add__(self, other) -> "Interval":
-        other = coerce(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        if isinstance(other, Interval):
+            return Interval._ordered(self.lo + other.lo, self.hi + other.hi)
+        x = as_fraction(other)
+        return Interval._ordered(self.lo + x, self.hi + x)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return Interval._ordered(-self.hi, -self.lo)
 
     def __sub__(self, other) -> "Interval":
-        return self + (-coerce(other))
+        if isinstance(other, Interval):
+            return Interval._ordered(self.lo - other.hi, self.hi - other.lo)
+        x = as_fraction(other)
+        return Interval._ordered(self.lo - x, self.hi - x)
 
     def __rsub__(self, other) -> "Interval":
-        return coerce(other) + (-self)
+        x = as_fraction(other)
+        return Interval._ordered(x - self.hi, x - self.lo)
 
     def __mul__(self, other) -> "Interval":
-        other = coerce(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
+        # the sign tests read numerators: a Fraction's denominator is positive
+        lo, hi = self.lo, self.hi
+        if not isinstance(other, Interval):
+            x = as_fraction(other)
+            if x.numerator >= 0:
+                return Interval._ordered(lo * x, hi * x)
+            return Interval._ordered(hi * x, lo * x)
+        if lo.numerator >= 0 and other.lo.numerator >= 0:
+            return Interval._ordered(lo * other.lo, hi * other.hi)
+        products = (lo * other.lo, lo * other.hi, hi * other.lo, hi * other.hi)
+        return Interval._ordered(min(products), max(products))
 
     __rmul__ = __mul__
 
@@ -109,11 +131,11 @@ class Interval:
 
     def abs(self) -> "Interval":
         """Interval of |x| over x in self."""
-        if self.lo >= 0:
+        if self.lo.numerator >= 0:
             return self
-        if self.hi <= 0:
+        if self.hi.numerator <= 0:
             return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
+        return Interval._ordered(Fraction(0), max(-self.lo, self.hi))
 
     def abs_upper(self) -> Fraction:
         """Upper bound on |x| over x in self."""
@@ -147,22 +169,10 @@ def coerce(x) -> Interval:
 Scalar = Union[Fraction, Interval]
 
 
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        return coerce(a) * coerce(b)
-    return a * b
-
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        return coerce(a) + coerce(b)
-    return a + b
-
-
-def scalar_sub(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        return coerce(a) - coerce(b)
-    return a - b
+def accumulate(sums: dict, key, term: Scalar) -> None:
+    """sums[key] += term, a missing key counting as 0.  A first term is
+    stored as it is: that is 0 + term exactly, without the addition."""
+    sums[key] = sums[key] + term if key in sums else term
 
 
 def scalar_abs_upper(a: Scalar) -> Fraction:

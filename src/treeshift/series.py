@@ -34,12 +34,12 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import comb
-from typing import ClassVar, Iterator, Optional, Tuple
+from typing import ClassVar, Dict, Iterator, Optional, Tuple
 
-from .errors import NoCertificateError, SupNotWitnessedError
-from .rationals import Interval, as_fraction, rat_to_str
+from .errors import NoCertificateError, SupNotWitnessedError, WidthNotReachedError
+from .rationals import Interval, as_fraction, rat_to_decimal, rat_to_str
 
 _STABLE_STEPS = 8
 _VERIFY_STEPS = 64
@@ -294,11 +294,16 @@ class AlphaFamily:
             raise ValueError(f"index {i} is on Omega")
         return self.scale * Fraction(1, 2**i) / _slon4_denominator(self.q, self.power, i)
 
+    @cached_property
+    def _values(self) -> Dict[int, Fraction]:
+        return {}
+
     def value(self, i: int) -> Fraction:
-        k = self.omega.k_of(i)
-        if k is not None:
-            return self.on_omega_value(k)
-        return self.off_omega_value(i)
+        """alpha_i, computed once per instance and index."""
+        if i not in self._values:
+            k = self.omega.k_of(i)
+            self._values[i] = self.on_omega_value(k) if k is not None else self.off_omega_value(i)
+        return self._values[i]
 
     def to_json(self):
         return {"power": self.power, "scale": rat_to_str(self.scale)}
@@ -486,10 +491,18 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     while True:
         # the tail's share of the width: the rest goes to the off-Omega tail
         # and the accumulator's K + I grid steps
-        budget = cfg.series_width - off_tail_hi - Fraction(K + I, 2**cfg.dyadic_bits)
+        spent = off_tail_hi + Fraction(K + I, 2**cfg.dyadic_bits)
+        budget = cfg.series_width - spent
         t_lo, t_hi, J = _on_tail_bounds(a, b, m, K, budget, cfg.dyadic_bits)
-        if t_hi - t_lo <= budget or K >= cfg.max_terms:
+        if t_hi - t_lo <= budget:
             break
+        if budget <= 0 or K >= cfg.max_terms:  # a larger K only shrinks the budget
+            raise WidthNotReachedError(
+                f"sum_i alpha_i*q_i^{l}: series_width {rat_to_decimal(cfg.series_width, 3)} "
+                f"not reached; {K} on-Omega terms give width "
+                f"{rat_to_decimal(spent + t_hi - t_lo, 3)}, of which the off-Omega tail "
+                f"and the rounding take {rat_to_decimal(spent, 3)}"
+            )
         K = min(2 * K, cfg.max_terms)
 
     # on-Omega terms q_{i_k}^{-m}/k^2, each floored onto the accumulator's

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Tuple, Union
 
 from .errors import NoCertificateError, UnknownVertexError, WindowOverflowError
 from .measures import AtomicMeasure, moment
-from .rationals import Interval, Scalar, as_fraction, scalar_add, scalar_mul
+from .rationals import Interval, Scalar, as_fraction
 from .series import (
     AlphaFamily,
     CertConfig,
@@ -131,10 +131,10 @@ class Amplitude:
             object.__setattr__(self, "radical", as_fraction(self.radical))
 
     def norm_sq(self) -> Scalar:
-        return scalar_mul(self.re**2 + self.im**2, self.radical)
+        return (self.re**2 + self.im**2) * self.radical
 
     def times_weight(self, w2: Scalar) -> "Amplitude":
-        return replace(self, radical=scalar_mul(self.radical, w2))
+        return replace(self, radical=self.radical * w2)
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class FinSuppVector:
     def norm_sq(self) -> Scalar:
         total: Scalar = Fraction(0)
         for _, a in self.entries:
-            total = scalar_add(total, a.norm_sq())
+            total = total + a.norm_sq()
         return total
 
     def support(self):
@@ -213,8 +213,8 @@ def power_norm_sq(tree, weights: WeightSystem, u: Vertex, n: int, window: Window
     for _, path in descendants_at(tree, u, n, window):
         prod: Scalar = Fraction(1)
         for v in path[1:]:
-            prod = scalar_mul(prod, weights.squared_at(v))
-        total = scalar_add(total, prod)
+            prod = prod * weights.squared_at(v)
+        total = total + prod
     return total
 
 

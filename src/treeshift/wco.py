@@ -14,13 +14,12 @@ elements are bounded by the sum of the per-generator residuals.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 from .errors import InfiniteTermError, NoCertificateError
 from .measures import (
     AtomicMeasure,
     MixtureMeasure,
-    atoms_view,
     check_consist6_at,
     indices_with_value,
     moment,
@@ -28,12 +27,10 @@ from .measures import (
 from .rationals import (
     Interval,
     Scalar,
+    accumulate,
     coerce,
     scalar_abs_upper,
-    scalar_add,
     scalar_lower,
-    scalar_mul,
-    scalar_sub,
     scalar_upper,
 )
 from .series import CertConfig, DEFAULT_CONFIG, power_series_certificate
@@ -93,7 +90,7 @@ def h_function(
             if data.tree.eta is not INF:
                 total: Scalar = Fraction(0)
                 for i in range(1, int(data.tree.eta) + 1):
-                    total = scalar_add(total, data.weights.squared_at(Branch(i, 1)))
+                    total = total + data.weights.squared_at(Branch(i, 1))
                 return total
             if not isinstance(data.weights, ModelWeights):
                 raise NoCertificateError("infinite child sum without a symbolic weight rule")
@@ -104,7 +101,7 @@ def h_function(
         return data.weights.squared_at(Trunk(x.k - 1))  # single trunk child
     total: Scalar = Fraction(0)
     for y in children(data.tree, x, window):
-        total = scalar_add(total, data.weights.squared_at(y))
+        total = total + data.weights.squared_at(y)
     return total
 
 
@@ -138,8 +135,8 @@ def cond_expectation(
             fy = f.get(y, Fraction(0))
             if scalar_abs_upper(fy) == 0:
                 continue
-            num = scalar_add(num, scalar_mul(data.weights.squared_at(y), fy))
-        value = scalar_mul(num, coerce(h).recip()) if isinstance(h, Interval) else num / h
+            num = num + data.weights.squared_at(y) * fy
+        value = num * h.recip() if isinstance(h, Interval) else num / h
         for z in members:
             out[z] = value
     return out
@@ -158,28 +155,24 @@ def _atom_masses(measure: Measure, atom_set, imax: int) -> Dict[Fraction, Scalar
     """Nonzero masses of `measure` at the test atoms.  A mixture reads its
     in-window view (so stored tables are honoured) and adds the off-window
     atoms at the same location through the coefficient rule."""
-    view = dict(atoms_view(measure, imax))
     if isinstance(measure, MixtureMeasure):
-        for t in atom_set:
-            tail = sum(
-                (measure.alpha.value(i) * t ** (-measure.shift)
-                 for i in indices_with_value(measure.alpha.q, t, imax)),
-                Fraction(0),
-            )
-            if tail:
-                view[t] = scalar_add(view.get(t, Fraction(0)), measure.prefactor * tail)
-    return {t: m for t, m in view.items() if t in atom_set and scalar_abs_upper(m) != 0}
+        return measure.masses_at(atom_set, imax)
+    return {t: m for t, m in measure.atoms if t in atom_set}  # atomic masses are > 0
 
 
-def _over_sigmas(per_atom: Dict[Fraction, Scalar], total: Scalar, sigmas):
-    """Spread per-atom values with total `total` over every sigma."""
+def _small_first(values) -> List[Scalar]:
+    """values by increasing denominator.  Exact sums come out the same in any
+    order; small denominators first keep the intermediate ones small
+    (high-index mixture masses have huge ones)."""
+    return sorted(values, key=lambda m: scalar_upper(m).denominator)
+
+
+def _rest(per_atom: Dict[Fraction, Scalar], total: Scalar) -> Scalar:
+    """total minus the per-atom values: the value on the complement of the atoms."""
     rest = total
-    # exact, so any order gives the same rest; small denominators first keep
-    # the intermediate ones small (high-index mixture masses have huge ones)
-    for m in sorted(per_atom.values(), key=lambda m: scalar_upper(m).denominator):
-        rest = scalar_sub(rest, m)
-    values = {"all": total, "rest": rest}
-    return [per_atom.get(s[1], Fraction(0)) if s[0] == "atom" else values[s[0]] for s in sigmas]
+    for m in _small_first(per_atom.values()):
+        rest = rest - m
+    return rest
 
 
 def _first_moment(measure: Measure, cfg: CertConfig) -> Scalar:
@@ -247,59 +240,58 @@ def cc_residual(
             if any(scalar_upper(data.weights.squared_at(y)) > 0 for y in kids):
                 h_ok = False  # a child with nonzero weight under h = 0
             continue
-        h_recip = coerce(h).recip()
+        h_lo_recip = 1 / scalar_lower(h)  # the upper end of 1/h, as h > 0
         model_zero = isinstance(data.tree, ModelTree) and x == ZERO
         row_x = _row(P, x)
         rows = [row_x] + [_row(P, y) for y in kids]
 
         # atoms outside every involved support make both sides vanish
-        relevant = set()
-        for row in rows:
-            if isinstance(row, AtomicMeasure):
-                relevant.update(t for t in row.support() if t in atom_set)
-            else:
-                relevant = set(atoms)
-                break
-        if model_zero:
-            relevant = set(atoms)
-        sigmas = [("atom", t) for t in sorted(relevant)] + [("rest",), ("all",)]
+        if model_zero or not all(isinstance(row, AtomicMeasure) for row in rows):
+            relevant = atoms
+        else:
+            relevant = sorted({t for row in rows for t in row.support() if t in atom_set})
+        sigmas = [("atom", t) for t in relevant] + [("rest",), ("all",)]
 
         if model_zero:
             in_window_w2 = sum(
                 (coerce(data.weights.squared_at(y)) for y in kids), coerce(Fraction(0))
             )
             tail_all = coerce(h) - in_window_w2  # off-window children, sigma = all
-        kid_info = [
-            (data.weights.squared_at(y),
-             _over_sigmas(_atom_masses(row, atom_set, imax), Fraction(1), sigmas))
-            for y, row in zip(kids, rows[1:])
-        ]
-        x_masses = _atom_masses(row_x, atom_set, imax)
-        rhs_nums = _over_sigmas(
-            {t: scalar_mul(t, m) for t, m in x_masses.items()}, _first_moment(row_x, cfg), sigmas
-        )
-        atom_resid: Dict[str, Fraction] = {}
+        # both sides as one sum per sigma; each child adds only at its own
+        # nonzero atoms, at the complement when its mass there is nonzero,
+        # and at R+ (mass 1), in child order
+        position = {s[1]: idx for idx, s in enumerate(sigmas) if s[0] == "atom"}
+        rest_idx, all_idx = len(sigmas) - 2, len(sigmas) - 1
+        lhs_nums: Dict[int, Scalar] = {}  # by sigma index
+        for y, row in zip(kids, rows[1:]):
+            w2 = data.weights.squared_at(y)
+            masses = _atom_masses(row, atom_set, imax)
+            for t, mass in masses.items():
+                accumulate(lhs_nums, position[t], w2 * mass)
+            rest = _rest(masses, Fraction(1))
+            if scalar_abs_upper(rest) != 0:
+                accumulate(lhs_nums, rest_idx, w2 * rest)
+            accumulate(lhs_nums, all_idx, w2)
+        x_masses = {t: t * m for t, m in _atom_masses(row_x, atom_set, imax).items()}
+        rhs_nums: List[Scalar] = [Fraction(0)] * len(sigmas)
+        for t, m in x_masses.items():
+            rhs_nums[position[t]] = m
+        rhs_nums[all_idx] = _first_moment(row_x, cfg)
+        rhs_nums[rest_idx] = _rest(x_masses, rhs_nums[all_idx])
+        diffs: List[Fraction] = []  # upper bound of |lhs - rhs| per sigma
         for idx, sigma in enumerate(sigmas):
-            lhs_num: Scalar = Fraction(0)
-            for w2, masses in kid_info:
-                mass = masses[idx]
-                if scalar_abs_upper(mass) == 0:
-                    continue
-                lhs_num = scalar_add(lhs_num, scalar_mul(w2, mass))
+            lhs_num = lhs_nums.get(idx, Fraction(0))
             if model_zero:
-                lhs_num = scalar_add(lhs_num, _model_zero_tail(data, sigma, atoms, imax, tail_all))
-            diff = scalar_sub(lhs_num, rhs_nums[idx])
-            residual = scalar_mul(
-                diff.abs() if isinstance(diff, Interval) else abs(diff), h_recip
-            )
-            atom_resid[_sigma_name(sigma)] = scalar_abs_upper(residual)
-        worst = max(atom_resid, key=lambda k: atom_resid[k])
-        bound = sum(
-            (atom_resid[_sigma_name(s)] for s in sigmas if s[0] != "all"), Fraction(0)
-        )
-        per_class.append(
-            CCClassResidual(x, worst, max(atom_resid.values()), bound)
-        )
+                lhs_num = lhs_num + _model_zero_tail(data, sigma, atoms, imax, tail_all)
+            diffs.append(scalar_abs_upper(lhs_num - rhs_nums[idx]))
+        # a residual |diff| * [1/h.hi, 1/h.lo] has upper end |diff| / h.lo: so
+        # the worst sigma (the first at the max) is that of |diff|, and 1/h.lo
+        # scales the max and the sum over every sigma but R+ once
+        worst = max(range(len(sigmas)), key=diffs.__getitem__)
+        algebra = sum(_small_first(diffs[:all_idx]), Fraction(0))
+        per_class.append(CCClassResidual(
+            x, _sigma_name(sigmas[worst]), diffs[worst] * h_lo_recip, algebra * h_lo_recip
+        ))
 
     per_class.sort(key=lambda c: vertex_sort_key(c.vertex))
     return CCReport(
@@ -327,12 +319,12 @@ def _model_zero_tail(data, sigma, atoms, imax, tail_all) -> Scalar:
     if kind == "atom":
         total: Scalar = Fraction(0)
         for i in indices_with_value(q, sigma[1], imax):
-            total = scalar_add(total, weights.branch_first_squared(i))
+            total = total + weights.branch_first_squared(i)
         return total
     rest = tail_all
     for t in atoms:
         for i in indices_with_value(q, t, imax):
-            rest = scalar_sub(rest, weights.branch_first_squared(i))
+            rest = rest - weights.branch_first_squared(i)
     return rest
 
 

@@ -176,6 +176,15 @@ def test_nonpositive_width_exit_2(tmp_path):
     assert not out.exists()
 
 
+def test_unreachable_width_exit_2(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert run(["generate", "--n", "1", "--kappa", "3", "--q", "mixed", "--max-trunk", "3",
+                "--max-branch", "12", "--max-depth", "4", "--width", "1e-20",
+                "--out", str(out)]) == 2
+    assert "series_width 1E-20 not reached" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("domain-check", ["--power", "1"]),
     ("partial-sums", ["--exponent", "1", "--out", "sums.csv"]),

@@ -349,6 +349,20 @@ def test_artifact_bytes_pinned(small_artifacts):
     }
 
 
+def test_exact_residuals_pinned(small_artifacts):
+    """The exact residuals verify computes, the per-atom consistency tuples
+    and the CC classes included, are pinned as well: a change the rounded
+    max_residual strings of the artifact would hide fails here."""
+    digests = {
+        q: hashlib.sha256(repr(verify(art.to_json_dict()).residuals).encode()).hexdigest()
+        for q, art in small_artifacts.items()
+    }
+    assert digests == {
+        "linear": "e0c25a995f59f4eafe6056446de12f3bed7989b0de3ad208e685807508ccfe34",
+        "mixed": "4bc86532b1912d76d745a6e3b514aedbd36ca81cff1810a2b125912f6c4deada",
+    }
+
+
 def test_verify_checks_stored_convergent_enclosure(small_artifacts):
     """A stored nd enclosure of a convergent series must meet the recomputed
     one and be at most series_width wide."""
@@ -418,6 +432,51 @@ def test_fine_width_generates_and_verifies():
     report = verify(art.to_json_dict())
     assert time.monotonic() - started < 5
     assert report.passed, [r.line() for r in report.failures()]
+
+
+@pytest.mark.parametrize("q, width", [
+    (MIXED_Q, Fraction(1, 10**20)),  # below the off-Omega tail 2^-48
+    (LINEAR_Q, Fraction(1, 10**95)),  # below what the 2^-320 grid reaches
+    (MIXED_Q, Fraction(1, 10**40)),
+])
+def test_unreachable_width_raises_before_summing(q, width):
+    """A width no certificate reaches raises at once, naming the series and
+    both widths, where the K-doubling loop used to run to max_terms and
+    return a certificate wider than asked."""
+    request = ts.CounterexampleRequest(n=1, kappa=3, q=q, window=SMALL_WINDOW,
+                                       cert=ts.CertConfig(series_width=width))
+    started = time.monotonic()
+    with pytest.raises(ts.WidthNotReachedError, match=r"sum_i alpha_i\*q_i\^0: series_width "):
+        generate(request)
+    assert time.monotonic() - started < 1
+
+
+def test_certificates_never_wider_than_series_width():
+    """Every convergent certificate returned, K-doubling ones included, is
+    at most series_width wide."""
+    for q in (LINEAR_Q, MIXED_Q):
+        alpha = AlphaFamily(q, choose_subsequence(q), power=2)
+        for width in (Fraction(1, 10**6), Fraction(1, 10**14)):
+            cfg = ts.CertConfig(series_width=width)
+            for l in range(-3, 3):
+                assert power_series_certificate(alpha, l, cfg).width <= width, (q, width, l)
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda request: request["cert"].update(series_width=f"1/{10**95}"),
+     "series_width 1E-95 not reached"),
+    (lambda request: request.update(q={"tail": "constant", "prefix": ["7"]}),
+     "sup q_i looks bounded"),
+])
+def test_verify_without_certificate_is_one_record(small_artifacts, edit, detail):
+    """A document whose series no certificate covers fails one record, where
+    verify used to raise (bounded q) or run to max_terms (the width)."""
+    doc = small_artifacts["linear"].to_json_dict()
+    edit(doc["request"])
+    report = verify(doc)
+    assert not report.passed
+    assert [r.name for r in report.records] == ["series-certificate"]
+    assert detail in report.records[0].detail
 
 
 def _truncate(path):

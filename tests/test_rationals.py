@@ -78,6 +78,43 @@ def test_enclosure_soundness(a, b, x_frac, y_frac):
     assert a.abs().contains(abs(x))
 
 
+def _four_product(a, b):
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return min(products), max(products)
+
+
+signed_intervals = st.one_of(
+    intervals(),
+    rationals.map(lambda x: Interval(Fraction(0), abs(x))),  # zero endpoints
+    rationals.map(lambda x: Interval(-abs(x), Fraction(0))),
+)
+operands = st.one_of(rationals, st.integers(-50, 50), st.just(Fraction(0)))
+
+
+@given(signed_intervals, signed_intervals, operands)
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_textbook_definitions(a, b, x):
+    """Every arithmetic path, the fast ones included, gives the four-product
+    min/max and the endpoint sums, with ordered endpoints."""
+    xi = Interval(Fraction(x), Fraction(x))
+    cases = [
+        (a * b, _four_product(a, b)),
+        (a * x, _four_product(a, xi)),
+        (x * a, _four_product(xi, a)),
+        (a + b, (a.lo + b.lo, a.hi + b.hi)),
+        (a + x, (a.lo + x, a.hi + x)),
+        (x + a, (a.lo + x, a.hi + x)),
+        (a - b, (a.lo - b.hi, a.hi - b.lo)),
+        (a - x, (a.lo - x, a.hi - x)),
+        (x - a, (x - a.hi, x - a.lo)),
+        (-a, (-a.hi, -a.lo)),
+    ]
+    for result, (lo, hi) in cases:
+        assert isinstance(result.lo, Fraction) and isinstance(result.hi, Fraction)
+        assert (result.lo, result.hi) == (lo, hi)
+        assert result.lo <= result.hi
+
+
 def test_decimal_rendering():
     assert rat_to_decimal(Fraction(1, 3), 5) == "0.33333"
     assert rat_to_decimal(Fraction(2), 5) == "2"
