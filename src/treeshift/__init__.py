@@ -12,6 +12,7 @@ from .errors import (
     InvalidTreeError,
     NoCertificateError,
     SupNotWitnessedError,
+    ThresholdNotReachedError,
     TreeshiftError,
     UnknownVertexError,
     WidthNotReachedError,

@@ -24,7 +24,13 @@ from .construct import (
     generate,
     verify,
 )
-from .errors import NoCertificateError, SupNotWitnessedError, TreeshiftError, WidthNotReachedError
+from .errors import (
+    NoCertificateError,
+    SupNotWitnessedError,
+    ThresholdNotReachedError,
+    TreeshiftError,
+    WidthNotReachedError,
+)
 from .rationals import rat_to_decimal, rat_to_str
 from .series import LINEAR_Q, MIXED_Q, SequenceSpec
 from .shift import glowne_power_check
@@ -225,7 +231,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except WidthNotReachedError as exc:  # a --width out of reach, like a nonpositive one
+    except (WidthNotReachedError, ThresholdNotReachedError) as exc:
+        # a --width or --threshold out of reach, like a nonpositive one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NoCertificateError, SupNotWitnessedError) as exc:

@@ -597,6 +597,12 @@ def _table(node, path: str, count: int, pos_key: str, parse, prefix: str = ""):
     return tuple(out)
 
 
+def _index(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[Window]):
     """The artifact a document stores, its tables overriding the rules for
     the indices they cover.  Every table must have the length the stored
@@ -659,12 +665,14 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
         verdict = _at(nd, f"{m}.verdict", "certificates.nd.")
         if verdict not in ("convergent", "divergent"):
             raise _Malformed(f"certificates.nd.{m}.verdict: {verdict!r} is not a verdict")
-        key, parse = (("enclosure", interval_from_json) if verdict == "convergent"
-                      else ("witness_partial_lb", rat_from_str))
-        try:
-            parse(_at(nd, f"{m}.{key}", "certificates.nd."))
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise _Malformed(f"certificates.nd.{m}.{key}: {exc}") from None
+        fields = ((("enclosure", interval_from_json),) if verdict == "convergent" else
+                  (("witness_partial_lb", rat_from_str), ("threshold", rat_from_str),
+                   ("witness_index", _index)))
+        for key, parse in fields:
+            try:
+                parse(_at(nd, f"{m}.{key}", "certificates.nd."))
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise _Malformed(f"certificates.nd.{m}.{key}: {exc}") from None
     if _artifact_window(request) != stored:
         raise _Malformed(f"request.window: gives {_artifact_window(request)}, not {stored}")
     return CounterexampleArtifact(
@@ -843,10 +851,14 @@ def _verify(doc: Union[dict, CounterexampleArtifact], window: Optional[Window]):
             detail = (f"stored enclosure against the recomputed one, stored width "
                       f"{approx_residual(enclosure.width)}, series_width {cfg.series_width}")
         elif ok:
-            K = cert.witness_index
+            K, T = cert.witness_index, cfg.divergence_threshold
             lb = Fraction(stored["witness_partial_lb"])
-            ok = lb == cert.witness_partial_lb and lb > cfg.divergence_threshold
-            detail = f"witness partial sum at K={K} recomputed, exceeds {cfg.divergence_threshold}"
+            ok = lb == cert.witness_partial_lb and lb > T
+            detail = f"witness partial sum at K={K} recomputed, exceeds {T}"
+            if stored["witness_index"] != K or Fraction(stored["threshold"]) != T:
+                ok = False
+                detail = (f"stored witness_index {stored['witness_index']} and threshold "
+                          f"{stored['threshold']}, recomputed K={K} at threshold {T}")
         rec(f"nd[{m}]", ok, residual=residual, detail=detail)
 
     # positivity of every stored weight

@@ -25,6 +25,10 @@ class WidthNotReachedError(NoCertificateError):
     """No convergent certificate reaches the requested series width."""
 
 
+class ThresholdNotReachedError(NoCertificateError):
+    """No divergence witness lies below the cap for the requested threshold."""
+
+
 class SupNotWitnessedError(TreeshiftError):
     """No index with q_i >= k was found within the scan horizon."""
 

@@ -24,6 +24,16 @@ certified dyadic lower bound of that partial sum, itself above the
 threshold; the exact partial sum itself is not kept.  Both kinds of sum
 run as integer kernels that add floor(2^bits * term) for each exact term,
 so they store the same numbers an exact rational loop would.
+The crossing rule "S_k > T and floor(2^128 S_k) > 2^128 T" is monotone in
+k (the terms are nonnegative), so the witness is found by a loop over the
+first 1024 terms and, past them, by bisection on a closed form: for
+linear terms (a*k + b)/k^2, S_k = C + a (H_k - gamma) - b zeta(2, k+1),
+with ln k from an integer atanh series, H_k - ln k - gamma and
+zeta(2, k+1) from Euler-Maclaurin expansions whose remainders are bounded
+by their first omitted terms, all in fixed point with directed rounding.
+A step whose bracket straddles a 2^-128 grid point is redone with more
+bits, up to a stated cap, and never guessed.  The cost grows like log K,
+and a threshold whose witness index would reach 2^512 is rejected.
 
 Everything below a certificate is an exact rational; enclosures are sound
 by construction, never heuristic.
@@ -35,10 +45,15 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from math import comb
+from math import comb, exp
 from typing import ClassVar, Dict, Iterator, Optional, Tuple
 
-from .errors import NoCertificateError, SupNotWitnessedError, WidthNotReachedError
+from .errors import (
+    NoCertificateError,
+    SupNotWitnessedError,
+    ThresholdNotReachedError,
+    WidthNotReachedError,
+)
 from .rationals import Interval, as_fraction, rat_to_decimal, rat_to_str
 
 _STABLE_STEPS = 8
@@ -563,33 +578,51 @@ def dyadic_floor(x: Fraction) -> Fraction:
 
 
 _WITNESS_BITS = 192  # 128 bits of the stored dyadic floor plus 64 guard bits
+_WITNESS_LOOP = 1024  # m = 1: the loop sums at least this far before the closed form
+_MAX_LOOP_STEPS = 1 << 20  # m >= 2: the loop's last step (there K <= ceil(T) + 1)
+_MAX_WITNESS_BITS = 512  # m = 1: a witness index must be below 2^512
+_MAX_GUARD_BITS = 512  # closed form: the most extra bits tried on an open step
+_NEWTON_STEPS = 6  # closed form: steering steps before the gallop, which decides
 
 
 def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     """Unscaled divergent certificate for l >= n+1: harmonic minorant.
 
     The witness is the first k at which the on-Omega partial sum S_k
-    exceeds the threshold T and so does dyadic_floor(S_k).  S_k is summed
-    as the integer lo, adding floor(2^W * term) per term (W = 192), so
-    after k terms S_k lies in [lo, lo + k] / 2^W.  That bracket decides
-    each step: S_k <= T when (lo + k)/2^W <= T, and when lo/2^W > T with
-    lo and lo + k agreeing above bit 64, S_k > T and dyadic_floor(S_k) is
-    exactly (lo >> 64)/2^128.  A step the bracket leaves open (S_k within
-    k/2^W of T or of a 2^-128 grid point) is decided on the exact sum
-    witness_partial_sum.  witness_index and witness_partial_lb are thus
-    those of the exact rule, at a cost linear in the index.  Past
+    exceeds the threshold T and so does dyadic_floor(S_k).  The terms are
+    nonnegative, so S_k and floor(2^128 S_k) never decrease in k, and since
+    dyadic_floor(S_k) <= S_k the rule is the monotone predicate
+    floor(2^128 S_k) > 2^128 T: the witness is the least k where it holds,
+    and any search that decides that predicate exactly finds it.
+
+    The first K0 = max(1024, len(omega.head)) steps (every step when
+    m = l - n >= 2) run as a loop: S_k is summed as the integer lo, adding
+    floor(2^W * term) per term (W = 192), so after k terms S_k lies in
+    [lo, lo + k] / 2^W.  That bracket decides each step: S_k <= T when
+    (lo + k)/2^W <= T, and when lo/2^W > T with lo and lo + k agreeing above
+    bit 64, S_k > T and dyadic_floor(S_k) is exactly (lo >> 64)/2^128.  A
+    step the bracket leaves open (S_k within k/2^W of T or of a 2^-128 grid
+    point) is decided on the exact sum witness_partial_sum.  Past
     omega.head, q_{i_k} is the index i_k = slope*k + intercept itself
     (build_omega checks this on the affine tail), so those steps add
-    floor(2^W i_k^m / k^2) in plain integers.
+    floor(2^W i_k^m / k^2) in plain integers.  For m >= 2 every term is at
+    least k^(m-2) >= 1, so K <= ceil(T) + 1; the loop gives up with
+    ThresholdNotReachedError after 2^20 steps.
+
+    For m = 1 the steps past K0 go to _closed_form_witness, which brackets
+    S_k in closed form and bisects on the predicate in O(log K)
+    evaluations; witness_index and witness_partial_lb are those of the
+    exact rule either way.
     """
     m = l - n  # >= 1
     T = as_fraction(cfg.divergence_threshold)
     t_den, t_num_w = T.denominator, T.numerator << _WITNESS_BITS
     guard = _WITNESS_BITS - 128
     head = len(omega.head)
+    last = max(_WITNESS_LOOP, head) if m == 1 else _MAX_LOOP_STEPS
     lo = 0
     k = 0
-    while True:
+    while k < last:
         k += 1
         if k <= head:
             qv = q.value(omega.head[k - 1])
@@ -611,8 +644,13 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
         # stop at the first crossing whose dyadic floor still exceeds T
         if lb is not None and lb > T:
             break
-        if k > 10_000_000:
-            raise NoCertificateError("divergence witness not reached")
+    else:
+        if m > 1:
+            raise ThresholdNotReachedError(
+                f"divergence_threshold {rat_to_str(T)}: no witness within {last} terms"
+            )
+        k, floor128 = _closed_form_witness(q, omega, k, lo, T)
+        lb = Fraction(floor128, 1 << 128)
     return SeriesCertificate(
         terms=f"sum_i alpha_i*q_i^{l}",
         verdict="divergent",
@@ -624,6 +662,208 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
         witness_index=k,
         witness_partial_lb=lb,
     )
+
+
+def _closed_form_witness(q, omega, k0: int, lo0: int, T: Fraction) -> Tuple[int, int]:
+    """(K, floor(2^128 S_K)) for the least K > k0 with floor(2^128 S_K) >
+    2^128 T, where S_k is the on-Omega partial sum for m = 1, no k <= k0
+    crosses, k0 >= len(omega.head) and S_k0 lies in [lo0, lo0 + k0]/2^192.
+
+    Past k0 the terms are (a*k + b)/k^2 (a = slope, b = intercept), so
+      S_k = S_k0 + a (H_k - H_k0) + b (zeta(2, k0+1) - zeta(2, k+1)),
+    and with H_N = ln N + gamma + E(N) this is C + a (ln k + E(k)) -
+    b zeta(2, k+1) for a constant C, gamma cancelling.  Each piece is an
+    integer bracket on the 2^-bits grid with directed rounding: ln N from
+    ln_fixed, E(N) from harmonic_brackets and zeta(2, N) from
+    zeta_tail_brackets, each summed until its remainder bound is below one
+    grid step.  A step is decided when both ends of S_k's bracket have the
+    same 128-bit floor, which is then floor(2^128 S_k); otherwise the step
+    is retried with 64, 128, 256 and 512 more bits, and past that raises
+    NoCertificateError naming k.  bits is 192, or 96 above k's bit length
+    rounded up to a multiple of 64, so the bracket is far narrower than the
+    last term a/k.
+
+    A float estimate ln K ~ (T - C)/a, then Newton steps on the bracket's
+    midpoint, only choose where to look: a gallop from that point and a
+    bisection find K on decided steps alone.  K must be below
+    2^_MAX_WITNESS_BITS: when S_k at that cap is decided not to cross,
+    ThresholdNotReachedError is raised.
+    """
+    a, b = omega.slope, omega.intercept
+    if (a - 1) * (k0 + 1) + b < 0:
+        raise NoCertificateError(f"q_{{i_{k0 + 1}}} < {k0 + 1}: minorant broken")
+    g = (T.numerator << 128) // T.denominator + 1  # crossing: floor(2^128 S_k) >= g
+    k_max = 1 << _MAX_WITNESS_BITS
+    consts, brackets, floors = {}, {}, {}
+
+    def harmonic(N, bits):  # ln N + E(N) = H_N - gamma
+        return _add(ln_fixed(N, bits), _fixed_bracket(harmonic_brackets(N), bits))
+
+    def zeta2(N, bits):
+        return _fixed_bracket(zeta_tail_brackets(2, N), bits)
+
+    def const(bits):  # C = S_k0 - a (ln k0 + E(k0)) + b zeta(2, k0+1)
+        if bits not in consts:
+            s = lo0 if bits == _WITNESS_BITS else _on_omega_floor_sum(q, omega, k0, bits)
+            consts[bits] = _add((s, s + k0), _times(-a, harmonic(k0, bits)),
+                                _times(b, zeta2(k0 + 1, bits)))
+        return consts[bits]
+
+    def bracket(k, bits):  # S_k = C + a (ln k + E(k)) - b zeta(2, k+1)
+        if (k, bits) not in brackets:
+            brackets[k, bits] = _add(const(bits), _times(a, harmonic(k, bits)),
+                                     _times(-b, zeta2(k + 1, bits)))
+        return brackets[k, bits]
+
+    def precision(k):
+        return max(_WITNESS_BITS, -(-(k.bit_length() + 96) // 64) * 64)
+
+    def floor128(k):
+        if k not in floors:
+            bits = base = precision(k)
+            while True:
+                lo, hi = bracket(k, bits)
+                if lo >> (bits - 128) == hi >> (bits - 128):
+                    break
+                if bits - base >= _MAX_GUARD_BITS:
+                    raise NoCertificateError(
+                        f"divergence witness step k = {k} undecided at {bits} bits"
+                    )
+                bits = base + max(64, 2 * (bits - base))
+            floors[k] = lo >> (bits - 128)
+        return floors[k]
+
+    def crosses(k):
+        return floor128(k) >= g
+
+    c_lo, c_hi = const(_WITNESS_BITS)  # S_k ~ C + a ln k steers the first guess
+    a_ln_k = (g << (_WITNESS_BITS - 128)) - ((c_lo + c_hi) >> 1)
+    if a_ln_k >= (a * _MAX_WITNESS_BITS) << _WITNESS_BITS:  # ln K >= 512 > ln 2^512
+        k = k_max
+    else:
+        k = min(max(int(exp(a_ln_k / (a << _WITNESS_BITS))), k0 + 1), k_max)
+        for _ in range(_NEWTON_STEPS):  # on the midpoint, with dS/dk ~ a/k
+            bits = precision(k)
+            lo, hi = bracket(k, bits)
+            step = (((g << (bits - 128)) - ((lo + hi) >> 1)) * k) // (a << bits)
+            k = min(max(k + step, k0 + 1), k_max)
+            if abs(step) <= 1:
+                break
+    if crosses(k):
+        hi, width = k, 1
+        while True:
+            lo = max(hi - width, k0)
+            if lo == k0 or not crosses(lo):
+                break
+            hi, width = lo, 2 * width
+    else:
+        lo, width = k, 1
+        while True:
+            hi = min(lo + width, k_max)
+            if crosses(hi):
+                break
+            if hi == k_max:
+                raise ThresholdNotReachedError(
+                    f"divergence_threshold {rat_to_str(T)} not reached: the on-Omega partial "
+                    f"sum is below {rat_to_decimal(Fraction(floors[hi] + 1, 1 << 128), 6)} up "
+                    f"to k = 2^{_MAX_WITNESS_BITS}, the cap on the witness index"
+                )
+            lo, width = hi, 2 * width
+    while hi - lo > 1:  # not crosses(lo), crosses(hi)
+        mid = (lo + hi) >> 1
+        lo, hi = (lo, mid) if crosses(mid) else (mid, hi)
+    return hi, floor128(hi)
+
+
+def _add(*brackets):
+    return sum(lo for lo, _ in brackets), sum(hi for _, hi in brackets)
+
+
+def _times(c: int, bracket):
+    lo, hi = bracket
+    return (c * lo, c * hi) if c >= 0 else (c * hi, c * lo)
+
+
+def _on_omega_floor_sum(q, omega, upto: int, bits: int) -> int:
+    """sum_{k<=upto} floor(2^bits q_{i_k}/k^2): what the witness loop adds
+    for m = 1, at another precision."""
+    head = min(len(omega.head), upto)
+    s = 0
+    for k in range(1, head + 1):
+        qv = q.value(omega.head[k - 1])
+        s += (qv.numerator << bits) // (qv.denominator * k * k)
+    a, b = omega.slope, omega.intercept
+    return s + sum(((a * k + b) << bits) // (k * k) for k in range(head + 1, upto + 1))
+
+
+def _atanh_fixed(p: int, r: int, bits: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits atanh(p/r) <= hi, for 0 <= p/r <= 1/3.
+
+    Sums floor(y_j / (2j+1)) with y_0 = floor(2^bits p/r) and
+    y_j = floor(y_{j-1} p^2/r^2), up to the first y_J = 0.  The floors
+    compound, but y_j stays less than 1/(1 - 1/9) = 9/8 below
+    2^bits (p/r)^(2j+1), so each of the J terms is less than 17/8 below its
+    exact value, and the omitted tail, at most (9/8)^2/(2J+1), is below 2.
+    """
+    p2, r2 = p * p, r * r
+    y, lo, j = (p << bits) // r, 0, 0
+    while y:
+        lo += y // (2 * j + 1)
+        j += 1
+        y = y * p2 // r2
+    return lo, lo + 3 * (j + 1)
+
+
+@lru_cache(maxsize=16)
+def _ln2_fixed(bits: int) -> Tuple[int, int]:
+    """ln 2 = 2 atanh(1/3) on the 2^-bits grid, computed on first use."""
+    lo, hi = _atanh_fixed(1, 3, bits)
+    return 2 * lo, 2 * hi
+
+
+def ln_fixed(N: int, bits: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits ln N <= hi, for an integer N >= 1:
+    ln N = e ln 2 + 2 atanh((N - 2^e)/(N + 2^e)) with 2^e <= N < 2^(e+1),
+    so the atanh argument lies in [0, 1/3)."""
+    e = N.bit_length() - 1
+    a_lo, a_hi = _atanh_fixed(N - (1 << e), N + (1 << e), bits)
+    l_lo, l_hi = _ln2_fixed(bits)
+    return e * l_lo + 2 * a_lo, e * l_hi + 2 * a_hi
+
+
+def harmonic_brackets(N: int) -> Iterator[Tuple[int, Fraction, Fraction]]:
+    """(J, S, R) for J = 1, 2, ...: H_N - ln N - gamma lies in [S - R, S + R].
+
+    S = 1/(2N) - sum_{j<=J} B_2j/(2j N^2j) is the Euler-Maclaurin expansion
+    of the digamma function (H_N - gamma = psi(N) + 1/N), and
+    R = |B_{2J+2}|/((2J+2) N^{2J+2}) is its first omitted term: for real
+    N > 0 the remainder has that term's sign and at most its size (NIST
+    DLMF 5.11.2 and 5.11(ii)).  For N >= 1.
+    """
+    S = Fraction(1, 2 * N)
+    n2, power = N * N, 1  # power = N^{2J}
+    J = 0
+    while True:
+        J += 1
+        power *= n2
+        S -= bernoulli_even(J) / (2 * J * power)
+        yield J, S, abs(bernoulli_even(J + 1)) / ((2 * J + 2) * power * n2)
+
+
+def _fixed_bracket(brackets: Iterator[Tuple[int, Fraction, Fraction]], bits: int):
+    """(lo, hi) with lo <= 2^bits x <= hi, from a sequence of brackets
+    (J, S, R) of x: the first whose R is below 2^-bits, or the last before
+    R stops shrinking."""
+    prev = None
+    for _, S, R in brackets:
+        if prev is not None and R >= prev[1]:
+            S, R = prev
+            break
+        prev = S, R
+        if R.numerator << bits < R.denominator:
+            break
+    lo, hi = S - R, S + R
+    return (lo.numerator << bits) // lo.denominator, -((-hi.numerator << bits) // hi.denominator)
 
 
 def _scaled(cert: SeriesCertificate, scale: Fraction) -> SeriesCertificate:

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour and exit codes."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -182,6 +183,17 @@ def test_unreachable_width_exit_2(tmp_path, capsys):
                 "--max-branch", "12", "--max-depth", "4", "--width", "1e-20",
                 "--out", str(out)]) == 2
     assert "series_width 1E-20 not reached" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreachable_threshold_exit_2(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    started = time.monotonic()
+    assert run(["generate", "--n", "1", "--kappa", "3", "--q", "linear", "--max-trunk", "3",
+                "--max-branch", "12", "--max-depth", "4", "--threshold", "1000000",
+                "--out", str(out)]) == 2
+    assert time.monotonic() - started < 1
+    assert "divergence_threshold 1000000 not reached" in capsys.readouterr().err
     assert not out.exists()
 
 

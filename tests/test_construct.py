@@ -377,6 +377,40 @@ def test_verify_checks_stored_convergent_enclosure(small_artifacts):
         assert [r.name for r in report.failures()] == ["nd[1]"], enclosure
 
 
+@pytest.mark.parametrize("key, value", [("witness_index", 5), ("witness_index", 12368),
+                                        ("threshold", "1"), ("threshold", "11")])
+def test_verify_checks_stored_witness(small_artifacts, key, value):
+    """A divergence certificate's stored witness_index and threshold must
+    equal the recomputed index and the request's threshold."""
+    doc = small_artifacts["linear"].to_json_dict()
+    doc["certificates"]["nd"]["2"][key] = value
+    report = verify(doc)
+    assert [r.name for r in report.failures()] == ["nd[2]"]
+    assert "recomputed K=12367 at threshold 10" in report.failures()[0].detail
+
+
+def test_threshold_20_passes_and_unreachable_threshold_fails_fast(small_artifacts):
+    """Threshold 20 (K = 272,400,600) generates and verifies in under a
+    second each; a document asking for threshold 10^6 fails one
+    series-certificate record in under a second."""
+    request = ts.CounterexampleRequest(n=1, kappa=3, q=LINEAR_Q, window=SMALL_WINDOW,
+                                       cert=ts.CertConfig(divergence_threshold=Fraction(20)))
+    started = time.monotonic()
+    doc = generate(request).to_json_dict()
+    assert time.monotonic() - started < 1
+    assert doc["certificates"]["nd"]["2"]["witness_index"] == 272_400_600
+    started = time.monotonic()
+    assert verify(doc).passed
+    assert time.monotonic() - started < 1
+    doc = small_artifacts["linear"].to_json_dict()
+    doc["request"]["cert"]["divergence_threshold"] = str(10**6)
+    started = time.monotonic()
+    report = verify(doc)
+    assert time.monotonic() - started < 1
+    assert [(r.name, r.passed) for r in report.records] == [("series-certificate", False)]
+    assert "divergence_threshold 1000000 not reached" in report.records[0].detail
+
+
 @pytest.mark.parametrize("value", [["3", "2"], ["a", "1"], "x", [None, "1"], None])
 def test_verify_rejects_malformed_enclosure(small_artifacts, value):
     doc = small_artifacts["linear"].to_json_dict()
@@ -539,6 +573,14 @@ def _edit(*path, value=None):
         (_edit("alpha", "power", value=2), "alpha.power"),
         (_edit("weights", value=[]), "weights: not an object"),
         (_edit("request", "window", "max_branch", value=11), "request.window"),
+        (_edit("certificates", "nd", "2", "witness_index"), "certificates.nd.2.witness_index"),
+        (_edit("certificates", "nd", "2", "witness_index", value="junk"),
+         "certificates.nd.2.witness_index"),
+        (_edit("certificates", "nd", "2", "witness_index", value=12367.0),
+         "certificates.nd.2.witness_index"),
+        (_edit("certificates", "nd", "2", "threshold"), "certificates.nd.2.threshold"),
+        (_edit("certificates", "nd", "2", "threshold", value="ten"),
+         "certificates.nd.2.threshold"),
     ],
 )
 def test_verify_rejects_malformed_shape(small_artifacts, edit, path):

@@ -423,6 +423,169 @@ def test_witness_cost_linear_in_index():
     assert elapsed < 5, f"threshold 13 witness took {elapsed:.1f}s"
 
 
+def _loop_witness(q, omega, m, T):
+    """(K, witness_partial_lb) by the linear-time loop the closed form replaced
+    past k = 1024: every step bracketed by a 192-bit floor sum, an open one
+    decided on the exact partial sum."""
+    W, head = 192, len(omega.head)
+    lo = k = 0
+    while True:
+        k += 1
+        if k <= head:
+            qv = q.value(omega.head[k - 1])
+            lo += (qv.numerator**m << W) // (qv.denominator**m * k * k)
+        else:
+            lo += ((omega.slope * k + omega.intercept) ** m << W) // (k * k)
+        if (lo + k) * T.denominator <= T.numerator << W:
+            continue
+        if lo * T.denominator > T.numerator << W and lo >> 64 == (lo + k) >> 64:
+            lb = Fraction(lo >> 64, 1 << 128)
+        else:
+            S = sum(Fraction(q.value(omega.index(j)) ** m, j * j) for j in range(1, k + 1))
+            lb = dyadic_floor(S) if S > T else None
+        if lb is not None and lb > T:
+            return k, lb
+
+
+def _exact_partial_sum(q, omega, k):
+    return sum(Fraction(q.value(omega.index(j)), j * j) for j in range(1, k + 1))
+
+
+@given(
+    prefix=st.lists(
+        st.fractions(min_value=Fraction(1, 4), max_value=8, max_denominator=6), max_size=4
+    ),
+    tail=st.sampled_from([Tail.LINEAR, Tail.MIXED]),
+    power=st.integers(min_value=1, max_value=3),
+    k=st.integers(min_value=1, max_value=3000),
+    offset=st.sampled_from([Fraction(0), Fraction(-1, 2**140), Fraction(1, 2**140),
+                            Fraction(-1, 10**9), Fraction(1, 7 * 10**4)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_witness_matches_loop(prefix, tail, power, k, offset):
+    """The loop-then-bisection witness equals the linear-time loop's for
+    thresholds on, just off and between exact partial sums S_k, so that K
+    lies on both sides of the loop's last step k0 = 1024."""
+    q = SequenceSpec(tail, tuple(prefix))
+    omega = build_omega(q)
+    threshold = _exact_partial_sum(q, omega, k) + offset
+    K, lb = _loop_witness(q, omega, 1, threshold)
+    cfg = CertConfig(divergence_threshold=threshold)
+    cert = series._divergent_base(q, omega, power, power + 1, cfg)
+    assert (cert.witness_index, cert.witness_partial_lb) == (K, lb)
+
+
+def test_closed_form_witness_both_sides_of_loop():
+    """Pinned thresholds whose witness lies just below, at and above k0."""
+    omega = build_omega(LINEAR_Q)
+    for k in (1023, 1024, 1025, 2000):
+        threshold = _exact_partial_sum(LINEAR_Q, omega, k)
+        cfg = CertConfig(divergence_threshold=threshold)
+        cert = series._divergent_base(LINEAR_Q, omega, 1, 2, cfg)
+        assert (cert.witness_index, cert.witness_partial_lb) == _loop_witness(
+            LINEAR_Q, omega, 1, threshold
+        )
+        assert cert.witness_index == k + 1
+
+
+BRACKET_N = (1, 2, 3, 7, 1024, 1025, 33617, 10**6 + 3, 2**64 + 1, 10**20, 3**50, 10**40)
+
+
+@pytest.mark.parametrize("bits", [192, 256])
+def test_ln_bracket_contains_mpmath(bits):
+    with mp.workdps(100):
+        for N in BRACKET_N:
+            lo, hi = series.ln_fixed(N, bits)
+            assert lo <= mp.log(N) * mp.mpf(2) ** bits <= hi, N
+            assert hi - lo < 2**16, N
+
+
+@pytest.mark.parametrize("bits", [192, 256])
+def test_harmonic_difference_bracket_contains_mpmath(bits):
+    """Each harmonic_brackets bracket holds H_N - ln N - gamma, and with
+    ln_fixed they bracket H_K - H_h on the 2^-bits grid."""
+    def harmonic(N):  # H_N - gamma
+        return series._add(series.ln_fixed(N, bits),
+                           series._fixed_bracket(series.harmonic_brackets(N), bits))
+
+    def mpq(x):
+        return mp.mpf(x.numerator) / x.denominator
+
+    with mp.workdps(100):
+        for N in (n for n in BRACKET_N if n <= 10**7):  # R far above 10^-100 for J <= 4
+            e = mp.harmonic(N) - mp.log(N) - mp.euler
+            for (J, S, R), _ in zip(series.harmonic_brackets(N), range(4)):
+                assert mpq(S - R) <= e <= mpq(S + R), (N, J)
+        for h, K in zip(BRACKET_N, BRACKET_N[1:]):
+            (k_lo, k_hi), (h_lo, h_hi) = harmonic(K), harmonic(h)
+            diff = (mp.harmonic(K) - mp.harmonic(h)) * mp.mpf(2) ** bits
+            assert k_lo - h_hi <= diff <= k_hi - h_lo, (h, K)
+            if K > 1000:  # where the witness uses it; small N stop at R ~ e^(-2 pi N)
+                assert k_hi - k_lo < 2**16, K
+
+
+@pytest.mark.parametrize("threshold", [20, 100])
+def test_large_threshold_certifies_fast(threshold):
+    """Thresholds 20 and 100 (K has 9 and 44 digits), which the loop could
+    not reach, certify in under a second, K checked against mpmath."""
+    omega = build_omega(LINEAR_Q)
+    cfg = CertConfig(divergence_threshold=Fraction(threshold))
+    started = time.perf_counter()
+    cert = series._divergent_base(LINEAR_Q, omega, 1, 2, cfg)
+    assert time.perf_counter() - started < 1
+    K, lb = cert.witness_index, cert.witness_partial_lb
+    with mp.workdps(120):
+        crossing = threshold + mp.mpf(2) ** -128  # floor(2^128 S_K) > 2^128 T
+        assert mp.harmonic(K - 1) < crossing <= mp.harmonic(K)
+        assert threshold < mp.mpf(lb.numerator) / lb.denominator <= mp.harmonic(K)
+
+
+@pytest.mark.parametrize("q", [LINEAR_Q, MIXED_Q], ids=["linear", "mixed"])
+def test_unreachable_threshold_rejected_at_once(q):
+    cfg = CertConfig(divergence_threshold=Fraction(10**6))
+    started = time.perf_counter()
+    with pytest.raises(ts.ThresholdNotReachedError, match=r"k = 2\^512"):
+        series._divergent_base(q, build_omega(q), 1, 2, cfg)
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("newton_steps", [0, 6])
+@pytest.mark.parametrize("factor", [Fraction(1, 3), 3, 10**6])
+def test_witness_independent_of_estimate(monkeypatch, factor, newton_steps):
+    """The float estimate of K and the Newton steps only steer the search: a
+    wrong estimate, left uncorrected, costs gallop steps, never the answer."""
+    monkeypatch.setattr(series, "exp", lambda x: math.exp(x) * factor)
+    monkeypatch.setattr(series, "_NEWTON_STEPS", newton_steps)
+    omega, threshold = build_omega(LINEAR_Q), Fraction(11)
+    cfg = CertConfig(divergence_threshold=threshold)
+    cert = series._divergent_base(LINEAR_Q, omega, 1, 2, cfg)
+    expected = _loop_witness(LINEAR_Q, omega, 1, threshold)
+    assert (cert.witness_index, cert.witness_partial_lb) == expected
+
+
+@pytest.mark.parametrize("clear_from", [256, None])
+def test_open_step_raises_precision(monkeypatch, clear_from):
+    """A step whose bracket straddles a 2^-128 grid point is retried with
+    more bits and then matches the loop; one still open at the precision cap
+    raises NoCertificateError naming k."""
+    real = series.ln_fixed
+
+    def blurred(N, bits):  # 2^-100 wide below clear_from bits: every step open
+        lo, hi = real(N, bits)
+        return (lo, hi) if clear_from and bits >= clear_from else (lo - (1 << bits - 100), hi)
+
+    monkeypatch.setattr(series, "ln_fixed", blurred)
+    omega, threshold = build_omega(LINEAR_Q), Fraction(11)
+    cfg = CertConfig(divergence_threshold=threshold)
+    if clear_from is None:
+        with pytest.raises(NoCertificateError, match=r"step k = \d+ undecided at 704 bits"):
+            series._divergent_base(LINEAR_Q, omega, 1, 2, cfg)
+    else:
+        cert = series._divergent_base(LINEAR_Q, omega, 1, 2, cfg)
+        expected = _loop_witness(LINEAR_Q, omega, 1, threshold)
+        assert (cert.witness_index, cert.witness_partial_lb) == expected
+
+
 def test_far_supercritical_divergence():
     omega = build_omega(LINEAR_Q)
     fam = AlphaFamily(LINEAR_Q, omega, power=1)
