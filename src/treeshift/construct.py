@@ -22,9 +22,9 @@ window; `verify` re-checks a document from its tables.
 import json
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import getitem
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import NoCertificateError, SupNotWitnessedError
 from .measures import (
@@ -32,10 +32,20 @@ from .measures import (
     ConsistencyResult,
     MixtureMeasure,
     check_consist6_at,
+    indices_with_value,
 )
 from .rationals import (
+    FIXED_ONE,
     Interval,
+    Pair,
     coerce,
+    fixed_abs,
+    fixed_add,
+    fixed_div,
+    fixed_interval,
+    fixed_mul,
+    fixed_pair,
+    fixed_sub,
     interval_from_json,
     interval_to_json,
     rat_from_str,
@@ -209,6 +219,71 @@ def trunk_weights(
     return tuple(out)
 
 
+class AtomRow(NamedTuple):
+    """A measure's masses at the atoms of an `AtomTable`, as (slot, pair)
+    items in slot order: all of them, and those whose exact upper end is
+    not 0 (the ones a child adds to the consistency identity)."""
+
+    items: Tuple[Tuple[int, Pair], ...]
+    live: Tuple[Tuple[int, Pair], ...]
+
+
+class AtomTable:
+    """The atoms of branches 1..imax of a measure system, for the pair kernel
+    (see `rationals.fixed_pair`).
+
+    `locations` holds the distinct atom locations, sorted; the slot of a
+    location is its position there.  The system's mixtures sit at the same
+    atoms as its branches.  The off-window indices that share a
+    slot's location (`indices_with_value`) are found once per table, and
+    each mixture's masses are rounded to pairs once per table, when a class
+    first reads them.  Branch atoms are > 0 (q is positive, and a parsed
+    document rejects others), so the kernel may divide by any location.
+    """
+
+    def __init__(self, system: "MeasureSystem", imax: int):
+        self.system, self.imax = system, imax
+        by_index = [system.location(i) for i in range(1, imax + 1)]
+        self.locations = tuple(sorted(set(by_index)))
+        slot_of = {t: s for s, t in enumerate(self.locations)}
+        self._slots = tuple(slot_of[t] for t in by_index)  # of index i at i - 1
+        self._mixture_rows: Dict[Tuple[int, bool], AtomRow] = {}
+
+    @cached_property
+    def collisions(self) -> Tuple[Tuple[int, ...], ...]:
+        """The indices i > imax with q_i at each slot's location."""
+        return tuple(indices_with_value(self.system.q, t, self.imax) for t in self.locations)
+
+    def row(self, v: Vertex, cc: bool = False) -> AtomRow:
+        """The row of v's measure: a Dirac on branch vertices; on the trunk
+        the mixture's merged in-window masses, plus, for CC, the mass its
+        off-window atoms put on the same locations by the coefficient rule."""
+        if isinstance(v, Branch):
+            unit = ((self._slots[v.i - 1], (FIXED_ONE, FIXED_ONE)),)
+            return AtomRow(unit, unit)
+        mix = self.system.measure_at(v)
+        key = (v.k, cc)
+        if key not in self._mixture_rows:
+            self._mixture_rows[key] = self._mixture_row(mix, cc)
+        return self._mixture_rows[key]
+
+    def _mixture_row(self, mix: MixtureMeasure, cc: bool) -> AtomRow:
+        if mix.locations != self.system.locations or mix.alpha.q != self.system.q:
+            raise NoCertificateError("a mixture whose atoms are not the branch atoms")
+        merged: Dict[int, Interval] = {}
+        for i, s in enumerate(self._slots, 1):
+            mass = mix.atom_mass(i)
+            merged[s] = merged[s] + mass if s in merged else mass
+        if cc:
+            for s, indices in enumerate(self.collisions):
+                t = self.locations[s]
+                tail = sum((mix.alpha.value(i) * t ** (-mix.shift) for i in indices), Fraction(0))
+                if tail:
+                    merged[s] = mix.prefactor * tail + merged.get(s, Fraction(0))
+        items = tuple((s, fixed_pair(merged[s])) for s in sorted(merged))
+        return AtomRow(items, tuple(item for item in items if merged[item[0]].hi != 0))
+
+
 @dataclass(frozen=True)
 class MeasureSystem:
     """Measures of a generated system: delta_{q_i} on every branch vertex,
@@ -224,12 +299,25 @@ class MeasureSystem:
     def _diracs(self) -> Dict[int, AtomicMeasure]:
         return {}
 
+    @cached_property
+    def _atom_tables(self) -> Dict[int, AtomTable]:
+        return {}
+
+    def location(self, i: int) -> Fraction:
+        """The atom of branch i."""
+        return self.locations[i - 1] if i <= len(self.locations) else self.q.value(i)
+
+    def atom_table(self, imax: int) -> AtomTable:
+        """The atom table of branches 1..imax, built once per index limit."""
+        if imax not in self._atom_tables:
+            self._atom_tables[imax] = AtomTable(self, imax)
+        return self._atom_tables[imax]
+
     def measure_at(self, v: Vertex):
         """The measure at v; every vertex of branch i shares one Dirac instance."""
         if isinstance(v, Branch):
             if v.i not in self._diracs:
-                t = self.locations[v.i - 1] if v.i <= len(self.locations) else self.q.value(v.i)
-                self._diracs[v.i] = AtomicMeasure.dirac(t)
+                self._diracs[v.i] = AtomicMeasure.dirac(self.location(v.i))
             return self._diracs[v.i]
         if isinstance(v, Trunk):
             if v.k < len(self.mixtures):
@@ -330,17 +418,19 @@ def generate(request: CounterexampleRequest) -> CounterexampleArtifact:
 
 def _certify(artifact: CounterexampleArtifact, cfg: CertConfig) -> dict:
     """All certificates attached to a generated artifact."""
-    alpha = artifact.alpha
-    res = identity_residuals(artifact, cfg)
-    # the class of representative (i, 1) is every (i, j) with 1 <= j < max_depth
-    covered = sum(artifact.window.max_depth - 1 if isinstance(u, Branch) else 1
-                  for u in res.consist6)
+    nd = {m: power_series_certificate(artifact.alpha, m, cfg) for m in range(1, artifact.n + 2)}
+    return {"nd": nd, **_identity_certificates(identity_residuals(artifact, cfg))}
+
+
+def _identity_certificates(res: "IdentityResiduals") -> dict:
+    """The certificates of an artifact's identities, as `generate` stores
+    them and `verify` compares them.  `vertices_checked` counts the vertices
+    whose consistency identity is evaluated, one per vertex class."""
     certs = {
-        "nd": {m: power_series_certificate(alpha, m, cfg) for m in range(1, artifact.n + 2)},
         "zgod_prime_residual": res.zgod_prime,
         "widly1": res.widly1,
         "mass_residuals": res.mass,
-        "consist6": {"max_residual": res.consist6_max, "vertices_checked": covered},
+        "consist6": {"max_residual": res.consist6_max, "vertices_checked": len(res.consist6)},
         "cc": {
             "max_residual": res.cc.max_residual,
             "algebra_bound": res.cc.algebra_bound,
@@ -349,14 +439,17 @@ def _certify(artifact: CounterexampleArtifact, cfg: CertConfig) -> dict:
     }
     if res.widly1_prime is not None:
         l, r = res.widly1_prime
-        certs["widly1_prime"] = {"l": l, "residual": r, "holds_leq_1": r <= cfg.check_tol}
+        certs["widly1_prime"] = {"l": l, "residual": r, "holds_leq_1": r <= CertConfig.check_tol}
     return certs
 
 
 @dataclass(frozen=True)
 class IdentityResiduals:
-    """Exact residuals of the identities an artifact promises: `generate`
-    serialises them into its certificates, `verify` turns them into records."""
+    """Residuals of the identities an artifact promises: `generate`
+    serialises them into its certificates, `verify` turns them into records.
+    All are exact, except the consistency and CC bounds of the classes with
+    an enclosure among their inputs, which the pair kernel rounds outward
+    onto the 2^-128 grid."""
 
     zgod_prime: Fraction  # |c * sum_i alpha_i - 1|
     widly1: Dict[int, Fraction]  # trunk product identity at level l
@@ -420,20 +513,55 @@ def checkable_vertices(tree: ModelTree, window: Window):
 def consist6_residuals(
     a: CounterexampleArtifact, cfg: CertConfig = DEFAULT_CONFIG
 ) -> Dict[Vertex, ConsistencyResult]:
-    """Consistency residual at every checkable window vertex of an artifact."""
+    """Consistency residual at every checkable window vertex of an artifact.
+
+    A vertex with an enclosure among its inputs (a mixture, or an interval
+    weight: every trunk vertex and vertex 0) is evaluated on the pair kernel
+    over the system's atom table, the others (the branch vertices) exactly
+    by `check_consist6_at`.
+    """
     out: Dict[Vertex, ConsistencyResult] = {}
+    W = a.window.max_branch
     for u in checkable_vertices(a.tree, a.window):
-        kid_data = [
-            (a.weights.squared_at(v), a.measures.measure_at(v))
-            for v in children(a.tree, u, a.window)
-        ]
-        out[u] = check_consist6_at(
-            a.measures.measure_at(u),
-            a.measures.eps_at(u),
-            kid_data,
-            atom_limit=a.window.max_branch,
-        )
+        mu_u, eps_u = a.measures.measure_at(u), a.measures.eps_at(u)
+        kids = children(a.tree, u, a.window)
+        kid_data = [(a.weights.squared_at(v), a.measures.measure_at(v)) for v in kids]
+        if isinstance(mu_u, MixtureMeasure) or any(
+            isinstance(w2, Interval) or isinstance(mu, MixtureMeasure) for w2, mu in kid_data
+        ):
+            table = a.measures.atom_table(W)
+            out[u] = _consist6_fixed(table, table.row(u), eps_u,
+                                     [(w2, table.row(v)) for (w2, _), v in zip(kid_data, kids)])
+        else:
+            out[u] = check_consist6_at(mu_u, eps_u, kid_data, atom_limit=W)
     return out
+
+
+def _consist6_fixed(table: AtomTable, u_row: AtomRow, eps_u, kid_rows) -> ConsistencyResult:
+    """`check_consist6_at` on pairs: per atom t of the table's rows, an
+    enclosure of |mu_u({t}) - sum_v |lambda_v|^2 mu_v({t}) / t|, and of
+    |0 - eps_u| at t = 0, which is no atom (every location is > 0).  Each
+    bound is at least the exact one and above it by at most three grid steps
+    per child (see `rationals.py`)."""
+    zero = (0, 0)
+    present = {s for s, _ in u_row.items}
+    rhs: Dict[int, Pair] = {}
+    for w2, row in kid_rows:
+        present.update(s for s, _ in row.items)
+        w = fixed_pair(w2)
+        if w == zero:
+            continue  # 0 * inf = 0: a child of zero weight adds nothing
+        for s, mass in row.live:
+            term = fixed_div(fixed_mul(w, mass), table.locations[s])
+            rhs[s] = fixed_add(rhs[s], term) if s in rhs else term
+    lhs = dict(u_row.items)
+    slots = sorted(present)
+    diffs = [fixed_abs(fixed_sub(zero, fixed_pair(eps_u)))]
+    diffs += [fixed_abs(fixed_sub(lhs.get(s, zero), rhs.get(s, zero))) for s in slots]
+    per_atom = tuple(zip([Fraction(0)] + [table.locations[s] for s in slots],
+                         map(fixed_interval, diffs)))
+    top = fixed_interval((max(d[0] for d in diffs), max(d[1] for d in diffs)))
+    return ConsistencyResult(per_atom, top, implied_eps=Fraction(0))
 
 
 # --- serialization ---
@@ -575,11 +703,12 @@ def _at(node, path: str, prefix: str = ""):
     return node
 
 
-def _table(node, path: str, count: int, pos_key: str, parse, prefix: str = ""):
+def _table(node, path: str, count: int, pos_key: str, parse, prefix: str = "", start=None):
     """Parse the table at `path` below `node`: exactly `count` entries, the
-    `pos_key` field of entry p equal to p + 1 for a branch index `i` and to
-    p for a trunk level, each entry read by parse(entry, its JSON path)."""
-    start = 1 if pos_key == "i" else 0
+    `pos_key` field of entry p equal to start + p (start defaults to 1 for a
+    branch index `i` and to 0 for a trunk level), each entry read by
+    parse(entry, its JSON path)."""
+    start = (1 if pos_key == "i" else 0) if start is None else start
     rows = _at(node, path, prefix)
     path = prefix + path
     if not isinstance(rows, list) or len(rows) != count:
@@ -603,12 +732,60 @@ def _index(value) -> int:
     return value
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a boolean")
+    return value
+
+
+def _read(node, path: str, parse):
+    """parse(the value at `path`); _Malformed names the path of a missing
+    or mistyped value."""
+    value = _at(node, path)
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise _Malformed(f"{path}: {exc}") from None
+
+
+def _parse_identity_certificates(doc: dict, kappa, window: Window) -> dict:
+    """The identity certificates a document stores, in the shape of
+    `_identity_certificates`; every entry the window implies must be there."""
+    residual = lambda e, _: rat_from_str(e["residual"])  # noqa: E731
+    levels = _trunk_levels(kappa, window)
+    prime = kappa is not INF and levels == kappa >= 1  # the last level is the terminal one
+    certs = {
+        "zgod_prime_residual": _read(doc, "certificates.zgod_prime_residual", rat_from_str),
+        "widly1": dict(enumerate(_table(doc, "certificates.widly1", levels - prime, "l",
+                                        residual, start=1), start=1)),
+        "mass_residuals": dict(enumerate(_table(doc, "certificates.mass_residuals",
+                                                _mixture_levels(kappa, window), "shift",
+                                                residual))),
+    }
+    for key, fields in (("consist6", (("max_residual", rat_from_str),
+                                      ("vertices_checked", _index))),
+                        ("cc", (("max_residual", rat_from_str), ("algebra_bound", rat_from_str),
+                                ("h_positive_on_support", _flag)))):
+        certs[key] = {f: _read(doc, f"certificates.{key}.{f}", parse) for f, parse in fields}
+    if prime:
+        certs["widly1_prime"] = {
+            f: _read(doc, f"certificates.widly1_prime.{f}", parse)
+            for f, parse in (("l", _index), ("residual", rat_from_str), ("holds_leq_1", _flag))
+        }
+    elif "widly1_prime" in _at(doc, "certificates"):
+        raise _Malformed(f"certificates.widly1_prime: kappa = {kappa} has no terminal level "
+                         "in the window")
+    return certs
+
+
 def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[Window]):
     """The artifact a document stores, its tables overriding the rules for
     the indices they cover.  Every table must have the length the stored
     window gives it, so no later check reads past a table or runs longer
     than the tables; a shape error raises _Malformed naming its JSON path."""
     kappa = request.kappa
+    if doc.get("schema") != SCHEMA:
+        raise _Malformed(f"schema: {doc.get('schema')!r}, expected {SCHEMA!r}")
     try:
         stored = Window(**_at(doc, "window"))
     except (TypeError, ValueError) as exc:
@@ -626,9 +803,9 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
         q=request.q,
         omega=OmegaSpec.from_json(_at(doc, "omega")),
         power=request.n,
-        scale=Fraction(_at(doc, "alpha.scale")),
+        scale=_read(doc, "alpha.scale", rat_from_str),
     )
-    c = interval_from_json(_at(doc, "c"))
+    c = _read(doc, "c", interval_from_json)
 
     def interval(e, _):
         return interval_from_json(e["w2"])
@@ -656,6 +833,8 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
                               masses=masses, locations=locations)
 
     mixtures = _table(doc, "measures.mixtures", _mixture_levels(kappa, stored), "shift", mixture)
+    if _at(doc, "measures.eps") != []:  # eps vanishes identically on a generated system
+        raise _Malformed("measures.eps: not [], the system's eps is 0 at every vertex")
     nd = _at(doc, "certificates.nd")
     if not isinstance(nd, dict):
         raise _Malformed("certificates.nd: not an object")
@@ -675,6 +854,7 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
                 raise _Malformed(f"certificates.nd.{m}.{key}: {exc}") from None
     if _artifact_window(request) != stored:
         raise _Malformed(f"request.window: gives {_artifact_window(request)}, not {stored}")
+    certificates = _parse_identity_certificates(doc, kappa, stored)
     return CounterexampleArtifact(
         request=request,
         tree=ModelTree(eta=INF, kappa=kappa),
@@ -685,7 +865,49 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
         weights=weights,
         measures=MeasureSystem(q=request.q, mixtures=mixtures, locations=locations),
         boundedness=doc.get("boundedness", ""),
+        certificates=certificates if eff == stored else {},  # they hold for the stored window
     )
+
+
+def _show(value) -> str:
+    """A certificate value for a detail: a residual as `approx_residual`."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_show(v)}" for k, v in value.items()) + "}"
+    return approx_residual(value) if isinstance(value, Fraction) else str(value)
+
+
+def _nd_checks(doc: dict, alpha: AlphaFamily, n: int, cfg: CertConfig):
+    """(name, passed, residual, detail) of each power-domain certificate:
+    a stored convergent enclosure must meet the recomputed one and be at
+    most series_width wide, a divergence witness must equal the recomputed
+    one."""
+    out = []
+    for m in range(1, n + 2):
+        cert = power_series_certificate(alpha, m, cfg)
+        stored = doc["certificates"]["nd"].get(str(m))
+        if stored is None:
+            out.append((f"nd[{m}]", False, None, "certificate missing"))
+            continue
+        expect_convergent = m <= n
+        ok = cert.is_convergent == expect_convergent == (stored["verdict"] == "convergent")
+        detail, residual = stored["verdict"], None
+        if cert.is_convergent and ok:
+            enclosure = interval_from_json(stored["enclosure"])
+            residual = enclosure.gap_to(cert.enclosure)
+            ok = residual == 0 and enclosure.width <= cfg.series_width
+            detail = (f"stored enclosure against the recomputed one, stored width "
+                      f"{approx_residual(enclosure.width)}, series_width {cfg.series_width}")
+        elif ok:
+            K, T = cert.witness_index, cfg.divergence_threshold
+            lb = rat_from_str(stored["witness_partial_lb"])
+            ok = lb == cert.witness_partial_lb and lb > T
+            detail = f"witness partial sum at K={K} recomputed, exceeds {T}"
+            if stored["witness_index"] != K or rat_from_str(stored["threshold"]) != T:
+                ok = False
+                detail = (f"stored witness_index {stored['witness_index']} and threshold "
+                          f"{stored['threshold']}, recomputed K={K} at threshold {T}")
+        out.append((f"nd[{m}]", ok, residual, detail))
+    return out
 
 
 def _gaps(rows):
@@ -705,22 +927,29 @@ def verify(
     artifact document.
 
     A request that states other fixed constants than the library's fails a
-    single `parse-request` record.  A document whose tables do not have the
-    shape of its window, or whose window is not the one its request gives,
-    fails a single `parse-artifact` record naming the JSON path, and one
-    whose series no certificate covers (a bounded q, or a series_width or
-    divergence_threshold out of reach) fails a single `series-certificate`
-    record.  Otherwise
+    single `parse-request` record.  A document with another schema, a
+    non-empty eps, a number not in the form `rat_to_str` writes (or over
+    `MAX_RATIONAL_BITS`), a missing or mistyped certificate field, tables
+    not of the shape of its window, or a window not the one its request
+    gives, fails a single `parse-artifact` record naming the JSON path, and
+    one whose series no certificate covers (a bounded q, or a series_width
+    or divergence_threshold out of reach) fails a single
+    `series-certificate` record.  Otherwise
     the checks are: stored values against rule reconstruction (two
     enclosures of the same quantity must intersect), the exact branch
     identities, and then, through the same `identity_residuals` that
     `generate` certifies with, consistency residuals once per vertex class,
     trunk product identities, mixture masses and CC on the window's atom
-    algebra; last the power-domain certificates (each stored convergent
-    enclosure must meet the recomputed one and be at most series_width wide,
-    each divergence witness must equal the recomputed one), and positivity
-    of all weights.  Every series certificate is recomputed within the call
-    (`series.local_memo`), never read from what `generate` cached.
+    algebra, each record failing also when the stored certificate differs
+    from the recomputed value; last the power-domain certificates (each
+    stored convergent enclosure must meet the recomputed one and be at most
+    series_width wide, each divergence witness must equal the recomputed
+    one), and positivity of all weights.  The stored identity certificates
+    are compared only on the stored window (no `window` narrower than it)
+    and when every power-domain certificate passes, since they were
+    computed from those series.  Every series certificate is recomputed
+    within the call (`series.local_memo`), never read from what `generate`
+    cached.
     """
     with local_memo():
         try:
@@ -817,49 +1046,52 @@ def _verify(doc: Union[dict, CounterexampleArtifact], window: Optional[Window]):
     table_records("zgod0", _gaps(rows), residual=0)
 
     res = identity_residuals(art, cfg)
+    recomputed = _identity_certificates(res)
+    nd_checks = _nd_checks(doc, alpha, n, cfg)
+    # stored identity certificates were computed from the stored series
+    # certificates: when one of those fails its nd record, the document
+    # fails there, and its identity certificates are not compared
+    compare = art.certificates and all(ok for _, ok, _, _ in nd_checks)
+
+    def stored_differs(*path) -> str:
+        """"" when the stored certificate at `path` equals the recomputed
+        one (or nothing is compared), else both values."""
+        if not compare:
+            return ""
+        value, stored = reduce(getitem, path, recomputed), reduce(getitem, path, art.certificates)
+        name = f"{path[-1]} " if isinstance(path[-1], str) else ""
+        return "" if stored == value else f"stored {name}{_show(stored)}, recomputed {_show(value)}"
+
     uppers = {u: r.residual_upper for u, r in res.consist6.items()}
     worst = max(uppers, key=uppers.get) if res.consist6_max else None  # first at the max
     table_records("consist6", ((u, r, "") for u, r in uppers.items() if r > tol),
                   vertex=worst, residual=res.consist6_max)
+    if detail := stored_differs("consist6"):
+        rec("consist6", False, residual=res.consist6_max, detail=detail)
 
-    rec("zgod-prime", res.zgod_prime <= tol, residual=res.zgod_prime)
+    detail = stored_differs("zgod_prime_residual")
+    rec("zgod-prime", res.zgod_prime <= tol and not detail, residual=res.zgod_prime, detail=detail)
     for l, r in res.widly1.items():
-        rec(f"widly1[l={l}]", r <= tol, vertex=Trunk(l - 1), residual=r)
+        detail = stored_differs("widly1", l)
+        rec(f"widly1[l={l}]", r <= tol and not detail, vertex=Trunk(l - 1), residual=r,
+            detail=detail)
     if res.widly1_prime is not None:
         l, r = res.widly1_prime
-        rec("widly1-prime", r <= tol, vertex=Trunk(l - 1), residual=r,
-            detail="terminal trunk inequality held as equality")
+        detail = stored_differs("widly1_prime")
+        rec("widly1-prime", r <= tol and not detail, vertex=Trunk(l - 1), residual=r,
+            detail=detail or "terminal trunk inequality held as equality")
     for l, r in res.mass.items():
-        rec(f"mass[mu_-{l}]", r <= tol, vertex=Trunk(l), residual=r)
-    rec("cc", res.cc.algebra_bound <= tol, residual=res.cc.algebra_bound)
-    rec("h-positive-on-support", res.cc.h_positive_on_support)
+        detail = stored_differs("mass_residuals", l)
+        rec(f"mass[mu_-{l}]", r <= tol and not detail, vertex=Trunk(l), residual=r, detail=detail)
+    detail = "; ".join(filter(None, map(partial(stored_differs, "cc"),
+                                        ("max_residual", "algebra_bound"))))
+    rec("cc", res.cc.algebra_bound <= tol and not detail, residual=res.cc.algebra_bound,
+        detail=detail)
+    detail = stored_differs("cc", "h_positive_on_support")
+    rec("h-positive-on-support", res.cc.h_positive_on_support and not detail, detail=detail)
 
-    # power-domain certificates
-    for m in range(1, n + 2):
-        cert = power_series_certificate(alpha, m, cfg)
-        stored = doc["certificates"]["nd"].get(str(m))
-        if stored is None:
-            rec(f"nd[{m}]", False, detail="certificate missing")
-            continue
-        expect_convergent = m <= n
-        ok = cert.is_convergent == expect_convergent == (stored["verdict"] == "convergent")
-        detail, residual = stored["verdict"], None
-        if cert.is_convergent and ok:
-            enclosure = interval_from_json(stored["enclosure"])
-            residual = enclosure.gap_to(cert.enclosure)
-            ok = residual == 0 and enclosure.width <= cfg.series_width
-            detail = (f"stored enclosure against the recomputed one, stored width "
-                      f"{approx_residual(enclosure.width)}, series_width {cfg.series_width}")
-        elif ok:
-            K, T = cert.witness_index, cfg.divergence_threshold
-            lb = Fraction(stored["witness_partial_lb"])
-            ok = lb == cert.witness_partial_lb and lb > T
-            detail = f"witness partial sum at K={K} recomputed, exceeds {T}"
-            if stored["witness_index"] != K or Fraction(stored["threshold"]) != T:
-                ok = False
-                detail = (f"stored witness_index {stored['witness_index']} and threshold "
-                          f"{stored['threshold']}, recomputed K={K} at threshold {T}")
-        rec(f"nd[{m}]", ok, residual=residual, detail=detail)
+    for name, ok, residual, detail in nd_checks:
+        rec(name, ok, residual=residual, detail=detail)
 
     # positivity of every stored weight
     misses = [

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import InfiniteTermError, NoCertificateError
 from .rationals import (
@@ -110,7 +110,7 @@ class MixtureMeasure:
     exactly 1; atom masses carry the enclosure width.  shift = 0 gives the
     branching-vertex measure, shift = l the measure l steps down the trunk.
     The optional tables `masses` and `locations` override the rule for atom
-    indices i <= their length.  The finite views below are built once per
+    indices i <= their length.  The finite view below is built once per
     instance and index limit, and kept with the instance.
     """
 
@@ -135,10 +135,6 @@ class MixtureMeasure:
     def _views(self) -> Dict[int, Tuple[Tuple[Fraction, Interval], ...]]:
         return {}
 
-    @cached_property
-    def _masses_at(self) -> Dict[tuple, Dict[Fraction, Interval]]:
-        return {}
-
     def view(self, imax: int) -> Tuple[Tuple[Fraction, Interval], ...]:
         """(location, mass) over the atoms with index <= imax, merged over
         coinciding locations and sorted by location."""
@@ -150,27 +146,6 @@ class MixtureMeasure:
                 merged[t] = merged[t] + mass if t in merged else mass
             self._views[imax] = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
         return self._views[imax]
-
-    def masses_at(self, locations: FrozenSet[Fraction], imax: int) -> Dict[Fraction, Interval]:
-        """{t: mass at t} over the locations t with nonzero mass: the atoms
-        with index <= imax as `view` gives them, plus the atoms beyond imax
-        at the same location by the coefficient rule (see
-        `indices_with_value`).  The caller must not mutate the result."""
-        key = (locations, imax)
-        if key not in self._masses_at:
-            masses = dict(self.view(imax))
-            for t in locations:
-                tail = sum(
-                    (self.alpha.value(i) * t ** (-self.shift)
-                     for i in indices_with_value(self.alpha.q, t, imax)),
-                    Fraction(0),
-                )
-                if tail:
-                    masses[t] = masses.get(t, Fraction(0)) + self.prefactor * tail
-            self._masses_at[key] = {
-                t: m for t, m in masses.items() if t in locations and scalar_abs_upper(m) != 0
-            }
-        return self._masses_at[key]
 
     def moment_certificate(self, l: int, cfg: CertConfig = DEFAULT_CONFIG):
         """(enclosure, certificate) of the l-th moment; enclosure None when

@@ -1,17 +1,30 @@
-"""Exact rational intervals and rational string formatting.
+"""Exact rational intervals, outward-rounded dyadic pairs, and the strict
+rational string format of artifact documents.
 
-All endpoint arithmetic is done in `fractions.Fraction`, so interval
+`Interval` arithmetic is done in `fractions.Fraction`, so interval
 operations introduce no rounding of their own: the result interval always
 contains the exact value of the operation applied to any members of the
-operands.  Directed rounding happens only where series are summed (see
-`series.py`), and there it is explicit.
+operands.  Directed rounding happens in two places, and there it is
+explicit: where series are summed (see `series.py`), and in the pair
+kernel below, on which the consistency and CC identities are evaluated
+for every vertex class that has an enclosure among its inputs.
+
+A pair (lo, hi) of ints stands for the interval [lo, hi] * 2^-FIXED_BITS.
+`fixed_pair` rounds an exact value outward onto that grid once; sums and
+differences of pairs are exact; products, products and quotients by an
+exact rational t, and the final division by a positive h round the lower
+end down and the upper end up, each by less than one grid step.  So every
+pair encloses the exact interval result of the same operations, and a
+bound read from a pair exceeds the exact one by at most (number of
+roundings) * 2^-FIXED_BITS, scaled by whatever multiplies it later.
 """
 
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 # exact rationals here routinely exceed the default int<->str digit cap
 if hasattr(sys, "set_int_max_str_digits"):
@@ -189,6 +202,72 @@ def scalar_lower(a: Scalar) -> Fraction:
     return a.lo if isinstance(a, Interval) else a
 
 
+# --- outward-rounded dyadic pairs ---
+
+FIXED_BITS = 128
+FIXED_ONE = 1 << FIXED_BITS
+Pair = Tuple[int, int]
+
+
+def fixed_pair(x: Scalar) -> Pair:
+    """(floor(lo * 2^128), ceil(hi * 2^128)): the least grid pair holding x."""
+    lo, hi = (x.lo, x.hi) if isinstance(x, Interval) else (x, x)
+    return (lo.numerator << FIXED_BITS) // lo.denominator, -(
+        (-hi.numerator << FIXED_BITS) // hi.denominator)
+
+
+def fixed_interval(a: Pair) -> Interval:
+    return Interval._ordered(Fraction(a[0], FIXED_ONE), Fraction(a[1], FIXED_ONE))
+
+
+def fixed_add(a: Pair, b: Pair) -> Pair:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def fixed_sub(a: Pair, b: Pair) -> Pair:
+    return a[0] - b[1], a[1] - b[0]
+
+
+def fixed_mul(a: Pair, b: Pair) -> Pair:
+    """An enclosure of a * b, each end within one grid step of the exact one."""
+    (a0, a1), (b0, b1) = a, b
+    if a0 >= 0 and b0 >= 0:
+        lo, hi = a0 * b0, a1 * b1
+    else:
+        products = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+        lo, hi = min(products), max(products)
+    return lo >> FIXED_BITS, -(-hi >> FIXED_BITS)
+
+
+def fixed_scale(a: Pair, x: Fraction) -> Pair:
+    """An enclosure of a * x for an exact rational x, within one grid step."""
+    p, q = x.numerator, x.denominator
+    lo, hi = (a[0] * p, a[1] * p) if p >= 0 else (a[1] * p, a[0] * p)
+    return lo // q, -(-hi // q)
+
+
+def fixed_div(a: Pair, x: Fraction) -> Pair:
+    """An enclosure of a / x for an exact rational x != 0, within one grid step."""
+    p, q = (x.denominator, x.numerator) if x.numerator > 0 else (-x.denominator, -x.numerator)
+    lo, hi = (a[0] * p, a[1] * p) if p >= 0 else (a[1] * p, a[0] * p)
+    return lo // q, -(-hi // q)
+
+
+def fixed_abs(a: Pair) -> Pair:
+    """The pair of |x| over x in a (exact)."""
+    lo, hi = a
+    if lo >= 0:
+        return a
+    if hi <= 0:
+        return -hi, -lo
+    return 0, max(-lo, hi)
+
+
+def fixed_over(r: int, h: Fraction) -> Fraction:
+    """ceil(r / h) on the grid for h > 0: an upper bound on (r * 2^-128) / h."""
+    return Fraction(-(-r * h.denominator // h.numerator), FIXED_ONE)
+
+
 # --- serialization helpers ---
 
 
@@ -196,8 +275,31 @@ def rat_to_str(x: Fraction) -> str:
     return str(as_fraction(x))
 
 
+# A document's numbers are read back only in the form rat_to_str writes, and
+# only up to this many bits in numerator and denominator: 16x the largest
+# honest value, the 3,913-bit trunk product residual widly1[l=11] of the
+# kappa = inf grid cells (a mixture mass of the (2, inf, mixed) document with
+# a 400-branch window takes 3,839 bits).
+MAX_RATIONAL_BITS = 1 << 16
+_MAX_DIGITS = MAX_RATIONAL_BITS * 30103 // 100000 + 2  # digits of 2^MAX_RATIONAL_BITS, and "-"
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    """The rational a document stores as `rat_to_str` writes it: a string of
+    an optional "-", digits and an optional "/digits", numerator and
+    denominator below 2^MAX_RATIONAL_BITS.  Anything else (a number, an
+    exponent, a decimal point, an oversized value) raises ValueError, in time
+    linear in the length of the string."""
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) and len(s) <= 2 * _MAX_DIGITS else None
+    if match is None:
+        raise ValueError(f"{repr(s)[:40]} is not a string [-]digits[/digits] within the cap")
+    num, den = match.groups("1")
+    if len(num) <= _MAX_DIGITS and len(den) <= _MAX_DIGITS:
+        num, den = int(num), int(den)
+        if den and max(num.bit_length(), den.bit_length()) <= MAX_RATIONAL_BITS:
+            return Fraction(num, den)
+    raise ValueError(f"{s[:40]!r}: a zero denominator, or over {MAX_RATIONAL_BITS} bits")
 
 
 def interval_to_json(iv: Interval) -> list:
@@ -205,8 +307,9 @@ def interval_to_json(iv: Interval) -> list:
 
 
 def interval_from_json(obj) -> Interval:
-    lo, hi = obj
-    return Interval(Fraction(lo), Fraction(hi))
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ValueError(f"{str(obj)[:40]} is not a [lo, hi] pair")
+    return Interval(rat_from_str(obj[0]), rat_from_str(obj[1]))
 
 
 def scalar_to_json(x: Scalar):

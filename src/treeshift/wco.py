@@ -14,6 +14,8 @@ elements are bounded by the sum of the per-generator residuals.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import mul
 from typing import Dict, List, Mapping, Tuple, Union
 
 from .errors import InfiniteTermError, NoCertificateError
@@ -25,10 +27,17 @@ from .measures import (
     moment,
 )
 from .rationals import (
+    FIXED_ONE,
     Interval,
     Scalar,
     accumulate,
     coerce,
+    fixed_add,
+    fixed_mul,
+    fixed_over,
+    fixed_pair,
+    fixed_scale,
+    fixed_sub,
     scalar_abs_upper,
     scalar_lower,
     scalar_upper,
@@ -151,13 +160,9 @@ def _row(P, v: Vertex) -> Measure:
     return P[v]
 
 
-def _atom_masses(measure: Measure, atom_set, imax: int) -> Dict[Fraction, Scalar]:
-    """Nonzero masses of `measure` at the test atoms.  A mixture reads its
-    in-window view (so stored tables are honoured) and adds the off-window
-    atoms at the same location through the coefficient rule."""
-    if isinstance(measure, MixtureMeasure):
-        return measure.masses_at(atom_set, imax)
-    return {t: m for t, m in measure.atoms if t in atom_set}  # atomic masses are > 0
+def _atom_masses(measure: AtomicMeasure, atom_set) -> Dict[Fraction, Scalar]:
+    """Masses of an atomic measure at the test atoms (atomic masses are > 0)."""
+    return {t: m for t, m in measure.atoms if t in atom_set}
 
 
 def _small_first(values) -> List[Scalar]:
@@ -186,13 +191,16 @@ def _first_moment(measure: Measure, cfg: CertConfig) -> Scalar:
 
 
 def _collect_atoms(data, P, window: Window):
+    """The test atoms: those of a measure system's atom table, or the union
+    of the supports of the atomic rows P gives the window vertices."""
+    if hasattr(P, "atom_table"):
+        return P.atom_table(window.max_branch).locations
     atoms = set()
     for v in window_vertices(data.tree, window):
         row = _row(P, v)
-        if isinstance(row, AtomicMeasure):
-            atoms.update(row.support())
-        else:
-            atoms.update(row.atom_location(i) for i in range(1, window.max_branch + 1))
+        if not isinstance(row, AtomicMeasure):
+            raise NoCertificateError(f"the mixture row at {v} needs a measure system")
+        atoms.update(row.support())
     return tuple(sorted(atoms))
 
 
@@ -224,10 +232,13 @@ def cc_residual(
     For a model tree, rows of P beyond the window must follow the Dirac
     branch rule delta_{q_i}; the off-window part of the class at the
     branching vertex is then accounted for exactly through the weight rule.
+    A class with an enclosure among its weights, masses, h or first moment
+    (every trunk class and the class of vertex 0) is evaluated on the pair
+    kernel over the atom table of the measure system P, the others exactly.
     """
     atoms = _collect_atoms(data, P, window)
     atom_set = frozenset(atoms)
-    imax = window.max_branch
+    table = P.atom_table(window.max_branch) if hasattr(P, "atom_table") else None
 
     per_class = []
     h_ok = True
@@ -240,58 +251,26 @@ def cc_residual(
             if any(scalar_upper(data.weights.squared_at(y)) > 0 for y in kids):
                 h_ok = False  # a child with nonzero weight under h = 0
             continue
-        h_lo_recip = 1 / scalar_lower(h)  # the upper end of 1/h, as h > 0
         model_zero = isinstance(data.tree, ModelTree) and x == ZERO
-        row_x = _row(P, x)
-        rows = [row_x] + [_row(P, y) for y in kids]
-
-        # atoms outside every involved support make both sides vanish
-        if model_zero or not all(isinstance(row, AtomicMeasure) for row in rows):
-            relevant = atoms
+        rows = [_row(P, x)] + [_row(P, y) for y in kids]
+        w2s = [data.weights.squared_at(y) for y in kids]
+        exact = all(isinstance(row, AtomicMeasure) for row in rows) and not any(
+            isinstance(v, Interval) for v in (h, *w2s))
+        h_lo = scalar_lower(h)
+        if table is not None and not exact:
+            sigmas, diffs = _cc_diffs_fixed(data, table, x, kids, w2s, h, model_zero, cfg)
+            bound = partial(fixed_over, h=h_lo)
         else:
-            relevant = sorted({t for row in rows for t in row.support() if t in atom_set})
-        sigmas = [("atom", t) for t in relevant] + [("rest",), ("all",)]
-
-        if model_zero:
-            in_window_w2 = sum(
-                (coerce(data.weights.squared_at(y)) for y in kids), coerce(Fraction(0))
-            )
-            tail_all = coerce(h) - in_window_w2  # off-window children, sigma = all
-        # both sides as one sum per sigma; each child adds only at its own
-        # nonzero atoms, at the complement when its mass there is nonzero,
-        # and at R+ (mass 1), in child order
-        position = {s[1]: idx for idx, s in enumerate(sigmas) if s[0] == "atom"}
-        rest_idx, all_idx = len(sigmas) - 2, len(sigmas) - 1
-        lhs_nums: Dict[int, Scalar] = {}  # by sigma index
-        for y, row in zip(kids, rows[1:]):
-            w2 = data.weights.squared_at(y)
-            masses = _atom_masses(row, atom_set, imax)
-            for t, mass in masses.items():
-                accumulate(lhs_nums, position[t], w2 * mass)
-            rest = _rest(masses, Fraction(1))
-            if scalar_abs_upper(rest) != 0:
-                accumulate(lhs_nums, rest_idx, w2 * rest)
-            accumulate(lhs_nums, all_idx, w2)
-        x_masses = {t: t * m for t, m in _atom_masses(row_x, atom_set, imax).items()}
-        rhs_nums: List[Scalar] = [Fraction(0)] * len(sigmas)
-        for t, m in x_masses.items():
-            rhs_nums[position[t]] = m
-        rhs_nums[all_idx] = _first_moment(row_x, cfg)
-        rhs_nums[rest_idx] = _rest(x_masses, rhs_nums[all_idx])
-        diffs: List[Fraction] = []  # upper bound of |lhs - rhs| per sigma
-        for idx, sigma in enumerate(sigmas):
-            lhs_num = lhs_nums.get(idx, Fraction(0))
-            if model_zero:
-                lhs_num = lhs_num + _model_zero_tail(data, sigma, atoms, imax, tail_all)
-            diffs.append(scalar_abs_upper(lhs_num - rhs_nums[idx]))
+            sigmas, diffs = _cc_diffs_exact(data, rows, w2s, h, model_zero, atoms, atom_set,
+                                            window.max_branch, cfg)
+            bound = partial(mul, 1 / h_lo)
         # a residual |diff| * [1/h.hi, 1/h.lo] has upper end |diff| / h.lo: so
         # the worst sigma (the first at the max) is that of |diff|, and 1/h.lo
         # scales the max and the sum over every sigma but R+ once
         worst = max(range(len(sigmas)), key=diffs.__getitem__)
-        algebra = sum(_small_first(diffs[:all_idx]), Fraction(0))
-        per_class.append(CCClassResidual(
-            x, _sigma_name(sigmas[worst]), diffs[worst] * h_lo_recip, algebra * h_lo_recip
-        ))
+        algebra = sum(_small_first(diffs[:-1]))
+        per_class.append(CCClassResidual(x, _sigma_name(sigmas[worst]), bound(diffs[worst]),
+                                         bound(algebra)))
 
     per_class.sort(key=lambda c: vertex_sort_key(c.vertex))
     return CCReport(
@@ -300,6 +279,85 @@ def cc_residual(
         per_class=tuple(per_class),
         h_positive_on_support=h_ok,
     )
+
+
+def _cc_diffs_exact(data, rows, w2s, h, model_zero, atoms, atom_set, imax, cfg):
+    """The sigmas of a class of atomic rows and the upper bound of
+    |lhs - rhs| on each, in exact arithmetic."""
+    row_x = rows[0]
+    relevant = atoms if model_zero else sorted(
+        {t for row in rows for t in row.support() if t in atom_set})
+    sigmas = [("atom", t) for t in relevant] + [("rest",), ("all",)]
+    if model_zero:
+        tail_all = coerce(h) - sum(map(coerce, w2s), coerce(Fraction(0)))  # off-window children
+    # both sides as one sum per sigma; each child adds only at its own
+    # nonzero atoms, at the complement when its mass there is nonzero,
+    # and at R+ (mass 1), in child order
+    position = {s[1]: idx for idx, s in enumerate(sigmas) if s[0] == "atom"}
+    rest_idx, all_idx = len(sigmas) - 2, len(sigmas) - 1
+    lhs_nums: Dict[int, Scalar] = {}  # by sigma index
+    for w2, row in zip(w2s, rows[1:]):
+        masses = _atom_masses(row, atom_set)
+        for t, mass in masses.items():
+            accumulate(lhs_nums, position[t], w2 * mass)
+        rest = _rest(masses, Fraction(1))
+        if scalar_abs_upper(rest) != 0:
+            accumulate(lhs_nums, rest_idx, w2 * rest)
+        accumulate(lhs_nums, all_idx, w2)
+    x_masses = {t: t * m for t, m in _atom_masses(row_x, atom_set).items()}
+    rhs_nums: List[Scalar] = [Fraction(0)] * len(sigmas)
+    for t, m in x_masses.items():
+        rhs_nums[position[t]] = m
+    rhs_nums[all_idx] = _first_moment(row_x, cfg)
+    rhs_nums[rest_idx] = _rest(x_masses, rhs_nums[all_idx])
+    diffs: List[Fraction] = []
+    for idx, sigma in enumerate(sigmas):
+        lhs_num = lhs_nums.get(idx, Fraction(0))
+        if model_zero:
+            lhs_num = lhs_num + _model_zero_tail(data, sigma, atoms, imax, tail_all)
+        diffs.append(scalar_abs_upper(lhs_num - rhs_nums[idx]))
+    return sigmas, diffs
+
+
+def _cc_diffs_fixed(data, table, x, kids, w2s, h, model_zero, cfg):
+    """`_cc_diffs_exact` on pairs over the atom table: the same sums, each
+    diff an upper bound of the exact one on the 2^-128 grid, above it by at
+    most two grid steps per term summed.  Every atom of the table is a sigma:
+    those outside every support of the class add a zero diff."""
+    locations, zero, one = table.locations, (0, 0), (FIXED_ONE, FIXED_ONE)
+    n = len(locations)
+    rest, every = n, n + 1  # the sigma indices after the atom slots
+    lhs = [zero] * (n + 2)
+    for y, w2 in zip(kids, w2s):
+        w = fixed_pair(w2)
+        total = zero
+        for s, mass in table.row(y, cc=True).items:
+            lhs[s] = fixed_add(lhs[s], fixed_mul(w, mass))
+            total = fixed_add(total, mass)
+        if total != one:
+            lhs[rest] = fixed_add(lhs[rest], fixed_mul(w, fixed_sub(one, total)))
+        lhs[every] = fixed_add(lhs[every], w)
+    if model_zero:  # off-window children, whose rows are delta_{q_i} by the branch rule
+        tail_all = fixed_sub(fixed_pair(h), lhs[every])
+        off = zero
+        for s, indices in enumerate(table.collisions):
+            for i in indices:
+                w = fixed_pair(data.weights.branch_first_squared(i))
+                lhs[s], off = fixed_add(lhs[s], w), fixed_add(off, w)
+        lhs[rest] = fixed_add(lhs[rest], fixed_sub(tail_all, off))
+        lhs[every] = fixed_add(lhs[every], tail_all)
+    rhs = [zero] * (n + 2)
+    x_row = table.row(x, cc=True).items
+    for s, mass in x_row:
+        rhs[s] = fixed_scale(mass, locations[s])
+        rhs[rest] = fixed_add(rhs[rest], rhs[s])  # the atoms' total, for now
+    rhs[every] = fixed_pair(_first_moment(table.system.measure_at(x), cfg))
+    rhs[rest] = fixed_sub(rhs[every], rhs[rest])
+    diffs = []
+    for l, r in zip(lhs, rhs):
+        lo, hi = fixed_sub(l, r)
+        diffs.append(max(-lo, hi))
+    return [("atom", t) for t in locations] + [("rest",), ("all",)], diffs
 
 
 def _sigma_name(sigma) -> str:

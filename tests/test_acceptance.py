@@ -100,30 +100,30 @@ def test_criterion_1_counterexample_grid():
 
 
 GRID_SHA256 = {
-    (1, 0, "linear"): "3ec1f2e1bfb52fff9a78ea365c11ccb60f23929c65c1a72eedee7c3919119f25",
-    (1, 0, "mixed"): "6acdaaf06567520d6970633c0290e48f369da479ff81584c3c12247534d88fd8",
-    (1, 1, "linear"): "462cbe066b6923bd8b8700742cee7c8085350571e07ab542370469476f408df8",
-    (1, 1, "mixed"): "5dc7695839083c66b3cbcd91649b959513adbef1132d328716d91891375a9850",
-    (1, 3, "linear"): "27eb97d9e8a2ee8ce7506ed20221fe7eda8fb18a5aaa4f67d4b6876e859bf0f6",
-    (1, 3, "mixed"): "9b7f0de462e95aa0f35b81f9c8927056a3ad9e2e6be99eeff3e6194cad62a7e3",
-    (1, ts.INF, "linear"): "4d29fc1a204e90ccde0b3feb43ab73d7395c8dfe59ef4571449dd558f954a4fe",
-    (1, ts.INF, "mixed"): "f030ede1194d6347a738a3fcf861797b821f4ec49bff2d6d99a1a1b04a7319dd",
-    (2, 0, "linear"): "3106801cbc7eca69c11650c8c9dc9f40d6392efb546fec8a577730fd9aa5e6ab",
-    (2, 0, "mixed"): "42485d7e99c29f263a5d2ca917f6d830a128479a2e8334328343dc34f0af4286",
-    (2, 1, "linear"): "a50e70e56737805d8fecf160e6039eae5ed3240d9e11ae93ba910c05fcc3b668",
-    (2, 1, "mixed"): "7f9d3f02e649fd608a6e1519f80da6075a5c7c82db72e4cf902f9e26665722e6",
-    (2, 3, "linear"): "00defdde9c3583a1fd22e170c1bab4ffb7e0d18c6b30b0a81b092d38f63217b0",
-    (2, 3, "mixed"): "38fd36be4c5be1b7437a322ef90d8cc5df838380e8d662215ddaadb1b105b51e",
-    (2, ts.INF, "linear"): "5b1e26bb0853432a1ccc6cbd31d39ef13c0b874b752fff11e8a58deccc31317e",
-    (2, ts.INF, "mixed"): "df29b042d25150d3d812d747bc5828acfac9b75c175cb7a802ddd9d8997930c7",
-    (3, 0, "linear"): "2ea95f60c74517e26fc9529375d39e08696e2b887436fd154b3792ae9242af3c",
-    (3, 0, "mixed"): "804052a703fadb3009e7c82dd6d14cfc971792a6185f67d855a5158bef1e618d",
-    (3, 1, "linear"): "62c7e9305434586a07c3c9ae305343b803521c086fd238354b954b59b938aa81",
-    (3, 1, "mixed"): "55e77b9dcfb61130bfd37ff4931eb0b2f08a7b27969280034454273ec7da675f",
-    (3, 3, "linear"): "145d6777ca12bc9c00021c0a791aefe6d12151414cffd4c80d49708f37b72272",
-    (3, 3, "mixed"): "3ebb59c3baab844645afd1f1b81b43c4fda70a64b405355020f038db3452a1d0",
-    (3, ts.INF, "linear"): "1110748426751220418b8f448f6bc4f8f8446c2f3e2548ffa2634ac34fedb5b9",
-    (3, ts.INF, "mixed"): "61537de1888aed719c84682df19e54959f769dfacee280b473af2e97c8dfaac3",
+    (1, 0, "linear"): "256e0bc73e495ab813053701bf2972b7624cbf51e4ae8a810ea8f494b658884b",
+    (1, 0, "mixed"): "eed6b14a76cbf63610af602203511724fea8cfedbe98ec9d065da193be2ff29b",
+    (1, 1, "linear"): "9dd704df8927261f986471ca3fe3258b82a7c629d80530a423bfa965c0c276e2",
+    (1, 1, "mixed"): "684536b3fb4a7d888605972bde1a6638fc28189ea4afc7300d56a00a246824a8",
+    (1, 3, "linear"): "4b6485b51a45364bf52df05c359edb7fbae07017b58184afda9e3ae6494babeb",
+    (1, 3, "mixed"): "922a474fcc415ac41c240369b31f42211ac26b44edf2fa76f08853ded70a806e",
+    (1, ts.INF, "linear"): "fb6eb69d83a124642efbd13dcef80d1c87f9706a79a16bb5a6cd965154005929",
+    (1, ts.INF, "mixed"): "6fecb6ca2cdb09135b94f83e97a794a376dfb78c1b37136dca23acfbc8315ce7",
+    (2, 0, "linear"): "0f4142c3ae79a4d4dbbfd7a5ef63187c860b41babe45b9fd3a453d3f8068bd76",
+    (2, 0, "mixed"): "cea0453bf4dd9d70581edaa5465711af1da8c122b3bb45e69412a44da674f172",
+    (2, 1, "linear"): "c776ee19a90853608f1ce0b5ba69c1c8475ab6e75e96e3d2d4efe24619b722f2",
+    (2, 1, "mixed"): "170a5261494e1f1f7e1a7974cae2e07155d820b8c3517444b88e39d8dc85d7e4",
+    (2, 3, "linear"): "72f41c6c99ba82c3c1312fc8b22ac24e9c474217872c76410e6aa705067f0e87",
+    (2, 3, "mixed"): "09ef315944d50d344fd603debf39020aa213e75830790891a9e6d17b1e8dc148",
+    (2, ts.INF, "linear"): "9e2c9357e986b956d8ace54eaab8c8505cbbf7a91e7d9efa98457c7d524ef5c1",
+    (2, ts.INF, "mixed"): "d4dae3bfafa504e1e7e23dfa11214caf0d75cbdadc0d026403bd016a6373ab9f",
+    (3, 0, "linear"): "91fd3ac579810937e5764239ff186cc5c59d5aaaed505f9ada3281f006491a65",
+    (3, 0, "mixed"): "0cffd5c59e0d5c87d31faed2870ba8afb093e487495810c429310289743042d0",
+    (3, 1, "linear"): "da8e1c3e2bee21f63f540b44e0b7dee0aae45e3d5a7d94b2f16fff8d88a65500",
+    (3, 1, "mixed"): "c3b10ca2531e88bc5968f44d54f7d6404ea017ad4841295682604b7b45760c77",
+    (3, 3, "linear"): "8142537115e223153a62ed12a44816747f7c767b4570d5df65fa5cef6342a0ed",
+    (3, 3, "mixed"): "5e805bebccfdc950b8ba593c4be58fde9ae03daddcb357fbae5afde5182af445",
+    (3, ts.INF, "linear"): "229c0451b46708b7f93c0f8b4de8bcd3f4e572b6865db9d73fe1f5d63203f13a",
+    (3, ts.INF, "mixed"): "80f5902391d3823647d935a338a3ddc7dc2289fbd8a5d638fade2dc40b8f012f",
 }
 
 

@@ -344,8 +344,8 @@ def test_artifact_bytes_pinned(small_artifacts):
         for q, art in small_artifacts.items()
     }
     assert digests == {
-        "linear": "b6b6834c4b37fe261c100412fc0318c0a3d081310fda90e35c8a8a880d948fef",
-        "mixed": "81742ff08f928d48851b7a9a0a7517bdedad3b119d1f7579fcc470df0a231d6a",
+        "linear": "bbe2c5b9a6a925d780f188a8bd5351779eb5a28991c93a220bb391109cc0a284",
+        "mixed": "d98e7ac757a8a7c511244e1c83dd9f2a79342d01d54f896dacdff5d4faee20d8",
     }
 
 
@@ -358,8 +358,8 @@ def test_exact_residuals_pinned(small_artifacts):
         for q, art in small_artifacts.items()
     }
     assert digests == {
-        "linear": "e0c25a995f59f4eafe6056446de12f3bed7989b0de3ad208e685807508ccfe34",
-        "mixed": "4bc86532b1912d76d745a6e3b514aedbd36ca81cff1810a2b125912f6c4deada",
+        "linear": "c478c486c2c82a0d12401d7a62b7b0b48390bde462db5a654ff870bd6d1b24bf",
+        "mixed": "1b78110f97aab8cda356d03938cfbbf591b5881f409505fc95e2adc7dd7b1127",
     }
 
 
@@ -685,3 +685,115 @@ def test_verify_rejects_other_fixed_constants(small_artifacts, key, value):
     assert time.monotonic() - started < 1
     assert [(r.name, r.passed) for r in report.records] == [("parse-request", False)]
     assert report.records[0].detail.startswith(f"cert.{key}")
+
+
+# --- stored identity certificates, schema, eps and the number format ---
+
+
+@pytest.fixture(scope="module")
+def doc_363():
+    """The (1, 3, mixed) document of Window(3, 6, 3)."""
+    request = ts.CounterexampleRequest(n=1, kappa=3, q=MIXED_Q, window=ts.Window(3, 6, 3))
+    return generate(request).to_json_dict()
+
+
+@pytest.mark.parametrize("edit, name", [
+    (_edit("certificates", "cc", "algebra_bound", value="5"), "cc"),
+    (_edit("certificates", "cc", "max_residual", value="0"), "cc"),
+    (_edit("certificates", "consist6", "max_residual", value="7"), "consist6"),
+    (_edit("certificates", "consist6", "vertices_checked", value=3), "consist6"),
+    (_edit("certificates", "cc", "h_positive_on_support", value=False), "h-positive-on-support"),
+    (_edit("certificates", "widly1_prime", "holds_leq_1", value=False), "widly1-prime"),
+    (_edit("certificates", "widly1_prime", "residual", value="0"), "widly1-prime"),
+    (_edit("certificates", "zgod_prime_residual", value="1/3"), "zgod-prime"),
+    (_edit("certificates", "widly1", 1, "residual", value="1/7"), "widly1[l=2]"),
+    (_edit("certificates", "mass_residuals", 2, "residual", value="0"), "mass[mu_-2]"),
+])
+def test_verify_compares_stored_identity_certificates(doc_363, edit, name):
+    """A stored identity certificate that differs from the recomputed one
+    fails its record, and the detail names both values."""
+    doc = json.loads(json.dumps(doc_363))
+    edit(doc)
+    failures = verify(doc).failures()
+    assert [r.name for r in failures] == [name]
+    assert "stored" in failures[0].detail and "recomputed" in failures[0].detail
+
+
+@pytest.mark.parametrize("edit, path", [
+    (_edit("certificates", "zgod_prime_residual", value="junk"),
+     "certificates.zgod_prime_residual"),
+    (_edit("certificates", "widly1"), "certificates.widly1"),
+    (_edit("certificates", "mass_residuals", value=[]), "certificates.mass_residuals"),
+    (_edit("certificates", "cc", "algebra_bound", value=5), "certificates.cc.algebra_bound"),
+    (_edit("certificates", "cc", "h_positive_on_support", value=1),
+     "certificates.cc.h_positive_on_support"),
+    (_edit("certificates", "consist6", "vertices_checked", value="10"),
+     "certificates.consist6.vertices_checked"),
+    (_edit("certificates", "consist6"), "certificates.consist6"),
+    (_edit("certificates", "widly1_prime"), "certificates.widly1_prime"),
+    (_edit("schema", value="not-a-schema"), "schema"),
+    (_edit("schema"), "schema"),
+    (_edit("measures", "eps", value=[1, 2]), "measures.eps"),
+    (_edit("measures", "eps"), "measures.eps"),
+])
+def test_verify_rejects_missing_or_mistyped_fields(doc_363, edit, path):
+    """A missing or mistyped certificate field, a wrong or missing schema and
+    a non-empty eps each fail one parse-artifact record naming the path."""
+    doc = json.loads(json.dumps(doc_363))
+    edit(doc)
+    report = verify(doc)
+    assert [(r.name, r.passed) for r in report.records] == [("parse-artifact", False)]
+    assert report.records[0].detail.startswith(path)
+
+
+def test_verify_rejects_widly1_prime_without_terminal_level():
+    """A window that stops above the root -kappa has no terminal level."""
+    request = ts.CounterexampleRequest(n=1, kappa=3, q=MIXED_Q, window=ts.Window(1, 6, 3))
+    doc = generate(request).to_json_dict()
+    assert "widly1_prime" not in doc["certificates"] and verify(doc).passed
+    doc["certificates"]["widly1_prime"] = {"l": 3, "residual": "0", "holds_leq_1": True}
+    report = verify(doc)
+    assert [r.name for r in report.records] == ["parse-artifact"]
+    assert report.records[0].detail.startswith("certificates.widly1_prime")
+
+
+NONCANONICAL = ["1e-100000", "1E5", 3.0, 3, "3.0", ".5", "1/2.0", " 3", "+3", "0x10", "1_000",
+                "1/0", "1" + "0" * 20000, "1/" + "7" * 10**6, "2/" + str(2**65536)]
+
+
+@pytest.mark.parametrize("value", NONCANONICAL, ids=lambda v: repr(v)[:24])
+@pytest.mark.parametrize("path", [
+    ("measures", "mixtures", 0, "atoms", 2, "mass", 0),
+    ("measures", "branch_atoms", 2, "t"),
+    ("weights", "branch_tail", 0, "w2"),
+    ("certificates", "cc", "max_residual"),
+    ("certificates", "nd", "1", "enclosure", 1),
+])
+def test_verify_rejects_noncanonical_numbers_fast(doc_363, path, value):
+    """Only the form rat_to_str writes, under the bit cap, is read: anything
+    else fails one parse-artifact record in under 0.1 s."""
+    doc = json.loads(json.dumps(doc_363))
+    _edit(*path, value=value)(doc)
+    started = time.monotonic()
+    report = verify(doc)
+    assert time.monotonic() - started < 0.1
+    assert [(r.name, r.passed) for r in report.records] == [("parse-artifact", False)]
+
+
+def test_number_cap_leaves_tenfold_headroom():
+    """Every number of the 24 grid documents is at most a tenth of the cap."""
+    from treeshift.rationals import MAX_RATIONAL_BITS
+
+    def bits(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            return max(map(bits, node), default=0)
+        if isinstance(node, str) and node.lstrip("-").replace("/", "").isdigit():
+            x = Fraction(node)
+            return max(x.numerator.bit_length(), x.denominator.bit_length())
+        return 0
+
+    largest = max(bits(get_artifact(n, kappa, q).to_json_dict())
+                  for n in (1, 2, 3) for kappa in (0, 1, 3, ts.INF) for q in (LINEAR_Q, MIXED_Q))
+    assert 10 * largest <= MAX_RATIONAL_BITS

@@ -231,5 +231,5 @@ def test_cc_counts_off_window_mixture_atoms():
     art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=Window(3, 12, 4)))
     assert ts.verify(art.to_json_dict()).passed
     assert hashlib.sha256(art.to_json().encode()).hexdigest() == (
-        "1d3ce5914ea6a2ecb2941ec5d4224625764c5fe48935a4d4026477792732ac7c"
+        "0bec66ab34ba6cdb6f8343ac01bbcfe6d598479348b8e8d40948174174ec7688"
     )
