@@ -425,7 +425,8 @@ def _certify(artifact: CounterexampleArtifact, cfg: CertConfig) -> dict:
 def _identity_certificates(res: "IdentityResiduals") -> dict:
     """The certificates of an artifact's identities, as `generate` stores
     them and `verify` compares them.  `vertices_checked` counts the vertices
-    whose consistency identity is evaluated, one per vertex class."""
+    whose consistency identity is evaluated, one per vertex class, so it does
+    not depend on `max_depth`."""
     certs = {
         "zgod_prime_residual": res.zgod_prime,
         "widly1": res.widly1,

@@ -23,7 +23,6 @@ from .measures import (
     AtomicMeasure,
     MixtureMeasure,
     check_consist6_at,
-    indices_with_value,
     moment,
 )
 from .rationals import (
@@ -31,7 +30,6 @@ from .rationals import (
     Interval,
     Scalar,
     accumulate,
-    coerce,
     fixed_add,
     fixed_mul,
     fixed_over,
@@ -191,10 +189,8 @@ def _first_moment(measure: Measure, cfg: CertConfig) -> Scalar:
 
 
 def _collect_atoms(data, P, window: Window):
-    """The test atoms: those of a measure system's atom table, or the union
-    of the supports of the atomic rows P gives the window vertices."""
-    if hasattr(P, "atom_table"):
-        return P.atom_table(window.max_branch).locations
+    """The test atoms of a family P without an atom table: the union of the
+    supports of the atomic rows P gives the window vertices."""
     atoms = set()
     for v in window_vertices(data.tree, window):
         row = _row(P, v)
@@ -229,16 +225,18 @@ def cc_residual(
     """Max residual of the CC identity over sibling classes and the finite
     algebra generated by the test atoms.
 
-    For a model tree, rows of P beyond the window must follow the Dirac
-    branch rule delta_{q_i}; the off-window part of the class at the
-    branching vertex is then accounted for exactly through the weight rule.
+    For a model tree, P must be a measure system, whose rows beyond the
+    window follow the Dirac branch rule delta_{q_i}; the off-window part of
+    the class at the branching vertex is then accounted for exactly through
+    the weight rule.
     A class with an enclosure among its weights, masses, h or first moment
     (every trunk class and the class of vertex 0) is evaluated on the pair
     kernel over the atom table of the measure system P, the others exactly.
     """
-    atoms = _collect_atoms(data, P, window)
-    atom_set = frozenset(atoms)
     table = P.atom_table(window.max_branch) if hasattr(P, "atom_table") else None
+    if table is None and isinstance(data.tree, ModelTree):
+        raise NoCertificateError("the CC identity on a model tree needs a measure system")
+    atom_set = frozenset(table.locations if table is not None else _collect_atoms(data, P, window))
 
     per_class = []
     h_ok = True
@@ -257,12 +255,11 @@ def cc_residual(
         exact = all(isinstance(row, AtomicMeasure) for row in rows) and not any(
             isinstance(v, Interval) for v in (h, *w2s))
         h_lo = scalar_lower(h)
-        if table is not None and not exact:
+        if table is not None and (model_zero or not exact):
             sigmas, diffs = _cc_diffs_fixed(data, table, x, kids, w2s, h, model_zero, cfg)
             bound = partial(fixed_over, h=h_lo)
         else:
-            sigmas, diffs = _cc_diffs_exact(data, rows, w2s, h, model_zero, atoms, atom_set,
-                                            window.max_branch, cfg)
+            sigmas, diffs = _cc_diffs_exact(rows, w2s, atom_set, cfg)
             bound = partial(mul, 1 / h_lo)
         # a residual |diff| * [1/h.hi, 1/h.lo] has upper end |diff| / h.lo: so
         # the worst sigma (the first at the max) is that of |diff|, and 1/h.lo
@@ -281,15 +278,12 @@ def cc_residual(
     )
 
 
-def _cc_diffs_exact(data, rows, w2s, h, model_zero, atoms, atom_set, imax, cfg):
+def _cc_diffs_exact(rows, w2s, atom_set, cfg):
     """The sigmas of a class of atomic rows and the upper bound of
     |lhs - rhs| on each, in exact arithmetic."""
     row_x = rows[0]
-    relevant = atoms if model_zero else sorted(
-        {t for row in rows for t in row.support() if t in atom_set})
+    relevant = sorted({t for row in rows for t in row.support() if t in atom_set})
     sigmas = [("atom", t) for t in relevant] + [("rest",), ("all",)]
-    if model_zero:
-        tail_all = coerce(h) - sum(map(coerce, w2s), coerce(Fraction(0)))  # off-window children
     # both sides as one sum per sigma; each child adds only at its own
     # nonzero atoms, at the complement when its mass there is nonzero,
     # and at R+ (mass 1), in child order
@@ -310,20 +304,17 @@ def _cc_diffs_exact(data, rows, w2s, h, model_zero, atoms, atom_set, imax, cfg):
         rhs_nums[position[t]] = m
     rhs_nums[all_idx] = _first_moment(row_x, cfg)
     rhs_nums[rest_idx] = _rest(x_masses, rhs_nums[all_idx])
-    diffs: List[Fraction] = []
-    for idx, sigma in enumerate(sigmas):
-        lhs_num = lhs_nums.get(idx, Fraction(0))
-        if model_zero:
-            lhs_num = lhs_num + _model_zero_tail(data, sigma, atoms, imax, tail_all)
-        diffs.append(scalar_abs_upper(lhs_num - rhs_nums[idx]))
+    diffs = [scalar_abs_upper(lhs_nums.get(idx, Fraction(0)) - rhs_nums[idx])
+             for idx in range(len(sigmas))]
     return sigmas, diffs
 
 
 def _cc_diffs_fixed(data, table, x, kids, w2s, h, model_zero, cfg):
-    """`_cc_diffs_exact` on pairs over the atom table: the same sums, each
-    diff an upper bound of the exact one on the 2^-128 grid, above it by at
-    most two grid steps per term summed.  Every atom of the table is a sigma:
-    those outside every support of the class add a zero diff."""
+    """`_cc_diffs_exact` on pairs over the atom table: the same sums, plus
+    the off-window children at vertex 0 of a model tree, each diff an upper
+    bound of the exact one on the 2^-128 grid, above it by at most two grid
+    steps per term summed.  Every atom of the table is a sigma: those
+    outside every support of the class add a zero diff."""
     locations, zero, one = table.locations, (0, 0), (FIXED_ONE, FIXED_ONE)
     n = len(locations)
     rest, every = n, n + 1  # the sigma indices after the atom slots
@@ -364,26 +355,6 @@ def _sigma_name(sigma) -> str:
     if sigma[0] == "atom":
         return f"{{{sigma[1]}}}"
     return "complement-of-atoms" if sigma[0] == "rest" else "R+"
-
-
-def _model_zero_tail(data, sigma, atoms, imax, tail_all) -> Scalar:
-    """Contribution of off-window children of the branching vertex, whose
-    rows are delta_{q_i} by the branch rule."""
-    weights: ModelWeights = data.weights
-    q = weights.alpha.q
-    kind = sigma[0]
-    if kind == "all":
-        return tail_all
-    if kind == "atom":
-        total: Scalar = Fraction(0)
-        for i in indices_with_value(q, sigma[1], imax):
-            total = total + weights.branch_first_squared(i)
-        return total
-    rest = tail_all
-    for t in atoms:
-        for i in indices_with_value(q, t, imax):
-            rest = rest - weights.branch_first_squared(i)
-    return rest
 
 
 # --- the remark's round trip: CC family -> consistent measure system ---

@@ -4,6 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 
 import treeshift as ts
 from treeshift import (
@@ -20,7 +21,9 @@ from treeshift import (
     h_function,
     roundtrip_measures,
 )
+from treeshift.errors import NoCertificateError
 from treeshift.measures import indices_with_value
+from treeshift.tree import window_vertices
 
 mp.mp.dps = 40
 WIDE = Window(max_trunk=10, max_branch=10, max_depth=10)
@@ -182,6 +185,15 @@ def test_cc_artifact_within_tolerance(artifact_n1_k3):
     )
     assert report.algebra_bound <= art.request.cert.check_tol
     assert report.h_positive_on_support
+
+
+def test_cc_model_tree_needs_measure_system(artifact_n1_k3):
+    """The off-window children of vertex 0 are read from the atom table of
+    a measure system, so a plain family of rows on a model tree is refused."""
+    art = artifact_n1_k3
+    rows = {v: AtomicMeasure.dirac(1) for v in window_vertices(art.tree, art.window)}
+    with pytest.raises(NoCertificateError):
+        cc_residual(from_shift(art.tree, art.weights), rows, art.window)
 
 
 # --- round trip ---
