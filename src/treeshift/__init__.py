@@ -47,12 +47,10 @@ from .series import (
 )
 from .measures import (
     AtomicMeasure,
-    DiracFamily,
     MixtureMeasure,
     check_cc_dt,
     check_consist6_at,
     moment,
-    weighted_moment_series,
 )
 from .shift import (
     Amplitude,
@@ -76,8 +74,6 @@ from .construct import (
     choose_subsequence,
     generate,
     normalize,
-    omega_alphas,
-    slon4_alphas,
     trunk_weights,
     verify,
 )

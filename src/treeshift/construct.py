@@ -59,7 +59,6 @@ from .series import (
     OmegaSpec,
     SequenceSpec,
     build_omega,
-    local_memo,
     power_series_certificate,
     witness_partial_sum,  # not called here; perfbench/spans.py rebinds this name when tracing
 )
@@ -142,8 +141,8 @@ class CounterexampleRequest:
             kappa=read("kappa", lambda kappa: INF if kappa == "inf" else kappa),
             q=read("q", SequenceSpec.from_json),
             cert=CertConfig(
-                series_width=read("cert.series_width", Fraction),
-                divergence_threshold=read("cert.divergence_threshold", Fraction),
+                series_width=read("cert.series_width", rat_from_str),
+                divergence_threshold=read("cert.divergence_threshold", rat_from_str),
             ),
             window=read("window", lambda window: Window(**window)),
         )
@@ -171,23 +170,6 @@ def boundedness_guard(q: SequenceSpec, cfg: CertConfig = DEFAULT_CONFIG) -> str:
 def choose_subsequence(q: SequenceSpec, cfg: CertConfig = DEFAULT_CONFIG) -> OmegaSpec:
     """Strictly increasing i_k with q_{i_k} >= k, greedily smallest."""
     return build_omega(q, cfg)
-
-
-def omega_alphas(q: SequenceSpec, omega: OmegaSpec, n: int, upto_k: int) -> Dict[int, Fraction]:
-    """alpha_{i_k} = 1/(k^2 q_{i_k}^n) for k <= upto_k."""
-    fam = AlphaFamily(q, omega, n)
-    return {omega.index(k): fam.on_omega_value(k) for k in range(1, upto_k + 1)}
-
-
-def slon4_alphas(q: SequenceSpec, omega: OmegaSpec, n: int, upto_i: int) -> Dict[int, Fraction]:
-    """Off-Omega alpha_i = 2^{-i} / sum_{k=1}^{i} q_i^{n+1-k} for i <= upto_i,
-    making column k of the exponent matrix summable with a geometric tail."""
-    fam = AlphaFamily(q, omega, n)
-    return {
-        i: fam.off_omega_value(i)
-        for i in range(1, upto_i + 1)
-        if not omega.contains(i)
-    }
 
 
 def normalize(alpha: AlphaFamily, cfg: CertConfig = DEFAULT_CONFIG):
@@ -779,7 +761,7 @@ def _parse_identity_certificates(doc: dict, kappa, window: Window) -> dict:
     return certs
 
 
-def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[Window]):
+def _parse_artifact(doc: dict, request: CounterexampleRequest):
     """The artifact a document stores, its tables overriding the rules for
     the indices they cover.  Every table must have the length the stored
     window gives it, so no later check reads past a table or runs longer
@@ -791,11 +773,6 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
         stored = Window(**_at(doc, "window"))
     except (TypeError, ValueError) as exc:
         raise _Malformed(f"window: {exc}") from None
-    eff = stored if window is None else Window(
-        min(stored.max_trunk, window.max_trunk),
-        min(stored.max_branch, window.max_branch),
-        min(stored.max_depth, window.max_depth),
-    )
     W = stored.max_branch
     power = _at(doc, "alpha.power")
     if power != request.n:
@@ -859,14 +836,14 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest, window: Optional[
     return CounterexampleArtifact(
         request=request,
         tree=ModelTree(eta=INF, kappa=kappa),
-        window=eff,
+        window=stored,
         omega=alpha.omega,
         alpha=alpha,
         c=c,
         weights=weights,
         measures=MeasureSystem(q=request.q, mixtures=mixtures, locations=locations),
         boundedness=doc.get("boundedness", ""),
-        certificates=certificates if eff == stored else {},  # they hold for the stored window
+        certificates=certificates,
     )
 
 
@@ -920,23 +897,20 @@ def _gaps(rows):
             yield vertex, stored.gap_to(expected), detail
 
 
-def verify(
-    doc: Union[dict, CounterexampleArtifact],
-    window: Optional[Window] = None,
-) -> VerificationReport:
+def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     """Re-run every certificate check against the stored tables of an
-    artifact document.
+    artifact document, on the whole window the document stores.
 
-    A request that states other fixed constants than the library's fails a
-    single `parse-request` record.  A document with another schema, a
-    non-empty eps, a number not in the form `rat_to_str` writes (or over
-    `MAX_RATIONAL_BITS`), a missing or mistyped certificate field, tables
-    not of the shape of its window, or a window not the one its request
-    gives, fails a single `parse-artifact` record naming the JSON path, and
-    one whose series no certificate covers (a bounded q, or a series_width
-    or divergence_threshold out of reach) fails a single
-    `series-certificate` record.  Otherwise
-    the checks are: stored values against rule reconstruction (two
+    A request that states other fixed constants than the library's, or
+    whose numbers (q.prefix, series_width, divergence_threshold) are not in
+    the form `rat_to_str` writes, fails a single `parse-request` record.  A
+    document with another schema, a non-empty eps, a number not in the form
+    `rat_to_str` writes (or over `MAX_RATIONAL_BITS`), a missing or mistyped
+    certificate field, tables not of the shape of its window, or a window
+    not the one its request gives, fails a single `parse-artifact` record
+    naming the JSON path, and one whose series no certificate covers (a
+    bounded q, or a series_width or divergence_threshold out of reach) fails
+    a single `series-certificate` record.  Otherwise the checks are: stored values against rule reconstruction (two
     enclosures of the same quantity must intersect), the exact branch
     identities, and then, through the same `identity_residuals` that
     `generate` certifies with, consistency residuals once per vertex class,
@@ -946,22 +920,20 @@ def verify(
     stored convergent enclosure must meet the recomputed one and be at most
     series_width wide, each divergence witness must equal the recomputed
     one), and positivity of all weights.  The stored identity certificates
-    are compared only on the stored window (no `window` narrower than it)
-    and when every power-domain certificate passes, since they were
-    computed from those series.  Every series certificate is recomputed
-    within the call (`series.local_memo`), never read from what `generate`
-    cached.
+    are compared only when every power-domain certificate passes, since
+    they were computed from those series.  Every series certificate is
+    recomputed within the call: it is kept on the family the document's own
+    alpha builds, so nothing `generate` computed is read.
     """
-    with local_memo():
-        try:
-            return _verify(doc, window)
-        except (NoCertificateError, SupNotWitnessedError) as exc:
-            return VerificationReport(
-                False, (CheckRecord("series-certificate", False, detail=str(exc)),)
-            )
+    try:
+        return _verify(doc)
+    except (NoCertificateError, SupNotWitnessedError) as exc:
+        return VerificationReport(
+            False, (CheckRecord("series-certificate", False, detail=str(exc)),)
+        )
 
 
-def _verify(doc: Union[dict, CounterexampleArtifact], window: Optional[Window]):
+def _verify(doc: Union[dict, CounterexampleArtifact]):
     if isinstance(doc, CounterexampleArtifact):
         doc = doc.to_json_dict()
     records = []
@@ -999,7 +971,7 @@ def _verify(doc: Union[dict, CounterexampleArtifact], window: Optional[Window]):
     n = request.n
 
     try:
-        art = _parse_artifact(doc, request, window)
+        art = _parse_artifact(doc, request)
     except Exception as exc:
         return VerificationReport(
             False, (CheckRecord("parse-artifact", False, detail=str(exc)),)
@@ -1052,7 +1024,7 @@ def _verify(doc: Union[dict, CounterexampleArtifact], window: Optional[Window]):
     # stored identity certificates were computed from the stored series
     # certificates: when one of those fails its nd record, the document
     # fails there, and its identity certificates are not compared
-    compare = art.certificates and all(ok for _, ok, _, _ in nd_checks)
+    compare = all(ok for _, ok, _, _ in nd_checks)
 
     def stored_differs(*path) -> str:
         """"" when the stored certificate at `path` equals the recomputed

@@ -31,9 +31,7 @@ from .series import (
     CertConfig,
     DEFAULT_CONFIG,
     SequenceSpec,
-    SeriesCertificate,
     Tail,
-    finite_series_certificate,
     power_series_certificate,
 )
 
@@ -90,16 +88,6 @@ def moment(m: AtomicMeasure, l: int):
             continue
         total += p * t**l
     return total
-
-
-@dataclass(frozen=True)
-class DiracFamily:
-    """The closed-form family i -> delta_{q_i} of branch measures."""
-
-    q: SequenceSpec
-
-    def measure(self, i: int) -> AtomicMeasure:
-        return AtomicMeasure.dirac(self.q.value(i))
 
 
 @dataclass(frozen=True)
@@ -269,30 +257,6 @@ def check_cc_dt(
         lhs = t * x_view[t] if t != 0 and t in x_view else Fraction(0)
         diffs.append((t, lhs - rhs.get(t, Fraction(0))))
     return _consistency_result(diffs, implied_eps=Fraction(0))
-
-
-def weighted_moment_series(
-    q: SequenceSpec,
-    alpha,
-    l: int,
-    cfg: CertConfig = DEFAULT_CONFIG,
-) -> SeriesCertificate:
-    """Certificate for sum_i alpha_i * q_i^l.
-
-    alpha may be an AlphaFamily (generator output with tail metadata) or a
-    finite sequence of rationals (exact sum).  Anything else lacks the
-    metadata needed for a sound verdict and raises NoCertificateError; no
-    heuristic fallback is provided.
-    """
-    if isinstance(alpha, AlphaFamily):
-        if alpha.q != q:
-            raise ValueError("alpha family was built for a different q")
-        return power_series_certificate(alpha, l, cfg)
-    if isinstance(alpha, (list, tuple)):
-        return finite_series_certificate(q, alpha, l)
-    raise NoCertificateError(
-        f"no tail metadata for coefficients of type {type(alpha).__name__}"
-    )
 
 
 def indices_with_value(q: SequenceSpec, t: Fraction, above: int) -> Tuple[int, ...]:

@@ -39,8 +39,6 @@ Everything below a certificate is an exact rational; enclosures are sound
 by construction, never heuristic.
 """
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -54,7 +52,7 @@ from .errors import (
     ThresholdNotReachedError,
     WidthNotReachedError,
 )
-from .rationals import Interval, as_fraction, rat_to_decimal, rat_to_str
+from .rationals import Interval, as_fraction, rat_from_str, rat_to_decimal, rat_to_str
 
 _STABLE_STEPS = 8
 _VERIFY_STEPS = 64
@@ -134,7 +132,7 @@ class SequenceSpec:
 
     @staticmethod
     def from_json(obj) -> "SequenceSpec":
-        return SequenceSpec(Tail(obj["tail"]), tuple(Fraction(x) for x in obj["prefix"]))
+        return SequenceSpec(Tail(obj["tail"]), tuple(map(rat_from_str, obj["prefix"])))
 
 
 LINEAR_Q = SequenceSpec(Tail.LINEAR)
@@ -311,6 +309,10 @@ class AlphaFamily:
 
     @cached_property
     def _values(self) -> Dict[int, Fraction]:
+        return {}
+
+    @cached_property
+    def _certificates(self) -> Dict[Tuple[int, CertConfig], "SeriesCertificate"]:
         return {}
 
     def value(self, i: int) -> Fraction:
@@ -889,36 +891,17 @@ def _base_certificate(q, omega, n, l, cfg) -> SeriesCertificate:
     return _divergent_base(q, omega, n, l, cfg)
 
 
-# base certificates shared across calls, least recently used dropped first
-_cached_base_certificate = lru_cache(maxsize=256)(_base_certificate)
-_local_memo: ContextVar[Optional[dict]] = ContextVar("series_local_memo", default=None)
-
-
-@contextmanager
-def local_memo():
-    """Inside the block, power_series_certificate computes every base
-    certificate afresh, once, and keeps it only for the block: the shared
-    cache is neither read nor filled."""
-    token = _local_memo.set({})
-    try:
-        yield
-    finally:
-        _local_memo.reset(token)
-
-
 def power_series_certificate(
     alpha: AlphaFamily, l: int, cfg: CertConfig = DEFAULT_CONFIG
 ) -> SeriesCertificate:
-    """Certificate for sum_i alpha_i * q_i^l over the full index set."""
-    key = (alpha.q, alpha.omega, alpha.power, l, cfg)
-    memo = _local_memo.get()
-    if memo is None:
-        cert = _cached_base_certificate(*key)
-    elif key in memo:
-        cert = memo[key]
-    else:
-        cert = memo[key] = _base_certificate(*key)
-    return _scaled(cert, alpha.scale)
+    """Certificate for sum_i alpha_i * q_i^l over the full index set,
+    computed once per family instance, exponent and config, and kept with
+    the instance: a family built afresh computes its own."""
+    memo = alpha._certificates
+    if (l, cfg) not in memo:
+        base = _base_certificate(alpha.q, alpha.omega, alpha.power, l, cfg)
+        memo[l, cfg] = _scaled(base, alpha.scale)
+    return memo[l, cfg]
 
 
 def witness_partial_sum(alpha: AlphaFamily, l: int, upto: int) -> Fraction:
@@ -935,29 +918,3 @@ def witness_partial_sum(alpha: AlphaFamily, l: int, upto: int) -> Fraction:
         S += alpha.q.value(alpha.omega.index(k)) ** m / (k * k)
     return S
 
-
-def finite_series_certificate(q: SequenceSpec, values, l: int) -> SeriesCertificate:
-    """Exact certificate for a finitely supported coefficient sequence."""
-    total = Fraction(0)
-    used = 0
-    for idx, v in enumerate(values, start=1):
-        v = as_fraction(v)
-        if v < 0:
-            raise ValueError("coefficients must be nonnegative")
-        if v == 0:
-            continue
-        total += v * q.value(idx) ** l
-        used += 1
-    return SeriesCertificate(
-        terms=f"finite sum_i alpha_i*q_i^{l}",
-        verdict="convergent",
-        enclosure=Interval.point(total),
-        tail_rule="finite support: tail is exactly zero",
-        terms_used=used,
-        omega_terms=0,
-        off_terms=used,
-        partial_lo=total,
-        partial_hi=total,
-        tail_lo=Fraction(0),
-        tail_hi=Fraction(0),
-    )

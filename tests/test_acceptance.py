@@ -367,4 +367,4 @@ def test_identity_classes_cover_grid_window(art_key):
 def test_identity_classes_cover_corrupted_window(art_key, factor, path):
     doc = _corrupt(get_artifact(*art_key).to_json_dict(), path, factor)
     request = ts.CounterexampleRequest.from_json(doc["request"])
-    _assert_classes_cover_window(_parse_artifact(doc, request, None))
+    _assert_classes_cover_window(_parse_artifact(doc, request))

@@ -104,6 +104,20 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_verify_checks_whole_window(artifact_path, tmp_path):
+    """verify has no window flags: a corrupted branch outside a narrower
+    window still fails, and a window flag is a usage error."""
+    doc = json.loads(artifact_path.read_text())
+    entry = doc["weights"]["branch_first"][4]
+    entry["w2"] = [str(Fraction(x) * 2) for x in entry["w2"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", str(bad)]) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", str(bad), "--max-branch", "2"])
+    assert exc.value.code == 2
+
+
 def test_power_cap_exit_2(artifact_path):
     assert run(["domain-check", str(artifact_path), "--power", "99"]) == 2
 

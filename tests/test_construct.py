@@ -29,8 +29,6 @@ from treeshift.construct import (
     consist6_residuals,
     generate,
     normalize,
-    omega_alphas,
-    slon4_alphas,
     trunk_weights,
     verify,
 )
@@ -73,23 +71,34 @@ def test_choose_subsequence_bounded_rejected():
         choose_subsequence(SequenceSpec(Tail.CONSTANT, prefix=(Fraction(1),)))
 
 
+def _on_omega_values(q, n, upto_k):
+    """alpha_{i_k} = 1/(k^2 q_{i_k}^n) for k <= upto_k, keyed by i_k."""
+    omega = choose_subsequence(q)
+    fam = AlphaFamily(q, omega, n)
+    return {omega.index(k): fam.on_omega_value(k) for k in range(1, upto_k + 1)}
+
+
+def _off_omega_values(q, n, upto_i):
+    """Off-Omega alpha_i = 2^{-i} / sum_{k=1}^{i} q_i^{n+1-k} for i <= upto_i."""
+    omega = choose_subsequence(q)
+    fam = AlphaFamily(q, omega, n)
+    return {i: fam.off_omega_value(i) for i in range(1, upto_i + 1) if not omega.contains(i)}
+
+
 def test_omega_alphas_formula():
-    omega = choose_subsequence(LINEAR_Q)
-    values = omega_alphas(LINEAR_Q, omega, 1, 3)
+    values = _on_omega_values(LINEAR_Q, 1, 3)
     assert values == {1: Fraction(1), 2: Fraction(1, 8), 3: Fraction(1, 27)}
-    values = omega_alphas(LINEAR_Q, omega, 2, 2)
+    values = _on_omega_values(LINEAR_Q, 2, 2)
     assert values[2] == Fraction(1, 16)
 
 
 def test_slon4_alphas_empty_for_linear():
-    omega = choose_subsequence(LINEAR_Q)
-    assert slon4_alphas(LINEAR_Q, omega, 1, 40) == {}
+    assert _off_omega_values(LINEAR_Q, 1, 40) == {}
 
 
 def test_slon4_alphas_mixed_bound():
-    omega = choose_subsequence(MIXED_Q)
     n = 1
-    values = slon4_alphas(MIXED_Q, omega, n, 30)
+    values = _off_omega_values(MIXED_Q, n, 30)
     assert set(values) == {i for i in range(3, 31, 2)}
     for i, alpha_i in values.items():
         row = sum(MIXED_Q.value(i) ** (n + 1 - k) for k in range(1, i + 1))
@@ -113,13 +122,6 @@ def test_normalize_linear_n1():
 def test_normalize_linear_n2():
     c, _ = normalize(linear_alpha(2))  # alpha_i = 1/i^4
     assert c.contains(INV_ZETA4)
-
-
-def test_normalize_finite_alpha_exact():
-    from treeshift.series import finite_series_certificate
-
-    cert = finite_series_certificate(LINEAR_Q, (Fraction(1, 2), Fraction(1, 4)), 0)
-    assert cert.enclosure.exact() == Fraction(3, 4)
 
 
 def test_branch_weights_values(artifact_n1):
@@ -307,12 +309,6 @@ def test_verify_survives_structural_corruption(artifact_n1_k3):
     assert report.records[0].name == "parse-artifact"
 
 
-def test_verify_window_override(artifact_n1_k3):
-    doc = artifact_n1_k3.to_json_dict()
-    report = verify(doc, window=ts.Window(max_trunk=2, max_branch=10, max_depth=6))
-    assert report.passed
-
-
 def test_mixture_levels_match_window():
     art = get_artifact(2, ts.INF)
     assert len(art.measures.mixtures) == art.window.max_trunk + 1
@@ -424,33 +420,29 @@ def test_verify_rejects_malformed_enclosure(small_artifacts, value):
 
 
 def test_verify_ignores_cached_certificates(monkeypatch):
-    """verify recomputes every series certificate it checks: a wrong nd[1]
-    put into the cache after generate reaches the next generated document,
-    and verify fails it, while the intact document still passes."""
+    """verify recomputes every series certificate it checks: a document
+    generated with a wrong nd[1] fails verify there alone, while the intact
+    document still passes."""
     request = ts.CounterexampleRequest(n=1, kappa=3, q=LINEAR_Q, window=SMALL_WINDOW)
     intact = generate(request).to_json_dict()
     real = series._convergent_base
 
     def shifted(q, omega, n, l, cfg):
         cert = real(q, omega, n, l, cfg)
+        if l != 1:
+            return cert
         up = Fraction(1, 1000)
         return dataclasses.replace(cert, enclosure=Interval(cert.enclosure.lo + up,
                                                             cert.enclosure.hi + up))
 
-    try:
-        series._cached_base_certificate.cache_clear()
-        monkeypatch.setattr(series, "_convergent_base", shifted)
-        power_series_certificate(AlphaFamily(LINEAR_Q, choose_subsequence(LINEAR_Q), 1), 1,
-                                 request.cert)
-        monkeypatch.undo()
-        doc = generate(request).to_json_dict()
-        nd1 = doc["certificates"]["nd"]["1"]
-        assert nd1["enclosure"] != intact["certificates"]["nd"]["1"]["enclosure"]
-        report = verify(doc)
-        assert [r.name for r in report.failures()] == ["nd[1]"]
-        assert verify(intact).passed
-    finally:
-        series._cached_base_certificate.cache_clear()
+    monkeypatch.setattr(series, "_convergent_base", shifted)
+    doc = generate(request).to_json_dict()
+    monkeypatch.undo()
+    nd1 = doc["certificates"]["nd"]["1"]
+    assert nd1["enclosure"] != intact["certificates"]["nd"]["1"]["enclosure"]
+    report = verify(doc)
+    assert [r.name for r in report.failures()] == ["nd[1]"]
+    assert verify(intact).passed
 
 
 def test_fine_width_generates_and_verifies():
@@ -757,8 +749,8 @@ def test_verify_rejects_widly1_prime_without_terminal_level():
     assert report.records[0].detail.startswith("certificates.widly1_prime")
 
 
-NONCANONICAL = ["1e-100000", "1E5", 3.0, 3, "3.0", ".5", "1/2.0", " 3", "+3", "0x10", "1_000",
-                "1/0", "1" + "0" * 20000, "1/" + "7" * 10**6, "2/" + str(2**65536)]
+NONCANONICAL = ["1e-100000", "1e100000", "1E5", 3.0, 3, "3.0", ".5", "1/2.0", " 3", "+3", "0x10",
+                "1_000", "1/0", "1" + "0" * 20000, "1/" + "7" * 10**6, "2/" + str(2**65536)]
 
 
 @pytest.mark.parametrize("value", NONCANONICAL, ids=lambda v: repr(v)[:24])
@@ -768,16 +760,21 @@ NONCANONICAL = ["1e-100000", "1E5", 3.0, 3, "3.0", ".5", "1/2.0", " 3", "+3", "0
     ("weights", "branch_tail", 0, "w2"),
     ("certificates", "cc", "max_residual"),
     ("certificates", "nd", "1", "enclosure", 1),
+    ("request", "q", "prefix"),
+    ("request", "cert", "series_width"),
+    ("request", "cert", "divergence_threshold"),
 ])
 def test_verify_rejects_noncanonical_numbers_fast(doc_363, path, value):
     """Only the form rat_to_str writes, under the bit cap, is read: anything
-    else fails one parse-artifact record in under 0.1 s."""
+    else fails one parse-artifact record, or one parse-request record in the
+    request block, in under 0.1 s."""
     doc = json.loads(json.dumps(doc_363))
-    _edit(*path, value=value)(doc)
+    _edit(*path, value=[value] if path[-1] == "prefix" else value)(doc)
     started = time.monotonic()
     report = verify(doc)
     assert time.monotonic() - started < 0.1
-    assert [(r.name, r.passed) for r in report.records] == [("parse-artifact", False)]
+    name = "parse-request" if path[0] == "request" else "parse-artifact"
+    assert [(r.name, r.passed) for r in report.records] == [(name, False)]
 
 
 def test_number_cap_leaves_tenfold_headroom():

@@ -208,9 +208,3 @@ def test_mixture_view_merges_and_masses(artifact_n1):
 def test_mixture_needs_limit(artifact_n1):
     with pytest.raises(ValueError):
         atoms_view(artifact_n1.measures.mixtures[0])
-
-
-def test_dirac_family():
-    fam = ts.DiracFamily(ts.MIXED_Q)
-    assert fam.measure(4) == AtomicMeasure.dirac(4)
-    assert fam.measure(5) == AtomicMeasure.dirac(Fraction(1, 5))

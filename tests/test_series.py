@@ -31,7 +31,6 @@ from treeshift.series import (
     bernoulli_even,
     build_omega,
     dyadic_floor,
-    finite_series_certificate,
     power_series_certificate,
     witness_partial_sum,
     zeta_tail_brackets,
@@ -594,6 +593,25 @@ def test_far_supercritical_divergence():
     assert cert.witness_index <= 6
 
 
+# --- the per-family memo ---
+
+
+def test_certificates_kept_per_family_instance(monkeypatch):
+    """A family returns the very certificate it computed before; an equal
+    but distinct family computes its own."""
+    fam = AlphaFamily(LINEAR_Q, build_omega(LINEAR_Q), power=1)
+    cert = power_series_certificate(fam, 0)
+    assert power_series_certificate(fam, 0) is cert
+    twin = AlphaFamily(LINEAR_Q, fam.omega, power=1)
+    assert twin == fam
+    calls = []
+    real = series._base_certificate
+    monkeypatch.setattr(series, "_base_certificate", lambda *key: calls.append(key) or real(*key))
+    again = power_series_certificate(twin, 0)
+    assert calls == [(LINEAR_Q, fam.omega, 1, 0, CertConfig())]
+    assert again is not cert and again == cert
+
+
 # --- scaling ---
 
 
@@ -607,26 +625,6 @@ def test_rescaled_enclosures_are_exact_multiples():
         big = power_series_certificate(scaled, l)
         assert big.enclosure.lo == base.enclosure.lo * r
         assert big.enclosure.hi == base.enclosure.hi * r
-
-
-# --- finite and uncertifiable coefficients ---
-
-
-def test_finite_alpha_exact():
-    values = (Fraction(1, 2), Fraction(0), Fraction(1, 3))
-    cert = finite_series_certificate(LINEAR_Q, values, 2)
-    assert cert.is_convergent
-    assert cert.enclosure.is_point
-    assert cert.enclosure.exact() == Fraction(1, 2) + Fraction(1, 3) * 9
-
-
-def test_weighted_moment_series_dispatch(artifact_n1):
-    cert = ts.weighted_moment_series(LINEAR_Q, artifact_n1.alpha, 0)
-    assert cert.is_convergent
-    cert = ts.weighted_moment_series(LINEAR_Q, [Fraction(1)], 5)
-    assert cert.enclosure.exact() == 1
-    with pytest.raises(NoCertificateError):
-        ts.weighted_moment_series(LINEAR_Q, lambda i: Fraction(1, i), 0)
 
 
 # --- the dyadic accumulator ---
