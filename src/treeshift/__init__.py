@@ -69,7 +69,6 @@ from .construct import (
     CounterexampleRequest,
     MeasureSystem,
     VerificationReport,
-    boundedness_guard,
     build_measure_system,
     choose_subsequence,
     generate,

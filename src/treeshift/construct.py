@@ -72,7 +72,6 @@ from .tree import (
     Window,
     children,
     children_visible,
-    tree_to_json,
     window_vertices,
 )
 from . import wco
@@ -149,22 +148,6 @@ class CounterexampleRequest:
 
 
 # --- pipeline operations ---
-
-
-def boundedness_guard(q: SequenceSpec, cfg: CertConfig = DEFAULT_CONFIG) -> str:
-    """The shift is bounded iff sup q_i < infinity; report which side the
-    scan witnesses.  Informational: callers decide whether to proceed."""
-    bound = q.sup_bound()
-    if bound is not None:
-        return f"bounded-looking: sup q_i <= {bound}"
-    target = Fraction(1000)
-    i = 0
-    while True:
-        i += 1
-        if q.value(i) >= target:
-            return f"unbounded: q_{i} = {q.value(i)} >= {target} witnessed"
-        if i > cfg.scan_horizon:
-            return "unbounded tail rule, no witness within scan horizon"
 
 
 def choose_subsequence(q: SequenceSpec, cfg: CertConfig = DEFAULT_CONFIG) -> OmegaSpec:
@@ -338,7 +321,6 @@ class CounterexampleArtifact:
     c: Interval
     weights: ModelWeights
     measures: MeasureSystem
-    boundedness: str
     certificates: dict = field(default_factory=dict)
 
     @property
@@ -368,33 +350,36 @@ def _artifact_window(request: CounterexampleRequest) -> Window:
     return replace(request.window, max_trunk=min(request.window.max_trunk, request.kappa))
 
 
-def generate(request: CounterexampleRequest) -> CounterexampleArtifact:
-    """Run the full pipeline and certify every promised identity."""
-    cfg = request.cert
-    kappa = request.kappa
+def build_rules(
+    request: CounterexampleRequest, alpha: Optional[AlphaFamily] = None
+) -> CounterexampleArtifact:
+    """The uncertified artifact of a request: omega, alpha, c, the trunk
+    weights and the measure system on the request's window, with no
+    certificates.  `alpha` defaults to the family of the greedy subsequence;
+    `verify` passes the one a document states."""
+    cfg, kappa = request.cert, request.kappa
     window = _artifact_window(request)
-    tree = ModelTree(eta=INF, kappa=kappa)
-
-    boundedness = boundedness_guard(request.q, cfg)
-    omega = choose_subsequence(request.q, cfg)
-    alpha = AlphaFamily(q=request.q, omega=omega, power=request.n)
-    c, norm_cert = normalize(alpha, cfg)
+    if alpha is None:
+        omega = choose_subsequence(request.q, cfg)
+        alpha = AlphaFamily(q=request.q, omega=omega, power=request.n)
+    c, _ = normalize(alpha, cfg)
     trunk = trunk_weights(alpha, kappa, _trunk_levels(kappa, window), cfg)
-    weights = ModelWeights(alpha=alpha, c=c, kappa=kappa, trunk=trunk)
-    measures = build_measure_system(alpha, kappa, _mixture_levels(kappa, window), cfg)
-
-    artifact = CounterexampleArtifact(
+    return CounterexampleArtifact(
         request=request,
-        tree=tree,
+        tree=ModelTree(eta=INF, kappa=kappa),
         window=window,
-        omega=omega,
+        omega=alpha.omega,
         alpha=alpha,
         c=c,
-        weights=weights,
-        measures=measures,
-        boundedness=boundedness,
+        weights=ModelWeights(alpha=alpha, c=c, kappa=kappa, trunk=trunk),
+        measures=build_measure_system(alpha, kappa, _mixture_levels(kappa, window), cfg),
     )
-    artifact.certificates = _certify(artifact, cfg)
+
+
+def generate(request: CounterexampleRequest) -> CounterexampleArtifact:
+    """Run the full pipeline and certify every promised identity."""
+    artifact = build_rules(request)
+    artifact.certificates = _certify(artifact, request.cert)
     return artifact
 
 
@@ -555,12 +540,10 @@ def _artifact_doc(a: CounterexampleArtifact) -> dict:
     doc = {
         "schema": SCHEMA,
         "request": a.request.to_json(),
-        "tree": tree_to_json(a.tree),
         "window": asdict(a.window),
         "omega": a.omega.to_json(),
         "alpha": a.alpha.to_json(),
         "c": interval_to_json(a.c),
-        "boundedness": a.boundedness,
         "weights": {
             "branch_first": [
                 {"i": i, "w2": interval_to_json(a.weights.branch_first_squared(i))}
@@ -625,15 +608,6 @@ def _certs_json(certs: dict) -> dict:
             "holds_leq_1": wp["holds_leq_1"],
         }
     return out
-
-
-def artifact_from_json_dict(doc: dict) -> CounterexampleArtifact:
-    """Rebuild the rule-level artifact from a document (tables are re-derived
-    from the rules; `verify` is what checks the stored tables)."""
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(f"unknown artifact schema: {doc.get('schema')!r}")
-    request = CounterexampleRequest.from_json(doc["request"])
-    return generate(request)
 
 
 # --- verification ---
@@ -765,7 +739,10 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest):
     """The artifact a document stores, its tables overriding the rules for
     the indices they cover.  Every table must have the length the stored
     window gives it, so no later check reads past a table or runs longer
-    than the tables; a shape error raises _Malformed naming its JSON path."""
+    than the tables; a shape error raises _Malformed naming its JSON path.
+    Its certificates hold the identity certificates parsed and, under "nd",
+    each stored nd[m] (m = 1..n+1) as the JSON object it is, once its
+    verdict and the fields that verdict needs have parsed."""
     kappa = request.kappa
     if doc.get("schema") != SCHEMA:
         raise _Malformed(f"schema: {doc.get('schema')!r}, expected {SCHEMA!r}")
@@ -816,6 +793,7 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest):
     nd = _at(doc, "certificates.nd")
     if not isinstance(nd, dict):
         raise _Malformed("certificates.nd: not an object")
+    stored_nd = {}
     for m in map(str, range(1, request.n + 2)):
         if m not in nd:
             continue  # verify fails it as a missing certificate
@@ -830,9 +808,10 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest):
                 parse(_at(nd, f"{m}.{key}", "certificates.nd."))
             except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise _Malformed(f"certificates.nd.{m}.{key}: {exc}") from None
+        stored_nd[int(m)] = nd[m]
     if _artifact_window(request) != stored:
         raise _Malformed(f"request.window: gives {_artifact_window(request)}, not {stored}")
-    certificates = _parse_identity_certificates(doc, kappa, stored)
+    certificates = {"nd": stored_nd, **_parse_identity_certificates(doc, kappa, stored)}
     return CounterexampleArtifact(
         request=request,
         tree=ModelTree(eta=INF, kappa=kappa),
@@ -842,7 +821,6 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest):
         c=c,
         weights=weights,
         measures=MeasureSystem(q=request.q, mixtures=mixtures, locations=locations),
-        boundedness=doc.get("boundedness", ""),
         certificates=certificates,
     )
 
@@ -854,38 +832,42 @@ def _show(value) -> str:
     return approx_residual(value) if isinstance(value, Fraction) else str(value)
 
 
-def _nd_checks(doc: dict, alpha: AlphaFamily, n: int, cfg: CertConfig):
-    """(name, passed, residual, detail) of each power-domain certificate:
-    a stored convergent enclosure must meet the recomputed one and be at
-    most series_width wide, a divergence witness must equal the recomputed
-    one."""
+def _nd_checks(stored: Dict[int, dict], alpha: AlphaFamily, n: int, cfg: CertConfig):
+    """(name, passed, residual, detail) of each power-domain certificate
+    nd[m], m = 1..n+1: the stored certificate must equal the recomputed one
+    field for field, each field compared as canonical JSON text, so a value
+    of another type or form (16.0 for 16) differs.  The residual of a
+    convergent nd[m] is the gap between the stored and recomputed
+    enclosures."""
     out = []
     for m in range(1, n + 2):
         cert = power_series_certificate(alpha, m, cfg)
-        stored = doc["certificates"]["nd"].get(str(m))
-        if stored is None:
+        if m not in stored:
             out.append((f"nd[{m}]", False, None, "certificate missing"))
             continue
-        expect_convergent = m <= n
-        ok = cert.is_convergent == expect_convergent == (stored["verdict"] == "convergent")
-        detail, residual = stored["verdict"], None
-        if cert.is_convergent and ok:
-            enclosure = interval_from_json(stored["enclosure"])
-            residual = enclosure.gap_to(cert.enclosure)
-            ok = residual == 0 and enclosure.width <= cfg.series_width
+        fields, expected = _json_fields(stored[m]), _json_fields(cert.to_json())
+        differ = sorted(key for key in fields.keys() | expected.keys()
+                        if fields.get(key) != expected.get(key))
+        K, T = cert.witness_index, cfg.divergence_threshold
+        if differ:
+            detail = f"stored {', '.join(differ)} differ from the recomputed certificate"
+            if not cert.is_convergent:
+                detail += f", recomputed K={K} at threshold {T}"
+        elif cert.is_convergent:
             detail = (f"stored enclosure against the recomputed one, stored width "
-                      f"{approx_residual(enclosure.width)}, series_width {cfg.series_width}")
-        elif ok:
-            K, T = cert.witness_index, cfg.divergence_threshold
-            lb = rat_from_str(stored["witness_partial_lb"])
-            ok = lb == cert.witness_partial_lb and lb > T
+                      f"{approx_residual(cert.width)}, series_width {cfg.series_width}")
+        else:
             detail = f"witness partial sum at K={K} recomputed, exceeds {T}"
-            if stored["witness_index"] != K or rat_from_str(stored["threshold"]) != T:
-                ok = False
-                detail = (f"stored witness_index {stored['witness_index']} and threshold "
-                          f"{stored['threshold']}, recomputed K={K} at threshold {T}")
-        out.append((f"nd[{m}]", ok, residual, detail))
+        residual = None
+        if cert.is_convergent and stored[m]["verdict"] == "convergent":
+            residual = interval_from_json(stored[m]["enclosure"]).gap_to(cert.enclosure)
+        out.append((f"nd[{m}]", not differ, residual, detail))
     return out
+
+
+def _json_fields(obj: dict) -> Dict[str, str]:
+    """Each field of a JSON object as canonical JSON text."""
+    return {key: json.dumps(value, sort_keys=True) for key, value in obj.items()}
 
 
 def _gaps(rows):
@@ -910,20 +892,23 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     not the one its request gives, fails a single `parse-artifact` record
     naming the JSON path, and one whose series no certificate covers (a
     bounded q, or a series_width or divergence_threshold out of reach) fails
-    a single `series-certificate` record.  Otherwise the checks are: stored values against rule reconstruction (two
-    enclosures of the same quantity must intersect), the exact branch
-    identities, and then, through the same `identity_residuals` that
-    `generate` certifies with, consistency residuals once per vertex class,
-    trunk product identities, mixture masses and CC on the window's atom
-    algebra, each record failing also when the stored certificate differs
-    from the recomputed value; last the power-domain certificates (each
-    stored convergent enclosure must meet the recomputed one and be at most
-    series_width wide, each divergence witness must equal the recomputed
-    one), and positivity of all weights.  The stored identity certificates
-    are compared only when every power-domain certificate passes, since
-    they were computed from those series.  Every series certificate is
-    recomputed within the call: it is kept on the family the document's own
-    alpha builds, so nothing `generate` computed is read.
+    a single `series-certificate` record.  Otherwise the checks are: stored
+    values against the rules `build_rules` makes from the request and the
+    document's alpha (two enclosures of the same quantity must intersect),
+    the exact branch identities, and then, through the same
+    `identity_residuals` that `generate` certifies with, consistency
+    residuals once per vertex class, trunk product identities, mixture
+    masses and CC on the window's atom algebra, each record failing also
+    when the stored certificate differs from the recomputed value; last the
+    power-domain certificates (each stored nd[m] must equal the recomputed
+    certificate field for field, see `_nd_checks`), and positivity of all
+    weights.  The stored identity certificates are compared only when every
+    power-domain certificate passes, since they were computed from those
+    series.  Every series certificate is recomputed within the call: it is
+    kept on the family the document's own alpha builds, so nothing
+    `generate` computed is read.  A key the reader does not know is
+    ignored: documents written when the format still had `tree` and the
+    bounded-q scan summary verify with the same records.
     """
     try:
         return _verify(doc)
@@ -967,8 +952,6 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
         )
     cfg = request.cert
     tol = cfg.check_tol
-    kappa = request.kappa
-    n = request.n
 
     try:
         art = _parse_artifact(doc, request)
@@ -985,19 +968,15 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
         return VerificationReport(False, tuple(records))
 
     # rule reconstruction of c and of every stored table
-    c_expected, _ = normalize(alpha, cfg)
-    rec("normalization-constant", art.c.intersects(c_expected), residual=art.c.gap_to(c_expected))
-    rule = ModelWeights(
-        alpha=alpha, c=c_expected, kappa=kappa,
-        trunk=trunk_weights(alpha, kappa, len(weights.trunk), cfg),
-    )
+    rule = build_rules(request, alpha)
+    rec("normalization-constant", art.c.intersects(rule.c), residual=art.c.gap_to(rule.c))
     rows = []
     for i in range(1, W + 1):
         rows.append((Branch(i, 1), weights.branch_first_squared(i),
-                     rule.branch_first_squared(i), ""))
-        rows.append((Branch(i, 2), weights.branch_tail_squared(i), rule.branch_tail_squared(i),
-                     "chain weight differs from rule"))
-    rows += [(Trunk(l), w, rule.trunk[l], "") for l, w in enumerate(weights.trunk)]
+                     rule.weights.branch_first_squared(i), ""))
+        rows.append((Branch(i, 2), weights.branch_tail_squared(i),
+                     rule.weights.branch_tail_squared(i), "chain weight differs from rule"))
+    rows += [(Trunk(l), w, rule.weights.trunk[l], "") for l, w in enumerate(weights.trunk)]
     table_records("weight-reconstruction", _gaps(rows))
 
     rows = [
@@ -1005,8 +984,7 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
          "branch atom location differs from q")
         for i in range(1, W + 1)
     ]
-    expected = build_measure_system(alpha, kappa, len(measures.mixtures), cfg)
-    for l, (mix, ref) in enumerate(zip(measures.mixtures, expected.mixtures)):
+    for l, (mix, ref) in enumerate(zip(measures.mixtures, rule.measures.mixtures)):
         rows.append((Trunk(l), mix.prefactor, ref.prefactor, "mixture prefactor off rule"))
         rows += [(Trunk(l), mix.atom_mass(i), ref.atom_mass(i), f"mixture atom i={i} off rule")
                  for i in range(1, W + 1)]
@@ -1020,7 +998,7 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
 
     res = identity_residuals(art, cfg)
     recomputed = _identity_certificates(res)
-    nd_checks = _nd_checks(doc, alpha, n, cfg)
+    nd_checks = _nd_checks(art.certificates["nd"], alpha, request.n, cfg)
     # stored identity certificates were computed from the stored series
     # certificates: when one of those fails its nd record, the document
     # fails there, and its identity certificates are not compared

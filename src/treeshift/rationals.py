@@ -7,7 +7,9 @@ contains the exact value of the operation applied to any members of the
 operands.  Directed rounding happens in two places, and there it is
 explicit: where series are summed (see `series.py`), and in the pair
 kernel below, on which the consistency and CC identities are evaluated
-for every vertex class that has an enclosure among its inputs.
+for every vertex class that has an enclosure among its inputs.  Both
+round an exact rational onto a 2^-bits grid with `scaled_floor` and
+`scaled_ceil`.
 
 A pair (lo, hi) of ints stands for the interval [lo, hi] * 2^-FIXED_BITS.
 `fixed_pair` rounds an exact value outward onto that grid once; sums and
@@ -209,11 +211,20 @@ FIXED_ONE = 1 << FIXED_BITS
 Pair = Tuple[int, int]
 
 
+def scaled_floor(x: Fraction, bits: int) -> int:
+    """floor(x * 2^bits): x rounded down onto the 2^-bits grid, in grid steps."""
+    return (x.numerator << bits) // x.denominator
+
+
+def scaled_ceil(x: Fraction, bits: int) -> int:
+    """ceil(x * 2^bits): x rounded up onto the 2^-bits grid, in grid steps."""
+    return -((-x.numerator << bits) // x.denominator)
+
+
 def fixed_pair(x: Scalar) -> Pair:
     """(floor(lo * 2^128), ceil(hi * 2^128)): the least grid pair holding x."""
     lo, hi = (x.lo, x.hi) if isinstance(x, Interval) else (x, x)
-    return (lo.numerator << FIXED_BITS) // lo.denominator, -(
-        (-hi.numerator << FIXED_BITS) // hi.denominator)
+    return scaled_floor(lo, FIXED_BITS), scaled_ceil(hi, FIXED_BITS)
 
 
 def fixed_interval(a: Pair) -> Interval:

@@ -52,7 +52,8 @@ from .errors import (
     ThresholdNotReachedError,
     WidthNotReachedError,
 )
-from .rationals import Interval, as_fraction, rat_from_str, rat_to_decimal, rat_to_str
+from .rationals import (Interval, as_fraction, rat_from_str, rat_to_decimal, rat_to_str,
+                        scaled_ceil, scaled_floor)
 
 _STABLE_STEPS = 8
 _VERIFY_STEPS = 64
@@ -292,9 +293,6 @@ class AlphaFamily:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    def base(self) -> "AlphaFamily":
-        return self if self.scale == 1 else replace(self, scale=Fraction(1))
-
     def rescaled(self, r) -> "AlphaFamily":
         return replace(self, scale=self.scale * as_fraction(r))
 
@@ -437,14 +435,6 @@ def zeta_tail_brackets(p: int, N: int) -> Iterator[Tuple[int, Fraction, Fraction
         yield J, S, abs(bernoulli_even(J + 1)) * rising / (fact * power)
 
 
-def _dyadic_down(x: Fraction, bits: int) -> Fraction:
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
-
-
-def _dyadic_up(x: Fraction, bits: int) -> Fraction:
-    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
-
-
 def _on_tail_bounds(a: Fraction, b: Fraction, m: int, K: int, budget: Fraction, bits: int):
     """(lo, hi, J): a bracket of sum_{k>K} 1/(k^2 (a*k+b)^m), the on-Omega
     tail, with dyadic endpoints (denominator 2^bits).
@@ -474,7 +464,9 @@ def _on_tail_bounds(a: Fraction, b: Fraction, m: int, K: int, budget: Fraction, 
         spread = (f_lo + f_hi) * R  # the part of hi - lo that more terms narrow
         if hi - lo <= budget or spread <= max(hi - lo - spread, grid):
             break
-    return max(Fraction(0), _dyadic_down(lo, bits)), _dyadic_up(hi, bits), J
+    lo, hi = (Fraction(scaled_floor(lo, bits), 1 << bits),
+              Fraction(scaled_ceil(hi, bits), 1 << bits))
+    return max(Fraction(0), lo), hi, J
 
 
 class _DyadicSum:
@@ -488,7 +480,7 @@ class _DyadicSum:
         self.count = 0
 
     def add(self, x: Fraction):
-        self.lo_int += (x.numerator << self.bits) // x.denominator
+        self.lo_int += scaled_floor(x, self.bits)
         self.count += 1
 
     def bounds(self):
@@ -576,7 +568,7 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
 
 
 def dyadic_floor(x: Fraction) -> Fraction:
-    return Fraction((x.numerator << 128) // x.denominator, 1 << 128)
+    return Fraction(scaled_floor(x, 128), 1 << 128)
 
 
 _WITNESS_BITS = 192  # 128 bits of the stored dyadic floor plus 64 guard bits
@@ -864,8 +856,7 @@ def _fixed_bracket(brackets: Iterator[Tuple[int, Fraction, Fraction]], bits: int
         prev = S, R
         if R.numerator << bits < R.denominator:
             break
-    lo, hi = S - R, S + R
-    return (lo.numerator << bits) // lo.denominator, -((-hi.numerator << bits) // hi.denominator)
+    return scaled_floor(S - R, bits), scaled_ceil(S + R, bits)
 
 
 def _scaled(cert: SeriesCertificate, scale: Fraction) -> SeriesCertificate:

@@ -100,30 +100,30 @@ def test_criterion_1_counterexample_grid():
 
 
 GRID_SHA256 = {
-    (1, 0, "linear"): "256e0bc73e495ab813053701bf2972b7624cbf51e4ae8a810ea8f494b658884b",
-    (1, 0, "mixed"): "eed6b14a76cbf63610af602203511724fea8cfedbe98ec9d065da193be2ff29b",
-    (1, 1, "linear"): "9dd704df8927261f986471ca3fe3258b82a7c629d80530a423bfa965c0c276e2",
-    (1, 1, "mixed"): "684536b3fb4a7d888605972bde1a6638fc28189ea4afc7300d56a00a246824a8",
-    (1, 3, "linear"): "4b6485b51a45364bf52df05c359edb7fbae07017b58184afda9e3ae6494babeb",
-    (1, 3, "mixed"): "922a474fcc415ac41c240369b31f42211ac26b44edf2fa76f08853ded70a806e",
-    (1, ts.INF, "linear"): "fb6eb69d83a124642efbd13dcef80d1c87f9706a79a16bb5a6cd965154005929",
-    (1, ts.INF, "mixed"): "6fecb6ca2cdb09135b94f83e97a794a376dfb78c1b37136dca23acfbc8315ce7",
-    (2, 0, "linear"): "0f4142c3ae79a4d4dbbfd7a5ef63187c860b41babe45b9fd3a453d3f8068bd76",
-    (2, 0, "mixed"): "cea0453bf4dd9d70581edaa5465711af1da8c122b3bb45e69412a44da674f172",
-    (2, 1, "linear"): "c776ee19a90853608f1ce0b5ba69c1c8475ab6e75e96e3d2d4efe24619b722f2",
-    (2, 1, "mixed"): "170a5261494e1f1f7e1a7974cae2e07155d820b8c3517444b88e39d8dc85d7e4",
-    (2, 3, "linear"): "72f41c6c99ba82c3c1312fc8b22ac24e9c474217872c76410e6aa705067f0e87",
-    (2, 3, "mixed"): "09ef315944d50d344fd603debf39020aa213e75830790891a9e6d17b1e8dc148",
-    (2, ts.INF, "linear"): "9e2c9357e986b956d8ace54eaab8c8505cbbf7a91e7d9efa98457c7d524ef5c1",
-    (2, ts.INF, "mixed"): "d4dae3bfafa504e1e7e23dfa11214caf0d75cbdadc0d026403bd016a6373ab9f",
-    (3, 0, "linear"): "91fd3ac579810937e5764239ff186cc5c59d5aaaed505f9ada3281f006491a65",
-    (3, 0, "mixed"): "0cffd5c59e0d5c87d31faed2870ba8afb093e487495810c429310289743042d0",
-    (3, 1, "linear"): "da8e1c3e2bee21f63f540b44e0b7dee0aae45e3d5a7d94b2f16fff8d88a65500",
-    (3, 1, "mixed"): "c3b10ca2531e88bc5968f44d54f7d6404ea017ad4841295682604b7b45760c77",
-    (3, 3, "linear"): "8142537115e223153a62ed12a44816747f7c767b4570d5df65fa5cef6342a0ed",
-    (3, 3, "mixed"): "5e805bebccfdc950b8ba593c4be58fde9ae03daddcb357fbae5afde5182af445",
-    (3, ts.INF, "linear"): "229c0451b46708b7f93c0f8b4de8bcd3f4e572b6865db9d73fe1f5d63203f13a",
-    (3, ts.INF, "mixed"): "80f5902391d3823647d935a338a3ddc7dc2289fbd8a5d638fade2dc40b8f012f",
+    (1, 0, "linear"): "9975fd3cdc06c79650e00a6f2ccd4ef5d713de524bad3972d6374021ea41d557",
+    (1, 0, "mixed"): "eca51826669a2e9af6de287f07dd611ec91fc52622de8b2978324f1d7dd510d1",
+    (1, 1, "linear"): "170215c1d1c77c56c5925283eb55beb2f3d46aedc16a593c3d7703cc8c98a38d",
+    (1, 1, "mixed"): "86c3c631530d8d8816fc767212285cb97535c1014ea4dfb16452e96876e75a61",
+    (1, 3, "linear"): "2e780ee022279c5846a5a59e0bc0d7d25bf726f890df254016062d0dfb7dcf32",
+    (1, 3, "mixed"): "2033d614a855d7323adb3bda0a7c3048e81b0f851dfbca68bfe04197495c003a",
+    (1, ts.INF, "linear"): "00614749583dcd6cde63d018a7f4bfedeaae647aee74d025f9a853f4726f440c",
+    (1, ts.INF, "mixed"): "c0f333ce95b4ccf3947064195ff8c890860a06339d7ed56bbf760d3221053322",
+    (2, 0, "linear"): "212a114910dfb9a2ee4d905a2b2e12bcf599969b75f912b593e51ba33c7fb72e",
+    (2, 0, "mixed"): "57eaad4cc77f45783366927223b0d0f177dc452a2c05134bcb12d2ea5bc4d765",
+    (2, 1, "linear"): "3ffd8ed477aa7cdfcad9df281423f95960b9e18099dd1299c36e70682790a1bc",
+    (2, 1, "mixed"): "638b56efd28c924fc9277548abf801cc641e9012d08976f9f1ef852d1163ec42",
+    (2, 3, "linear"): "1c5f7b6a650a09d581b53726b95349f07080f07593ac2db3dbd54b1740258ba2",
+    (2, 3, "mixed"): "2bd9425bf4070f5c67e789e4ae04742df9d236fd47692969263035798abc5b6b",
+    (2, ts.INF, "linear"): "51ca957b2fa779d9a7eb3bb51a2fb649c496e42109318b669ad9cae2acd5668d",
+    (2, ts.INF, "mixed"): "42340e3114aa41f1be9cfc776281eb98de20c589278a934b792f7589c56b6a42",
+    (3, 0, "linear"): "fe07a0f20a2933c2bb0a22e6a572c5a431d871278d9355610f50e328f4264c0e",
+    (3, 0, "mixed"): "a19a0bad22ef375392104d5a5d5dcdb0a1d86e1c84b8cd460e4a35fe375f6d56",
+    (3, 1, "linear"): "99453423d2c671f505eca0ebd616a09de4cf09bb9876171ea6f925e6638d3182",
+    (3, 1, "mixed"): "a470ce18db26bb72cac7e82a808b837f8c54191b70b682df78a4ced6aba0be3b",
+    (3, 3, "linear"): "0a152fb0cfdcee2e8a6e1df17f61fc8389622c4151c1ff247575891ebcced203",
+    (3, 3, "mixed"): "4d196024681f29ca7f45c1c7703e3b9964f23edd3d58be36b0b57a8f7f0bb647",
+    (3, ts.INF, "linear"): "0d340589b82e2b3bce3d1ada87a79365bafbafa3a3db5b40a70a37663e78042b",
+    (3, ts.INF, "mixed"): "c2b277afb4ddbefb97d06958e374601e4f12edcfb75150e7591008aba5048902",
 }
 
 

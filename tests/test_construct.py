@@ -14,6 +14,7 @@ with integral tail sandwiches, cross-checked against mpmath.zeta):
 import dataclasses
 import hashlib
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -22,8 +23,6 @@ import pytest
 import treeshift as ts
 from treeshift import Branch, LINEAR_Q, MIXED_Q, SequenceSpec, Tail, Trunk
 from treeshift.construct import (
-    artifact_from_json_dict,
-    boundedness_guard,
     checkable_vertices,
     choose_subsequence,
     consist6_residuals,
@@ -210,22 +209,6 @@ def test_eps_all_zero(artifact_n1_k3):
         assert art.measures.eps_at(u) == 0
 
 
-# --- boundedness guard ---
-
-
-def test_boundedness_guard_linear():
-    assert boundedness_guard(LINEAR_Q).startswith("unbounded")
-
-
-def test_boundedness_guard_constant():
-    q = SequenceSpec(Tail.CONSTANT, prefix=(Fraction(2),))
-    assert boundedness_guard(q).startswith("bounded-looking")
-
-
-def test_boundedness_guard_mixed():
-    assert boundedness_guard(MIXED_Q).startswith("unbounded")
-
-
 # --- generate + verify ---
 
 
@@ -270,12 +253,6 @@ def test_artifact_json_deterministic():
     a = generate(ts.CounterexampleRequest(n=1, kappa=1, q=MIXED_Q))
     b = generate(ts.CounterexampleRequest(n=1, kappa=1, q=MIXED_Q))
     assert a.to_json() == b.to_json()
-
-
-def test_artifact_from_json_dict(artifact_n1):
-    doc = artifact_n1.to_json_dict()
-    rebuilt = artifact_from_json_dict(doc)
-    assert rebuilt.to_json_dict() == doc
 
 
 def test_verify_names_corrupted_vertex(artifact_n1_k3):
@@ -340,8 +317,8 @@ def test_artifact_bytes_pinned(small_artifacts):
         for q, art in small_artifacts.items()
     }
     assert digests == {
-        "linear": "bbe2c5b9a6a925d780f188a8bd5351779eb5a28991c93a220bb391109cc0a284",
-        "mixed": "d98e7ac757a8a7c511244e1c83dd9f2a79342d01d54f896dacdff5d4faee20d8",
+        "linear": "12a4d9a01e194e9fababb59e51cb5329ed0c73ec123325380c495b820a29d461",
+        "mixed": "e5897f21cb552ea64433345486f6c9cd061de067c65f1b04603ed1bd3cfb1229",
     }
 
 
@@ -709,6 +686,63 @@ def test_verify_compares_stored_identity_certificates(doc_363, edit, name):
     failures = verify(doc).failures()
     assert [r.name for r in failures] == [name]
     assert "stored" in failures[0].detail and "recomputed" in failures[0].detail
+
+
+_CANONICAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _is_interval(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(isinstance(x, str) and _CANONICAL.fullmatch(x) for x in value))
+
+
+def _leaves(node, path=()):
+    """(path, value) of every leaf of a document; a [lo, hi] interval is one leaf."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list) and not _is_interval(node):
+        for p, value in enumerate(node):
+            yield from _leaves(value, path + (p,))
+    else:
+        yield path, node
+
+
+def _edited(value):
+    """A rational string or an interval times 1001/1000, an integer + 1, a
+    boolean flipped, any other string suffixed."""
+    up = Fraction(1001, 1000)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if _is_interval(value):
+        return [str(Fraction(x) * up) for x in value]
+    if _CANONICAL.fullmatch(value):
+        return str(Fraction(value) * up)
+    return value + "x"
+
+
+@pytest.mark.parametrize("q", [LINEAR_Q, MIXED_Q], ids=lambda q: q.tail.value)
+def test_verify_checks_every_leaf(q):
+    """A document states only what verify checks: an edit of any one leaf of
+    the (1, 3, q) Window(3, 6, 3) document fails verify, except the two
+    edits that state another request with the same artifact.  Those are a
+    series_width 1001/1000 times wider, which the same certificates meet,
+    and max_trunk 4, which the window cuts back to kappa = 3."""
+    request = ts.CounterexampleRequest(n=1, kappa=3, q=q, window=ts.Window(3, 6, 3))
+    text = generate(request).to_json()
+    passing = []
+    for path, value in _leaves(json.loads(text)):
+        doc = json.loads(text)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = _edited(value)
+        assert node[path[-1]] != value, path
+        if verify(doc).passed:
+            passing.append(".".join(map(str, path)))
+    assert passing == ["request.cert.series_width", "request.window.max_trunk"]
 
 
 @pytest.mark.parametrize("edit, path", [

@@ -243,5 +243,5 @@ def test_cc_counts_off_window_mixture_atoms():
     art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=Window(3, 12, 4)))
     assert ts.verify(art.to_json_dict()).passed
     assert hashlib.sha256(art.to_json().encode()).hexdigest() == (
-        "0bec66ab34ba6cdb6f8343ac01bbcfe6d598479348b8e8d40948174174ec7688"
+        "b3f5e006bac3a2f8263b8dc681658b0b46b742fd96eb0a989c2708626c231a36"
     )
