@@ -108,8 +108,12 @@ def _load_rules(path: Path):
     """The uncertified artifact of a document's request; its tables are not
     read (`verify` is what checks them)."""
     doc = _load_doc(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unknown artifact schema: {doc.get('schema')!r}")
+    if "request" not in doc:
+        raise ValueError(f"{path}: request: missing")
     return build_rules(CounterexampleRequest.from_json(doc["request"]))
 
 

@@ -16,7 +16,8 @@ S^{n+1} is not:
 
 Artifacts serialize to a single deterministic JSON document carrying both
 the symbolic rules and concrete per-vertex tables inside the truncation
-window; `verify` re-checks a document from its tables.
+window; `verify` rebuilds the rules from a document's request and alpha,
+requires every stored number to equal the rule's, and certifies the rules.
 """
 
 import json
@@ -70,6 +71,7 @@ from .tree import (
     Trunk,
     Vertex,
     Window,
+    ZERO,
     children,
     children_visible,
     window_vertices,
@@ -202,13 +204,13 @@ class AtomTable:
     atoms as its branches.  The off-window indices that share a
     slot's location (`indices_with_value`) are found once per table, and
     each mixture's masses are rounded to pairs once per table, when a class
-    first reads them.  Branch atoms are > 0 (q is positive, and a parsed
-    document rejects others), so the kernel may divide by any location.
+    first reads them.  Branch atoms are > 0 (q is positive), so the kernel
+    may divide by any location.
     """
 
     def __init__(self, system: "MeasureSystem", imax: int):
         self.system, self.imax = system, imax
-        by_index = [system.location(i) for i in range(1, imax + 1)]
+        by_index = [system.q.value(i) for i in range(1, imax + 1)]
         self.locations = tuple(sorted(set(by_index)))
         slot_of = {t: s for s, t in enumerate(self.locations)}
         self._slots = tuple(slot_of[t] for t in by_index)  # of index i at i - 1
@@ -233,7 +235,7 @@ class AtomTable:
         return self._mixture_rows[key]
 
     def _mixture_row(self, mix: MixtureMeasure, cc: bool) -> AtomRow:
-        if mix.locations != self.system.locations or mix.alpha.q != self.system.q:
+        if mix.alpha.q != self.system.q:
             raise NoCertificateError("a mixture whose atoms are not the branch atoms")
         merged: Dict[int, Interval] = {}
         for i, s in enumerate(self._slots, 1):
@@ -253,12 +255,10 @@ class AtomTable:
 class MeasureSystem:
     """Measures of a generated system: delta_{q_i} on every branch vertex,
     Dirac mixtures at vertex 0 and down the trunk, eps identically 0 (the
-    trunk recursion keeps every mass exactly 1).  The optional table
-    `locations` overrides q_i as the branch atom for i <= its length."""
+    trunk recursion keeps every mass exactly 1)."""
 
     q: SequenceSpec
     mixtures: Tuple[MixtureMeasure, ...]  # index = trunk level (0 = vertex 0)
-    locations: Tuple[Fraction, ...] = ()
 
     @cached_property
     def _diracs(self) -> Dict[int, AtomicMeasure]:
@@ -267,10 +267,6 @@ class MeasureSystem:
     @cached_property
     def _atom_tables(self) -> Dict[int, AtomTable]:
         return {}
-
-    def location(self, i: int) -> Fraction:
-        """The atom of branch i."""
-        return self.locations[i - 1] if i <= len(self.locations) else self.q.value(i)
 
     def atom_table(self, imax: int) -> AtomTable:
         """The atom table of branches 1..imax, built once per index limit."""
@@ -282,7 +278,7 @@ class MeasureSystem:
         """The measure at v; every vertex of branch i shares one Dirac instance."""
         if isinstance(v, Branch):
             if v.i not in self._diracs:
-                self._diracs[v.i] = AtomicMeasure.dirac(self.location(v.i))
+                self._diracs[v.i] = AtomicMeasure.dirac(self.q.value(v.i))
             return self._diracs[v.i]
         if isinstance(v, Trunk):
             if v.k < len(self.mixtures):
@@ -433,16 +429,16 @@ class IdentityResiduals:
 
 def identity_residuals(artifact: CounterexampleArtifact, cfg: CertConfig) -> IdentityResiduals:
     """Normalization, trunk product, mixture mass, consistency and CC
-    residuals over the artifact's weights and measures, which read their
-    tables where they have them and the rules elsewhere.
+    residuals over the artifact's weights and measures, the rules
+    `build_rules` makes.
 
     Consistency and CC are evaluated once per vertex class, on the window
     cut to depth min(max_depth, 2): every trunk vertex, vertex 0 and one
     representative (i, 1) per branch.  Sound, because
-    `ModelWeights.squared_at` and `MeasureSystem.measure_at` read branch i's
-    tables (or rule) independently of j: for 1 <= j < max_depth the identity
-    at (i, j), and the CC class of (i, j) with h = branch_tail(i), read
-    exactly the inputs of (i, 1), CC's test atoms included.
+    `ModelWeights.squared_at` and `MeasureSystem.measure_at` give branch i's
+    weights and atom independently of j: for 1 <= j < max_depth the
+    identity at (i, j), and the CC class of (i, j) with h = branch_tail(i),
+    read exactly the inputs of (i, 1), CC's test atoms included.
     """
     alpha, c, kappa = artifact.alpha, artifact.c, artifact.request.kappa
     zgod_prime = _one_residual(c * power_series_certificate(alpha, 0, cfg).enclosure)
@@ -735,14 +731,28 @@ def _parse_identity_certificates(doc: dict, kappa, window: Window) -> dict:
     return certs
 
 
-def _parse_artifact(doc: dict, request: CounterexampleRequest):
-    """The artifact a document stores, its tables overriding the rules for
-    the indices they cover.  Every table must have the length the stored
-    window gives it, so no later check reads past a table or runs longer
-    than the tables; a shape error raises _Malformed naming its JSON path.
-    Its certificates hold the identity certificates parsed and, under "nd",
-    each stored nd[m] (m = 1..n+1) as the JSON object it is, once its
-    verdict and the fields that verdict needs have parsed."""
+class _Stored(NamedTuple):
+    """The numbers a document stores: each branch table at i - 1, each
+    trunk table at its level."""
+
+    window: Window
+    alpha: AlphaFamily
+    c: Interval
+    first: Tuple[Interval, ...]  # |lambda_{i,1}|^2
+    tail: Tuple[Fraction, ...]  # |lambda_{i,j}|^2, j >= 2
+    trunk: Tuple[Interval, ...]
+    locations: Tuple[Fraction, ...]  # the atom of branch i
+    mixtures: Tuple[Tuple[Interval, Tuple[Interval, ...]], ...]  # (prefactor, masses)
+    certificates: dict
+
+
+def _parse_artifact(doc: dict, request: CounterexampleRequest) -> _Stored:
+    """The numbers a document stores.  Every table must have the length the
+    stored window gives it, so no later check reads past a table or runs
+    longer than the tables; a shape error raises _Malformed naming its JSON
+    path.  The certificates hold the identity certificates parsed and,
+    under "nd", each stored nd[m] (m = 1..n+1) as the JSON object it is,
+    once its verdict and the fields that verdict needs have parsed."""
     kappa = request.kappa
     if doc.get("schema") != SCHEMA:
         raise _Malformed(f"schema: {doc.get('schema')!r}, expected {SCHEMA!r}")
@@ -765,14 +775,9 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest):
     def interval(e, _):
         return interval_from_json(e["w2"])
 
-    weights = ModelWeights(
-        alpha=alpha,
-        c=c,
-        kappa=kappa,
-        first=_table(doc, "weights.branch_first", W, "i", interval),
-        tail=_table(doc, "weights.branch_tail", W, "i", lambda e, _: rat_from_str(e["w2"])),
-        trunk=_table(doc, "weights.trunk", _trunk_levels(kappa, stored), "l", interval),
-    )
+    first = _table(doc, "weights.branch_first", W, "i", interval)
+    tail = _table(doc, "weights.branch_tail", W, "i", lambda e, _: rat_from_str(e["w2"]))
+    trunk = _table(doc, "weights.trunk", _trunk_levels(kappa, stored), "l", interval)
 
     def atom(e, where):
         t = rat_from_str(e["t"])
@@ -784,8 +789,7 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest):
 
     def mixture(m, where):
         masses = _table(m, "atoms", W, "i", lambda e, _: interval_from_json(e["mass"]), where + ".")
-        return MixtureMeasure(alpha, m["shift"], interval_from_json(m["prefactor"]),
-                              masses=masses, locations=locations)
+        return interval_from_json(m["prefactor"]), masses
 
     mixtures = _table(doc, "measures.mixtures", _mixture_levels(kappa, stored), "shift", mixture)
     if _at(doc, "measures.eps") != []:  # eps vanishes identically on a generated system
@@ -812,17 +816,7 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest):
     if _artifact_window(request) != stored:
         raise _Malformed(f"request.window: gives {_artifact_window(request)}, not {stored}")
     certificates = {"nd": stored_nd, **_parse_identity_certificates(doc, kappa, stored)}
-    return CounterexampleArtifact(
-        request=request,
-        tree=ModelTree(eta=INF, kappa=kappa),
-        window=stored,
-        omega=alpha.omega,
-        alpha=alpha,
-        c=c,
-        weights=weights,
-        measures=MeasureSystem(q=request.q, mixtures=mixtures, locations=locations),
-        certificates=certificates,
-    )
+    return _Stored(stored, alpha, c, first, tail, trunk, locations, mixtures, certificates)
 
 
 def _show(value) -> str:
@@ -870,18 +864,20 @@ def _json_fields(obj: dict) -> Dict[str, str]:
     return {key: json.dumps(value, sort_keys=True) for key, value in obj.items()}
 
 
-def _gaps(rows):
-    """(vertex, gap, detail) for each (vertex, stored, expected, detail) row
-    whose stored value lies a positive distance from the expected one."""
+def _mismatches(rows):
+    """(vertex, distance, detail) for each (vertex, stored, expected, detail)
+    row whose stored value is not the expected one; the distance is the
+    larger endpoint distance (a rational is a point), so it is nonzero."""
     for vertex, stored, expected, detail in rows:
-        stored = coerce(stored)
-        if not stored.intersects(expected):  # comparisons only, on the common path
-            yield vertex, stored.gap_to(expected), detail
+        if stored != expected:
+            a, b = coerce(stored), coerce(expected)
+            yield vertex, max(abs(a.lo - b.lo), abs(a.hi - b.hi)), detail
 
 
 def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
-    """Re-run every certificate check against the stored tables of an
-    artifact document, on the whole window the document stores.
+    """Check that an artifact document states the rules of its request and
+    alpha, on the whole window it stores, and re-run every certificate check
+    on those rules.
 
     A request that states other fixed constants than the library's, or
     whose numbers (q.prefix, series_width, divergence_threshold) are not in
@@ -892,23 +888,25 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     not the one its request gives, fails a single `parse-artifact` record
     naming the JSON path, and one whose series no certificate covers (a
     bounded q, or a series_width or divergence_threshold out of reach) fails
-    a single `series-certificate` record.  Otherwise the checks are: stored
-    values against the rules `build_rules` makes from the request and the
-    document's alpha (two enclosures of the same quantity must intersect),
-    the exact branch identities, and then, through the same
-    `identity_residuals` that `generate` certifies with, consistency
-    residuals once per vertex class, trunk product identities, mixture
-    masses and CC on the window's atom algebra, each record failing also
-    when the stored certificate differs from the recomputed value; last the
-    power-domain certificates (each stored nd[m] must equal the recomputed
-    certificate field for field, see `_nd_checks`), and positivity of all
-    weights.  The stored identity certificates are compared only when every
-    power-domain certificate passes, since they were computed from those
-    series.  Every series certificate is recomputed within the call: it is
-    kept on the family the document's own alpha builds, so nothing
-    `generate` computed is read.  A key the reader does not know is
-    ignored: documents written when the format still had `tree` and the
-    bounded-q scan summary verify with the same records.
+    a single `series-certificate` record.  Otherwise the checks are: every
+    stored number against the value written by the rules that `build_rules`
+    makes from the request and the document's alpha (the two must be
+    equal; a failing row names its vertex, with the larger endpoint
+    distance as residual), the exact branch identities on the stored
+    values, and then `identity_residuals` on the rule artifact, the call
+    `generate` certifies with: consistency residuals once per vertex class,
+    trunk product identities, mixture masses and CC on the window's atom
+    algebra, each record failing also when the stored certificate differs
+    from the recomputed value; last the power-domain certificates (each
+    stored nd[m] must equal the recomputed certificate field for field, see
+    `_nd_checks`), and positivity of all stored weights.  The stored
+    identity certificates are compared only when every power-domain
+    certificate passes, since they were computed from those series.  Every
+    series certificate is recomputed within the call: it is kept on the
+    family the document's own alpha builds, so nothing `generate` computed
+    is read.  A key the reader does not know is ignored: documents written
+    when the format still had `tree` and the bounded-q scan summary verify
+    with the same records.
     """
     try:
         return _verify(doc)
@@ -954,51 +952,48 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
     tol = cfg.check_tol
 
     try:
-        art = _parse_artifact(doc, request)
+        stored = _parse_artifact(doc, request)
     except Exception as exc:
         return VerificationReport(
             False, (CheckRecord("parse-artifact", False, detail=str(exc)),)
         )
-    alpha, weights, measures = art.alpha, art.weights, art.measures
-    W = art.window.max_branch
+    alpha = stored.alpha
 
-    omega_ok = art.omega == choose_subsequence(request.q, cfg)
+    omega_ok = alpha.omega == choose_subsequence(request.q, cfg)
     rec("omega-reconstruction", omega_ok, detail="greedy subsequence matches stored spec")
     if not omega_ok:  # every rule below is built from the stored omega
         return VerificationReport(False, tuple(records))
 
-    # rule reconstruction of c and of every stored table
+    # every stored number must be the one the rules write
     rule = build_rules(request, alpha)
-    rec("normalization-constant", art.c.intersects(rule.c), residual=art.c.gap_to(rule.c))
+    weights = rule.weights
+    table_records("normalization-constant", _mismatches([(ZERO, stored.c, rule.c, "")]),
+                  residual=0)
     rows = []
-    for i in range(1, W + 1):
-        rows.append((Branch(i, 1), weights.branch_first_squared(i),
-                     rule.weights.branch_first_squared(i), ""))
-        rows.append((Branch(i, 2), weights.branch_tail_squared(i),
-                     rule.weights.branch_tail_squared(i), "chain weight differs from rule"))
-    rows += [(Trunk(l), w, rule.weights.trunk[l], "") for l, w in enumerate(weights.trunk)]
-    table_records("weight-reconstruction", _gaps(rows))
+    for i, (first, tail) in enumerate(zip(stored.first, stored.tail), 1):
+        rows.append((Branch(i, 1), first, weights.branch_first_squared(i), ""))
+        rows.append((Branch(i, 2), tail, weights.branch_tail_squared(i),
+                     "chain weight differs from rule"))
+    rows += [(Trunk(l), w, weights.trunk[l], "") for l, w in enumerate(stored.trunk)]
+    table_records("weight-reconstruction", _mismatches(rows))
 
-    rows = [
-        (Branch(i, 1), measures.locations[i - 1], alpha.q.value(i),
-         "branch atom location differs from q")
-        for i in range(1, W + 1)
-    ]
-    for l, (mix, ref) in enumerate(zip(measures.mixtures, rule.measures.mixtures)):
-        rows.append((Trunk(l), mix.prefactor, ref.prefactor, "mixture prefactor off rule"))
-        rows += [(Trunk(l), mix.atom_mass(i), ref.atom_mass(i), f"mixture atom i={i} off rule")
-                 for i in range(1, W + 1)]
-    table_records("atom-reconstruction", _gaps(rows))
+    rows = [(Branch(i, 1), t, alpha.q.value(i), "branch atom location differs from q")
+            for i, t in enumerate(stored.locations, 1)]
+    for l, ((prefactor, masses), mix) in enumerate(zip(stored.mixtures, rule.measures.mixtures)):
+        rows.append((Trunk(l), prefactor, mix.prefactor, "mixture prefactor off rule"))
+        rows += [(Trunk(l), mass, mix.atom_mass(i), f"mixture atom i={i} off rule")
+                 for i, mass in enumerate(masses, 1)]
+    table_records("atom-reconstruction", _mismatches(rows))
 
     # zgod0: branch moments match weight products exactly (both are powers
     # of one rational, so the check is equality of the chain weight and the atom)
-    rows = [(Branch(i, 2), weights.branch_tail_squared(i), measures.locations[i - 1], "")
-            for i in range(1, W + 1)]
-    table_records("zgod0", _gaps(rows), residual=0)
+    rows = [(Branch(i, 2), w, t, "")
+            for i, (w, t) in enumerate(zip(stored.tail, stored.locations), 1)]
+    table_records("zgod0", _mismatches(rows), residual=0)
 
-    res = identity_residuals(art, cfg)
+    res = identity_residuals(rule, cfg)
     recomputed = _identity_certificates(res)
-    nd_checks = _nd_checks(art.certificates["nd"], alpha, request.n, cfg)
+    nd_checks = _nd_checks(stored.certificates["nd"], alpha, request.n, cfg)
     # stored identity certificates were computed from the stored series
     # certificates: when one of those fails its nd record, the document
     # fails there, and its identity certificates are not compared
@@ -1009,9 +1004,9 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
         one (or nothing is compared), else both values."""
         if not compare:
             return ""
-        value, stored = reduce(getitem, path, recomputed), reduce(getitem, path, art.certificates)
+        value, kept = reduce(getitem, path, recomputed), reduce(getitem, path, stored.certificates)
         name = f"{path[-1]} " if isinstance(path[-1], str) else ""
-        return "" if stored == value else f"stored {name}{_show(stored)}, recomputed {_show(value)}"
+        return "" if kept == value else f"stored {name}{_show(kept)}, recomputed {_show(value)}"
 
     uppers = {u: r.residual_upper for u, r in res.consist6.items()}
     worst = max(uppers, key=uppers.get) if res.consist6_max else None  # first at the max
@@ -1045,12 +1040,10 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
         rec(name, ok, residual=residual, detail=detail)
 
     # positivity of every stored weight
-    misses = [
-        (Branch(i, 1), None, "")
-        for i in range(1, W + 1)
-        if weights.branch_first_squared(i).lo <= 0 or weights.branch_tail_squared(i) <= 0
-    ]
-    misses += [(Trunk(l), None, "") for l, w in enumerate(weights.trunk) if w.lo <= 0]
+    misses = [(Branch(i, 1), None, "")
+              for i, (first, tail) in enumerate(zip(stored.first, stored.tail), 1)
+              if first.lo <= 0 or tail <= 0]
+    misses += [(Trunk(l), None, "") for l, w in enumerate(stored.trunk) if w.lo <= 0]
     table_records("weights-positive", misses)
 
     return VerificationReport(all(r.passed for r in records), tuple(records), residuals=res)

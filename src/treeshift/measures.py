@@ -97,27 +97,26 @@ class MixtureMeasure:
     prefactor encloses 1 / sum_i alpha_i q_i^(-shift), so the total mass is
     exactly 1; atom masses carry the enclosure width.  shift = 0 gives the
     branching-vertex measure, shift = l the measure l steps down the trunk.
-    The optional tables `masses` and `locations` override the rule for atom
-    indices i <= their length.  The finite view below is built once per
-    instance and index limit, and kept with the instance.
+    Each atom mass is computed once per instance, and the finite view below
+    once per instance and index limit; both are kept with the instance.
     """
 
     alpha: AlphaFamily
     shift: int
     prefactor: Interval
-    masses: Tuple[Interval, ...] = ()
-    locations: Tuple[Fraction, ...] = ()
 
     def atom_location(self, i: int) -> Fraction:
-        if i <= len(self.locations):
-            return self.locations[i - 1]
         return self.alpha.q.value(i)
 
+    @cached_property
+    def _masses(self) -> Dict[int, Interval]:
+        return {}
+
     def atom_mass(self, i: int) -> Interval:
-        if i <= len(self.masses):
-            return self.masses[i - 1]
-        exact = self.alpha.value(i) * self.atom_location(i) ** (-self.shift)
-        return self.prefactor * exact
+        if i not in self._masses:
+            exact = self.alpha.value(i) * self.atom_location(i) ** (-self.shift)
+            self._masses[i] = self.prefactor * exact
+        return self._masses[i]
 
     @cached_property
     def _views(self) -> Dict[int, Tuple[Tuple[Fraction, Interval], ...]]:

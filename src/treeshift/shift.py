@@ -10,7 +10,8 @@ factor to keep squared norms exact rationals.
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .errors import NoCertificateError, UnknownVertexError, WindowOverflowError
 from .measures import AtomicMeasure, moment
@@ -72,28 +73,26 @@ class ModelWeights:
     """Symbolic weight system of a generated counterexample on T_{inf,kappa}.
 
     |lambda_{i,1}|^2 = c * alpha_i * q_i (interval-scaled exact rational),
-    |lambda_{i,j}|^2 = q_i for j >= 2, and trunk weights are ratios of
-    neighbouring moment series, one enclosure per trunk level.  The
-    optional tables `first` and `tail` hold |lambda_{i,1}|^2 and
-    |lambda_{i,j}|^2 (j >= 2) for i <= their length and override the rule
-    there; a parsed artifact document carries its stored numbers in them.
+    computed once per instance and index; |lambda_{i,j}|^2 = q_i for
+    j >= 2; and trunk weights are ratios of neighbouring moment series, one
+    enclosure per trunk level.
     """
 
     alpha: AlphaFamily
     c: Interval
     kappa: Union[int, float]
     trunk: Tuple[Interval, ...]
-    first: Tuple[Interval, ...] = ()
-    tail: Tuple[Fraction, ...] = ()
+
+    @cached_property
+    def _first(self) -> Dict[int, Interval]:
+        return {}
 
     def branch_first_squared(self, i: int) -> Interval:
-        if i <= len(self.first):
-            return self.first[i - 1]
-        return self.c * (self.alpha.value(i) * self.alpha.q.value(i))
+        if i not in self._first:
+            self._first[i] = self.c * (self.alpha.value(i) * self.alpha.q.value(i))
+        return self._first[i]
 
     def branch_tail_squared(self, i: int) -> Fraction:
-        if i <= len(self.tail):
-            return self.tail[i - 1]
         return self.alpha.q.value(i)
 
     def squared_at(self, v: Vertex) -> Scalar:

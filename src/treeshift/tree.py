@@ -80,15 +80,6 @@ def vertex_to_json(v: Vertex):
     return {"label": v.label}
 
 
-def vertex_from_json(obj) -> Vertex:
-    if "trunk" in obj:
-        return Trunk(obj["trunk"])
-    if "branch" in obj:
-        i, j = obj["branch"]
-        return Branch(i, j)
-    return Explicit(obj["label"])
-
-
 # --- truncation window ---
 
 
@@ -215,24 +206,6 @@ class ExplicitTree:
 
 
 TreeSpec = Union[ModelTree, ExplicitTree]
-
-
-def tree_to_json(tree: TreeSpec):
-    if isinstance(tree, ModelTree):
-        enc = lambda x: "inf" if x is INF else int(x)
-        return {"model": {"eta": enc(tree.eta), "kappa": enc(tree.kappa)}}
-    return {
-        "edges": [[vertex_to_json(p), vertex_to_json(c)] for p, c in tree.edges]
-    }
-
-
-def tree_from_json(obj) -> TreeSpec:
-    if "model" in obj:
-        dec = lambda x: INF if x == "inf" else int(x)
-        return ModelTree(dec(obj["model"]["eta"]), dec(obj["model"]["kappa"]))
-    return ExplicitTree(
-        (vertex_from_json(p), vertex_from_json(c)) for p, c in obj["edges"]
-    )
 
 
 # --- navigation ---

@@ -25,7 +25,6 @@ import pytest
 import treeshift as ts
 from treeshift import Branch, Window
 from treeshift.construct import (
-    _parse_artifact,
     consist6_residuals,
     identity_residuals,
     trunk_weights,
@@ -359,12 +358,3 @@ def _assert_classes_cover_window(art):
 ], ids=lambda key: _cell_name(*key))
 def test_identity_classes_cover_grid_window(art_key):
     _assert_classes_cover_window(get_artifact(*art_key))
-
-
-@pytest.mark.parametrize("art_key, factor, path", CORRUPTIONS, ids=[
-    f"{_cell_name(*key)}-{'.'.join(map(str, path))}" for key, _, path in CORRUPTIONS
-])
-def test_identity_classes_cover_corrupted_window(art_key, factor, path):
-    doc = _corrupt(get_artifact(*art_key).to_json_dict(), path, factor)
-    request = ts.CounterexampleRequest.from_json(doc["request"])
-    _assert_classes_cover_window(_parse_artifact(doc, request))

@@ -222,3 +222,20 @@ def test_missing_request_key_exit_2(artifact_path, tmp_path, monkeypatch, capsys
     Path("nowidth.json").write_text(json.dumps(doc))
     assert run([command, "nowidth.json", *flags]) == 2
     assert "cert.series_width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("domain-check", ["--power", "1"]),
+    ("partial-sums", ["--exponent", "1", "--out", "sums.csv"]),
+])
+@pytest.mark.parametrize("doc, message", [
+    ([], "not a JSON object"),
+    ({"schema": "treeshift-artifact/1"}, "request: missing"),
+], ids=["list", "no-request"])
+def test_rules_of_shapeless_document_exit_2(tmp_path, monkeypatch, capsys, command, flags,
+                                            doc, message):
+    monkeypatch.chdir(tmp_path)
+    Path("doc.json").write_text(json.dumps(doc))
+    assert run([command, "doc.json", *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not Path("sums.csv").exists()

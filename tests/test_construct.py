@@ -723,26 +723,41 @@ def _edited(value):
     return value + "x"
 
 
+def _narrowed(value):
+    """An interval with 2^-1000 added to its lower end: inside the interval
+    it was, so inside any enclosure that contained it."""
+    lo, hi = map(Fraction, value)
+    assert lo + Fraction(1, 2**1000) <= hi
+    return [str(lo + Fraction(1, 2**1000)), str(hi)]
+
+
 @pytest.mark.parametrize("q", [LINEAR_Q, MIXED_Q], ids=lambda q: q.tail.value)
 def test_verify_checks_every_leaf(q):
     """A document states only what verify checks: an edit of any one leaf of
     the (1, 3, q) Window(3, 6, 3) document fails verify, except the two
     edits that state another request with the same artifact.  Those are a
     series_width 1001/1000 times wider, which the same certificates meet,
-    and max_trunk 4, which the window cuts back to kappa = 3."""
+    and max_trunk 4, which the window cuts back to kappa = 3.  Every
+    interval leaf narrowed by 2^-1000 fails too: a stored number must be
+    the rule's value, not merely meet its enclosure."""
     request = ts.CounterexampleRequest(n=1, kappa=3, q=q, window=ts.Window(3, 6, 3))
     text = generate(request).to_json()
-    passing = []
+    passing, narrowed_passing = [], []
     for path, value in _leaves(json.loads(text)):
-        doc = json.loads(text)
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = _edited(value)
-        assert node[path[-1]] != value, path
-        if verify(doc).passed:
-            passing.append(".".join(map(str, path)))
+        edits = [(passing, _edited(value))]
+        if _is_interval(value):
+            edits.append((narrowed_passing, _narrowed(value)))
+        for found, edited in edits:
+            doc = json.loads(text)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = edited
+            assert node[path[-1]] != value, path
+            if verify(doc).passed:
+                found.append(".".join(map(str, path)))
     assert passing == ["request.cert.series_width", "request.window.max_trunk"]
+    assert narrowed_passing == []
 
 
 @pytest.mark.parametrize("edit, path", [

@@ -7,9 +7,6 @@ from treeshift import Branch, Explicit, ExplicitTree, ModelTree, Trunk, Window
 from treeshift.errors import InvalidTreeError, UnknownVertexError
 from treeshift.tree import (
     child_count_untruncated,
-    tree_from_json,
-    tree_to_json,
-    vertex_from_json,
     vertex_to_json,
     window_vertices,
 )
@@ -185,16 +182,7 @@ def test_model_child_counts():
 
 
 def test_vertex_json_roundtrip():
-    for v in (Trunk(3), Branch(2, 5), Explicit(-7)):
-        assert vertex_from_json(vertex_to_json(v)) == v
     assert vertex_to_json(Trunk(3)) == {"trunk": 3}
     assert vertex_to_json(Branch(2, 5)) == {"branch": [2, 5]}
     assert vertex_to_json(Explicit(-7)) == {"label": -7}
 
-
-def test_tree_json_roundtrip():
-    model = ModelTree(eta=ts.INF, kappa=4)
-    assert tree_from_json(tree_to_json(model)) == model
-    assert tree_to_json(model) == {"model": {"eta": "inf", "kappa": 4}}
-    explicit, _ = abc_tree()
-    assert tree_from_json(tree_to_json(explicit)).edges == explicit.edges
