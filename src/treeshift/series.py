@@ -11,8 +11,10 @@ coefficients alpha are produced by the counterexample construction:
 
 Convergent verdicts carry an interval enclosure: partial sums are
 accumulated in fixed-point arithmetic with directed rounding (denominator
-2^dyadic_bits).  The on-Omega tail is a Hurwitz zeta tail zeta(p, N),
-bracketed by an exact-rational Euler-Maclaurin expansion whose remainder
+2^dyadic_bits).  On Omega's affine tail i_k = a*k + b the omitted terms are
+1/(k^2 (a*k+b)^m); with d = b/a an integer, partial fractions turn their sum
+into Hurwitz zeta tails zeta(p, N) and |d| exact reciprocals, and each zeta
+is bracketed by an exact-rational Euler-Maclaurin expansion whose remainder
 is bounded by its first omitted Bernoulli term (F. Johansson, "Rigorous
 high-precision computation of the Hurwitz zeta function and its
 derivatives", arXiv:1309.2877); the off-Omega tail is geometric.  Tail
@@ -21,9 +23,10 @@ enclosure endpoint is dyadic.
 Divergent verdicts carry a harmonic minorant, the witness index at which
 the on-Omega partial sum first crosses a configurable threshold, and a
 certified dyadic lower bound of that partial sum, itself above the
-threshold; the exact partial sum itself is not kept.  Both kinds of sum
-run as integer kernels that add floor(2^bits * term) for each exact term,
-so they store the same numbers an exact rational loop would.
+threshold; the exact partial sum itself is not kept.  Above l = n+1 the
+terms dominate those at l = n+1, whose witness is reused.  Both kinds of
+sum run as integer kernels that add floor(2^bits * term) for each exact
+term, so they store the same numbers an exact rational loop would.
 The crossing rule "S_k > T and floor(2^128 S_k) > 2^128 T" is monotone in
 k (the terms are nonnegative), so the witness is found by a loop over the
 first 1024 terms and, past them, by bisection on a closed form: for
@@ -435,38 +438,74 @@ def zeta_tail_brackets(p: int, N: int) -> Iterator[Tuple[int, Fraction, Fraction
         yield J, S, abs(bernoulli_even(J + 1)) * rising / (fact * power)
 
 
-def _on_tail_bounds(a: Fraction, b: Fraction, m: int, K: int, budget: Fraction, bits: int):
+@cache
+def _zeta_fixed_brackets(p: int, N: int, bits: int):
+    """The pairs _zeta_fixed has found for (p, N, bits), J = 1, 2, ..., and
+    the expansion that extends them: memoized like bernoulli_even, since
+    each pair is a pure function of (p, N, J, bits)."""
+    return [], zeta_tail_brackets(p, N)
+
+
+def _zeta_fixed(p: int, N: int, J: int, bits: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits zeta(p, N) <= hi, from J Bernoulli terms."""
+    pairs, brackets = _zeta_fixed_brackets(p, N, bits)
+    while len(pairs) < J:
+        _, S, R = next(brackets)
+        pairs.append((scaled_floor(S - R, bits), scaled_ceil(S + R, bits)))
+    return pairs[J - 1]
+
+
+def _on_tail_bounds(a: int, b: int, m: int, K: int, budget: Fraction, bits: int):
     """(lo, hi, J): a bracket of sum_{k>K} 1/(k^2 (a*k+b)^m), the on-Omega
     tail, with dyadic endpoints (denominator 2^bits).
 
-    Uses (a*k+b)/k in [c_lo, c_hi] for k >= K+1, so the tail lies in
-    [c_hi^-m, c_lo^-m] * zeta(m+2, K+1), and brackets zeta(m+2, K+1) with J
-    Euler-Maclaurin terms.  J grows until the bracket is at most `budget`
-    wide, or until another term cannot narrow it: the remainder no longer
-    shrinks, or falls below the c-factor mismatch or the grid step.
+    With d = b/a (an integer for every Omega build_omega returns: linear
+    tails have slope 1, mixed tails slope 2 and an even intercept; any other
+    shift raises NoCertificateError), each term is a^-m x^-2 (x+d)^-m at
+    x = k.  Expanding (x+d)^-m about x = 0, and x^-2 = d^-2 (1 - y/d)^-2 =
+    d^-2 sum_r (r+1) (y/d)^r about y = x + d = 0, gives
+      x^-2 (x+d)^-m = A2/x^2 + A1/x + sum_{j=1..m} B_j/(x+d)^j,
+      A2 = d^-m,  A1 = -m d^-(m+1),  B_j = (m-j+1) d^-(m-j+2).
+    A1 + B_1 = 0, so the 1/x and 1/(x+d) terms telescope to A1 E with
+    E = sum_{K<k<=K+d} 1/k (d > 0) or -sum_{K+d<k<=K} 1/k (d < 0), and
+      tail = a^-m (A2 zeta(2, K+1) + A1 E + sum_{j=2..m} B_j zeta(j, K+1+d)),
+    or a^-m zeta(m+2, K+1) when m = 0 or d = 0.  The parts cancel from O(1)
+    to far below 2^-bits, so each zeta gets J Euler-Maclaurin terms on the
+    2^-(bits+64) grid, the parts are combined there in integers with
+    directed rounding, and the sum is rounded outward to 2^-bits once.  J
+    grows for every zeta together until the bracket is at most `budget`
+    wide, or until another term no longer narrows it.
     """
-    p = m + 2
-    if m == 0:
-        c_lo = c_hi = Fraction(1)
-    elif b >= 0:
-        c_lo, c_hi = a, a + b / (K + 1)
-    else:
-        c_lo, c_hi = a + b / (K + 1), a
-    if c_lo <= 0:
+    if m and b % a:
+        raise NoCertificateError(f"Omega tail shift {b}/{a} is not an integer")
+    d = b // a if m else 0
+    if K + 1 + d < 1:
         raise NoCertificateError("affine tail coefficient not positive")
-    f_lo, f_hi = c_hi**-m, c_lo**-m
-    grid = Fraction(1, 1 << bits)
-    prev_R = None
-    for j, S, R in zeta_tail_brackets(p, K + 1):
-        if prev_R is not None and R >= prev_R:
+    # (coefficient, p, N) of each zeta(p, N), and the telescoped exact part
+    parts, exact = [(Fraction(1, a**m), m + 2, K + 1)], Fraction(0)
+    if d:
+        parts = [(Fraction(1, (a * d) ** m), 2, K + 1)] + [
+            (Fraction(m - j + 1, a**m * d ** (m - j + 2)), j, K + 1 + d) for j in range(2, m + 1)]
+        E = (sum(Fraction(1, k) for k in range(K + 1, K + 1 + d))
+             - sum(Fraction(1, k) for k in range(K + 1 + d, K + 1)))
+        exact = Fraction(-m, a**m * d ** (m + 1)) * E
+    fine = bits + 64
+    exact_lo, exact_hi = scaled_floor(exact, fine), scaled_ceil(exact, fine)
+    best, J = None, 0
+    while True:
+        J += 1
+        lo, hi = exact_lo, exact_hi
+        for c, p, N in parts:
+            z_lo, z_hi = _zeta_fixed(p, N, J, fine)[:: 1 if c > 0 else -1]
+            lo += c.numerator * z_lo // c.denominator
+            hi -= -c.numerator * z_hi // c.denominator
+        if best and hi - lo >= best[1] - best[0]:
             break  # the expansion has stopped converging: keep the previous J
-        lo, hi, J, prev_R = f_lo * (S - R), f_hi * (S + R), j, R
-        spread = (f_lo + f_hi) * R  # the part of hi - lo that more terms narrow
-        if hi - lo <= budget or spread <= max(hi - lo - spread, grid):
+        best = lo, hi, J
+        if (hi - lo) * budget.denominator <= budget.numerator << fine:
             break
-    lo, hi = (Fraction(scaled_floor(lo, bits), 1 << bits),
-              Fraction(scaled_ceil(hi, bits), 1 << bits))
-    return max(Fraction(0), lo), hi, J
+    lo, hi, J = best
+    return max(Fraction(0), Fraction(lo >> 64, 1 << bits)), Fraction(-(-hi >> 64), 1 << bits), J
 
 
 class _DyadicSum:
@@ -491,7 +530,6 @@ class _DyadicSum:
 def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     """Unscaled convergent certificate for sum_i alpha_i q_i^l, l <= n."""
     m = n - l
-    a, b = Fraction(omega.slope), Fraction(omega.intercept)
     off_empty = omega.covers_all
     I = 0 if off_empty else max(cfg.off_omega_terms, n + 1 - l, 1)
     off_tail_hi = Fraction(0) if off_empty else Fraction(1, 2**I)
@@ -502,7 +540,8 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
         # and the accumulator's K + I grid steps
         spent = off_tail_hi + Fraction(K + I, 2**cfg.dyadic_bits)
         budget = cfg.series_width - spent
-        t_lo, t_hi, J = _on_tail_bounds(a, b, m, K, budget, cfg.dyadic_bits)
+        t_lo, t_hi, J = _on_tail_bounds(omega.slope, omega.intercept, m, K, budget,
+                                        cfg.dyadic_bits)
         if t_hi - t_lo <= budget:
             break
         if budget <= 0 or K >= cfg.max_terms:  # a larger K only shrinks the budget
@@ -514,42 +553,40 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
             )
         K = min(2 * K, cfg.max_terms)
 
-    # on-Omega terms q_{i_k}^{-m}/k^2, each floored onto the accumulator's
-    # grid by one integer division: the floor of 2^bits * term depends only
-    # on the term's value, so this adds what _DyadicSum.add would
+    # on-Omega terms q_{i_k}^{-m}/k^2 and off-Omega terms 2^-i q^l / D_i =
+    # (q-1) q^(l-n-1+i) / (2^i (q^i - 1)) with q = u/v, each floored onto the
+    # accumulator's grid by one integer division: the floor of 2^bits * term
+    # depends only on the term's value, so this adds what _DyadicSum.add would
     acc = _DyadicSum(cfg.dyadic_bits)
     one = acc.one
-    if m == 0:
-        # terms are exactly 1/k^2, independent of q; k <= max_terms < 2^30
-        # keeps each division by a single machine digit
-        acc.lo_int += sum(one // k // k for k in range(1, K + 1))
-    else:
-        head_len = min(len(omega.head), K)
-        for k in range(1, head_len + 1):
-            qv = q.value(omega.head[k - 1])
-            acc.lo_int += (qv.denominator**m * one) // (qv.numerator**m * k * k)
-        slope, icept = omega.slope, omega.intercept
-        acc.lo_int += sum(
-            one // ((slope * k + icept) ** m * k * k) for k in range(head_len + 1, K + 1)
-        )
-    acc.count += K
-
-    off_used = 0
-    if not off_empty:
-        for i in range(1, I + 1):
-            if omega.contains(i):
-                continue
-            term = Fraction(1, 2**i) * q.value(i) ** l / _slon4_denominator(q, n, i)
-            acc.add(term)
-            off_used += 1
+    head_len = min(len(omega.head), K)
+    for k in range(1, head_len + 1):
+        qv = q.value(omega.head[k - 1])
+        acc.lo_int += (qv.denominator**m * one) // (qv.numerator**m * k * k)
+    slope, icept = omega.slope, omega.intercept
+    acc.lo_int += sum(one // ((slope * k + icept) ** m * k * k)
+                      for k in range(head_len + 1, K + 1))
+    off = [i for i in range(1, I + 1) if not omega.contains(i)]
+    for i in off:
+        qv = q.value(i)
+        u, v, e = qv.numerator, qv.denominator, l - n - 1 + i
+        if u == v:  # q = 1: the term is 2^-i / i
+            acc.lo_int += one // (i << i)
+        else:
+            num, den = (u - v) * v ** (i - 1), (u**i - v**i) << i
+            num, den = (num * u**e, den * v**e) if e >= 0 else (num * v**-e, den * u**-e)
+            acc.lo_int += (num * one) // den if den > 0 else (-num * one) // -den
+    acc.count += K + len(off)
 
     partial_lo, partial_hi = acc.bounds()
     tail_lo = t_lo
     tail_hi = t_hi + off_tail_hi
-    rule = (
-        f"on-Omega tail beyond k={K}: ((q_slope*k+q_icept)/k)^-{m} bounds times "
-        f"zeta({m + 2}, {K + 1}), bracketed by Euler-Maclaurin with {J} Bernoulli terms"
-    )
+    d = omega.intercept // omega.slope if m else 0
+    rule = f"on-Omega tail beyond k={K}: " + (
+        f"((q_slope*k+q_icept)/k)^-{m} bounds times zeta({m + 2}, {K + 1})" if d == 0 else
+        f"k^-2 (q_slope*k+q_icept)^-{m} in partial fractions over k and k{d:+d}: "
+        f"zeta(2, {K + 1}), zeta(j, {K + 1 + d}) for 2 <= j <= {m}, and {abs(d)} exact reciprocals"
+    ) + f", bracketed by Euler-Maclaurin with {J} Bernoulli terms"
     if not off_empty:
         rule += f"; off-Omega tail: sum_{{i>{I}}} 2^-i = 2^-{I}"
     return SeriesCertificate(
@@ -557,9 +594,9 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
         verdict="convergent",
         enclosure=Interval(partial_lo + tail_lo, partial_hi + tail_hi),
         tail_rule=rule,
-        terms_used=K + off_used,
+        terms_used=K + len(off),
         omega_terms=K,
-        off_terms=off_used,
+        off_terms=len(off),
         partial_lo=partial_lo,
         partial_hi=partial_hi,
         tail_lo=tail_lo,
@@ -572,9 +609,8 @@ def dyadic_floor(x: Fraction) -> Fraction:
 
 
 _WITNESS_BITS = 192  # 128 bits of the stored dyadic floor plus 64 guard bits
-_WITNESS_LOOP = 1024  # m = 1: the loop sums at least this far before the closed form
-_MAX_LOOP_STEPS = 1 << 20  # m >= 2: the loop's last step (there K <= ceil(T) + 1)
-_MAX_WITNESS_BITS = 512  # m = 1: a witness index must be below 2^512
+_WITNESS_LOOP = 1024  # the loop sums at least this far before the closed form
+_MAX_WITNESS_BITS = 512  # a witness index must be below 2^512
 _MAX_GUARD_BITS = 512  # closed form: the most extra bits tried on an open step
 _NEWTON_STEPS = 6  # closed form: steering steps before the gallop, which decides
 
@@ -582,38 +618,44 @@ _NEWTON_STEPS = 6  # closed form: steering steps before the gallop, which decide
 def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     """Unscaled divergent certificate for l >= n+1: harmonic minorant.
 
-    The witness is the first k at which the on-Omega partial sum S_k
-    exceeds the threshold T and so does dyadic_floor(S_k).  The terms are
-    nonnegative, so S_k and floor(2^128 S_k) never decrease in k, and since
-    dyadic_floor(S_k) <= S_k the rule is the monotone predicate
+    For m = l - n >= 2 every on-Omega term q_{i_k}^m/k^2 is at least the
+    m = 1 term q_{i_k}/k^2, since q_{i_k} >= k >= 1, so the certificate is
+    the m = 1 one, witness and all, with a minorant saying so.
+
+    For m = 1 the witness is the first k at which the on-Omega partial sum
+    S_k exceeds the threshold T and so does dyadic_floor(S_k).  The terms
+    are nonnegative, so S_k and floor(2^128 S_k) never decrease in k, and
+    since dyadic_floor(S_k) <= S_k the rule is the monotone predicate
     floor(2^128 S_k) > 2^128 T: the witness is the least k where it holds,
     and any search that decides that predicate exactly finds it.
 
-    The first K0 = max(1024, len(omega.head)) steps (every step when
-    m = l - n >= 2) run as a loop: S_k is summed as the integer lo, adding
-    floor(2^W * term) per term (W = 192), so after k terms S_k lies in
-    [lo, lo + k] / 2^W.  That bracket decides each step: S_k <= T when
-    (lo + k)/2^W <= T, and when lo/2^W > T with lo and lo + k agreeing above
-    bit 64, S_k > T and dyadic_floor(S_k) is exactly (lo >> 64)/2^128.  A
-    step the bracket leaves open (S_k within k/2^W of T or of a 2^-128 grid
-    point) is decided on the exact sum witness_partial_sum.  Past
-    omega.head, q_{i_k} is the index i_k = slope*k + intercept itself
-    (build_omega checks this on the affine tail), so those steps add
-    floor(2^W i_k^m / k^2) in plain integers.  For m >= 2 every term is at
-    least k^(m-2) >= 1, so K <= ceil(T) + 1; the loop gives up with
-    ThresholdNotReachedError after 2^20 steps.
+    The first K0 = max(1024, len(omega.head)) steps run as a loop: S_k is
+    summed as the integer lo, adding floor(2^W * term) per term (W = 192),
+    so after k terms S_k lies in [lo, lo + k] / 2^W.  That bracket decides
+    each step: S_k <= T when (lo + k)/2^W <= T, and when lo/2^W > T with lo
+    and lo + k agreeing above bit 64, S_k > T and dyadic_floor(S_k) is
+    exactly (lo >> 64)/2^128.  A step the bracket leaves open (S_k within
+    k/2^W of T or of a 2^-128 grid point) is decided on the exact sum
+    witness_partial_sum.  Past omega.head, q_{i_k} is the index
+    i_k = slope*k + intercept itself (build_omega checks this on the affine
+    tail), so those steps add floor(2^W i_k / k^2) in plain integers.
 
-    For m = 1 the steps past K0 go to _closed_form_witness, which brackets
-    S_k in closed form and bisects on the predicate in O(log K)
-    evaluations; witness_index and witness_partial_lb are those of the
-    exact rule either way.
+    The steps past K0 go to _closed_form_witness, which brackets S_k in
+    closed form and bisects on the predicate in O(log K) evaluations;
+    witness_index and witness_partial_lb are those of the exact rule either
+    way.
     """
     m = l - n  # >= 1
+    if m > 1:
+        return replace(_divergent_base(q, omega, n, n + 1, cfg), terms=f"sum_i alpha_i*q_i^{l}",
+                       minorant=f"on-Omega terms q_{{i_k}}^{m}/k^2 >= q_{{i_k}}/k^2 >= 1/k "
+                       f"(harmonic, since q_{{i_k}} >= k >= 1), witnessed on the partial sums "
+                       f"of q_{{i_k}}/k^2; remaining terms nonnegative")
     T = as_fraction(cfg.divergence_threshold)
     t_den, t_num_w = T.denominator, T.numerator << _WITNESS_BITS
     guard = _WITNESS_BITS - 128
     head = len(omega.head)
-    last = max(_WITNESS_LOOP, head) if m == 1 else _MAX_LOOP_STEPS
+    last = max(_WITNESS_LOOP, head)
     lo = 0
     k = 0
     while k < last:
@@ -622,12 +664,12 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
             qv = q.value(omega.head[k - 1])
             if qv < k:
                 raise NoCertificateError(f"q_{{i_{k}}} = {qv} < {k}: minorant broken")
-            lo += (qv.numerator**m << _WITNESS_BITS) // (qv.denominator**m * k * k)
+            lo += (qv.numerator << _WITNESS_BITS) // (qv.denominator * k * k)
         else:
             i = omega.slope * k + omega.intercept  # = q_{i_k} on the affine tail
             if i < k:
                 raise NoCertificateError(f"q_{{i_{k}}} = {i} < {k}: minorant broken")
-            lo += (i**m << _WITNESS_BITS) // (k * k)
+            lo += (i << _WITNESS_BITS) // (k * k)
         if (lo + k) * t_den <= t_num_w:
             lb = None  # S_k <= T
         elif lo * t_den > t_num_w and lo >> guard == (lo + k) >> guard:
@@ -639,10 +681,6 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
         if lb is not None and lb > T:
             break
     else:
-        if m > 1:
-            raise ThresholdNotReachedError(
-                f"divergence_threshold {rat_to_str(T)}: no witness within {last} terms"
-            )
         k, floor128 = _closed_form_witness(q, omega, k, lo, T)
         lb = Fraction(floor128, 1 << 128)
     return SeriesCertificate(

@@ -318,7 +318,7 @@ def test_artifact_bytes_pinned(small_artifacts):
     }
     assert digests == {
         "linear": "12a4d9a01e194e9fababb59e51cb5329ed0c73ec123325380c495b820a29d461",
-        "mixed": "e5897f21cb552ea64433345486f6c9cd061de067c65f1b04603ed1bd3cfb1229",
+        "mixed": "53a587f938b33e8e9eb624e6cbce57f2b90473200fd6279c2975b721879f5380",
     }
 
 
@@ -332,7 +332,7 @@ def test_exact_residuals_pinned(small_artifacts):
     }
     assert digests == {
         "linear": "c478c486c2c82a0d12401d7a62b7b0b48390bde462db5a654ff870bd6d1b24bf",
-        "mixed": "1b78110f97aab8cda356d03938cfbbf591b5881f409505fc95e2adc7dd7b1127",
+        "mixed": "5e0927b390ebd4fb80d930621adf5d096d8a28a3293fea7411df90dac11e1b04",
     }
 
 

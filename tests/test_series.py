@@ -265,13 +265,42 @@ def test_tail_bounds_round_outward(m):
 def test_linear_certificates_sum_sixteen_terms():
     """The Omega tail of linear q has intercept 0, so the bracket alone
     narrows it: the first K = 16 meets widths 1e-12 and 1e-30, where an
-    integral sandwich needed K = 2^20 for sum 1/k^2 at 1e-12."""
-    fam = AlphaFamily(LINEAR_Q, build_omega(LINEAR_Q), power=3)
-    for width in (Fraction(1, 10**12), Fraction(1, 10**30)):
-        cfg = CertConfig(series_width=width)
-        for l in range(3, -12, -1):
-            cert = power_series_certificate(fam, l, cfg)
-            assert cert.omega_terms == 16 and cert.width <= width, (width, l)
+    integral sandwich needed K = 2^20 for sum 1/k^2 at 1e-12.  Mixed q's
+    partial-fraction tail meets 1e-12 at K = 16 too; its 2^-48 off-Omega
+    tail keeps it from 1e-30."""
+    for q, widths in ((LINEAR_Q, (Fraction(1, 10**12), Fraction(1, 10**30))),
+                      (MIXED_Q, (Fraction(1, 10**12),))):
+        fam = AlphaFamily(q, build_omega(q), power=3)
+        for width in widths:
+            cfg = CertConfig(series_width=width)
+            for l in range(3, -12, -1):
+                cert = power_series_certificate(fam, l, cfg)
+                assert cert.omega_terms == 16 and cert.width <= width, (q, width, l)
+
+
+TAIL_SHIFTS = ((2, -2), (1, 0), (1, 3), (2, 4), (1, -2), (2, -6))
+
+
+@pytest.mark.parametrize("K", [16, 40])
+@pytest.mark.parametrize("a, b", TAIL_SHIFTS, ids=[f"{a}k{b:+d}" for a, b in TAIL_SHIFTS])
+def test_tail_bounds_contain_mpmath(a, b, K):
+    """The partial-fraction bracket of sum_{k>K} 1/(k^2 (a*k+b)^m) holds the
+    sum mpmath.nsum finds at 60 digits (Richardson extrapolation, which suits
+    terms rational in k), and is no wider than its budget."""
+    budget = Fraction(1, 10**30)
+    with mp.workdps(60):
+        for m in range(17):
+            lo, hi, _ = series._on_tail_bounds(a, b, m, K, budget, CertConfig.dyadic_bits)
+            exact = mp.nsum(lambda k: 1 / (k**2 * (a * k + b) ** m), [K + 1, mp.inf],
+                            method="richardson")
+            assert contains_mpf(Interval(lo, hi), exact), (m, lo, hi)
+            assert hi - lo <= budget, m
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_tail_shift_must_be_an_integer(m):
+    with pytest.raises(NoCertificateError, match="shift 1/2"):
+        series._on_tail_bounds(2, 1, m, 16, Fraction(1, 10**12), CertConfig.dyadic_bits)
 
 
 def _fraction_partials(fam, l, K):
@@ -293,16 +322,24 @@ def _fraction_partials(fam, l, K):
 
 
 @pytest.mark.parametrize(
-    "q",
-    [RATIONAL_PREFIX_Q, SequenceSpec(Tail.LINEAR, prefix=(Fraction(7, 2), Fraction(1, 2), Fraction(7)))],
-    ids=["integer-head", "rational-head"],
+    "q, powers, lowest",
+    [(RATIONAL_PREFIX_Q, (2,), -3),
+     (SequenceSpec(Tail.LINEAR, prefix=(Fraction(7, 2), Fraction(1, 2), Fraction(7))), (2,), -3),
+     (MIXED_Q, (1, 3), -12),
+     (SequenceSpec(Tail.MIXED, prefix=(Fraction(3, 2), 1, Fraction(1, 3), Fraction(5))),
+      (1, 3), -12)],
+    ids=["integer-head", "rational-head", "mixed", "mixed-rational-head"],
 )
-def test_convergent_kernel_matches_fraction_loop(q):
-    fam = AlphaFamily(q, build_omega(q), power=2)
+def test_convergent_kernel_matches_fraction_loop(q, powers, lowest):
+    """The integer kernel's on- and off-Omega floors equal the exact
+    Fraction loop's, on mixed q too, whose off-Omega terms it floors."""
     cfg = CertConfig(series_width=Fraction(1, 10**6))
-    for l in range(fam.power, -4, -1):
-        cert = series._convergent_base(fam.q, fam.omega, fam.power, l, cfg)
-        assert (cert.partial_lo, cert.partial_hi) == _fraction_partials(fam, l, cert.omega_terms), l
+    for n in powers:
+        fam = AlphaFamily(q, build_omega(q), power=n)
+        for l in range(n, lowest - 1, -1):
+            cert = series._convergent_base(fam.q, fam.omega, n, l, cfg)
+            assert (cert.partial_lo, cert.partial_hi) == _fraction_partials(
+                fam, l, cert.omega_terms), (n, l)
 
 
 def test_certificate_structure_invariants():
@@ -590,7 +627,12 @@ def test_far_supercritical_divergence():
     fam = AlphaFamily(LINEAR_Q, omega, power=1)
     cert = power_series_certificate(fam, 4)  # terms q^3/k^2 = k
     assert not cert.is_convergent
-    assert cert.witness_index <= 6
+    # the terms dominate those at l = 2, whose witness certifies them too
+    harmonic = power_series_certificate(fam, 2)
+    assert (cert.witness_index, cert.witness_partial_lb, cert.threshold) == (
+        harmonic.witness_index, harmonic.witness_partial_lb, harmonic.threshold)
+    assert cert.witness_partial_lb > cert.threshold
+    assert cert.terms == "sum_i alpha_i*q_i^4" and "1/k" in cert.minorant
 
 
 # --- the per-family memo ---
