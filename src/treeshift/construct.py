@@ -138,14 +138,14 @@ class CounterexampleRequest:
             if stated != value:
                 raise ValueError(f"cert.{key}: {stated!r}, the library fixes {value!r}")
         return CounterexampleRequest(
-            n=read("n"),
-            kappa=read("kappa", lambda kappa: INF if kappa == "inf" else kappa),
+            n=read("n", _index),
+            kappa=read("kappa", lambda kappa: INF if kappa == "inf" else _index(kappa)),
             q=read("q", SequenceSpec.from_json),
             cert=CertConfig(
                 series_width=read("cert.series_width", rat_from_str),
                 divergence_threshold=read("cert.divergence_threshold", rat_from_str),
             ),
-            window=read("window", lambda window: Window(**window)),
+            window=read("window", _window),
         )
 
 
@@ -671,7 +671,7 @@ def _table(node, path: str, count: int, pos_key: str, parse, prefix: str = "", s
     for p, row in enumerate(rows):
         where = f"{path}[{p}]"
         try:
-            if row[pos_key] != start + p:
+            if _index(row[pos_key]) != start + p:
                 raise ValueError(f"{pos_key} = {row[pos_key]!r}, expected {start + p}")
             out.append(parse(row, where))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -683,6 +683,13 @@ def _index(value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{value!r} is not an integer")
     return value
+
+
+def _window(value) -> Window:
+    """The window a document states: every bound, and no other key."""
+    if not isinstance(value, dict) or value.keys() != asdict(Window()).keys():
+        raise ValueError(f"{str(value)[:60]} does not state exactly {list(asdict(Window()))}")
+    return Window(**value)
 
 
 def _flag(value) -> bool:
@@ -757,11 +764,11 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest) -> _Stored:
     if doc.get("schema") != SCHEMA:
         raise _Malformed(f"schema: {doc.get('schema')!r}, expected {SCHEMA!r}")
     try:
-        stored = Window(**_at(doc, "window"))
+        stored = _window(_at(doc, "window"))
     except (TypeError, ValueError) as exc:
         raise _Malformed(f"window: {exc}") from None
     W = stored.max_branch
-    power = _at(doc, "alpha.power")
+    power = _read(doc, "alpha.power", _index)
     if power != request.n:
         raise _Malformed(f"alpha.power: {power!r}, the request has n = {request.n}")
     alpha = AlphaFamily(

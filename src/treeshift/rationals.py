@@ -293,24 +293,27 @@ def rat_to_str(x: Fraction) -> str:
 # a 400-branch window takes 3,839 bits).
 MAX_RATIONAL_BITS = 1 << 16
 _MAX_DIGITS = MAX_RATIONAL_BITS * 30103 // 100000 + 2  # digits of 2^MAX_RATIONAL_BITS, and "-"
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
 def rat_from_str(s: str) -> Fraction:
-    """The rational a document stores as `rat_to_str` writes it: a string of
-    an optional "-", digits and an optional "/digits", numerator and
-    denominator below 2^MAX_RATIONAL_BITS.  Anything else (a number, an
-    exponent, a decimal point, an oversized value) raises ValueError, in time
-    linear in the length of the string."""
+    """The rational a document stores as `rat_to_str` writes it: in lowest
+    terms, a string of an optional "-", digits without a leading zero and an
+    optional "/digits" other than "/1", numerator and denominator coprime and
+    below 2^MAX_RATIONAL_BITS ("0" for zero).  Anything else (a number, an
+    exponent, a decimal point, "02", "-0", "2/4", "2/1", an oversized value)
+    raises ValueError, in time linear in the length of the string."""
     match = _RATIONAL.fullmatch(s) if isinstance(s, str) and len(s) <= 2 * _MAX_DIGITS else None
     if match is None:
         raise ValueError(f"{repr(s)[:40]} is not a string [-]digits[/digits] within the cap")
     num, den = match.groups("1")
     if len(num) <= _MAX_DIGITS and len(den) <= _MAX_DIGITS:
         num, den = int(num), int(den)
-        if den and max(num.bit_length(), den.bit_length()) <= MAX_RATIONAL_BITS:
-            return Fraction(num, den)
-    raise ValueError(f"{s[:40]!r}: a zero denominator, or over {MAX_RATIONAL_BITS} bits")
+        if max(num.bit_length(), den.bit_length()) <= MAX_RATIONAL_BITS:
+            x = Fraction(num, den)
+            if x.denominator == den and match.group(2) != "1":
+                return x
+    raise ValueError(f"{s[:40]!r}: not in lowest terms, or over {MAX_RATIONAL_BITS} bits")
 
 
 def interval_to_json(iv: Interval) -> list:

@@ -25,8 +25,8 @@ the on-Omega partial sum first crosses a configurable threshold, and a
 certified dyadic lower bound of that partial sum, itself above the
 threshold; the exact partial sum itself is not kept.  Above l = n+1 the
 terms dominate those at l = n+1, whose witness is reused.  Both kinds of
-sum run as integer kernels that add floor(2^bits * term) for each exact
-term, so they store the same numbers an exact rational loop would.
+sum add the on-Omega floors floor(2^bits q_{i_k}^s / k^2), s = l - n, of one
+integer kernel, so they store the same numbers an exact rational loop would.
 The crossing rule "S_k > T and floor(2^128 S_k) > 2^128 T" is monotone in
 k (the terms are nonnegative), so the witness is found by a loop over the
 first 1024 terms and, past them, by bisection on a closed form: for
@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from itertools import count, islice
 from math import comb, exp
 from typing import ClassVar, Dict, Iterator, Optional, Tuple
 
@@ -136,6 +137,8 @@ class SequenceSpec:
 
     @staticmethod
     def from_json(obj) -> "SequenceSpec":
+        if not isinstance(obj["prefix"], list):
+            raise TypeError(f"prefix {str(obj['prefix'])[:40]} is not a list")
         return SequenceSpec(Tail(obj["tail"]), tuple(map(rat_from_str, obj["prefix"])))
 
 
@@ -196,9 +199,10 @@ class OmegaSpec:
 
     @staticmethod
     def from_json(obj) -> "OmegaSpec":
-        return OmegaSpec(
-            tuple(obj["head"]), obj["affine_from"], obj["slope"], obj["intercept"]
-        )
+        head, rest = tuple(obj["head"]), (obj["affine_from"], obj["slope"], obj["intercept"])
+        if any(isinstance(x, bool) for x in head + rest):  # True == 1 would pass as 1
+            raise TypeError("omega: a boolean where an integer belongs")
+        return OmegaSpec(head, *rest)
 
 
 def build_omega(q: SequenceSpec, cfg: CertConfig = DEFAULT_CONFIG) -> OmegaSpec:
@@ -508,23 +512,22 @@ def _on_tail_bounds(a: int, b: int, m: int, K: int, budget: Fraction, bits: int)
     return max(Fraction(0), Fraction(lo >> 64, 1 << bits)), Fraction(-(-hi >> 64), 1 << bits), J
 
 
-class _DyadicSum:
-    """Directed fixed-point accumulator: after adding N exact rationals,
-    the true sum lies in [lo_int, lo_int + N] / 2^bits."""
-
-    def __init__(self, bits: int):
-        self.bits = bits
-        self.one = 1 << bits
-        self.lo_int = 0
-        self.count = 0
-
-    def add(self, x: Fraction):
-        self.lo_int += scaled_floor(x, self.bits)
-        self.count += 1
-
-    def bounds(self):
-        scale = Fraction(1, self.one)
-        return self.lo_int * scale, (self.lo_int + self.count) * scale
+def _on_omega_floors(q, omega, s: int, bits: int) -> Iterator[int]:
+    """floor(2^bits q_{i_k}^s / k^2) for k = 1, 2, ...: the on-Omega terms
+    of sum_i alpha_i q_i^l at s = l - n, each floored onto the 2^-bits grid
+    by one integer division, so the first K of them add what exact rational
+    floors would.  Past omega.head, q_{i_k} is the index i_k = slope*k +
+    intercept itself (build_omega checks this on the affine tail)."""
+    e, a, b, heads = abs(s), omega.slope, omega.intercept, len(omega.head)
+    for k in count(1):
+        if k <= heads:
+            qv = q.value(omega.head[k - 1])
+            u, v = qv.numerator, qv.denominator
+        else:
+            u, v = a * k + b, 1
+        if s < 0:
+            u, v = v, u
+        yield (u**e << bits) // (v**e * k * k)
 
 
 def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
@@ -534,51 +537,48 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     I = 0 if off_empty else max(cfg.off_omega_terms, n + 1 - l, 1)
     off_tail_hi = Fraction(0) if off_empty else Fraction(1, 2**I)
 
+    bits = cfg.dyadic_bits
+    width = rat_to_decimal(cfg.series_width, 3)
+    missed = f"sum_i alpha_i*q_i^{l}: series_width {width} not reached"
     K = max(16, omega.affine_from)
     while True:
         # the tail's share of the width: the rest goes to the off-Omega tail
-        # and the accumulator's K + I grid steps
-        spent = off_tail_hi + Fraction(K + I, 2**cfg.dyadic_bits)
+        # and the K + I grid steps the floors may lose
+        spent = off_tail_hi + Fraction(K + I, 1 << bits)
         budget = cfg.series_width - spent
-        t_lo, t_hi, J = _on_tail_bounds(omega.slope, omega.intercept, m, K, budget,
-                                        cfg.dyadic_bits)
+        if budget <= 0:  # a larger K only shrinks the budget
+            raise WidthNotReachedError(
+                f"{missed}; the off-Omega tail and the rounding alone take "
+                f"{rat_to_decimal(spent, 3)} at {K} on-Omega terms"
+            )
+        t_lo, t_hi, J = _on_tail_bounds(omega.slope, omega.intercept, m, K, budget, bits)
         if t_hi - t_lo <= budget:
             break
-        if budget <= 0 or K >= cfg.max_terms:  # a larger K only shrinks the budget
+        if K >= cfg.max_terms:
             raise WidthNotReachedError(
-                f"sum_i alpha_i*q_i^{l}: series_width {rat_to_decimal(cfg.series_width, 3)} "
-                f"not reached; {K} on-Omega terms give width "
+                f"{missed}; {K} on-Omega terms give width "
                 f"{rat_to_decimal(spent + t_hi - t_lo, 3)}, of which the off-Omega tail "
                 f"and the rounding take {rat_to_decimal(spent, 3)}"
             )
         K = min(2 * K, cfg.max_terms)
 
-    # on-Omega terms q_{i_k}^{-m}/k^2 and off-Omega terms 2^-i q^l / D_i =
-    # (q-1) q^(l-n-1+i) / (2^i (q^i - 1)) with q = u/v, each floored onto the
-    # accumulator's grid by one integer division: the floor of 2^bits * term
-    # depends only on the term's value, so this adds what _DyadicSum.add would
-    acc = _DyadicSum(cfg.dyadic_bits)
-    one = acc.one
-    head_len = min(len(omega.head), K)
-    for k in range(1, head_len + 1):
-        qv = q.value(omega.head[k - 1])
-        acc.lo_int += (qv.denominator**m * one) // (qv.numerator**m * k * k)
-    slope, icept = omega.slope, omega.intercept
-    acc.lo_int += sum(one // ((slope * k + icept) ** m * k * k)
-                      for k in range(head_len + 1, K + 1))
+    # the floors of the first K on-Omega terms and of the off-Omega terms
+    # 2^-i q^l / D_i = (q-1) q^(l-n-1+i) / (2^i (q^i - 1)) with q = u/v, each
+    # by one integer division: the exact partial sum of those K + len(off)
+    # terms lies in [lo, lo + K + len(off)] / 2^bits
+    lo = sum(islice(_on_omega_floors(q, omega, -m, bits), K))
     off = [i for i in range(1, I + 1) if not omega.contains(i)]
     for i in off:
         qv = q.value(i)
         u, v, e = qv.numerator, qv.denominator, l - n - 1 + i
         if u == v:  # q = 1: the term is 2^-i / i
-            acc.lo_int += one // (i << i)
+            lo += (1 << bits) // (i << i)
         else:
             num, den = (u - v) * v ** (i - 1), (u**i - v**i) << i
             num, den = (num * u**e, den * v**e) if e >= 0 else (num * v**-e, den * u**-e)
-            acc.lo_int += (num * one) // den if den > 0 else (-num * one) // -den
-    acc.count += K + len(off)
+            lo += (num << bits) // den if den > 0 else (-num << bits) // -den
 
-    partial_lo, partial_hi = acc.bounds()
+    partial_lo, partial_hi = Fraction(lo, 1 << bits), Fraction(lo + K + len(off), 1 << bits)
     tail_lo = t_lo
     tail_hi = t_hi + off_tail_hi
     d = omega.intercept // omega.slope if m else 0
@@ -629,16 +629,19 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     floor(2^128 S_k) > 2^128 T: the witness is the least k where it holds,
     and any search that decides that predicate exactly finds it.
 
+    The minorant q_{i_k} >= k is checked once, for every k: on each head
+    entry, and on the affine tail i_k = a*k + b by a >= 1 and
+    (a - 1) k + b >= 0 at the first tail k, which then holds for every
+    later k; otherwise NoCertificateError names the first k that breaks it.
+
     The first K0 = max(1024, len(omega.head)) steps run as a loop: S_k is
-    summed as the integer lo, adding floor(2^W * term) per term (W = 192),
-    so after k terms S_k lies in [lo, lo + k] / 2^W.  That bracket decides
-    each step: S_k <= T when (lo + k)/2^W <= T, and when lo/2^W > T with lo
-    and lo + k agreeing above bit 64, S_k > T and dyadic_floor(S_k) is
-    exactly (lo >> 64)/2^128.  A step the bracket leaves open (S_k within
-    k/2^W of T or of a 2^-128 grid point) is decided on the exact sum
-    witness_partial_sum.  Past omega.head, q_{i_k} is the index
-    i_k = slope*k + intercept itself (build_omega checks this on the affine
-    tail), so those steps add floor(2^W i_k / k^2) in plain integers.
+    summed as the integer lo, adding _on_omega_floors' floor(2^W * term)
+    per term (W = 192), so after k terms S_k lies in [lo, lo + k] / 2^W.
+    That bracket decides each step: S_k <= T when (lo + k)/2^W <= T, and
+    when lo/2^W > T with lo and lo + k agreeing above bit 64, S_k > T and
+    dyadic_floor(S_k) is exactly (lo >> 64)/2^128.  A step the bracket
+    leaves open (S_k within k/2^W of T or of a 2^-128 grid point) is
+    decided on the exact sum witness_partial_sum.
 
     The steps past K0 go to _closed_form_witness, which brackets S_k in
     closed form and bisects on the predicate in O(log K) evaluations;
@@ -651,25 +654,21 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
                        minorant=f"on-Omega terms q_{{i_k}}^{m}/k^2 >= q_{{i_k}}/k^2 >= 1/k "
                        f"(harmonic, since q_{{i_k}} >= k >= 1), witnessed on the partial sums "
                        f"of q_{{i_k}}/k^2; remaining terms nonnegative")
+    for k, qv in enumerate(map(q.value, omega.head), 1):
+        if qv.numerator < k * qv.denominator:
+            raise NoCertificateError(f"q_{{i_{k}}} = {qv} < {k}: minorant broken")
+    a, b, k = omega.slope, omega.intercept, len(omega.head) + 1
+    if a < 1:  # (a - 1) k + b falls in k: the first k where it is negative
+        k = max(k, b // (1 - a) + 1)
+    if a < 1 or (a - 1) * k + b < 0:
+        raise NoCertificateError(f"q_{{i_{k}}} = {a * k + b} < {k}: minorant broken")
     T = as_fraction(cfg.divergence_threshold)
     t_den, t_num_w = T.denominator, T.numerator << _WITNESS_BITS
     guard = _WITNESS_BITS - 128
-    head = len(omega.head)
-    last = max(_WITNESS_LOOP, head)
+    floors = _on_omega_floors(q, omega, 1, _WITNESS_BITS)
     lo = 0
-    k = 0
-    while k < last:
-        k += 1
-        if k <= head:
-            qv = q.value(omega.head[k - 1])
-            if qv < k:
-                raise NoCertificateError(f"q_{{i_{k}}} = {qv} < {k}: minorant broken")
-            lo += (qv.numerator << _WITNESS_BITS) // (qv.denominator * k * k)
-        else:
-            i = omega.slope * k + omega.intercept  # = q_{i_k} on the affine tail
-            if i < k:
-                raise NoCertificateError(f"q_{{i_{k}}} = {i} < {k}: minorant broken")
-            lo += (i << _WITNESS_BITS) // (k * k)
+    for k, floor in zip(range(1, max(_WITNESS_LOOP, len(omega.head)) + 1), floors):
+        lo += floor
         if (lo + k) * t_den <= t_num_w:
             lb = None  # S_k <= T
         elif lo * t_den > t_num_w and lo >> guard == (lo + k) >> guard:
@@ -722,8 +721,6 @@ def _closed_form_witness(q, omega, k0: int, lo0: int, T: Fraction) -> Tuple[int,
     ThresholdNotReachedError is raised.
     """
     a, b = omega.slope, omega.intercept
-    if (a - 1) * (k0 + 1) + b < 0:
-        raise NoCertificateError(f"q_{{i_{k0 + 1}}} < {k0 + 1}: minorant broken")
     g = (T.numerator << 128) // T.denominator + 1  # crossing: floor(2^128 S_k) >= g
     k_max = 1 << _MAX_WITNESS_BITS
     consts, brackets, floors = {}, {}, {}
@@ -736,7 +733,8 @@ def _closed_form_witness(q, omega, k0: int, lo0: int, T: Fraction) -> Tuple[int,
 
     def const(bits):  # C = S_k0 - a (ln k0 + E(k0)) + b zeta(2, k0+1)
         if bits not in consts:
-            s = lo0 if bits == _WITNESS_BITS else _on_omega_floor_sum(q, omega, k0, bits)
+            s = lo0 if bits == _WITNESS_BITS else sum(
+                islice(_on_omega_floors(q, omega, 1, bits), k0))
             consts[bits] = _add((s, s + k0), _times(-a, harmonic(k0, bits)),
                                 _times(b, zeta2(k0 + 1, bits)))
         return consts[bits]
@@ -814,18 +812,6 @@ def _add(*brackets):
 def _times(c: int, bracket):
     lo, hi = bracket
     return (c * lo, c * hi) if c >= 0 else (c * hi, c * lo)
-
-
-def _on_omega_floor_sum(q, omega, upto: int, bits: int) -> int:
-    """sum_{k<=upto} floor(2^bits q_{i_k}/k^2): what the witness loop adds
-    for m = 1, at another precision."""
-    head = min(len(omega.head), upto)
-    s = 0
-    for k in range(1, head + 1):
-        qv = q.value(omega.head[k - 1])
-        s += (qv.numerator << bits) // (qv.denominator * k * k)
-    a, b = omega.slope, omega.intercept
-    return s + sum(((a * k + b) << bits) // (k * k) for k in range(head + 1, upto + 1))
 
 
 def _atanh_fixed(p: int, r: int, bits: int) -> Tuple[int, int]:

@@ -12,6 +12,7 @@ with integral tail sandwiches, cross-checked against mpmath.zeta):
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import re
@@ -19,6 +20,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import treeshift as ts
 from treeshift import Branch, LINEAR_Q, MIXED_Q, SequenceSpec, Tail, Trunk
@@ -442,16 +445,22 @@ def test_fine_width_generates_and_verifies():
     (LINEAR_Q, Fraction(1, 10**95)),  # below what the 2^-320 grid reaches
     (MIXED_Q, Fraction(1, 10**40)),
 ])
-def test_unreachable_width_raises_before_summing(q, width):
+def test_unreachable_width_raises_before_summing(monkeypatch, q, width):
     """A width no certificate reaches raises at once, naming the series and
     both widths, where the K-doubling loop used to run to max_terms and
-    return a certificate wider than asked."""
+    return a certificate wider than asked.  A width the off-Omega tail and
+    the rounding alone exceed raises before the on-Omega tail is bracketed."""
+    budgets = []
+    real = series._on_tail_bounds
+    monkeypatch.setattr(series, "_on_tail_bounds",
+                        lambda *args: budgets.append(args[4]) or real(*args))
     request = ts.CounterexampleRequest(n=1, kappa=3, q=q, window=SMALL_WINDOW,
                                        cert=ts.CertConfig(series_width=width))
     started = time.monotonic()
     with pytest.raises(ts.WidthNotReachedError, match=r"sum_i alpha_i\*q_i\^0: series_width "):
         generate(request)
     assert time.monotonic() - started < 1
+    assert all(budget > 0 for budget in budgets), budgets
 
 
 def test_certificates_never_wider_than_series_width():
@@ -760,6 +769,91 @@ def test_verify_checks_every_leaf(q):
     assert narrowed_passing == []
 
 
+@functools.cache
+def _fuzz_document(tail: str) -> str:
+    """The (1, 3, q) Window(3, 6, 3) document, as JSON text."""
+    q = {"linear": LINEAR_Q, "mixed": MIXED_Q}[tail]
+    request = ts.CounterexampleRequest(n=1, kappa=3, q=q, window=ts.Window(3, 6, 3))
+    return generate(request).to_json()
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node below `node`, interval endpoints included."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,), value
+            yield from _nodes(value, path + (key,))
+
+
+# perfbench/mutate.py's twelve kinds, each as (kind, path, value) on these documents
+_SEED_EDITS = [
+    ("scale", ("weights", "branch_first", 1, "w2"), None),
+    ("scale", ("weights", "branch_tail", 1, "w2"), None),
+    ("scale", ("weights", "trunk", 1, "w2"), None),
+    ("scale", ("measures", "branch_atoms", 1, "t"), None),
+    ("scale", ("measures", "mixtures", 1, "atoms", 1, "mass"), None),
+    ("scale", ("measures", "mixtures", 1, "prefactor"), None),
+    ("drop", ("certificates",), None),
+    ("drop", ("certificates", "nd", "2"), None),
+    ("truncate", ("weights", "branch_first"), None),
+    ("drop", ("measures", "mixtures", 1), None),
+    ("set", ("certificates", "nd", "1", "verdict"), "divergent"),
+    ("set", ("measures", "branch_atoms", 1, "t"), "0"),
+]
+_RETYPED = [None, True, False, 0, 7, 2.5, "x", [], {}]
+_FITS = {  # the nodes a random edit of these kinds may pick
+    "truncate": lambda old: isinstance(old, list) and old,
+    "scale": lambda old: _is_interval(old) or isinstance(old, str) and _CANONICAL.fullmatch(old),
+}
+
+
+def _seeded(test):
+    """Each of _SEED_EDITS on both documents, as an explicit example."""
+    for tail in ("linear", "mixed"):
+        for edit in _SEED_EDITS:
+            test = example(tail=tail, edit=edit)(test)
+    return test
+
+
+@given(tail=st.sampled_from(["linear", "mixed"]),
+       edit=st.tuples(st.sampled_from(["drop", "truncate", "retype", "scale"]),
+                      st.integers(min_value=0), st.sampled_from(_RETYPED)))
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@example(tail="linear", edit=("scale", ("request", "cert", "series_width"), None))
+@example(tail="mixed", edit=("retype", ("request", "window", "max_trunk"), 7))
+@_seeded
+def test_verify_total_under_mutation(tail, edit):
+    """verify is total on the (1, 3, q) Window(3, 6, 3) documents: after one
+    dropped key or list entry, truncated list, retyped node or rational times
+    1001/1000, it returns a report within 1 s and never raises, and the report
+    fails, except for the two edits that state another request with the same
+    artifact (a wider series_width, a larger max_trunk).  perfbench's
+    mutation kinds run as explicit examples."""
+    doc = json.loads(_fuzz_document(tail))
+    kind, path, value = edit
+    if isinstance(path, int):  # a random edit: the integer picks the node
+        fits = [p for p, old in _nodes(doc) if _FITS.get(kind, lambda old: True)(old)]
+        path = fits[path % len(fits)]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "truncate":
+        old.pop()
+    else:
+        parent[path[-1]] = _edited(old) if kind == "scale" else value
+        assume(type(parent[path[-1]]) is not type(old) or parent[path[-1]] != old)
+    started = time.monotonic()
+    report = verify(doc)
+    assert time.monotonic() - started < 1, (kind, path)
+    wider = kind == "scale" and path == ("request", "cert", "series_width")
+    longer_trunk = (path == ("request", "window", "max_trunk") and type(value) is int
+                    and kind in ("retype", "set") and value > old)
+    assert report.passed == (wider or longer_trunk), (kind, path, value)
+
+
 @pytest.mark.parametrize("edit, path", [
     (_edit("certificates", "zgod_prime_residual", value="junk"),
      "certificates.zgod_prime_residual"),
@@ -799,7 +893,8 @@ def test_verify_rejects_widly1_prime_without_terminal_level():
 
 
 NONCANONICAL = ["1e-100000", "1e100000", "1E5", 3.0, 3, "3.0", ".5", "1/2.0", " 3", "+3", "0x10",
-                "1_000", "1/0", "1" + "0" * 20000, "1/" + "7" * 10**6, "2/" + str(2**65536)]
+                "1_000", "1/0", "1" + "0" * 20000, "1/" + "7" * 10**6, "2/" + str(2**65536),
+                "02", "2/4", "2/1", "-0", "0/7"]
 
 
 @pytest.mark.parametrize("value", NONCANONICAL, ids=lambda v: repr(v)[:24])

@@ -23,10 +23,10 @@ import treeshift as ts
 from treeshift import AlphaFamily, LINEAR_Q, MIXED_Q, SequenceSpec, Tail
 from treeshift import series
 from treeshift.errors import NoCertificateError, SupNotWitnessedError
-from treeshift.rationals import Interval
+from treeshift.rationals import Interval, scaled_floor
 from treeshift.series import (
     CertConfig,
-    _DyadicSum,
+    OmegaSpec,
     _slon4_denominator,
     bernoulli_even,
     build_omega,
@@ -304,21 +304,25 @@ def test_tail_shift_must_be_an_integer(m):
 
 
 def _fraction_partials(fam, l, K):
-    """[partial_lo, partial_hi] by the exact Fraction loop: one
-    _DyadicSum.add per on-Omega term k <= K and per off-Omega term."""
+    """(partial_lo, partial_hi, exact) by the exact Fraction loop over the
+    on-Omega terms k <= K and the off-Omega terms: the floors of the terms
+    on the 2^-dyadic_bits grid summed into lo, the count of terms, and the
+    unfloored sum, which lies in [lo, lo + count] / 2^dyadic_bits."""
     q, omega, n = fam.q, fam.omega, fam.power
-    acc = _DyadicSum(CertConfig.dyadic_bits)
+    bits = CertConfig.dyadic_bits
+    terms = []
     for k in range(1, K + 1):
         if k <= len(omega.head):
             qv = q.value(omega.head[k - 1])
         else:
             qv = Fraction(omega.slope * k + omega.intercept)
-        acc.add(qv ** (l - n) / (k * k))
+        terms.append(qv ** (l - n) / (k * k))
     if not omega.covers_all:
         for i in range(1, max(CertConfig.off_omega_terms, n + 1 - l, 1) + 1):
             if not omega.contains(i):
-                acc.add(Fraction(1, 2**i) * q.value(i) ** l / _summed_row(q, n, i))
-    return acc.bounds()
+                terms.append(Fraction(1, 2**i) * q.value(i) ** l / _summed_row(q, n, i))
+    lo, count = sum(scaled_floor(x, bits) for x in terms), len(terms)
+    return Fraction(lo, 2**bits), Fraction(lo + count, 2**bits), sum(terms, Fraction(0))
 
 
 @pytest.mark.parametrize(
@@ -332,14 +336,16 @@ def _fraction_partials(fam, l, K):
 )
 def test_convergent_kernel_matches_fraction_loop(q, powers, lowest):
     """The integer kernel's on- and off-Omega floors equal the exact
-    Fraction loop's, on mixed q too, whose off-Omega terms it floors."""
+    Fraction loop's, on mixed q too, whose off-Omega terms it floors, and
+    [partial_lo, partial_hi] holds the exact partial sum of those terms."""
     cfg = CertConfig(series_width=Fraction(1, 10**6))
     for n in powers:
         fam = AlphaFamily(q, build_omega(q), power=n)
         for l in range(n, lowest - 1, -1):
             cert = series._convergent_base(fam.q, fam.omega, n, l, cfg)
-            assert (cert.partial_lo, cert.partial_hi) == _fraction_partials(
-                fam, l, cert.omega_terms), (n, l)
+            lo, hi, exact = _fraction_partials(fam, l, cert.omega_terms)
+            assert (cert.partial_lo, cert.partial_hi) == (lo, hi), (n, l)
+            assert lo <= exact <= hi, (n, l)
 
 
 def test_certificate_structure_invariants():
@@ -388,6 +394,19 @@ def test_mixed_witness_crossing():
     assert not cert.is_convergent
     assert cert.witness_index == 261  # terms q_{i_k}/k^2, crossing T = 10
     assert witness_partial_sum(fam, 3, cert.witness_index) > 10
+
+
+@pytest.mark.parametrize("omega, k", [
+    (OmegaSpec((1, 1, 5), 4, 1, 0), 2),  # q_{i_2} = 1 in the head
+    (OmegaSpec((1, 2, 3), 4, 1, -1), 4),  # i_k = k - 1 from the first tail k on
+    (OmegaSpec((1, 2), 3, 0, 5), 6),  # i_k = 5 falls below k at k = 6
+], ids=["head", "tail-shift", "tail-slope"])
+def test_broken_minorant_raises_naming_k(omega, k):
+    """q_{i_k} >= k is checked for every k before the witness search, past
+    the witness too: threshold 1 is crossed at k = 2, before any tail k."""
+    cfg = CertConfig(divergence_threshold=Fraction(1))
+    with pytest.raises(NoCertificateError, match=rf"q_\{{i_{k}\}} = \d+ < {k}: minorant broken"):
+        series._divergent_base(LINEAR_Q, omega, 1, 2, cfg)
 
 
 def _partial_sums(fam, l):
@@ -667,18 +686,3 @@ def test_rescaled_enclosures_are_exact_multiples():
         big = power_series_certificate(scaled, l)
         assert big.enclosure.lo == base.enclosure.lo * r
         assert big.enclosure.hi == base.enclosure.hi * r
-
-
-# --- the dyadic accumulator ---
-
-
-@given(st.lists(st.fractions(min_value=0, max_value=10, max_denominator=10**6), max_size=60))
-@settings(max_examples=120, deadline=None)
-def test_dyadic_sum_brackets_true_sum(values):
-    acc = _DyadicSum(bits=96)
-    for v in values:
-        acc.add(v)
-    lo, hi = acc.bounds()
-    total = sum(values, Fraction(0))
-    assert lo <= total <= hi
-    assert hi - lo <= Fraction(len(values), 2**96)
