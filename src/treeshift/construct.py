@@ -32,7 +32,6 @@ from .measures import (
     AtomicMeasure,
     ConsistencyResult,
     MixtureMeasure,
-    check_consist6_at,
     indices_with_value,
 )
 from .rationals import (
@@ -438,7 +437,11 @@ def identity_residuals(artifact: CounterexampleArtifact, cfg: CertConfig) -> Ide
     `ModelWeights.squared_at` and `MeasureSystem.measure_at` give branch i's
     weights and atom independently of j: for 1 <= j < max_depth the
     identity at (i, j), and the CC class of (i, j) with h = branch_tail(i),
-    read exactly the inputs of (i, 1), CC's test atoms included.
+    read exactly the inputs of (i, 1), CC's test atoms included.  Those
+    inputs are one Dirac at q_i and the chain weight q_i, so each branch
+    class is one row of the branch rule (`_consist6_branch_row`,
+    `wco._cc_branch_row`); the trunk classes and vertex 0 run on the pair
+    kernel.
     """
     alpha, c, kappa = artifact.alpha, artifact.c, artifact.request.kappa
     zgod_prime = _one_residual(c * power_series_certificate(alpha, 0, cfg).enclosure)
@@ -479,26 +482,31 @@ def consist6_residuals(
 ) -> Dict[Vertex, ConsistencyResult]:
     """Consistency residual at every checkable window vertex of an artifact.
 
-    A vertex with an enclosure among its inputs (a mixture, or an interval
-    weight: every trunk vertex and vertex 0) is evaluated on the pair kernel
-    over the system's atom table, the others (the branch vertices) exactly
-    by `check_consist6_at`.
+    A branch vertex is evaluated by the branch rule
+    (`_consist6_branch_row`), a trunk vertex or vertex 0 (a mixture among
+    its inputs) on the pair kernel over the system's atom table.
     """
     out: Dict[Vertex, ConsistencyResult] = {}
-    W = a.window.max_branch
+    table = a.measures.atom_table(a.window.max_branch)
     for u in checkable_vertices(a.tree, a.window):
-        mu_u, eps_u = a.measures.measure_at(u), a.measures.eps_at(u)
-        kids = children(a.tree, u, a.window)
-        kid_data = [(a.weights.squared_at(v), a.measures.measure_at(v)) for v in kids]
-        if isinstance(mu_u, MixtureMeasure) or any(
-            isinstance(w2, Interval) or isinstance(mu, MixtureMeasure) for w2, mu in kid_data
-        ):
-            table = a.measures.atom_table(W)
-            out[u] = _consist6_fixed(table, table.row(u), eps_u,
-                                     [(w2, table.row(v)) for (w2, _), v in zip(kid_data, kids)])
-        else:
-            out[u] = check_consist6_at(mu_u, eps_u, kid_data, atom_limit=W)
+        if isinstance(u, Branch):
+            out[u] = _consist6_branch_row(a.measures.measure_at(u), a.measures.eps_at(u),
+                                          a.weights.squared_at(Branch(u.i, u.j + 1)))
+            continue
+        out[u] = _consist6_fixed(table, table.row(u), a.measures.eps_at(u), [
+            (a.weights.squared_at(v), table.row(v)) for v in children(a.tree, u, a.window)])
     return out
+
+
+def _consist6_branch_row(mu: AtomicMeasure, eps, w2) -> ConsistencyResult:
+    """The consistency identity at a branch vertex (i, j) by the branch
+    rule: the vertex and its one child (i, j+1) share the Dirac mu at
+    t = q_i, and the child's weight is w2 (= q_i), so the atoms are 0 and t,
+    with residuals |0 - eps| and |1 - w2/t|, exactly as `check_consist6_at`
+    finds them (q_i q_i^-1 = 1: both vanish)."""
+    ((t, _),) = mu.atoms
+    per_atom = ((Fraction(0), abs(eps)), (t, abs(1 - w2 / t)))
+    return ConsistencyResult(per_atom, max(r for _, r in per_atom), implied_eps=Fraction(0))
 
 
 def _consist6_fixed(table: AtomTable, u_row: AtomRow, eps_u, kid_rows) -> ConsistencyResult:
@@ -899,9 +907,9 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     stored number against the value written by the rules that `build_rules`
     makes from the request and the document's alpha (the two must be
     equal; a failing row names its vertex, with the larger endpoint
-    distance as residual), the exact branch identities on the stored
-    values, and then `identity_residuals` on the rule artifact, the call
-    `generate` certifies with: consistency residuals once per vertex class,
+    distance as residual), and then `identity_residuals` on the rule
+    artifact, the call `generate` certifies with: consistency residuals
+    once per vertex class (each branch class by the branch rule),
     trunk product identities, mixture masses and CC on the window's atom
     algebra, each record failing also when the stored certificate differs
     from the recomputed value; last the power-domain certificates (each
@@ -991,12 +999,6 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
         rows += [(Trunk(l), mass, mix.atom_mass(i), f"mixture atom i={i} off rule")
                  for i, mass in enumerate(masses, 1)]
     table_records("atom-reconstruction", _mismatches(rows))
-
-    # zgod0: branch moments match weight products exactly (both are powers
-    # of one rational, so the check is equality of the chain weight and the atom)
-    rows = [(Branch(i, 2), w, t, "")
-            for i, (w, t) in enumerate(zip(stored.tail, stored.locations), 1)]
-    table_records("zgod0", _mismatches(rows), residual=0)
 
     res = identity_residuals(rule, cfg)
     recomputed = _identity_certificates(res)

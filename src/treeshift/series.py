@@ -28,8 +28,9 @@ terms dominate those at l = n+1, whose witness is reused.  Both kinds of
 sum add the on-Omega floors floor(2^bits q_{i_k}^s / k^2), s = l - n, of one
 integer kernel, so they store the same numbers an exact rational loop would.
 The crossing rule "S_k > T and floor(2^128 S_k) > 2^128 T" is monotone in
-k (the terms are nonnegative), so the witness is found by a loop over the
-first 1024 terms and, past them, by bisection on a closed form: for
+k (the terms are nonnegative), so the witness is found by bisections over
+the running sums of the first 1024 floors, a chunk at a time, and, past
+them, by bisection on a closed form: for
 linear terms (a*k + b)/k^2, S_k = C + a (H_k - gamma) - b zeta(2, k+1),
 with ln k from an integer atanh series, H_k - ln k - gamma and
 zeta(2, k+1) from Euler-Maclaurin expansions whose remainders are bounded
@@ -46,9 +47,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import count, islice
+from bisect import bisect_right
+from itertools import accumulate
 from math import comb, exp
-from typing import ClassVar, Dict, Iterator, Optional, Tuple
+from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     NoCertificateError,
@@ -459,9 +461,28 @@ def _zeta_fixed(p: int, N: int, J: int, bits: int) -> Tuple[int, int]:
     return pairs[J - 1]
 
 
+def _em_width_floor(p: int, N: int, limit: Fraction) -> Fraction:
+    """A lower bound on the width 2R of every bracket zeta_tail_brackets(p,
+    N) yields (J >= 1), or, once some J may give a bracket at most `limit`
+    wide, a value <= limit.  |B_2j|/(2j)! = 2 zeta(2j)/(2 pi)^2j >
+    2/(2 pi)^2j, so the J-th bracket is wider than
+      w_J = 4 (p)_{2J+1} / ((P/Q)^{2J+2} N^{p+2J+1}),  P/Q = 710/113 > 2 pi,
+    and w_{J+1}/w_J = (p+2J+1)(p+2J+2) Q^2/(P N)^2: w_J falls until that
+    ratio reaches 1, and rises after."""
+    P, Q = 710, 113
+    num, den, J = 4 * p * (p + 1) * (p + 2) * Q**4, P**4 * N ** (p + 3), 1
+    while num * limit.denominator > limit.numerator * den:
+        r = (p + 2 * J + 1) * (p + 2 * J + 2) * Q * Q
+        if r >= (P * N) ** 2:
+            break
+        num, den, J = num * r, den * (P * N) ** 2, J + 1
+    return Fraction(num, den)
+
+
 def _on_tail_bounds(a: int, b: int, m: int, K: int, budget: Fraction, bits: int):
     """(lo, hi, J): a bracket of sum_{k>K} 1/(k^2 (a*k+b)^m), the on-Omega
-    tail, with dyadic endpoints (denominator 2^bits).
+    tail, with dyadic endpoints (denominator 2^bits); None when no J can
+    make it at most `budget` wide.
 
     With d = b/a (an integer for every Omega build_omega returns: linear
     tails have slope 1, mixed tails slope 2 and an even intercept; any other
@@ -479,6 +500,11 @@ def _on_tail_bounds(a: int, b: int, m: int, K: int, budget: Fraction, bits: int)
     directed rounding, and the sum is rounded outward to 2^-bits once.  J
     grows for every zeta together until the bracket is at most `budget`
     wide, or until another term no longer narrows it.
+
+    That width is at least |coefficient| times the width of the first
+    zeta's bracket at the same J (`_em_width_floor`), and after lo is
+    clipped at 0 at least the tail itself, which exceeds its first term.
+    When both bounds exceed the budget, no J is tried.
     """
     if m and b % a:
         raise NoCertificateError(f"Omega tail shift {b}/{a} is not an integer")
@@ -493,6 +519,10 @@ def _on_tail_bounds(a: int, b: int, m: int, K: int, budget: Fraction, bits: int)
         E = (sum(Fraction(1, k) for k in range(K + 1, K + 1 + d))
              - sum(Fraction(1, k) for k in range(K + 1 + d, K + 1)))
         exact = Fraction(-m, a**m * d ** (m + 1)) * E
+    c, p, N = parts[0]
+    if min(abs(c) * _em_width_floor(p, N, budget / abs(c)),
+           Fraction(1, (K + 1) ** 2 * (a * (K + 1) + b) ** m)) > budget:
+        return None
     fine = bits + 64
     exact_lo, exact_hi = scaled_floor(exact, fine), scaled_ceil(exact, fine)
     best, J = None, 0
@@ -512,22 +542,30 @@ def _on_tail_bounds(a: int, b: int, m: int, K: int, budget: Fraction, bits: int)
     return max(Fraction(0), Fraction(lo >> 64, 1 << bits)), Fraction(-(-hi >> 64), 1 << bits), J
 
 
-def _on_omega_floors(q, omega, s: int, bits: int) -> Iterator[int]:
-    """floor(2^bits q_{i_k}^s / k^2) for k = 1, 2, ...: the on-Omega terms
+def _head_ratios(q, omega, stop: int) -> List[Tuple[int, int]]:
+    """(numerator, denominator) of q_{i_k} for the head's k <= stop."""
+    return [q.value(i).as_integer_ratio() for i in omega.head[:stop]]
+
+
+def _on_omega_floors(head, omega, s: int, bits: int, stop: int, start: int = 1) -> List[int]:
+    """floor(2^bits q_{i_k}^s / k^2) for k = start..stop: the on-Omega terms
     of sum_i alpha_i q_i^l at s = l - n, each floored onto the 2^-bits grid
-    by one integer division, so the first K of them add what exact rational
-    floors would.  Past omega.head, q_{i_k} is the index i_k = slope*k +
-    intercept itself (build_omega checks this on the affine tail)."""
-    e, a, b, heads = abs(s), omega.slope, omega.intercept, len(omega.head)
-    for k in count(1):
-        if k <= heads:
-            qv = q.value(omega.head[k - 1])
-            u, v = qv.numerator, qv.denominator
-        else:
-            u, v = a * k + b, 1
-        if s < 0:
-            u, v = v, u
-        yield (u**e << bits) // (v**e * k * k)
+    by one integer division, so their sum is what exact rational floors
+    would add.  head holds q_{i_k} as `_head_ratios` gives it, at least up
+    to k = min(stop, len(omega.head)); past omega.head, q_{i_k} is the index
+    i_k = slope*k + intercept itself (build_omega checks this on the affine
+    tail)."""
+    e, a, b = abs(s), omega.slope, omega.intercept
+    h = max(start - 1, min(stop, len(omega.head)))  # the last k read from the head
+    u, v = [x for x, _ in head[start - 1:h]], [y for _, y in head[start - 1:h]]
+    v += [1] * (stop - h)
+    # i_k = a*k + b past the head; a = 0 only in an Omega made by hand
+    u += range(a * (h + 1) + b, a * (stop + 1) + b, a) if a else [b] * (stop - h)
+    if s < 0:
+        u, v = v, u
+    if e != 1:
+        u, v = [x**e for x in u], [y**e for y in v]
+    return [(x << bits) // (y * k * k) for k, x, y in zip(range(start, stop + 1), u, v)]
 
 
 def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
@@ -551,22 +589,25 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
                 f"{missed}; the off-Omega tail and the rounding alone take "
                 f"{rat_to_decimal(spent, 3)} at {K} on-Omega terms"
             )
-        t_lo, t_hi, J = _on_tail_bounds(omega.slope, omega.intercept, m, K, budget, bits)
-        if t_hi - t_lo <= budget:
+        tail = _on_tail_bounds(omega.slope, omega.intercept, m, K, budget, bits)
+        if tail and tail[1] - tail[0] <= budget:
             break
         if K >= cfg.max_terms:
             raise WidthNotReachedError(
                 f"{missed}; {K} on-Omega terms give width "
-                f"{rat_to_decimal(spent + t_hi - t_lo, 3)}, of which the off-Omega tail "
-                f"and the rounding take {rat_to_decimal(spent, 3)}"
+                f"{rat_to_decimal(spent + tail[1] - tail[0], 3)}, of which the off-Omega tail "
+                f"and the rounding take {rat_to_decimal(spent, 3)}" if tail else
+                f"{missed}; Euler-Maclaurin cannot bracket the tail beyond {K} on-Omega "
+                f"terms within {rat_to_decimal(budget, 3)}"
             )
         K = min(2 * K, cfg.max_terms)
+    t_lo, t_hi, J = tail
 
     # the floors of the first K on-Omega terms and of the off-Omega terms
     # 2^-i q^l / D_i = (q-1) q^(l-n-1+i) / (2^i (q^i - 1)) with q = u/v, each
     # by one integer division: the exact partial sum of those K + len(off)
     # terms lies in [lo, lo + K + len(off)] / 2^bits
-    lo = sum(islice(_on_omega_floors(q, omega, -m, bits), K))
+    lo = sum(_on_omega_floors(_head_ratios(q, omega, K), omega, -m, bits, K))
     off = [i for i in range(1, I + 1) if not omega.contains(i)]
     for i in off:
         qv = q.value(i)
@@ -634,10 +675,12 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     (a - 1) k + b >= 0 at the first tail k, which then holds for every
     later k; otherwise NoCertificateError names the first k that breaks it.
 
-    The first K0 = max(1024, len(omega.head)) steps run as a loop: S_k is
-    summed as the integer lo, adding _on_omega_floors' floor(2^W * term)
-    per term (W = 192), so after k terms S_k lies in [lo, lo + k] / 2^W.
-    That bracket decides each step: S_k <= T when (lo + k)/2^W <= T, and
+    The first K0 = max(1024, len(omega.head)) steps are decided on the
+    running sums lo of _on_omega_floors' floor(2^W * term) (W = 192),
+    taken in chunks of 64, 64, 128, 256, ... terms, so after k terms S_k
+    lies in [lo, lo + k] / 2^W.  That bracket decides each step: S_k <= T
+    when (lo + k)/2^W <= T, which holds up to some k and never after, so a
+    bisection over each chunk's sums skips those steps; and
     when lo/2^W > T with lo and lo + k agreeing above bit 64, S_k > T and
     dyadic_floor(S_k) is exactly (lo >> 64)/2^128.  A step the bracket
     leaves open (S_k within k/2^W of T or of a 2^-128 grid point) is
@@ -654,9 +697,10 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
                        minorant=f"on-Omega terms q_{{i_k}}^{m}/k^2 >= q_{{i_k}}/k^2 >= 1/k "
                        f"(harmonic, since q_{{i_k}} >= k >= 1), witnessed on the partial sums "
                        f"of q_{{i_k}}/k^2; remaining terms nonnegative")
-    for k, qv in enumerate(map(q.value, omega.head), 1):
-        if qv.numerator < k * qv.denominator:
-            raise NoCertificateError(f"q_{{i_{k}}} = {qv} < {k}: minorant broken")
+    head = _head_ratios(q, omega, len(omega.head))
+    for k, (u, v) in enumerate(head, 1):
+        if u < k * v:
+            raise NoCertificateError(f"q_{{i_{k}}} = {Fraction(u, v)} < {k}: minorant broken")
     a, b, k = omega.slope, omega.intercept, len(omega.head) + 1
     if a < 1:  # (a - 1) k + b falls in k: the first k where it is negative
         k = max(k, b // (1 - a) + 1)
@@ -665,22 +709,31 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     T = as_fraction(cfg.divergence_threshold)
     t_den, t_num_w = T.denominator, T.numerator << _WITNESS_BITS
     guard = _WITNESS_BITS - 128
-    floors = _on_omega_floors(q, omega, 1, _WITNESS_BITS)
-    lo = 0
-    for k, floor in zip(range(1, max(_WITNESS_LOOP, len(omega.head)) + 1), floors):
-        lo += floor
-        if (lo + k) * t_den <= t_num_w:
-            lb = None  # S_k <= T
-        elif lo * t_den > t_num_w and lo >> guard == (lo + k) >> guard:
-            lb = Fraction(lo >> guard, 1 << 128)
+    bound = t_num_w // t_den  # S_k <= T while lo + k <= bound
+    last, lo, stop = max(_WITNESS_LOOP, len(omega.head)), 0, 0
+    while stop < last:  # in chunks of 64, 64, 128, ..., so an early witness sums few floors
+        start, stop = stop + 1, min(max(64, 2 * stop), last)
+        sums = list(accumulate(_on_omega_floors(head, omega, 1, _WITNESS_BITS, stop, start),
+                               initial=lo))  # lo after k terms at k - start + 1
+        lo = sums[-1]
+        # lo + k grows with k: bisect for the first k of the chunk past the bound
+        first = start + bisect_right(range(start, stop + 1), bound,
+                                     key=lambda k: sums[k - start + 1] + k)
+        for k in range(first, stop + 1):
+            lo_k = sums[k - start + 1]
+            if lo_k * t_den > t_num_w and lo_k >> guard == (lo_k + k) >> guard:
+                lb = Fraction(lo_k >> guard, 1 << 128)
+            else:
+                S = witness_partial_sum(AlphaFamily(q, omega, n), l, k)
+                lb = dyadic_floor(S) if S > T else None
+            # stop at the first crossing whose dyadic floor still exceeds T
+            if lb is not None and lb > T:
+                break
         else:
-            S = witness_partial_sum(AlphaFamily(q, omega, n), l, k)
-            lb = dyadic_floor(S) if S > T else None
-        # stop at the first crossing whose dyadic floor still exceeds T
-        if lb is not None and lb > T:
-            break
+            continue
+        break
     else:
-        k, floor128 = _closed_form_witness(q, omega, k, lo, T)
+        k, floor128 = _closed_form_witness(q, omega, last, lo, T)
         lb = Fraction(floor128, 1 << 128)
     return SeriesCertificate(
         terms=f"sum_i alpha_i*q_i^{l}",
@@ -734,7 +787,7 @@ def _closed_form_witness(q, omega, k0: int, lo0: int, T: Fraction) -> Tuple[int,
     def const(bits):  # C = S_k0 - a (ln k0 + E(k0)) + b zeta(2, k0+1)
         if bits not in consts:
             s = lo0 if bits == _WITNESS_BITS else sum(
-                islice(_on_omega_floors(q, omega, 1, bits), k0))
+                _on_omega_floors(_head_ratios(q, omega, k0), omega, 1, bits, k0))
             consts[bits] = _add((s, s + k0), _times(-a, harmonic(k0, bits)),
                                 _times(b, zeta2(k0 + 1, bits)))
         return consts[bits]

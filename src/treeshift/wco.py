@@ -228,19 +228,26 @@ def cc_residual(
     For a model tree, P must be a measure system, whose rows beyond the
     window follow the Dirac branch rule delta_{q_i}; the off-window part of
     the class at the branching vertex is then accounted for exactly through
-    the weight rule.
-    A class with an enclosure among its weights, masses, h or first moment
-    (every trunk class and the class of vertex 0) is evaluated on the pair
-    kernel over the atom table of the measure system P, the others exactly.
+    the weight rule.  Its branch classes are evaluated by the branch rule
+    (`_cc_branch_row`), its trunk classes and the class of vertex 0 (an
+    enclosure among their weights, masses, h or first moment) on the pair
+    kernel over the atom table of P.  The classes of an explicit tree are
+    evaluated exactly.
     """
-    table = P.atom_table(window.max_branch) if hasattr(P, "atom_table") else None
-    if table is None and isinstance(data.tree, ModelTree):
+    model = isinstance(data.tree, ModelTree)
+    if model and not hasattr(P, "atom_table"):
         raise NoCertificateError("the CC identity on a model tree needs a measure system")
-    atom_set = frozenset(table.locations if table is not None else _collect_atoms(data, P, window))
+    table = P.atom_table(window.max_branch) if model else None
+    atom_set = None if model else frozenset(_collect_atoms(data, P, window))
 
     per_class = []
     h_ok = True
     for x in window_vertices(data.tree, window):
+        if model and isinstance(x, Branch):
+            if x.j < window.max_depth:  # its chain child (i, j+1) is in the window
+                per_class.append(_cc_branch_row(x, P.measure_at(x),
+                                                data.weights.squared_at(Branch(x.i, x.j + 1))))
+            continue
         kids = children(data.tree, x, window)
         if not kids:
             continue
@@ -249,16 +256,13 @@ def cc_residual(
             if any(scalar_upper(data.weights.squared_at(y)) > 0 for y in kids):
                 h_ok = False  # a child with nonzero weight under h = 0
             continue
-        model_zero = isinstance(data.tree, ModelTree) and x == ZERO
-        rows = [_row(P, x)] + [_row(P, y) for y in kids]
         w2s = [data.weights.squared_at(y) for y in kids]
-        exact = all(isinstance(row, AtomicMeasure) for row in rows) and not any(
-            isinstance(v, Interval) for v in (h, *w2s))
         h_lo = scalar_lower(h)
-        if table is not None and (model_zero or not exact):
-            sigmas, diffs = _cc_diffs_fixed(data, table, x, kids, w2s, h, model_zero, cfg)
+        if model:  # a trunk class or vertex 0: a mixture among its rows
+            sigmas, diffs = _cc_diffs_fixed(data, table, x, kids, w2s, h, x == ZERO, cfg)
             bound = partial(fixed_over, h=h_lo)
         else:
+            rows = [_row(P, x)] + [_row(P, y) for y in kids]
             sigmas, diffs = _cc_diffs_exact(rows, w2s, atom_set, cfg)
             bound = partial(mul, 1 / h_lo)
         # a residual |diff| * [1/h.hi, 1/h.lo] has upper end |diff| / h.lo: so
@@ -276,6 +280,18 @@ def cc_residual(
         per_class=tuple(per_class),
         h_positive_on_support=h_ok,
     )
+
+
+def _cc_branch_row(x: Vertex, mu: AtomicMeasure, w2) -> CCClassResidual:
+    """The CC class of a branch vertex x = (i, j) by the branch rule: x and
+    its one child (i, j+1) share the Dirac mu at t = q_i, and the child's
+    weight w2 (= q_i) is h.  The sigmas {t}, the complement and R+ give the
+    diffs |w2 - t|, 0 and |w2 - t|, exactly as `_cc_diffs_exact` finds them,
+    so the worst sigma (the first at the max) is {t}, and the sum over every
+    sigma but R+ is |w2 - t| as well (q_i - q_i = 0: both vanish)."""
+    ((t, _),) = mu.atoms
+    r = abs(w2 - t) / w2
+    return CCClassResidual(x, _sigma_name(("atom", t)), r, r)
 
 
 def _cc_diffs_exact(rows, w2s, atom_set, cfg):

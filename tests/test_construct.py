@@ -449,11 +449,15 @@ def test_unreachable_width_raises_before_summing(monkeypatch, q, width):
     """A width no certificate reaches raises at once, naming the series and
     both widths, where the K-doubling loop used to run to max_terms and
     return a certificate wider than asked.  A width the off-Omega tail and
-    the rounding alone exceed raises before the on-Omega tail is bracketed."""
-    budgets = []
-    real = series._on_tail_bounds
+    the rounding alone exceed raises before the on-Omega tail is bracketed,
+    and a width below the narrowest bracket Euler-Maclaurin gives at K = 16
+    (linear q at 1e-95) skips that K without running the J loop."""
+    budgets, zetas = [], []
+    real, real_zeta = series._on_tail_bounds, series._zeta_fixed
     monkeypatch.setattr(series, "_on_tail_bounds",
                         lambda *args: budgets.append(args[4]) or real(*args))
+    monkeypatch.setattr(series, "_zeta_fixed",
+                        lambda *args: zetas.append(args) or real_zeta(*args))
     request = ts.CounterexampleRequest(n=1, kappa=3, q=q, window=SMALL_WINDOW,
                                        cert=ts.CertConfig(series_width=width))
     started = time.monotonic()
@@ -461,6 +465,7 @@ def test_unreachable_width_raises_before_summing(monkeypatch, q, width):
         generate(request)
     assert time.monotonic() - started < 1
     assert all(budget > 0 for budget in budgets), budgets
+    assert zetas == []
 
 
 def test_certificates_never_wider_than_series_width():
@@ -695,6 +700,24 @@ def test_verify_compares_stored_identity_certificates(doc_363, edit, name):
     failures = verify(doc).failures()
     assert [r.name for r in failures] == [name]
     assert "stored" in failures[0].detail and "recomputed" in failures[0].detail
+
+
+@pytest.mark.parametrize("paths, failures", [
+    ([("weights", "branch_tail", 2, "w2")], [("weight-reconstruction", "v(3,2)")]),
+    ([("measures", "branch_atoms", 2, "t")], [("atom-reconstruction", "v(3,1)")]),
+    ([("weights", "branch_tail", 2, "w2"), ("measures", "branch_atoms", 2, "t")],
+     [("weight-reconstruction", "v(3,2)"), ("atom-reconstruction", "v(3,1)")]),
+], ids=["chain-weight", "atom", "both"])
+def test_verify_fails_edited_chain_weight_or_atom(paths, failures):
+    """A stored chain weight |lambda_{3,j}|^2 or branch atom of branch 3 set
+    to 4 instead of q_3 = 3 fails verify at that branch, also when both are
+    set alike (so the chain identity q q^-1 = 1 holds on the stored
+    numbers): every stored number must be the rule's, and the identity
+    records evaluate the rules, whose branch rows are the chain identity."""
+    doc = json.loads(_fuzz_document("linear"))
+    for path in paths:
+        functools.reduce(lambda node, key: node[key], path[:-1], doc)[path[-1]] = "4"
+    assert [(r.name, r.vertex) for r in verify(doc).failures()] == failures
 
 
 _CANONICAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeshift as ts
+from treeshift import construct, measures, wco
 from treeshift.construct import identity_residuals
 from treeshift.rationals import (
     FIXED_BITS,
@@ -27,7 +28,7 @@ from treeshift.rationals import (
     scalar_abs_upper,
 )
 from treeshift.tree import Branch, Window
-from treeshift.wco import _sigma_name, from_shift
+from treeshift.wco import CCClassResidual, _sigma_name, _small_first, from_shift, h_function
 
 import identity_reference as reference
 from conftest import get_artifact
@@ -152,15 +153,82 @@ def test_kernel_bounds_against_exact_reference(key):
     _check_against_reference(_artifact(*key))
 
 
+COLLIDING_Q = ts.SequenceSpec(ts.Tail.MIXED, prefix=(Fraction(60), Fraction(1, 41)))
+
+
 def test_kernel_bounds_with_off_window_collisions():
     """Atoms the off-window indices share with the window (q_1 = q_60 = 60,
     q_2 = q_41 = 1/41) reach the CC sums through the table's collisions."""
-    q = ts.SequenceSpec(ts.Tail.MIXED, prefix=(Fraction(60), Fraction(1, 41)))
-    art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=SMALL))
+    art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=COLLIDING_Q, window=SMALL))
     table = art.measures.atom_table(SMALL.max_branch)
     assert {t: i for t, i in zip(table.locations, table.collisions) if i} == {
         Fraction(1, 41): (41,), Fraction(60): (60,)}
     _check_against_reference(art)
+
+
+# --- the branch rule: one exact row per branch class ---
+
+BRANCH_ROW_WINDOWS = [
+    (COLLIDING_Q, SMALL),
+    (ts.LINEAR_Q, Window(3, 12, 1)),  # no branch vertex has a child in the window
+    (ts.MIXED_Q, Window(3, 1, 4)),
+]
+
+
+@pytest.mark.parametrize("q, window", BRANCH_ROW_WINDOWS,
+                         ids=["collisions", "max_depth-1", "max_branch-1"])
+def test_branch_rows_equal_the_generic_exact_path(q, window):
+    """Each branch class (i, 1) comes out of the branch rule exactly as
+    `check_consist6_at` and `_cc_diffs_exact` evaluate it, types included
+    (compared by repr); a window of depth 1 has no branch classes."""
+    art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=window))
+    cfg, W = art.request.cert, window.max_branch
+    res = identity_residuals(art, cfg)
+    cc = {c.vertex: c for c in res.cc.per_class if isinstance(c.vertex, Branch)}
+    expected = [Branch(i, 1) for i in range(1, W + 1)] if window.max_depth >= 2 else []
+    assert [u for u in res.consist6 if isinstance(u, Branch)] == expected
+    assert list(cc) == expected
+    data = from_shift(art.tree, art.weights)
+    atom_set = frozenset(art.measures.atom_table(W).locations)
+    for u in expected:
+        child = Branch(u.i, 2)
+        mu, mu_child = art.measures.measure_at(u), art.measures.measure_at(child)
+        w2 = art.weights.squared_at(child)
+        ref = measures.check_consist6_at(mu, art.measures.eps_at(u), [(w2, mu_child)],
+                                         atom_limit=W)
+        assert repr(res.consist6[u]) == repr(ref), u
+        sigmas, diffs = wco._cc_diffs_exact([mu, mu_child], [w2], atom_set, cfg)
+        worst = max(range(len(sigmas)), key=diffs.__getitem__)
+        scale = 1 / h_function(data, u, window, cfg)
+        ref_cc = CCClassResidual(u, _sigma_name(sigmas[worst]), scale * diffs[worst],
+                                 scale * sum(_small_first(diffs[:-1])))
+        assert repr(cc[u]) == repr(ref_cc), u
+
+
+def test_model_tree_classes_skip_the_generic_exact_path(monkeypatch):
+    """generate and verify on model-tree artifacts evaluate no class by the
+    generic exact functions: the branch classes come from the branch rule,
+    the others from the pair kernel.  An explicit tree still runs them."""
+    calls = []
+
+    def spy(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    check = spy("check_consist6_at", measures.check_consist6_at)
+    for module in (measures, wco, construct):  # each name a caller may import it by
+        monkeypatch.setattr(module, "check_consist6_at", check, raising=False)
+    monkeypatch.setattr(wco, "_cc_diffs_exact", spy("_cc_diffs_exact", wco._cc_diffs_exact))
+    for q in (ts.LINEAR_Q, ts.MIXED_Q):
+        art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=SMALL))
+        assert ts.verify(art.to_json_dict()).passed
+    assert calls == []
+    a, b, root = ts.Explicit(1), ts.Explicit(2), ts.Explicit(0)
+    tree = ts.ExplicitTree([(root, a), (a, b)])
+    weights = ts.ExplicitWeights.for_tree(tree, {a: Fraction(1), b: Fraction(1)})
+    rows = {v: ts.AtomicMeasure.dirac(1) for v in (root, a, b)}
+    wco.cc_residual(from_shift(tree, weights), rows, Window())
+    wco.roundtrip_measures(from_shift(tree, weights), rows, Window())
+    assert set(calls) == {"_cc_diffs_exact", "check_consist6_at"}
 
 
 # --- tampered signs: FAIL records, never an exception ---

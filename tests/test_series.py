@@ -10,6 +10,7 @@ and mpmath.zeta at 40 digits on the other (both agree to all shown digits).
   zeta(5) = 1.0369277551433699263...
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -301,6 +302,30 @@ def test_tail_bounds_contain_mpmath(a, b, K):
 def test_tail_shift_must_be_an_integer(m):
     with pytest.raises(NoCertificateError, match="shift 1/2"):
         series._on_tail_bounds(2, 1, m, 16, Fraction(1, 10**12), CertConfig.dyadic_bits)
+
+
+@pytest.mark.parametrize("p, N", [(2, 17), (3, 17), (18, 17), (40, 17), (2, 33)])
+def test_em_width_floor_is_the_narrowest_bracket(p, N):
+    """_em_width_floor(p, N, 0) is at most the width 2R of every
+    Euler-Maclaurin bracket of zeta(p, N), and within 0.1 % of the narrowest
+    (|B_2j|/(2j)! exceeds 2/(2 pi)^2j by the factor zeta(2j) only); with a
+    limit some bracket meets, it returns a value no larger than the limit."""
+    floor = series._em_width_floor(p, N, Fraction(0))
+    narrowest = min(2 * R for _, _, R in itertools.islice(series.zeta_tail_brackets(p, N), 4 * N))
+    assert floor <= narrowest <= floor * Fraction(1001, 1000)
+    assert series._em_width_floor(p, N, 2 * narrowest) <= 2 * narrowest
+
+
+def test_tail_bounds_refuse_only_what_no_j_reaches():
+    """Far out (m = 200 at K = 16: p = 202 > N = 17) the bracket's lower end
+    is clipped at 0, and the clipped bracket, [0, 1.11e-248], is narrower
+    than any unclipped one (at least 1.23e-248 wide): a budget between the
+    two is met, not refused.  A budget below the tail's first omitted term
+    1/17^202 is refused without trying a J."""
+    bits, budget = 1000, Fraction(115, 10**250)
+    lo, hi, _ = series._on_tail_bounds(1, 0, 200, 16, budget, bits)
+    assert lo == 0 and hi <= budget < series._em_width_floor(202, 17, Fraction(0))
+    assert series._on_tail_bounds(1, 0, 200, 16, Fraction(1, 17**203), bits) is None
 
 
 def _fraction_partials(fam, l, K):
