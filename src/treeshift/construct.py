@@ -23,29 +23,15 @@ requires every stored number to equal the rule's, and certifies the rules.
 import json
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from operator import getitem
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import NoCertificateError, SupNotWitnessedError
-from .measures import (
-    AtomicMeasure,
-    ConsistencyResult,
-    MixtureMeasure,
-    indices_with_value,
-)
+from .measures import AtomicMeasure, ConsistencyResult, MixtureMeasure
 from .rationals import (
-    FIXED_ONE,
     Interval,
-    Pair,
     coerce,
-    fixed_abs,
-    fixed_add,
-    fixed_div,
-    fixed_interval,
-    fixed_mul,
-    fixed_pair,
-    fixed_sub,
     interval_from_json,
     interval_to_json,
     rat_from_str,
@@ -71,7 +57,6 @@ from .tree import (
     Vertex,
     Window,
     ZERO,
-    children,
     children_visible,
     window_vertices,
 )
@@ -185,71 +170,6 @@ def trunk_weights(
     return tuple(out)
 
 
-class AtomRow(NamedTuple):
-    """A measure's masses at the atoms of an `AtomTable`, as (slot, pair)
-    items in slot order: all of them, and those whose exact upper end is
-    not 0 (the ones a child adds to the consistency identity)."""
-
-    items: Tuple[Tuple[int, Pair], ...]
-    live: Tuple[Tuple[int, Pair], ...]
-
-
-class AtomTable:
-    """The atoms of branches 1..imax of a measure system, for the pair kernel
-    (see `rationals.fixed_pair`).
-
-    `locations` holds the distinct atom locations, sorted; the slot of a
-    location is its position there.  The system's mixtures sit at the same
-    atoms as its branches.  The off-window indices that share a
-    slot's location (`indices_with_value`) are found once per table, and
-    each mixture's masses are rounded to pairs once per table, when a class
-    first reads them.  Branch atoms are > 0 (q is positive), so the kernel
-    may divide by any location.
-    """
-
-    def __init__(self, system: "MeasureSystem", imax: int):
-        self.system, self.imax = system, imax
-        by_index = [system.q.value(i) for i in range(1, imax + 1)]
-        self.locations = tuple(sorted(set(by_index)))
-        slot_of = {t: s for s, t in enumerate(self.locations)}
-        self._slots = tuple(slot_of[t] for t in by_index)  # of index i at i - 1
-        self._mixture_rows: Dict[Tuple[int, bool], AtomRow] = {}
-
-    @cached_property
-    def collisions(self) -> Tuple[Tuple[int, ...], ...]:
-        """The indices i > imax with q_i at each slot's location."""
-        return tuple(indices_with_value(self.system.q, t, self.imax) for t in self.locations)
-
-    def row(self, v: Vertex, cc: bool = False) -> AtomRow:
-        """The row of v's measure: a Dirac on branch vertices; on the trunk
-        the mixture's merged in-window masses, plus, for CC, the mass its
-        off-window atoms put on the same locations by the coefficient rule."""
-        if isinstance(v, Branch):
-            unit = ((self._slots[v.i - 1], (FIXED_ONE, FIXED_ONE)),)
-            return AtomRow(unit, unit)
-        mix = self.system.measure_at(v)
-        key = (v.k, cc)
-        if key not in self._mixture_rows:
-            self._mixture_rows[key] = self._mixture_row(mix, cc)
-        return self._mixture_rows[key]
-
-    def _mixture_row(self, mix: MixtureMeasure, cc: bool) -> AtomRow:
-        if mix.alpha.q != self.system.q:
-            raise NoCertificateError("a mixture whose atoms are not the branch atoms")
-        merged: Dict[int, Interval] = {}
-        for i, s in enumerate(self._slots, 1):
-            mass = mix.atom_mass(i)
-            merged[s] = merged[s] + mass if s in merged else mass
-        if cc:
-            for s, indices in enumerate(self.collisions):
-                t = self.locations[s]
-                tail = sum((mix.alpha.value(i) * t ** (-mix.shift) for i in indices), Fraction(0))
-                if tail:
-                    merged[s] = mix.prefactor * tail + merged.get(s, Fraction(0))
-        items = tuple((s, fixed_pair(merged[s])) for s in sorted(merged))
-        return AtomRow(items, tuple(item for item in items if merged[item[0]].hi != 0))
-
-
 @dataclass(frozen=True)
 class MeasureSystem:
     """Measures of a generated system: delta_{q_i} on every branch vertex,
@@ -259,26 +179,10 @@ class MeasureSystem:
     q: SequenceSpec
     mixtures: Tuple[MixtureMeasure, ...]  # index = trunk level (0 = vertex 0)
 
-    @cached_property
-    def _diracs(self) -> Dict[int, AtomicMeasure]:
-        return {}
-
-    @cached_property
-    def _atom_tables(self) -> Dict[int, AtomTable]:
-        return {}
-
-    def atom_table(self, imax: int) -> AtomTable:
-        """The atom table of branches 1..imax, built once per index limit."""
-        if imax not in self._atom_tables:
-            self._atom_tables[imax] = AtomTable(self, imax)
-        return self._atom_tables[imax]
-
     def measure_at(self, v: Vertex):
-        """The measure at v; every vertex of branch i shares one Dirac instance."""
+        """The measure at v: the Dirac at q_i on branch i, a mixture on the trunk."""
         if isinstance(v, Branch):
-            if v.i not in self._diracs:
-                self._diracs[v.i] = AtomicMeasure.dirac(self.q.value(v.i))
-            return self._diracs[v.i]
+            return AtomicMeasure.dirac(self.q.value(v.i))
         if isinstance(v, Trunk):
             if v.k < len(self.mixtures):
                 return self.mixtures[v.k]
@@ -410,9 +314,8 @@ def _identity_certificates(res: "IdentityResiduals") -> dict:
 class IdentityResiduals:
     """Residuals of the identities an artifact promises: `generate`
     serialises them into its certificates, `verify` turns them into records.
-    All are exact, except the consistency and CC bounds of the classes with
-    an enclosure among their inputs, which the pair kernel rounds outward
-    onto the 2^-128 grid."""
+    All are exact, except the consistency and CC rows of the trunk classes
+    and vertex 0, which are rounded up onto the 2^-128 grid."""
 
     zgod_prime: Fraction  # |c * sum_i alpha_i - 1|
     widly1: Dict[int, Fraction]  # trunk product identity at level l
@@ -440,8 +343,9 @@ def identity_residuals(artifact: CounterexampleArtifact, cfg: CertConfig) -> Ide
     read exactly the inputs of (i, 1), CC's test atoms included.  Those
     inputs are one Dirac at q_i and the chain weight q_i, so each branch
     class is one row of the branch rule (`_consist6_branch_row`,
-    `wco._cc_branch_row`); the trunk classes and vertex 0 run on the pair
-    kernel.
+    `wco._cc_branch_row`).  Each trunk class and vertex 0 is one row of the
+    mixture rule (`_consist6_mixture_row`, `wco._cc_mixture_row`), which
+    bounds its identity at every atom and sigma of the infinite tree.
     """
     alpha, c, kappa = artifact.alpha, artifact.c, artifact.request.kappa
     zgod_prime = _one_residual(c * power_series_certificate(alpha, 0, cfg).enclosure)
@@ -482,58 +386,50 @@ def consist6_residuals(
 ) -> Dict[Vertex, ConsistencyResult]:
     """Consistency residual at every checkable window vertex of an artifact.
 
-    A branch vertex is evaluated by the branch rule
-    (`_consist6_branch_row`), a trunk vertex or vertex 0 (a mixture among
-    its inputs) on the pair kernel over the system's atom table.
+    A branch vertex is evaluated by the branch rule (`_consist6_branch_row`),
+    a trunk vertex or vertex 0 by the mixture rule (`_consist6_mixture_row`).
     """
     out: Dict[Vertex, ConsistencyResult] = {}
-    table = a.measures.atom_table(a.window.max_branch)
     for u in checkable_vertices(a.tree, a.window):
+        eps = a.measures.eps_at(u)
         if isinstance(u, Branch):
-            out[u] = _consist6_branch_row(a.measures.measure_at(u), a.measures.eps_at(u),
+            out[u] = _consist6_branch_row(a.measures.q.value(u.i), eps,
                                           a.weights.squared_at(Branch(u.i, u.j + 1)))
-            continue
-        out[u] = _consist6_fixed(table, table.row(u), a.measures.eps_at(u), [
-            (a.weights.squared_at(v), table.row(v)) for v in children(a.tree, u, a.window)])
+        else:
+            out[u] = _consist6_mixture_row(a, u.k, eps, cfg)
     return out
 
 
-def _consist6_branch_row(mu: AtomicMeasure, eps, w2) -> ConsistencyResult:
+def _consist6_branch_row(t: Fraction, eps, w2) -> ConsistencyResult:
     """The consistency identity at a branch vertex (i, j) by the branch
-    rule: the vertex and its one child (i, j+1) share the Dirac mu at
-    t = q_i, and the child's weight is w2 (= q_i), so the atoms are 0 and t,
-    with residuals |0 - eps| and |1 - w2/t|, exactly as `check_consist6_at`
+    rule: the vertex and its one child (i, j+1) carry the Dirac at t = q_i,
+    and the child's weight is w2 (= q_i), so the atoms are 0 and t, with
+    residuals |0 - eps| and |1 - w2/t|, exactly as `check_consist6_at`
     finds them (q_i q_i^-1 = 1: both vanish)."""
-    ((t, _),) = mu.atoms
     per_atom = ((Fraction(0), abs(eps)), (t, abs(1 - w2 / t)))
     return ConsistencyResult(per_atom, max(r for _, r in per_atom), implied_eps=Fraction(0))
 
 
-def _consist6_fixed(table: AtomTable, u_row: AtomRow, eps_u, kid_rows) -> ConsistencyResult:
-    """`check_consist6_at` on pairs: per atom t of the table's rows, an
-    enclosure of |mu_u({t}) - sum_v |lambda_v|^2 mu_v({t}) / t|, and of
-    |0 - eps_u| at t = 0, which is no atom (every location is > 0).  Each
-    bound is at least the exact one and above it by at most three grid steps
-    per child (see `rationals.py`)."""
-    zero = (0, 0)
-    present = {s for s, _ in u_row.items}
-    rhs: Dict[int, Pair] = {}
-    for w2, row in kid_rows:
-        present.update(s for s, _ in row.items)
-        w = fixed_pair(w2)
-        if w == zero:
-            continue  # 0 * inf = 0: a child of zero weight adds nothing
-        for s, mass in row.live:
-            term = fixed_div(fixed_mul(w, mass), table.locations[s])
-            rhs[s] = fixed_add(rhs[s], term) if s in rhs else term
-    lhs = dict(u_row.items)
-    slots = sorted(present)
-    diffs = [fixed_abs(fixed_sub(zero, fixed_pair(eps_u)))]
-    diffs += [fixed_abs(fixed_sub(lhs.get(s, zero), rhs.get(s, zero))) for s in slots]
-    per_atom = tuple(zip([Fraction(0)] + [table.locations[s] for s in slots],
-                         map(fixed_interval, diffs)))
-    top = fixed_interval((max(d[0] for d in diffs), max(d[1] for d in diffs)))
-    return ConsistencyResult(per_atom, top, implied_eps=Fraction(0))
+def _consist6_mixture_row(a: CounterexampleArtifact, k: int, eps, cfg) -> ConsistencyResult:
+    """The consistency identity at trunk vertex -k (k = 0: vertex 0) by the
+    mixture rule.
+
+    The vertex carries mu_-k = P_k sum_i alpha_i q_i^-k delta_{q_i}.  Its
+    children are -(k-1), carrying mu_-(k-1) with weight w_{k-1} (k >= 1), or
+    every (i, 1), carrying delta_{q_i} with weight c alpha_i q_i (k = 0).  So
+    at every atom t, LHS - RHS = E_k(t) (P_k - F_k) with E_k(t) the exact
+    sum of alpha_i q_i^-k over q_i = t, at most M_-k (`wco.mixture_gap`
+    gives F_k).  Every exact sum over indices is taken at its true value, and
+    each enclosure (c, P_k, w_k, M_s) is free in its interval and counted
+    once: the row M_-k.hi |P_k - F_k|.upper, rounded up by `wco.grid_up`,
+    bounds the residual at every atom of the infinite tree, off-window atoms
+    and collisions included.  `per_atom` holds t = 0 only, where the
+    residual is |0 - eps|; the row stands for every atom t > 0 at once, and
+    `max_residual` is [0, the larger of the two]."""
+    M = power_series_certificate(a.alpha, -k, cfg).enclosure
+    row = wco.grid_up(M.hi * wco.mixture_gap(a.weights, a.measures, k))
+    top = max(row, abs(eps))
+    return ConsistencyResult(((Fraction(0), abs(eps)),), Interval(0, top), implied_eps=Fraction(0))
 
 
 # --- serialization ---

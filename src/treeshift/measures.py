@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from .errors import InfiniteTermError, NoCertificateError
+from .errors import InfiniteTermError
 from .rationals import (
     Interval,
     Scalar,
@@ -30,8 +30,6 @@ from .series import (
     AlphaFamily,
     CertConfig,
     DEFAULT_CONFIG,
-    SequenceSpec,
-    Tail,
     power_series_certificate,
 )
 
@@ -256,28 +254,3 @@ def check_cc_dt(
         lhs = t * x_view[t] if t != 0 and t in x_view else Fraction(0)
         diffs.append((t, lhs - rhs.get(t, Fraction(0))))
     return _consistency_result(diffs, implied_eps=Fraction(0))
-
-
-def indices_with_value(q: SequenceSpec, t: Fraction, above: int) -> Tuple[int, ...]:
-    """All indices i > above with q_i == t (finitely many).
-
-    Needed to account for atom-location collisions between a truncated view
-    and the off-window part of a Dirac mixture.  Constant tails have
-    infinitely many matches and are rejected.
-    """
-    t = as_fraction(t)
-    if q.tail is Tail.CONSTANT:
-        raise NoCertificateError("constant-tail sequences are not certifiable here")
-    matches = [
-        i for i in range(above + 1, len(q.prefix) + 1) if q.prefix[i - 1] == t
-    ]
-    first_tail = len(q.prefix) + 1
-    candidates = []
-    if t.denominator == 1:
-        candidates.append(int(t))  # linear: q_i = i; mixed: even i
-    if t.numerator == 1 and t.denominator % 2 == 1 and q.tail is Tail.MIXED:
-        candidates.append(t.denominator)  # mixed: odd i gives q_i = 1/i
-    for i in candidates:
-        if i >= max(above + 1, first_tail) and q.value(i) == t:
-            matches.append(i)
-    return tuple(sorted(set(matches)))

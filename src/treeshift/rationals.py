@@ -1,24 +1,14 @@
-"""Exact rational intervals, outward-rounded dyadic pairs, and the strict
-rational string format of artifact documents.
+"""Exact rational intervals, directed rounding onto a dyadic grid, and the
+strict rational string format of artifact documents.
 
 `Interval` arithmetic is done in `fractions.Fraction`, so interval
 operations introduce no rounding of their own: the result interval always
 contains the exact value of the operation applied to any members of the
-operands.  Directed rounding happens in two places, and there it is
-explicit: where series are summed (see `series.py`), and in the pair
-kernel below, on which the consistency and CC identities are evaluated
-for every vertex class that has an enclosure among its inputs.  Both
-round an exact rational onto a 2^-bits grid with `scaled_floor` and
+operands.  Directed rounding happens only where it is explicit: where
+series are summed (see `series.py`), and where a consistency or CC row of
+the model tree is rounded up onto the 2^-128 grid (see `wco.grid_up`).
+Both round an exact rational onto a 2^-bits grid with `scaled_floor` and
 `scaled_ceil`.
-
-A pair (lo, hi) of ints stands for the interval [lo, hi] * 2^-FIXED_BITS.
-`fixed_pair` rounds an exact value outward onto that grid once; sums and
-differences of pairs are exact; products, products and quotients by an
-exact rational t, and the final division by a positive h round the lower
-end down and the upper end up, each by less than one grid step.  So every
-pair encloses the exact interval result of the same operations, and a
-bound read from a pair exceeds the exact one by at most (number of
-roundings) * 2^-FIXED_BITS, scaled by whatever multiplies it later.
 """
 
 import re
@@ -26,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Union
 
 # exact rationals here routinely exceed the default int<->str digit cap
 if hasattr(sys, "set_int_max_str_digits"):
@@ -204,11 +194,7 @@ def scalar_lower(a: Scalar) -> Fraction:
     return a.lo if isinstance(a, Interval) else a
 
 
-# --- outward-rounded dyadic pairs ---
-
-FIXED_BITS = 128
-FIXED_ONE = 1 << FIXED_BITS
-Pair = Tuple[int, int]
+# --- directed rounding onto a dyadic grid ---
 
 
 def scaled_floor(x: Fraction, bits: int) -> int:
@@ -219,64 +205,6 @@ def scaled_floor(x: Fraction, bits: int) -> int:
 def scaled_ceil(x: Fraction, bits: int) -> int:
     """ceil(x * 2^bits): x rounded up onto the 2^-bits grid, in grid steps."""
     return -((-x.numerator << bits) // x.denominator)
-
-
-def fixed_pair(x: Scalar) -> Pair:
-    """(floor(lo * 2^128), ceil(hi * 2^128)): the least grid pair holding x."""
-    lo, hi = (x.lo, x.hi) if isinstance(x, Interval) else (x, x)
-    return scaled_floor(lo, FIXED_BITS), scaled_ceil(hi, FIXED_BITS)
-
-
-def fixed_interval(a: Pair) -> Interval:
-    return Interval._ordered(Fraction(a[0], FIXED_ONE), Fraction(a[1], FIXED_ONE))
-
-
-def fixed_add(a: Pair, b: Pair) -> Pair:
-    return a[0] + b[0], a[1] + b[1]
-
-
-def fixed_sub(a: Pair, b: Pair) -> Pair:
-    return a[0] - b[1], a[1] - b[0]
-
-
-def fixed_mul(a: Pair, b: Pair) -> Pair:
-    """An enclosure of a * b, each end within one grid step of the exact one."""
-    (a0, a1), (b0, b1) = a, b
-    if a0 >= 0 and b0 >= 0:
-        lo, hi = a0 * b0, a1 * b1
-    else:
-        products = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
-        lo, hi = min(products), max(products)
-    return lo >> FIXED_BITS, -(-hi >> FIXED_BITS)
-
-
-def fixed_scale(a: Pair, x: Fraction) -> Pair:
-    """An enclosure of a * x for an exact rational x, within one grid step."""
-    p, q = x.numerator, x.denominator
-    lo, hi = (a[0] * p, a[1] * p) if p >= 0 else (a[1] * p, a[0] * p)
-    return lo // q, -(-hi // q)
-
-
-def fixed_div(a: Pair, x: Fraction) -> Pair:
-    """An enclosure of a / x for an exact rational x != 0, within one grid step."""
-    p, q = (x.denominator, x.numerator) if x.numerator > 0 else (-x.denominator, -x.numerator)
-    lo, hi = (a[0] * p, a[1] * p) if p >= 0 else (a[1] * p, a[0] * p)
-    return lo // q, -(-hi // q)
-
-
-def fixed_abs(a: Pair) -> Pair:
-    """The pair of |x| over x in a (exact)."""
-    lo, hi = a
-    if lo >= 0:
-        return a
-    if hi <= 0:
-        return -hi, -lo
-    return 0, max(-lo, hi)
-
-
-def fixed_over(r: int, h: Fraction) -> Fraction:
-    """ceil(r / h) on the grid for h > 0: an upper bound on (r * 2^-128) / h."""
-    return Fraction(-(-r * h.denominator // h.numerator), FIXED_ONE)
 
 
 # --- serialization helpers ---

@@ -6,16 +6,16 @@ h function, the conditional expectation onto sibling classes, the
 consistency condition on families of probability measures (CC), and the
 round trip between CC families and consistent measure systems.
 
-Sigma ranges over the finite algebra generated by the test atoms; for
-atomic families this is exhaustive, and residuals on arbitrary algebra
-elements are bounded by the sum of the per-generator residuals.
+On an explicit tree, sigma ranges over the finite algebra generated by the
+test atoms; for atomic families this is exhaustive, and residuals on
+arbitrary algebra elements are bounded by the sum of the per-generator
+residuals.  On a model tree each class is one row of its rule, which bounds
+the residual at every Borel sigma at once.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from operator import mul
 from typing import Dict, List, Mapping, Tuple, Union
 
 from .errors import InfiniteTermError, NoCertificateError
@@ -26,16 +26,10 @@ from .measures import (
     moment,
 )
 from .rationals import (
-    FIXED_ONE,
     Interval,
     Scalar,
     accumulate,
-    fixed_add,
-    fixed_mul,
-    fixed_over,
-    fixed_pair,
-    fixed_scale,
-    fixed_sub,
+    scaled_ceil,
     scalar_abs_upper,
     scalar_lower,
     scalar_upper,
@@ -178,19 +172,9 @@ def _rest(per_atom: Dict[Fraction, Scalar], total: Scalar) -> Scalar:
     return rest
 
 
-def _first_moment(measure: Measure, cfg: CertConfig) -> Scalar:
-    """int t dmeasure, a certified enclosure for a mixture."""
-    if isinstance(measure, AtomicMeasure):
-        return moment(measure, 1)
-    enclosure, _ = measure.moment_certificate(1, cfg)
-    if enclosure is None:
-        raise NoCertificateError("divergent first moment in CC right-hand side")
-    return enclosure
-
-
 def _collect_atoms(data, P, window: Window):
-    """The test atoms of a family P without an atom table: the union of the
-    supports of the atomic rows P gives the window vertices."""
+    """The test atoms of a family P of atomic rows: the union of the
+    supports of the rows P gives the window vertices."""
     atoms = set()
     for v in window_vertices(data.tree, window):
         row = _row(P, v)
@@ -222,22 +206,21 @@ def cc_residual(
     window: Window,
     cfg: CertConfig = DEFAULT_CONFIG,
 ) -> CCReport:
-    """Max residual of the CC identity over sibling classes and the finite
-    algebra generated by the test atoms.
+    """Max residual of the CC identity over sibling classes and sigmas.
 
-    For a model tree, P must be a measure system, whose rows beyond the
-    window follow the Dirac branch rule delta_{q_i}; the off-window part of
-    the class at the branching vertex is then accounted for exactly through
-    the weight rule.  Its branch classes are evaluated by the branch rule
-    (`_cc_branch_row`), its trunk classes and the class of vertex 0 (an
-    enclosure among their weights, masses, h or first moment) on the pair
-    kernel over the atom table of P.  The classes of an explicit tree are
-    evaluated exactly.
+    For a model tree, eta must be infinite and P a measure system
+    (delta_{q_i} on branch i, the rule mixtures on the trunk).  Its branch
+    classes are evaluated by the branch rule (`_cc_branch_row`), its trunk
+    classes and the class of vertex 0 by the mixture rule
+    (`_cc_mixture_row`): each is one row that bounds every sigma of the
+    infinite tree, not only the window's atoms.
+    The classes of an explicit tree are evaluated exactly.
     """
     model = isinstance(data.tree, ModelTree)
-    if model and not hasattr(P, "atom_table"):
-        raise NoCertificateError("the CC identity on a model tree needs a measure system")
-    table = P.atom_table(window.max_branch) if model else None
+    if model and not (hasattr(P, "mixtures") and data.tree.eta is INF):
+        # the mixture rows take every branch (i, 1) for a child of vertex 0
+        raise NoCertificateError("the CC identity on a model tree needs a measure system "
+                                 "and eta = inf")
     atom_set = None if model else frozenset(_collect_atoms(data, P, window))
 
     per_class = []
@@ -245,7 +228,7 @@ def cc_residual(
     for x in window_vertices(data.tree, window):
         if model and isinstance(x, Branch):
             if x.j < window.max_depth:  # its chain child (i, j+1) is in the window
-                per_class.append(_cc_branch_row(x, P.measure_at(x),
+                per_class.append(_cc_branch_row(x, P.q.value(x.i),
                                                 data.weights.squared_at(Branch(x.i, x.j + 1))))
             continue
         kids = children(data.tree, x, window)
@@ -256,22 +239,18 @@ def cc_residual(
             if any(scalar_upper(data.weights.squared_at(y)) > 0 for y in kids):
                 h_ok = False  # a child with nonzero weight under h = 0
             continue
-        w2s = [data.weights.squared_at(y) for y in kids]
-        h_lo = scalar_lower(h)
-        if model:  # a trunk class or vertex 0: a mixture among its rows
-            sigmas, diffs = _cc_diffs_fixed(data, table, x, kids, w2s, h, x == ZERO, cfg)
-            bound = partial(fixed_over, h=h_lo)
-        else:
-            rows = [_row(P, x)] + [_row(P, y) for y in kids]
-            sigmas, diffs = _cc_diffs_exact(rows, w2s, atom_set, cfg)
-            bound = partial(mul, 1 / h_lo)
+        if model:  # a trunk class or vertex 0
+            per_class.append(_cc_mixture_row(x, data.weights, P, h, cfg))
+            continue
+        rows = [_row(P, x)] + [_row(P, y) for y in kids]
+        sigmas, diffs = _cc_diffs_exact(rows, [data.weights.squared_at(y) for y in kids], atom_set)
         # a residual |diff| * [1/h.hi, 1/h.lo] has upper end |diff| / h.lo: so
         # the worst sigma (the first at the max) is that of |diff|, and 1/h.lo
         # scales the max and the sum over every sigma but R+ once
         worst = max(range(len(sigmas)), key=diffs.__getitem__)
-        algebra = sum(_small_first(diffs[:-1]))
-        per_class.append(CCClassResidual(x, _sigma_name(sigmas[worst]), bound(diffs[worst]),
-                                         bound(algebra)))
+        scale = 1 / scalar_lower(h)
+        per_class.append(CCClassResidual(x, _sigma_name(sigmas[worst]), scale * diffs[worst],
+                                         scale * sum(_small_first(diffs[:-1]))))
 
     per_class.sort(key=lambda c: vertex_sort_key(c.vertex))
     return CCReport(
@@ -282,19 +261,59 @@ def cc_residual(
     )
 
 
-def _cc_branch_row(x: Vertex, mu: AtomicMeasure, w2) -> CCClassResidual:
+def _cc_branch_row(x: Vertex, t: Fraction, w2) -> CCClassResidual:
     """The CC class of a branch vertex x = (i, j) by the branch rule: x and
-    its one child (i, j+1) share the Dirac mu at t = q_i, and the child's
+    its one child (i, j+1) carry the Dirac at t = q_i, and the child's
     weight w2 (= q_i) is h.  The sigmas {t}, the complement and R+ give the
     diffs |w2 - t|, 0 and |w2 - t|, exactly as `_cc_diffs_exact` finds them,
     so the worst sigma (the first at the max) is {t}, and the sum over every
     sigma but R+ is |w2 - t| as well (q_i - q_i = 0: both vanish)."""
-    ((t, _),) = mu.atoms
     r = abs(w2 - t) / w2
     return CCClassResidual(x, _sigma_name(("atom", t)), r, r)
 
 
-def _cc_diffs_exact(rows, w2s, atom_set, cfg):
+# A mixture row is rounded up onto the 2^-ROW_BITS grid, so that a stored
+# residual has a power-of-two denominator of at most 128 bits.
+ROW_BITS = 128
+
+
+def grid_up(x: Fraction) -> Fraction:
+    """x rounded up onto the 2^-ROW_BITS grid."""
+    return Fraction(scaled_ceil(x, ROW_BITS), 1 << ROW_BITS)
+
+
+def mixture_gap(weights: ModelWeights, P, k: int) -> Fraction:
+    """|P_k - F_k|.upper at trunk level k (k = 0 is vertex 0), the one
+    difference of enclosures the mixture rows of `construct.consist6_residuals`
+    and `cc_residual` scale.  P_k = P.mixtures[k].prefactor encloses 1/M_-k;
+    F_0 = c and F_k = w_{k-1} P_{k-1} for k >= 1, with w_{k-1} the trunk
+    weight |lambda_-(k-1)|^2.  Each enclosure is free in its interval."""
+    F = weights.c if k == 0 else weights.trunk[k - 1] * P.mixtures[k - 1].prefactor
+    return (P.mixtures[k].prefactor - F).abs_upper()
+
+
+def _cc_mixture_row(x: Trunk, weights: ModelWeights, P, h: Scalar, cfg) -> CCClassResidual:
+    """The CC class of a trunk vertex x = -k (k = 0: vertex 0) by the
+    mixture rule.
+
+    The vertex carries mu_-k = P_k sum_i alpha_i q_i^-k delta_{q_i}.  Its
+    children are -(k-1), carrying mu_-(k-1) with weight w_{k-1} = h (k >= 1),
+    or every (i, 1), carrying delta_{q_i} with weight c alpha_i q_i, with
+    h = c M_1 (k = 0).  So at every Borel sigma of R+,
+    LHS - RHS = B_k(sigma) (F_k - P_k) with B_k(sigma) the exact sum of
+    alpha_i q_i^(1-k) over q_i in sigma, at most M_(1-k) (`mixture_gap`
+    gives F_k).  Every exact sum over indices is taken at its true value, and
+    each enclosure (c, P_k, w_k, M_s) is free in its interval and counted
+    once: the row M_(1-k).hi |F_k - P_k|.upper / h.lo, rounded up by
+    `grid_up`, bounds the residual at every sigma at once, off-window atoms
+    and collisions included.  It is both the max and the algebra bound, and
+    its worst sigma is R+, where B_k = M_(1-k)."""
+    M = power_series_certificate(weights.alpha, 1 - x.k, cfg).enclosure
+    r = grid_up(M.hi * mixture_gap(weights, P, x.k) / scalar_lower(h))
+    return CCClassResidual(x, _sigma_name(("all",)), r, r)
+
+
+def _cc_diffs_exact(rows, w2s, atom_set):
     """The sigmas of a class of atomic rows and the upper bound of
     |lhs - rhs| on each, in exact arithmetic."""
     row_x = rows[0]
@@ -318,53 +337,11 @@ def _cc_diffs_exact(rows, w2s, atom_set, cfg):
     rhs_nums: List[Scalar] = [Fraction(0)] * len(sigmas)
     for t, m in x_masses.items():
         rhs_nums[position[t]] = m
-    rhs_nums[all_idx] = _first_moment(row_x, cfg)
+    rhs_nums[all_idx] = moment(row_x, 1)
     rhs_nums[rest_idx] = _rest(x_masses, rhs_nums[all_idx])
     diffs = [scalar_abs_upper(lhs_nums.get(idx, Fraction(0)) - rhs_nums[idx])
              for idx in range(len(sigmas))]
     return sigmas, diffs
-
-
-def _cc_diffs_fixed(data, table, x, kids, w2s, h, model_zero, cfg):
-    """`_cc_diffs_exact` on pairs over the atom table: the same sums, plus
-    the off-window children at vertex 0 of a model tree, each diff an upper
-    bound of the exact one on the 2^-128 grid, above it by at most two grid
-    steps per term summed.  Every atom of the table is a sigma: those
-    outside every support of the class add a zero diff."""
-    locations, zero, one = table.locations, (0, 0), (FIXED_ONE, FIXED_ONE)
-    n = len(locations)
-    rest, every = n, n + 1  # the sigma indices after the atom slots
-    lhs = [zero] * (n + 2)
-    for y, w2 in zip(kids, w2s):
-        w = fixed_pair(w2)
-        total = zero
-        for s, mass in table.row(y, cc=True).items:
-            lhs[s] = fixed_add(lhs[s], fixed_mul(w, mass))
-            total = fixed_add(total, mass)
-        if total != one:
-            lhs[rest] = fixed_add(lhs[rest], fixed_mul(w, fixed_sub(one, total)))
-        lhs[every] = fixed_add(lhs[every], w)
-    if model_zero:  # off-window children, whose rows are delta_{q_i} by the branch rule
-        tail_all = fixed_sub(fixed_pair(h), lhs[every])
-        off = zero
-        for s, indices in enumerate(table.collisions):
-            for i in indices:
-                w = fixed_pair(data.weights.branch_first_squared(i))
-                lhs[s], off = fixed_add(lhs[s], w), fixed_add(off, w)
-        lhs[rest] = fixed_add(lhs[rest], fixed_sub(tail_all, off))
-        lhs[every] = fixed_add(lhs[every], tail_all)
-    rhs = [zero] * (n + 2)
-    x_row = table.row(x, cc=True).items
-    for s, mass in x_row:
-        rhs[s] = fixed_scale(mass, locations[s])
-        rhs[rest] = fixed_add(rhs[rest], rhs[s])  # the atoms' total, for now
-    rhs[every] = fixed_pair(_first_moment(table.system.measure_at(x), cfg))
-    rhs[rest] = fixed_sub(rhs[every], rhs[rest])
-    diffs = []
-    for l, r in zip(lhs, rhs):
-        lo, hi = fixed_sub(l, r)
-        diffs.append(max(-lo, hi))
-    return [("atom", t) for t in locations] + [("rest",), ("all",)], diffs
 
 
 def _sigma_name(sigma) -> str:

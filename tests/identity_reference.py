@@ -1,19 +1,47 @@
 """Exact reference evaluation of the consistency and CC identities.
 
-Every vertex class is evaluated here in `Fraction` and `Interval`
-arithmetic, as the library evaluated all of them before its pair kernel
-(outward-rounded dyadic pairs on a 2^-128 grid) took over the classes with
-an enclosure among their inputs.  The oracle test in `test_identity_kernel`
-checks the kernel's bounds against these values.
+Every vertex class is evaluated here atom by atom and sigma by sigma, in
+`Fraction` and `Interval` arithmetic, over the atoms of the branches a
+window holds.  The oracle test in `test_identity_kernel` runs it on a window
+several times wider than the artifact's and checks that each row of the
+library bounds every atom's residual.
 """
 
 from fractions import Fraction
+from typing import Tuple
 
 from treeshift.construct import checkable_vertices
-from treeshift.measures import AtomicMeasure, ConsistencyResult, indices_with_value
-from treeshift.rationals import Interval, coerce, scalar_abs_upper, scalar_upper
+from treeshift.errors import NoCertificateError
+from treeshift.measures import AtomicMeasure, ConsistencyResult, moment
+from treeshift.rationals import Interval, as_fraction, coerce, scalar_abs_upper, scalar_upper
+from treeshift.series import SequenceSpec, Tail
 from treeshift.tree import ModelTree, ZERO, children, vertex_sort_key, window_vertices
-from treeshift.wco import CCClassResidual, _first_moment, _h_positive, h_function
+from treeshift.wco import _h_positive, h_function
+
+
+def indices_with_value(q: SequenceSpec, t: Fraction, above: int) -> Tuple[int, ...]:
+    """All indices i > above with q_i == t (finitely many).
+
+    The reference needs them to count the off-window part of a Dirac
+    mixture at the atoms of a truncated view.  Constant tails have
+    infinitely many matches and are rejected.
+    """
+    t = as_fraction(t)
+    if q.tail is Tail.CONSTANT:
+        raise NoCertificateError("constant-tail sequences are not certifiable here")
+    matches = [
+        i for i in range(above + 1, len(q.prefix) + 1) if q.prefix[i - 1] == t
+    ]
+    first_tail = len(q.prefix) + 1
+    candidates = []
+    if t.denominator == 1:
+        candidates.append(int(t))  # linear: q_i = i; mixed: even i
+    if t.numerator == 1 and t.denominator % 2 == 1 and q.tail is Tail.MIXED:
+        candidates.append(t.denominator)  # mixed: odd i gives q_i = 1/i
+    for i in candidates:
+        if i >= max(above + 1, first_tail) and q.value(i) == t:
+            matches.append(i)
+    return tuple(sorted(set(matches)))
 
 
 def _view(measure, imax):
@@ -80,8 +108,17 @@ def _masses_at(measure, atom_set, imax):
     return {t: m for t, m in masses.items() if scalar_abs_upper(m) != 0}
 
 
+def _first_moment(measure, cfg):
+    """int t dmeasure: exact for an atomic measure, the certified
+    enclosure prefactor * sum_i alpha_i q_i^(1-shift) for a mixture."""
+    if isinstance(measure, AtomicMeasure):
+        return moment(measure, 1)
+    return measure.moment_certificate(1, cfg)[0]
+
+
 def cc_classes(data, P, window, cfg):
-    """{class vertex: CCClassResidual}, every class evaluated exactly."""
+    """{class vertex: (sigmas, bounds)}, every class evaluated exactly: the
+    bound on sigma is |lhs - rhs| / h.lo, the class's residual there."""
     imax = window.max_branch
     atoms = set()
     for v in window_vertices(data.tree, window):
@@ -129,8 +166,6 @@ def cc_classes(data, P, window, cfg):
         rhs = {s: x_masses.get(s[1], Fraction(0)) if s[0] == "atom" else None for s in sigmas}
         rhs[("all",)] = _first_moment(rows[0], cfg)
         rhs[("rest",)] = rhs[("all",)] - sum(x_masses.values(), Fraction(0))
-        diffs = [scalar_abs_upper(lhs[s] - rhs[s]) for s in sigmas]
-        worst = max(range(len(sigmas)), key=diffs.__getitem__)
         h_lo = h.lo if isinstance(h, Interval) else h
-        out[x] = CCClassResidual(x, sigmas[worst], diffs[worst] / h_lo, sum(diffs[:-1]) / h_lo)
+        out[x] = (sigmas, [scalar_abs_upper(lhs[s] - rhs[s]) / h_lo for s in sigmas])
     return dict(sorted(out.items(), key=lambda kv: vertex_sort_key(kv[0])))

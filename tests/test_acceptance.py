@@ -98,31 +98,34 @@ def test_criterion_1_counterexample_grid():
     print(f"\n[criterion 1] PASS - 24-cell grid verified, worst cell {worst_cell:.2f}s")
 
 
+# Last moved when the trunk and vertex-0 classes became one row of the
+# mixture rule each: only certificates.consist6.max_residual,
+# certificates.cc.max_residual and certificates.cc.algebra_bound changed.
 GRID_SHA256 = {
-    (1, 0, "linear"): "9975fd3cdc06c79650e00a6f2ccd4ef5d713de524bad3972d6374021ea41d557",
-    (1, 0, "mixed"): "c5678d8b7d8596413c33f18a78bd3302dbbdabe2115420a1fae7a70482bd2294",
-    (1, 1, "linear"): "170215c1d1c77c56c5925283eb55beb2f3d46aedc16a593c3d7703cc8c98a38d",
-    (1, 1, "mixed"): "a1c87193f6f0a77e3c6af4f6d124aa8e0fbac956a9365709d26ad112488cac7a",
-    (1, 3, "linear"): "2e780ee022279c5846a5a59e0bc0d7d25bf726f890df254016062d0dfb7dcf32",
-    (1, 3, "mixed"): "1cbd92544d9ae3d7bb282e25c5aa6fad64934a2ed409614237b4d05b8ddd3908",
-    (1, ts.INF, "linear"): "00614749583dcd6cde63d018a7f4bfedeaae647aee74d025f9a853f4726f440c",
-    (1, ts.INF, "mixed"): "b587e13a5e65ef3bceba1f3f0ea1e725d42db04e4f6da57c839f0b376ecadc2f",
-    (2, 0, "linear"): "212a114910dfb9a2ee4d905a2b2e12bcf599969b75f912b593e51ba33c7fb72e",
-    (2, 0, "mixed"): "4476550173689b384b09b0d83d23844f7655bf5e210d94347063d5406ad593f5",
-    (2, 1, "linear"): "3ffd8ed477aa7cdfcad9df281423f95960b9e18099dd1299c36e70682790a1bc",
-    (2, 1, "mixed"): "4ac9e6519e887f537daaa3d190ed6271d4af7f5d986b234de47f9f7a54dc6a6e",
-    (2, 3, "linear"): "1c5f7b6a650a09d581b53726b95349f07080f07593ac2db3dbd54b1740258ba2",
-    (2, 3, "mixed"): "ca40017b81b908560a6c3851a9e0283f9fd5d8932dbe9679457b6e2a2fd1d5ed",
-    (2, ts.INF, "linear"): "51ca957b2fa779d9a7eb3bb51a2fb649c496e42109318b669ad9cae2acd5668d",
-    (2, ts.INF, "mixed"): "547dfc969d2c4f631b812a5fefab479fd472693a2b8c080d8c91006dff320da6",
-    (3, 0, "linear"): "fe07a0f20a2933c2bb0a22e6a572c5a431d871278d9355610f50e328f4264c0e",
-    (3, 0, "mixed"): "da99bd97238d11c11fdb825a04f4cb73fd804d207eea8a25f4f4abe73f467b87",
-    (3, 1, "linear"): "99453423d2c671f505eca0ebd616a09de4cf09bb9876171ea6f925e6638d3182",
-    (3, 1, "mixed"): "34182ca09c9f27e8fe1a149229c8b1ca26d7ba3bbadf2f85042aa10913808581",
-    (3, 3, "linear"): "0a152fb0cfdcee2e8a6e1df17f61fc8389622c4151c1ff247575891ebcced203",
-    (3, 3, "mixed"): "ada92d9452534962086d3b3947521e188b72d4b9fde8b75f39fc7f244d355d0a",
-    (3, ts.INF, "linear"): "0d340589b82e2b3bce3d1ada87a79365bafbafa3a3db5b40a70a37663e78042b",
-    (3, ts.INF, "mixed"): "6b275e86f594798ad1ff296809a73bcada90ee0812a9913906d9eae86ad3d6c6",
+    (1, 0, "linear"): "18144b0ca12e85718a919a16f1e2498871505c8abc95da75a372a612a1c229d4",
+    (1, 0, "mixed"): "8a8a22b39008ce3e4945e86243434df452eb615c160de2a76283d4355f1643d6",
+    (1, 1, "linear"): "569415a98ed5f511ad1655cd52c9a8866331e0bd62f4aeacdf9d7347be2c60ef",
+    (1, 1, "mixed"): "dfb81226feaa09ee74615d411373e7a3f72ae9f75780b7c4a40c3a814ff0d08d",
+    (1, 3, "linear"): "a90d051a16ca4507876265496eaa451c86f27d61572e796fa21e55067cb4657f",
+    (1, 3, "mixed"): "933a4c05e27e7ab996dba8494219a3ef1611b99f82e84ea6332bf55798a583ab",
+    (1, ts.INF, "linear"): "5a5cd3bbcf8b8857b4b3476f252cfdc8f4c6db03b611a6d179951fae359c5be3",
+    (1, ts.INF, "mixed"): "f53162178a91f6881cea037473da638066b58d1fcfb8d06cb984ceb88eed36f2",
+    (2, 0, "linear"): "719d397890288bfaabb74d83d3417737d8dad48bb71627cdd2679d4c3ab77607",
+    (2, 0, "mixed"): "c24d687fad7b19bcf2424f4e9fd741c5bf08b3bb9c2546c4cf42aa37eb75ef8d",
+    (2, 1, "linear"): "ec53e047e22868bb7bfc481700d0d693af477d0c3a94a50725bc59dedc20cddc",
+    (2, 1, "mixed"): "34b5532ac71ab9cf3bfb74657264b953d832147f518f50bd3fa4bc87ff0c5b45",
+    (2, 3, "linear"): "b78767513bfe1e5e86a9775f28a0b7bf01477687f29c9374419a84d1fc052b54",
+    (2, 3, "mixed"): "5d60bba71651c05f814d4eff8271348b9e12bb48a6349e264eefcd2e4741fe8d",
+    (2, ts.INF, "linear"): "197de8516400b59c74af3fd7d3cfb8c47cccbf5b874eaa8c476129079a2d150e",
+    (2, ts.INF, "mixed"): "b5caf289558a08b9419aeeb1bbebc2daa56cb3a9a86e7a90b89db09aa1b6b584",
+    (3, 0, "linear"): "2fdb7db7db749d260e40f6d47fb0ce670a8031eb9ab7da5f0672c4422576afb5",
+    (3, 0, "mixed"): "e0e3e99ab477aaf13f2174264f736a58faf67beb91eb593dd2830c74303381b0",
+    (3, 1, "linear"): "1bf056589666b8997c95f55a68c2fc81c0b8d633de7e2cfcd30e499968e22d06",
+    (3, 1, "mixed"): "65f731bcc87d2da16bbecb2847b90ac2180d915781f28d87dc5b7e11eaf549ac",
+    (3, 3, "linear"): "e7b2fd2456f9075b1c0dc12199ba6824ffb2a006540c8e4abab0d3804c1c78de",
+    (3, 3, "mixed"): "f239f4809e9a6db937e9e35f05339ada91042e747ad0f44b1426599dadd5611a",
+    (3, ts.INF, "linear"): "2e1b7c4933306643b820796e9a0b196ea1d02d3745bbb9c80991e95eaccce55a",
+    (3, ts.INF, "mixed"): "da66221b6e4bb9b368fd18d42db4032b3d7c5885cc38e880532af27cb1cce086",
 }
 
 

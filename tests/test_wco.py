@@ -22,8 +22,9 @@ from treeshift import (
     roundtrip_measures,
 )
 from treeshift.errors import NoCertificateError
-from treeshift.measures import indices_with_value
 from treeshift.tree import window_vertices
+
+from identity_reference import indices_with_value
 
 mp.mp.dps = 40
 WIDE = Window(max_trunk=10, max_branch=10, max_depth=10)
@@ -188,12 +189,21 @@ def test_cc_artifact_within_tolerance(artifact_n1_k3):
 
 
 def test_cc_model_tree_needs_measure_system(artifact_n1_k3):
-    """The off-window children of vertex 0 are read from the atom table of
-    a measure system, so a plain family of rows on a model tree is refused."""
+    """The trunk and vertex-0 rows read the mixtures of a measure system, so
+    a plain family of rows on a model tree is refused."""
     art = artifact_n1_k3
     rows = {v: AtomicMeasure.dirac(1) for v in window_vertices(art.tree, art.window)}
     with pytest.raises(NoCertificateError):
         cc_residual(from_shift(art.tree, art.weights), rows, art.window)
+
+
+def test_cc_mixture_rows_need_infinite_eta(artifact_n1_k3):
+    """The mixture row of vertex 0 counts every branch as its child, so a
+    measure system on a tree with finitely many branches is refused."""
+    art = artifact_n1_k3
+    tree = ts.ModelTree(eta=3, kappa=art.tree.kappa)
+    with pytest.raises(NoCertificateError):
+        cc_residual(from_shift(tree, art.weights), art.measures, art.window)
 
 
 # --- round trip ---
@@ -237,11 +247,13 @@ def test_roundtrip_detects_broken_row(artifact_n1_k3):
 
 def test_cc_counts_off_window_mixture_atoms():
     """q_1 = q_60 = 60: the mixtures' atom at 60 carries mass from index 60,
-    beyond the 12-branch window, which CC must add through the rule."""
+    beyond the 12-branch window, which the CC rows bound with every other
+    atom.  The digest last moved when the trunk and vertex-0 classes became
+    one row of the mixture rule each."""
     q = ts.SequenceSpec(ts.Tail.LINEAR, prefix=(Fraction(60),))
     assert indices_with_value(q, Fraction(60), 12) == (60,)
     art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=Window(3, 12, 4)))
     assert ts.verify(art.to_json_dict()).passed
     assert hashlib.sha256(art.to_json().encode()).hexdigest() == (
-        "b3f5e006bac3a2f8263b8dc681658b0b46b742fd96eb0a989c2708626c231a36"
+        "400efe44d4259ba173a9a33f82db22bf1b38b680be91660d2f940b1ac3f96c28"
     )
