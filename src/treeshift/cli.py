@@ -163,7 +163,7 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         payload = {
             "passed": report.passed,
-            "consist6_residuals": {} if res is None else {  # keyed by class representative
+            "consist6_residuals": {} if res is None else {  # v(1,1): every branch vertex
                 str(u): approx_residual(r.residual_upper) for u, r in res.consist6.items()
             },
             "checks": [

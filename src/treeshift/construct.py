@@ -57,8 +57,6 @@ from .tree import (
     Vertex,
     Window,
     ZERO,
-    children_visible,
-    window_vertices,
 )
 from . import wco
 
@@ -87,12 +85,12 @@ class CounterexampleRequest:
     window: Window = Window()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be an integer >= 1")
+        if type(self.n) is not int or self.n < 1:  # a bool is not an integer here
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if self.n + 1 > self.cert.max_power:
             raise ValueError("n+1 exceeds the configured power cap")
-        if self.kappa is not INF and (not isinstance(self.kappa, int) or self.kappa < 0):
-            raise ValueError("kappa must be an integer >= 0 or INF")
+        if self.kappa is not INF and (type(self.kappa) is not int or self.kappa < 0):
+            raise ValueError(f"kappa must be an integer >= 0 or INF, got {self.kappa!r}")
 
     def to_json(self):
         return {
@@ -290,9 +288,10 @@ def _certify(artifact: CounterexampleArtifact, cfg: CertConfig) -> dict:
 
 def _identity_certificates(res: "IdentityResiduals") -> dict:
     """The certificates of an artifact's identities, as `generate` stores
-    them and `verify` compares them.  `vertices_checked` counts the vertices
-    whose consistency identity is evaluated, one per vertex class, so it does
-    not depend on `max_depth`."""
+    them and `verify` compares them.  `vertices_checked` counts the classes
+    of the rule whose consistency identity is evaluated: one per trunk level
+    and one for every branch vertex, so it depends on neither `max_branch`
+    nor `max_depth`."""
     certs = {
         "zgod_prime_residual": res.zgod_prime,
         "widly1": res.widly1,
@@ -321,8 +320,8 @@ class IdentityResiduals:
     widly1: Dict[int, Fraction]  # trunk product identity at level l
     widly1_prime: Optional[Tuple[int, Fraction]]  # (kappa, residual) on a finite trunk
     mass: Dict[int, Fraction]  # |mass - 1| of the mixture at trunk level l
-    consist6: Dict[Vertex, ConsistencyResult]  # keyed by vertex class representative
-    cc: wco.CCReport  # one class per representative
+    consist6: Dict[Vertex, ConsistencyResult]  # keyed Trunk(k), and BRANCH_CLASS for every branch
+    cc: wco.CCReport  # the same classes
 
     @property
     def consist6_max(self) -> Fraction:
@@ -334,18 +333,16 @@ def identity_residuals(artifact: CounterexampleArtifact, cfg: CertConfig) -> Ide
     residuals over the artifact's weights and measures, the rules
     `build_rules` makes.
 
-    Consistency and CC are evaluated once per vertex class, on the window
-    cut to depth min(max_depth, 2): every trunk vertex, vertex 0 and one
-    representative (i, 1) per branch.  Sound, because
-    `ModelWeights.squared_at` and `MeasureSystem.measure_at` give branch i's
-    weights and atom independently of j: for 1 <= j < max_depth the
-    identity at (i, j), and the CC class of (i, j) with h = branch_tail(i),
-    read exactly the inputs of (i, 1), CC's test atoms included.  Those
-    inputs are one Dirac at q_i and the chain weight q_i, so each branch
-    class is one row of the branch rule (`_consist6_branch_row`,
-    `wco._cc_branch_row`).  Each trunk class and vertex 0 is one row of the
-    mixture rule (`_consist6_mixture_row`, `wco._cc_mixture_row`), which
-    bounds its identity at every atom and sigma of the infinite tree.
+    Consistency and CC are evaluated once per class of the rule.  Each
+    trunk class and vertex 0 is one row of the mixture rule
+    (`_consist6_mixture_row`, `wco._cc_mixture_row`), which bounds its
+    identity at every atom and sigma of the infinite tree.  Every branch
+    vertex (i, j) carries the Dirac at q_i, and its chain child the weight
+    q_i (`ModelWeights.branch_tail_squared` and the Diracs read one sequence,
+    which `wco.require_model_rules` checks), so every branch class is the
+    one exact row q_i q_i^-1 = 1 of the branch rule (`_consist6_branch_row`,
+    `wco._cc_branch_row`), keyed `wco.BRANCH_CLASS`.  No branch is
+    evaluated, and neither `max_branch` nor `max_depth` is read.
     """
     alpha, c, kappa = artifact.alpha, artifact.c, artifact.request.kappa
     zgod_prime = _one_residual(c * power_series_certificate(alpha, 0, cfg).enclosure)
@@ -362,11 +359,9 @@ def identity_residuals(artifact: CounterexampleArtifact, cfg: CertConfig) -> Ide
         l: _one_residual(mix.prefactor * power_series_certificate(alpha, -l, cfg).enclosure)
         for l, mix in enumerate(artifact.measures.mixtures)
     }
-    window = artifact.window
-    classes = replace(artifact, window=replace(window, max_depth=min(window.max_depth, 2)))
-    consist6 = consist6_residuals(classes, cfg)
+    consist6 = consist6_residuals(artifact, cfg)
     data = wco.from_shift(artifact.tree, artifact.weights)
-    cc = wco.cc_residual(data, artifact.measures, classes.window, cfg)
+    cc = wco.cc_residual(data, artifact.measures, artifact.window, cfg)
     return IdentityResiduals(zgod_prime, widly1, widly1_prime, mass, consist6, cc)
 
 
@@ -375,39 +370,29 @@ def _one_residual(iv: Interval) -> Fraction:
     return max(abs(iv.lo - 1), abs(iv.hi - 1))
 
 
-def checkable_vertices(tree: ModelTree, window: Window):
-    """Window vertices where the consistency identity is verifiable (see
-    `tree.children_visible`)."""
-    return (u for u in window_vertices(tree, window) if children_visible(tree, u, window))
-
-
 def consist6_residuals(
     a: CounterexampleArtifact, cfg: CertConfig = DEFAULT_CONFIG
 ) -> Dict[Vertex, ConsistencyResult]:
-    """Consistency residual at every checkable window vertex of an artifact.
-
-    A branch vertex is evaluated by the branch rule (`_consist6_branch_row`),
-    a trunk vertex or vertex 0 by the mixture rule (`_consist6_mixture_row`).
-    """
-    out: Dict[Vertex, ConsistencyResult] = {}
-    for u in checkable_vertices(a.tree, a.window):
-        eps = a.measures.eps_at(u)
-        if isinstance(u, Branch):
-            out[u] = _consist6_branch_row(a.measures.q.value(u.i), eps,
-                                          a.weights.squared_at(Branch(u.i, u.j + 1)))
-        else:
-            out[u] = _consist6_mixture_row(a, u.k, eps, cfg)
+    """Consistency residual of every class of an artifact's rule (see
+    `wco.require_model_rules`): one row per trunk level k < len(mixtures)
+    (k = 0: vertex 0) by the mixture rule (`_consist6_mixture_row`), and one
+    row for every branch vertex by the branch rule (`_consist6_branch_row`),
+    keyed `wco.BRANCH_CLASS`."""
+    m = a.measures
+    wco.require_model_rules(a.tree, a.weights, m)
+    out = {Trunk(k): _consist6_mixture_row(a, k, m.eps_at(Trunk(k)), cfg)
+           for k in reversed(range(len(m.mixtures)))}
+    out[wco.BRANCH_CLASS] = _consist6_branch_row(m.eps_at(wco.BRANCH_CLASS))
     return out
 
 
-def _consist6_branch_row(t: Fraction, eps, w2) -> ConsistencyResult:
-    """The consistency identity at a branch vertex (i, j) by the branch
-    rule: the vertex and its one child (i, j+1) carry the Dirac at t = q_i,
-    and the child's weight is w2 (= q_i), so the atoms are 0 and t, with
-    residuals |0 - eps| and |1 - w2/t|, exactly as `check_consist6_at`
-    finds them (q_i q_i^-1 = 1: both vanish)."""
-    per_atom = ((Fraction(0), abs(eps)), (t, abs(1 - w2 / t)))
-    return ConsistencyResult(per_atom, max(r for _, r in per_atom), implied_eps=Fraction(0))
+def _consist6_branch_row(eps) -> ConsistencyResult:
+    """The consistency identity at every branch vertex (i, j) at once, by
+    the branch rule: the vertex and its one child (i, j+1) carry the Dirac
+    at q_i, and the child's weight is q_i, so the atoms are 0 and q_i, with
+    residuals |0 - eps| and |1 - q_i/q_i| = 0.  `per_atom` holds t = 0
+    only; the row stands for every atom q_i at once."""
+    return ConsistencyResult(((Fraction(0), abs(eps)),), abs(eps), implied_eps=Fraction(0))
 
 
 def _consist6_mixture_row(a: CounterexampleArtifact, k: int, eps, cfg) -> ConsistencyResult:
@@ -805,9 +790,9 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     equal; a failing row names its vertex, with the larger endpoint
     distance as residual), and then `identity_residuals` on the rule
     artifact, the call `generate` certifies with: consistency residuals
-    once per vertex class (each branch class by the branch rule),
-    trunk product identities, mixture masses and CC on the window's atom
-    algebra, each record failing also when the stored certificate differs
+    once per class of the rule (one row for every branch), trunk
+    product identities, mixture masses and CC over the same classes, each
+    record failing also when the stored certificate differs
     from the recomputed value; last the power-domain certificates (each
     stored nd[m] must equal the recomputed certificate field for field, see
     `_nd_checks`), and positivity of all stored weights.  The stored

@@ -200,6 +200,17 @@ class CCReport:
     h_positive_on_support: bool
 
 
+def require_model_rules(tree: ModelTree, weights, P) -> None:
+    """Raise NoCertificateError unless the rows of a model tree can be read
+    from its rules: eta = inf (the mixture row of vertex 0 takes every branch
+    (i, 1) for a child), model weights, a measure system P, and one sequence
+    q for the branch Diracs and the chain weights (the branch row)."""
+    if not (tree.eta is INF and isinstance(weights, ModelWeights) and hasattr(P, "mixtures")):
+        raise NoCertificateError("a model tree needs eta = inf, model weights and a measure system")
+    if P.q != weights.alpha.q:
+        raise NoCertificateError("the branch Diracs and the chain weights read different q")
+
+
 def cc_residual(
     data: CompositionData,
     P,
@@ -208,29 +219,40 @@ def cc_residual(
 ) -> CCReport:
     """Max residual of the CC identity over sibling classes and sigmas.
 
-    For a model tree, eta must be infinite and P a measure system
-    (delta_{q_i} on branch i, the rule mixtures on the trunk).  Its branch
-    classes are evaluated by the branch rule (`_cc_branch_row`), its trunk
-    classes and the class of vertex 0 by the mixture rule
-    (`_cc_mixture_row`): each is one row that bounds every sigma of the
-    infinite tree, not only the window's atoms.
-    The classes of an explicit tree are evaluated exactly.
+    On a model tree (see `require_model_rules`) the classes are the rule's,
+    and the window is not read: one row per trunk level k < len(P.mixtures)
+    (k = 0: vertex 0) by the mixture rule (`_cc_mixture_row`), and one row
+    for every branch vertex by the branch rule (`_cc_branch_row`).  Each
+    bounds every sigma of the infinite tree.  The classes of an explicit
+    tree are evaluated exactly (`_cc_explicit_classes`).
     """
-    model = isinstance(data.tree, ModelTree)
-    if model and not (hasattr(P, "mixtures") and data.tree.eta is INF):
-        # the mixture rows take every branch (i, 1) for a child of vertex 0
-        raise NoCertificateError("the CC identity on a model tree needs a measure system "
-                                 "and eta = inf")
-    atom_set = None if model else frozenset(_collect_atoms(data, P, window))
+    if isinstance(data.tree, ModelTree):
+        require_model_rules(data.tree, data.weights, P)
+        per_class, h_ok = [_cc_branch_row()], True
+        for k in range(len(P.mixtures)):
+            h = h_function(data, Trunk(k), window, cfg)
+            if _h_positive(h):
+                per_class.append(_cc_mixture_row(Trunk(k), data.weights, P, h, cfg))
+            elif scalar_upper(h) > 0:
+                h_ok = False  # h is the rule's sum of the children's weights
+    else:
+        per_class, h_ok = _cc_explicit_classes(data, P, window, cfg)
+    per_class.sort(key=lambda c: vertex_sort_key(c.vertex))
+    return CCReport(
+        max_residual=max((c.max_residual for c in per_class), default=Fraction(0)),
+        algebra_bound=max((c.algebra_bound for c in per_class), default=Fraction(0)),
+        per_class=tuple(per_class),
+        h_positive_on_support=h_ok,
+    )
 
+
+def _cc_explicit_classes(data: CompositionData, P, window: Window, cfg: CertConfig):
+    """The classes of an explicit tree, each evaluated exactly on the atom
+    algebra of P, and whether h > 0 wherever a child has nonzero weight."""
+    atom_set = frozenset(_collect_atoms(data, P, window))
     per_class = []
     h_ok = True
     for x in window_vertices(data.tree, window):
-        if model and isinstance(x, Branch):
-            if x.j < window.max_depth:  # its chain child (i, j+1) is in the window
-                per_class.append(_cc_branch_row(x, P.q.value(x.i),
-                                                data.weights.squared_at(Branch(x.i, x.j + 1))))
-            continue
         kids = children(data.tree, x, window)
         if not kids:
             continue
@@ -238,9 +260,6 @@ def cc_residual(
         if not _h_positive(h):
             if any(scalar_upper(data.weights.squared_at(y)) > 0 for y in kids):
                 h_ok = False  # a child with nonzero weight under h = 0
-            continue
-        if model:  # a trunk class or vertex 0
-            per_class.append(_cc_mixture_row(x, data.weights, P, h, cfg))
             continue
         rows = [_row(P, x)] + [_row(P, y) for y in kids]
         sigmas, diffs = _cc_diffs_exact(rows, [data.weights.squared_at(y) for y in kids], atom_set)
@@ -251,25 +270,19 @@ def cc_residual(
         scale = 1 / scalar_lower(h)
         per_class.append(CCClassResidual(x, _sigma_name(sigmas[worst]), scale * diffs[worst],
                                          scale * sum(_small_first(diffs[:-1]))))
-
-    per_class.sort(key=lambda c: vertex_sort_key(c.vertex))
-    return CCReport(
-        max_residual=max((c.max_residual for c in per_class), default=Fraction(0)),
-        algebra_bound=max((c.algebra_bound for c in per_class), default=Fraction(0)),
-        per_class=tuple(per_class),
-        h_positive_on_support=h_ok,
-    )
+    return per_class, h_ok
 
 
-def _cc_branch_row(x: Vertex, t: Fraction, w2) -> CCClassResidual:
-    """The CC class of a branch vertex x = (i, j) by the branch rule: x and
-    its one child (i, j+1) carry the Dirac at t = q_i, and the child's
-    weight w2 (= q_i) is h.  The sigmas {t}, the complement and R+ give the
-    diffs |w2 - t|, 0 and |w2 - t|, exactly as `_cc_diffs_exact` finds them,
-    so the worst sigma (the first at the max) is {t}, and the sum over every
-    sigma but R+ is |w2 - t| as well (q_i - q_i = 0: both vanish)."""
-    r = abs(w2 - t) / w2
-    return CCClassResidual(x, _sigma_name(("atom", t)), r, r)
+# The key of the one branch-rule row, which stands for every branch vertex.
+BRANCH_CLASS = Branch(1, 1)
+
+
+def _cc_branch_row() -> CCClassResidual:
+    """The CC class of every branch vertex (i, j) at once, by the branch
+    rule: (i, j) and its one child carry the Dirac at q_i, and the child's
+    weight q_i is h, so LHS - RHS is q_i - q_i = 0 at every sigma holding
+    q_i and 0 - 0 at every other; as for a mixture row, the worst is R+."""
+    return CCClassResidual(BRANCH_CLASS, _sigma_name(("all",)), Fraction(0), Fraction(0))
 
 
 # A mixture row is rounded up onto the 2^-ROW_BITS grid, so that a stored

@@ -10,13 +10,25 @@ library bounds every atom's residual.
 from fractions import Fraction
 from typing import Tuple
 
-from treeshift.construct import checkable_vertices
 from treeshift.errors import NoCertificateError
 from treeshift.measures import AtomicMeasure, ConsistencyResult, moment
 from treeshift.rationals import Interval, as_fraction, coerce, scalar_abs_upper, scalar_upper
 from treeshift.series import SequenceSpec, Tail
-from treeshift.tree import ModelTree, ZERO, children, vertex_sort_key, window_vertices
+from treeshift.tree import (
+    ModelTree,
+    ZERO,
+    children,
+    children_visible,
+    vertex_sort_key,
+    window_vertices,
+)
 from treeshift.wco import _h_positive, h_function
+
+
+def checkable_vertices(tree, window):
+    """Window vertices where the consistency identity is verifiable (see
+    `tree.children_visible`)."""
+    return (u for u in window_vertices(tree, window) if children_visible(tree, u, window))
 
 
 def indices_with_value(q: SequenceSpec, t: Fraction, above: int) -> Tuple[int, ...]:

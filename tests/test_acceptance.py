@@ -23,7 +23,7 @@ import mpmath as mp
 import pytest
 
 import treeshift as ts
-from treeshift import Branch, Window
+from treeshift import Branch, Trunk, Window
 from treeshift.construct import (
     consist6_residuals,
     identity_residuals,
@@ -40,8 +40,9 @@ from treeshift.series import (
     witness_partial_sum,
 )
 from treeshift.shift import _measure_domain_certificate, dense_defined_power, glowne_power_check
-from treeshift.wco import cc_residual, from_shift, roundtrip_measures
+from treeshift.wco import BRANCH_CLASS, cc_residual, from_shift, roundtrip_measures
 
+import identity_reference as reference
 from conftest import get_artifact, random_weighted_tree
 
 mp.mp.dps = 40
@@ -98,34 +99,34 @@ def test_criterion_1_counterexample_grid():
     print(f"\n[criterion 1] PASS - 24-cell grid verified, worst cell {worst_cell:.2f}s")
 
 
-# Last moved when the trunk and vertex-0 classes became one row of the
-# mixture rule each: only certificates.consist6.max_residual,
-# certificates.cc.max_residual and certificates.cc.algebra_bound changed.
+# Last moved when every branch vertex became one class of the branch rule:
+# only certificates.consist6.vertices_checked changed (61 -> 12 at kappa = inf,
+# 51 -> 2 at kappa = 0: one class per trunk level and one for every branch).
 GRID_SHA256 = {
-    (1, 0, "linear"): "18144b0ca12e85718a919a16f1e2498871505c8abc95da75a372a612a1c229d4",
-    (1, 0, "mixed"): "8a8a22b39008ce3e4945e86243434df452eb615c160de2a76283d4355f1643d6",
-    (1, 1, "linear"): "569415a98ed5f511ad1655cd52c9a8866331e0bd62f4aeacdf9d7347be2c60ef",
-    (1, 1, "mixed"): "dfb81226feaa09ee74615d411373e7a3f72ae9f75780b7c4a40c3a814ff0d08d",
-    (1, 3, "linear"): "a90d051a16ca4507876265496eaa451c86f27d61572e796fa21e55067cb4657f",
-    (1, 3, "mixed"): "933a4c05e27e7ab996dba8494219a3ef1611b99f82e84ea6332bf55798a583ab",
-    (1, ts.INF, "linear"): "5a5cd3bbcf8b8857b4b3476f252cfdc8f4c6db03b611a6d179951fae359c5be3",
-    (1, ts.INF, "mixed"): "f53162178a91f6881cea037473da638066b58d1fcfb8d06cb984ceb88eed36f2",
-    (2, 0, "linear"): "719d397890288bfaabb74d83d3417737d8dad48bb71627cdd2679d4c3ab77607",
-    (2, 0, "mixed"): "c24d687fad7b19bcf2424f4e9fd741c5bf08b3bb9c2546c4cf42aa37eb75ef8d",
-    (2, 1, "linear"): "ec53e047e22868bb7bfc481700d0d693af477d0c3a94a50725bc59dedc20cddc",
-    (2, 1, "mixed"): "34b5532ac71ab9cf3bfb74657264b953d832147f518f50bd3fa4bc87ff0c5b45",
-    (2, 3, "linear"): "b78767513bfe1e5e86a9775f28a0b7bf01477687f29c9374419a84d1fc052b54",
-    (2, 3, "mixed"): "5d60bba71651c05f814d4eff8271348b9e12bb48a6349e264eefcd2e4741fe8d",
-    (2, ts.INF, "linear"): "197de8516400b59c74af3fd7d3cfb8c47cccbf5b874eaa8c476129079a2d150e",
-    (2, ts.INF, "mixed"): "b5caf289558a08b9419aeeb1bbebc2daa56cb3a9a86e7a90b89db09aa1b6b584",
-    (3, 0, "linear"): "2fdb7db7db749d260e40f6d47fb0ce670a8031eb9ab7da5f0672c4422576afb5",
-    (3, 0, "mixed"): "e0e3e99ab477aaf13f2174264f736a58faf67beb91eb593dd2830c74303381b0",
-    (3, 1, "linear"): "1bf056589666b8997c95f55a68c2fc81c0b8d633de7e2cfcd30e499968e22d06",
-    (3, 1, "mixed"): "65f731bcc87d2da16bbecb2847b90ac2180d915781f28d87dc5b7e11eaf549ac",
-    (3, 3, "linear"): "e7b2fd2456f9075b1c0dc12199ba6824ffb2a006540c8e4abab0d3804c1c78de",
-    (3, 3, "mixed"): "f239f4809e9a6db937e9e35f05339ada91042e747ad0f44b1426599dadd5611a",
-    (3, ts.INF, "linear"): "2e1b7c4933306643b820796e9a0b196ea1d02d3745bbb9c80991e95eaccce55a",
-    (3, ts.INF, "mixed"): "da66221b6e4bb9b368fd18d42db4032b3d7c5885cc38e880532af27cb1cce086",
+    (1, 0, "linear"): "a65791629ca8b63f06de42dcfba358fd924f039361574b8c3728bf408fc0d7c2",
+    (1, 0, "mixed"): "776c69b79b0328ac713b6a8724169cf78948741eba89ae03d50651e1fe12525d",
+    (1, 1, "linear"): "fabfb0bfe3470be10a6de4b0ebef5e831b6562731eb4e2e07e1817db4d459bee",
+    (1, 1, "mixed"): "87b10792f39c4a35f0b8e75f67a26ffddd3ca51078e88fcb75fd397b3aba464a",
+    (1, 3, "linear"): "45a500d4dacf750ee4c821c85046cb26a747b45e210bee59aa5de1bbae29b514",
+    (1, 3, "mixed"): "fd4b268e05d67bc22510958cf25a43851f835a9305f33d7a351db68156621cc7",
+    (1, ts.INF, "linear"): "9431abf4eb5aa79425b40d026873b0f3854e3d8a97f8257d0c9c92ea7c64b042",
+    (1, ts.INF, "mixed"): "c3807c5884f24be55f4e7d43c0de5df108be78399e9c540b4ac1744cb3c040fd",
+    (2, 0, "linear"): "ed5c3f6ff3a98def0ab8f5eb0ea6dca8d083acd7dbbed4820282e46b6499f018",
+    (2, 0, "mixed"): "8bbff0d8b1b5a8b0e0a837843dc3086e54aa4475a585aa27631e2739893249fe",
+    (2, 1, "linear"): "5532fd89211e8cdb1d53723aab05365674ee30f872bddde793e640b0013d39c3",
+    (2, 1, "mixed"): "8caa3b4d85369ffb1c7774926953a3e343dfb41f6a787ca51ef94aebd9a32d47",
+    (2, 3, "linear"): "8f9f483e80cc1a62dcd1b42d3114d10f88dc439a8ee4cf46874ed9be2d5a0858",
+    (2, 3, "mixed"): "92996165ba7e4841bda1765ed868a51c2f06e5545e8cce25978b7f1252b8c11f",
+    (2, ts.INF, "linear"): "9fba3a3a3cdd177b18ef1b1d3a3d14823fddec8d5991c68a3c37374046df8583",
+    (2, ts.INF, "mixed"): "6111d4d9f2a605e1d891d464e8f11663241aa132a112643a249499301e225e46",
+    (3, 0, "linear"): "2893fa1a434f72cddf3ca5f8320b2835cb3fc3a098324cff60b2e72472c380bd",
+    (3, 0, "mixed"): "acde3a4b967599094d6bcce82ae3aba64a7d16677434d0985298cf5062d07fdc",
+    (3, 1, "linear"): "3eb3694f2a97124cc01312d6059468af1b8590a5ca540107c0088ef31c705c7a",
+    (3, 1, "mixed"): "0ddf60a6802c6040b7354281de3d66cea0824258074f435d27297823f384ea88",
+    (3, 3, "linear"): "71aea6da33b3572452c2066df2fc8d872c7107633408d6ffa04cdf355e0dcfcb",
+    (3, 3, "mixed"): "0c63f7adc852733f271d0141d4c47411ef83653aa784d701b093bbbf5bf2a9c3",
+    (3, ts.INF, "linear"): "02acad71054bdcef3be53fa153508f787e41a4d7b6ef3fd0d2b8cf33083382ba",
+    (3, ts.INF, "mixed"): "a23721dd4e4477865606107fea5ee46c8276accb6d0c6a4c01e9b1b8adc12222",
 }
 
 
@@ -328,29 +329,35 @@ def test_criterion_8_negative_controls():
     print(f"\n[criterion 8] PASS - {len(cases)} corruptions all detected with named vertices")
 
 
-def _representative(u):
-    return Branch(u.i, 1) if isinstance(u, Branch) else u
-
-
 def _assert_classes_cover_window(art):
-    """identity_residuals, which checks each vertex class once, gives every
-    window vertex the residuals of the full-window sweeps."""
+    """identity_residuals evaluates the rule's classes, one row per trunk
+    level and one for every branch; the exact reference, swept over every
+    vertex of the window, finds at each of them the residuals of its class:
+    at a branch vertex whose chain child the window holds, exactly those of
+    the branch row, and at a trunk vertex at most its mixture row."""
     res = identity_residuals(art, art.request.cert)
-    full = consist6_residuals(art)
-    assert set(res.consist6) == {_representative(u) for u in full}
-    for u, result in full.items():
-        assert res.consist6[_representative(u)] == result, u
-    assert res.consist6_max == max(r.residual_upper for r in full.values())
-
-    cc = cc_residual(from_shift(art.tree, art.weights), art.measures, art.window)
+    trunk = [Trunk(k) for k in reversed(range(len(art.measures.mixtures)))]
+    assert list(res.consist6) == trunk + [BRANCH_CLASS]
+    full = reference.consist6_residuals(art)
+    W, D = art.window.max_branch, art.window.max_depth
+    assert list(full) == trunk + [Branch(i, j) for i in range(1, W + 1) for j in range(1, D)]
+    for u, ref in full.items():
+        if isinstance(u, Branch):
+            assert ref.max_residual == res.consist6[BRANCH_CLASS].max_residual == 0, u
+        else:
+            assert ref.residual_upper <= res.consist6[u].residual_upper, u
+    exact_cc = reference.cc_classes(from_shift(art.tree, art.weights), art.measures,
+                                    art.window, art.request.cert)
+    assert list(exact_cc) == list(full)
     classes = {c.vertex: c for c in res.cc.per_class}
-    assert set(classes) == {_representative(c.vertex) for c in cc.per_class}
-    for c in cc.per_class:
-        rep = classes[_representative(c.vertex)]
-        assert (rep.worst_sigma, rep.max_residual, rep.algebra_bound) == (
-            c.worst_sigma, c.max_residual, c.algebra_bound), c.vertex
-    assert (res.cc.max_residual, res.cc.algebra_bound, res.cc.h_positive_on_support) == (
-        cc.max_residual, cc.algebra_bound, cc.h_positive_on_support)
+    assert list(classes) == trunk + [BRANCH_CLASS]
+    for x, (sigmas, bounds) in exact_cc.items():
+        if isinstance(x, Branch):
+            row = classes[BRANCH_CLASS]
+            assert (max(bounds), sum(bounds[:-1])) == (row.max_residual, row.algebra_bound), x
+        else:
+            atoms = [b for s, b in zip(sigmas, bounds) if s[0] == "atom"]
+            assert max(atoms) <= classes[x].algebra_bound, x
 
 
 @pytest.mark.parametrize("art_key", [
@@ -358,3 +365,17 @@ def _assert_classes_cover_window(art):
 ], ids=lambda key: _cell_name(*key))
 def test_identity_classes_cover_grid_window(art_key):
     _assert_classes_cover_window(get_artifact(*art_key))
+
+
+def test_identity_classes_do_not_read_the_window():
+    """The identity classes, their rows and vertices_checked are the same
+    on windows of 6 and 60 branches and of depth 3 and 1: the layer reads
+    neither max_branch nor max_depth."""
+    seen = []
+    for window in (Window(3, 6, 3), Window(3, 60, 3), Window(3, 6, 1)):
+        art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=ts.MIXED_Q, window=window))
+        res = identity_residuals(art, art.request.cert)
+        seen.append((res.consist6, res.cc, art.certificates["consist6"]))
+    assert seen[0] == seen[1] == seen[2]
+    assert list(seen[0][0]) == [Trunk(3), Trunk(2), Trunk(1), Trunk(0), BRANCH_CLASS]
+    assert seen[0][2]["vertices_checked"] == 5

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 import treeshift as ts
 from treeshift import Branch, LINEAR_Q, MIXED_Q, SequenceSpec, Tail, Trunk
 from treeshift.construct import (
-    checkable_vertices,
     choose_subsequence,
     consist6_residuals,
     generate,
@@ -34,11 +33,12 @@ from treeshift.construct import (
     trunk_weights,
     verify,
 )
-from treeshift.errors import SupNotWitnessedError
+from treeshift.errors import NoCertificateError, SupNotWitnessedError
 from treeshift.measures import atoms_view
 from treeshift import series
 from treeshift.rationals import Interval
 from treeshift.series import AlphaFamily, power_series_certificate
+from treeshift.tree import window_vertices
 
 from conftest import get_artifact
 
@@ -208,7 +208,7 @@ def test_trunk_measure_structure():
 
 def test_eps_all_zero(artifact_n1_k3):
     art = artifact_n1_k3
-    for u in checkable_vertices(art.tree, art.window):
+    for u in window_vertices(art.tree, art.window):
         assert art.measures.eps_at(u) == 0
 
 
@@ -236,6 +236,24 @@ def test_consist6_residuals_small(artifact_n1_k3):
     tol = art.request.cert.check_tol
     for u, result in consist6_residuals(art).items():
         assert result.residual_upper <= tol, u
+
+
+def test_consist6_mixture_rows_need_infinite_eta(artifact_n1_k3):
+    """The mixture row of vertex 0 counts every branch as its child, so on a
+    tree with finitely many branches consistency is refused, as CC is; three
+    children cannot carry the mixture."""
+    art = dataclasses.replace(artifact_n1_k3, tree=ts.ModelTree(eta=3, kappa=3))
+    with pytest.raises(NoCertificateError):
+        consist6_residuals(art)
+
+
+@pytest.mark.parametrize("field, value", [("n", True), ("kappa", True), ("kappa", False)])
+def test_request_rejects_booleans(field, value):
+    """A bool is not an integer here: n = True would write a document its
+    own verify rejects, and kappa = True would fail later on the window."""
+    fields = {"n": 1, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ts.CounterexampleRequest(**fields)
 
 
 def test_widly1_residuals(artifact_n1_k3):
@@ -315,15 +333,15 @@ def small_artifacts():
 def test_artifact_bytes_pinned(small_artifacts):
     """The serialized artifact is a stable format: any change to these bytes
     is a schema change and must be documented.  The digests last moved when
-    the trunk and vertex-0 classes became one row of the mixture rule each:
-    only the consist6 and cc residual fields changed."""
+    every branch vertex became one class of the branch rule: only
+    consist6.vertices_checked changed (16 -> 5)."""
     digests = {
         q: hashlib.sha256(art.to_json().encode()).hexdigest()
         for q, art in small_artifacts.items()
     }
     assert digests == {
-        "linear": "af4f74badf764f5ecaa2d48de3d53536eb54b493395309630da74bd05ab2ee0b",
-        "mixed": "909966aa31906d50c742980fecc61d33ccb73b242f2a5bf9bedef0e75e4296be",
+        "linear": "e23e5020f9ecc7abade6f2beba5c9fddb1e3b0c0236b3079adc9f337e03962eb",
+        "mixed": "747419be2ec43326e8186831d3520ab2c9659e2a56ed3834719fa7d9fecbbc77",
     }
 
 
@@ -331,15 +349,16 @@ def test_exact_residuals_pinned(small_artifacts):
     """The exact residuals verify computes, the per-atom consistency tuples
     and the CC classes included, are pinned as well: a change the rounded
     max_residual strings of the artifact would hide fails here.  The digests
-    last moved when the trunk and vertex-0 classes became one row of the
-    mixture rule each."""
+    last moved when every branch vertex became one class of the branch rule:
+    the twelve rows (i, 1) became the one row v(1,1), with per_atom at 0 only,
+    and the CC branch row's worst sigma is R+."""
     digests = {
         q: hashlib.sha256(repr(verify(art.to_json_dict()).residuals).encode()).hexdigest()
         for q, art in small_artifacts.items()
     }
     assert digests == {
-        "linear": "0989693a92d85dd697f9935830bed60505ec656c74b2286cd6a55d0f7531e151",
-        "mixed": "4bf96117dfe4b4693585b2ccf5ef1e264b7ee6d400f2c2f96fef154de8e859ed",
+        "linear": "3eaa475be611a2aa07defa569fa3d74ba0165d8883b9ca71d663aa2b998a00ea",
+        "mixed": "24eb31e0a4d5268e9d767a49cee0dd6f18295d5eebf416ad711177ca701e588d",
     }
 
 

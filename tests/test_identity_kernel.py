@@ -14,7 +14,7 @@ from treeshift.construct import identity_residuals
 from treeshift.rationals import scalar_abs_upper
 from treeshift.series import power_series_certificate
 from treeshift.tree import Branch, Trunk, Window
-from treeshift.wco import CCClassResidual, _sigma_name, _small_first, from_shift, h_function
+from treeshift.wco import BRANCH_CLASS, from_shift, h_function
 
 import identity_reference as reference
 from conftest import get_artifact
@@ -40,44 +40,53 @@ def _check_against_reference(art, wider=WIDER):
     """Each trunk and vertex-0 row is at least the exact residual of every
     atom (consistency) and of every atom sigma (CC) that the reference finds
     on a window `wider` times as many branches wide, and at most check_tol;
-    a CC row is its own algebra bound, at the worst sigma R+.  The branch
-    rows equal the reference's exact values.
+    a CC row is its own algebra bound, at the worst sigma R+.  At every
+    branch (i, 1) of that window the reference's exact residuals are the
+    one branch row's.
 
-    The reference's complement and R+ sigmas are not compared: there it
-    counts one enclosure M_s twice (once in h or the unit mass and once in
-    the first moment), so it reads above the row, which counts it once."""
+    The reference's complement and R+ sigmas of the mixture classes are not
+    compared: there it counts one enclosure M_s twice (once in h or the unit
+    mass and once in the first moment), so it reads above the row, which
+    counts it once."""
     cfg = art.request.cert
     tol = cfg.check_tol
     res = identity_residuals(art, cfg)
-    classes = replace(art, window=replace(art.window, max_depth=min(art.window.max_depth, 2)))
-    wide = replace(classes, window=replace(classes.window,
-                                           max_branch=wider * classes.window.max_branch))
+    trunk = [Trunk(k) for k in reversed(range(len(art.measures.mixtures)))]
+    assert list(res.consist6) == trunk + [BRANCH_CLASS]
+    assert [c.vertex for c in res.cc.per_class] == trunk + [BRANCH_CLASS]
+    W = wider * art.window.max_branch
+    wide = replace(art, window=replace(art.window, max_branch=W,
+                                       max_depth=min(art.window.max_depth, 2)))
     exact6 = reference.consist6_residuals(wide)
-    assert set(res.consist6) == {u for u in exact6 if not isinstance(u, Branch)
-                                 or u.i <= art.window.max_branch}
-    for u, got in res.consist6.items():
-        ref = exact6[u]
-        if isinstance(u, Branch):  # exact inputs: the exact path, bit for bit
-            assert got == ref, u
-            continue
+    branch = res.consist6[BRANCH_CLASS]
+    assert branch.max_residual == 0 and branch.per_atom == ((Fraction(0), Fraction(0)),)
+    ref_branches = [u for u in exact6 if isinstance(u, Branch)]
+    assert ref_branches == ([Branch(i, 1) for i in range(1, W + 1)]
+                            if art.window.max_depth >= 2 else [])
+    for u in ref_branches:  # exact inputs: the branch row's residuals, bit for bit
+        assert (exact6[u].max_residual, exact6[u].residual_upper) == (
+            branch.max_residual, branch.residual_upper), u
+    for u in trunk:
+        got, ref = res.consist6[u], exact6[u]
         atoms = [scalar_abs_upper(r) for t, r in ref.per_atom if t != 0]
-        assert len(atoms) >= wider * art.window.max_branch // 2, u  # the wide range was read
+        assert len(atoms) >= W // 2, u  # the wide range was read
         assert max(atoms) <= got.residual_upper <= tol, u
         assert got.per_atom == ((Fraction(0), Fraction(0)),), u
     exact_cc = reference.cc_classes(from_shift(art.tree, art.weights), art.measures,
                                     wide.window, cfg)
     got_cc = {c.vertex: c for c in res.cc.per_class}
-    assert set(got_cc) == {x for x in exact_cc if not isinstance(x, Branch)
-                           or x.i <= art.window.max_branch}
-    for x, got in got_cc.items():
-        sigmas, bounds = exact_cc[x]
+    assert [x for x in exact_cc if isinstance(x, Branch)] == ref_branches
+    assert [x for x in exact_cc if not isinstance(x, Branch)] == trunk
+    branch = got_cc[BRANCH_CLASS]
+    assert (branch.worst_sigma, branch.max_residual, branch.algebra_bound) == ("R+", 0, 0)
+    for x, (sigmas, bounds) in exact_cc.items():
         if isinstance(x, Branch):
-            worst = max(range(len(sigmas)), key=bounds.__getitem__)
-            assert (got.worst_sigma, got.max_residual, got.algebra_bound) == (
-                _sigma_name(sigmas[worst]), bounds[worst], sum(bounds[:-1])), x
+            assert (max(bounds), sum(bounds[:-1])) == (
+                branch.max_residual, branch.algebra_bound), x
             continue
+        got = got_cc[x]
         atoms = [b for s, b in zip(sigmas, bounds) if s[0] == "atom"]
-        assert len(atoms) >= wider * art.window.max_branch // 2, x
+        assert len(atoms) >= W // 2, x
         assert max(atoms) <= got.max_residual == got.algebra_bound <= tol, x
         assert got.worst_sigma == "R+", x
 
@@ -86,8 +95,8 @@ def _check_against_reference(art, wider=WIDER):
     str(part) for part in key[:2] + (key[2].tail.value, "small" if key[3] else "grid")))
 def test_kernel_bounds_against_exact_reference(key):
     """Every trunk and vertex-0 row bounds the exact residual at each atom
-    of four times the window's branches, and is at most check_tol; the
-    branch classes come out bit for bit as the exact path finds them."""
+    of four times the window's branches, and is at most check_tol; the exact
+    residuals at each branch (i, 1) of that range are the branch row's."""
     _check_against_reference(_artifact(*key))
 
 
@@ -128,11 +137,11 @@ def test_mixture_rows_are_the_contract(key):
         assert consist.denominator <= 1 << 128 and cc_row.denominator <= 1 << 128
 
 
-# --- the branch rule: one exact row per branch class ---
+# --- the branch rule: one exact row for every branch ---
 
 BRANCH_ROW_WINDOWS = [
     (COLLIDING_Q, SMALL),
-    (ts.LINEAR_Q, Window(3, 12, 1)),  # no branch vertex has a child in the window
+    (ts.LINEAR_Q, Window(3, 12, 1)),  # no chain child in the window: the rule still has it
     (ts.MIXED_Q, Window(3, 1, 4)),
 ]
 
@@ -140,31 +149,31 @@ BRANCH_ROW_WINDOWS = [
 @pytest.mark.parametrize("q, window", BRANCH_ROW_WINDOWS,
                          ids=["collisions", "max_depth-1", "max_branch-1"])
 def test_branch_rows_equal_the_generic_exact_path(q, window):
-    """Each branch class (i, 1) comes out of the branch rule exactly as
-    `check_consist6_at` and `_cc_diffs_exact` evaluate it, types included
-    (compared by repr); a window of depth 1 has no branch classes."""
+    """At each branch (i, 1) of the window, `check_consist6_at` and
+    `_cc_diffs_exact`, run on the vertex and its chain child (i, 2), give
+    the residuals of the one branch row, types included; the row exists
+    at every depth, a window of depth 1 too."""
     art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=window))
     cfg, W = art.request.cert, window.max_branch
     res = identity_residuals(art, cfg)
-    cc = {c.vertex: c for c in res.cc.per_class if isinstance(c.vertex, Branch)}
-    expected = [Branch(i, 1) for i in range(1, W + 1)] if window.max_depth >= 2 else []
-    assert [u for u in res.consist6 if isinstance(u, Branch)] == expected
-    assert list(cc) == expected
+    row = res.consist6[BRANCH_CLASS]
+    (cc_row,) = [c for c in res.cc.per_class if isinstance(c.vertex, Branch)]
+    assert [u for u in res.consist6 if isinstance(u, Branch)] == [cc_row.vertex] == [BRANCH_CLASS]
     data = from_shift(art.tree, art.weights)
     atom_set = frozenset(art.alpha.q.value(i) for i in range(1, W + 1))
-    for u in expected:
-        child = Branch(u.i, 2)
+    for i in range(1, W + 1):
+        u, child = Branch(i, 1), Branch(i, 2)
         mu, mu_child = art.measures.measure_at(u), art.measures.measure_at(child)
         w2 = art.weights.squared_at(child)
         ref = measures.check_consist6_at(mu, art.measures.eps_at(u), [(w2, mu_child)],
                                          atom_limit=W)
-        assert repr(res.consist6[u]) == repr(ref), u
+        assert repr((ref.max_residual, ref.implied_eps, ref.per_atom[0])) == repr(
+            (row.max_residual, row.implied_eps, row.per_atom[0])), u
+        assert [r for _, r in ref.per_atom] == [0, 0], u
         sigmas, diffs = wco._cc_diffs_exact([mu, mu_child], [w2], atom_set)
-        worst = max(range(len(sigmas)), key=diffs.__getitem__)
         scale = 1 / h_function(data, u, window, cfg)
-        ref_cc = CCClassResidual(u, _sigma_name(sigmas[worst]), scale * diffs[worst],
-                                 scale * sum(_small_first(diffs[:-1])))
-        assert repr(cc[u]) == repr(ref_cc), u
+        assert repr((scale * max(diffs), scale * sum(diffs[:-1]))) == repr(
+            (cc_row.max_residual, cc_row.algebra_bound)), u
 
 
 def test_model_tree_classes_skip_the_generic_exact_path(monkeypatch):

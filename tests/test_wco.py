@@ -1,5 +1,6 @@
 """Composition-operator view: h, conditional expectation, CC, round trip."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from treeshift import (
     h_function,
     roundtrip_measures,
 )
+from treeshift.construct import consist6_residuals
 from treeshift.errors import NoCertificateError
 from treeshift.tree import window_vertices
 
@@ -206,6 +208,18 @@ def test_cc_mixture_rows_need_infinite_eta(artifact_n1_k3):
         cc_residual(from_shift(tree, art.weights), art.measures, art.window)
 
 
+def test_model_rows_need_one_sequence(artifact_n1_k3):
+    """The branch row is the identity q_i q_i^-1 = 1 of one sequence: when
+    the branch Diracs and the chain weights read different q, consistency
+    and CC are refused rather than decided."""
+    art = artifact_n1_k3
+    other = dataclasses.replace(art.measures, q=ts.MIXED_Q)
+    with pytest.raises(NoCertificateError):
+        cc_residual(from_shift(art.tree, art.weights), other, art.window)
+    with pytest.raises(NoCertificateError):
+        consist6_residuals(dataclasses.replace(art, measures=other))
+
+
 # --- round trip ---
 
 
@@ -248,12 +262,12 @@ def test_roundtrip_detects_broken_row(artifact_n1_k3):
 def test_cc_counts_off_window_mixture_atoms():
     """q_1 = q_60 = 60: the mixtures' atom at 60 carries mass from index 60,
     beyond the 12-branch window, which the CC rows bound with every other
-    atom.  The digest last moved when the trunk and vertex-0 classes became
-    one row of the mixture rule each."""
+    atom.  The digest last moved when every branch vertex became one class
+    of the branch rule: only consist6.vertices_checked changed (16 -> 5)."""
     q = ts.SequenceSpec(ts.Tail.LINEAR, prefix=(Fraction(60),))
     assert indices_with_value(q, Fraction(60), 12) == (60,)
     art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=Window(3, 12, 4)))
     assert ts.verify(art.to_json_dict()).passed
     assert hashlib.sha256(art.to_json().encode()).hexdigest() == (
-        "400efe44d4259ba173a9a33f82db22bf1b38b680be91660d2f940b1ac3f96c28"
+        "41879f73f2d836d5af7db634aa5afe606750143075b7e2e96401dcd4dbe305a1"
     )
