@@ -42,6 +42,8 @@ from .series import (
     AlphaFamily,
     CertConfig,
     DEFAULT_CONFIG,
+    Monomial,
+    ONE,
     OmegaSpec,
     SequenceSpec,
     build_omega,
@@ -139,33 +141,44 @@ def choose_subsequence(q: SequenceSpec, cfg: CertConfig = DEFAULT_CONFIG) -> Ome
     return build_omega(q, cfg)
 
 
+# --- the rule: each value once, as a monomial in M_s = sum_i alpha_i q_i^s ---
+
+M = Monomial.moment
+
+
+def normalization_rule() -> Monomial:
+    """c = 1/M_0: the branching-vertex measure has mass 1."""
+    return ONE / M(0)
+
+
+def trunk_rule(l: int) -> Monomial:
+    """|lambda_{-l}|^2 = M_-l / M_-(l+1): c cancels."""
+    return M(-l) / M(-l - 1)
+
+
+def prefactor_rule(l: int) -> Monomial:
+    """P_l = 1/M_-l, the prefactor of the mixture mu_-l: its mass is 1."""
+    return ONE / M(-l)
+
+
 def normalize(alpha: AlphaFamily, cfg: CertConfig = DEFAULT_CONFIG):
-    """c = 1 / sum_i alpha_i as an interval; the series converges because
-    the exponent 0 is <= n."""
-    cert = power_series_certificate(alpha, 0, cfg)
-    if not cert.is_convergent:
-        raise NoCertificateError("normalization series did not certify convergent")
-    return cert.enclosure.recip(), cert
+    """c (`normalization_rule`) and the certificate of M_0 = sum_i alpha_i."""
+    return normalization_rule().enclosure(alpha, cfg), power_series_certificate(alpha, 0, cfg)
 
 
 def trunk_weights(
     alpha: AlphaFamily, kappa, levels: int, cfg: CertConfig = DEFAULT_CONFIG
 ) -> Tuple[Interval, ...]:
-    """|lambda_{-l}|^2 for l = 0..levels-1 as ratios of neighbouring
-    negative-moment series; the normalization constant cancels, so these
-    enclosures are exactly invariant under rescaling alpha.
+    """|lambda_{-l}|^2 (`trunk_rule`) for l = 0..levels-1; the normalization
+    constant cancels, so these enclosures are exactly invariant under
+    rescaling alpha.
 
     For finite kappa the recursion runs to l = kappa-1 and the last weight
     makes the terminal inequality an equality.
     """
     if kappa is not INF and levels > kappa:
         raise ValueError("more trunk weights requested than non-root trunk vertices")
-    out = []
-    for l in range(levels):
-        num = power_series_certificate(alpha, -l, cfg).enclosure
-        den = power_series_certificate(alpha, -l - 1, cfg).enclosure
-        out.append(num / den)
-    return tuple(out)
+    return tuple(trunk_rule(l).enclosure(alpha, cfg) for l in range(levels))
 
 
 @dataclass(frozen=True)
@@ -190,19 +203,32 @@ class MeasureSystem:
     def eps_at(self, v: Vertex) -> Fraction:
         return Fraction(0)
 
+    def class_identity(self, k: int) -> Monomial:
+        """P_k / F_k, the monomial the consistency and CC classes of trunk
+        vertex -k (k = 0: vertex 0) reduce to; `wco` reads the rule here.
+
+        The vertex carries mu_-k = P_k sum_i alpha_i q_i^-k delta_{q_i}.  Its
+        children are -(k-1), carrying mu_-(k-1) with weight w_{k-1} (k >= 1),
+        or every (i, 1), carrying delta_{q_i} with weight c alpha_i q_i
+        (k = 0).  With F_0 = c and F_k = w_{k-1} P_{k-1}, consistency at an
+        atom t is E_k(t) (P_k - F_k), E_k(t) the sum of alpha_i q_i^-k over
+        q_i = t, and CC at a Borel sigma is B_k(sigma) (F_k - P_k), B_k(sigma)
+        the sum of alpha_i q_i^(1-k) over q_i in sigma.  So both hold at every
+        atom and sigma of the infinite tree, off-window atoms and collisions
+        included, when this monomial is one."""
+        F = normalization_rule() if k == 0 else trunk_rule(k - 1) * prefactor_rule(k - 1)
+        return prefactor_rule(k) / F
+
 
 def build_measure_system(
     alpha: AlphaFamily, kappa, levels: int, cfg: CertConfig = DEFAULT_CONFIG
 ) -> MeasureSystem:
-    """Mixtures mu_{-l} = sum_i prefactor_l * alpha_i q_i^{-l} delta_{q_i}
-    for l = 0..levels-1, derived down the single-child trunk chain; each
-    prefactor encloses the reciprocal of its own series, so every mass is
-    exactly 1 and every eps vanishes."""
-    mixtures = []
-    for l in range(levels):
-        prefactor = power_series_certificate(alpha, -l, cfg).enclosure.recip()
-        mixtures.append(MixtureMeasure(alpha=alpha, shift=l, prefactor=prefactor))
-    return MeasureSystem(q=alpha.q, mixtures=tuple(mixtures))
+    """Mixtures mu_{-l} = sum_i P_l alpha_i q_i^{-l} delta_{q_i} for
+    l = 0..levels-1 (`prefactor_rule`), derived down the single-child trunk
+    chain; every mass is exactly 1 and every eps vanishes."""
+    mixtures = tuple(MixtureMeasure(alpha, l, prefactor_rule(l).enclosure(alpha, cfg))
+                     for l in range(levels))
+    return MeasureSystem(q=alpha.q, mixtures=mixtures)
 
 
 # --- the artifact ---
@@ -305,7 +331,7 @@ def _identity_certificates(res: "IdentityResiduals") -> dict:
     }
     if res.widly1_prime is not None:
         l, r = res.widly1_prime
-        certs["widly1_prime"] = {"l": l, "residual": r, "holds_leq_1": r <= CertConfig.check_tol}
+        certs["widly1_prime"] = {"l": l, "residual": r, "holds_leq_1": r == 0}
     return certs
 
 
@@ -313,13 +339,13 @@ def _identity_certificates(res: "IdentityResiduals") -> dict:
 class IdentityResiduals:
     """Residuals of the identities an artifact promises: `generate`
     serialises them into its certificates, `verify` turns them into records.
-    All are exact, except the consistency and CC rows of the trunk classes
-    and vertex 0, which are rounded up onto the 2^-128 grid."""
+    Each is an identity of the rule's monomials, decided exactly, so each
+    residual is 0 (see `identity_residuals`)."""
 
-    zgod_prime: Fraction  # |c * sum_i alpha_i - 1|
+    zgod_prime: Fraction  # c M_0 = 1
     widly1: Dict[int, Fraction]  # trunk product identity at level l
     widly1_prime: Optional[Tuple[int, Fraction]]  # (kappa, residual) on a finite trunk
-    mass: Dict[int, Fraction]  # |mass - 1| of the mixture at trunk level l
+    mass: Dict[int, Fraction]  # P_l M_-l = 1: the mixture at trunk level l has mass 1
     consist6: Dict[Vertex, ConsistencyResult]  # keyed Trunk(k), and BRANCH_CLASS for every branch
     cc: wco.CCReport  # the same classes
 
@@ -330,91 +356,57 @@ class IdentityResiduals:
 
 def identity_residuals(artifact: CounterexampleArtifact, cfg: CertConfig) -> IdentityResiduals:
     """Normalization, trunk product, mixture mass, consistency and CC
-    residuals over the artifact's weights and measures, the rules
-    `build_rules` makes.
+    residuals of the rules `build_rules` makes, on the artifact's levels.
 
-    Consistency and CC are evaluated once per class of the rule.  Each
-    trunk class and vertex 0 is one row of the mixture rule
-    (`_consist6_mixture_row`, `wco._cc_mixture_row`), which bounds its
-    identity at every atom and sigma of the infinite tree.  Every branch
-    vertex (i, j) carries the Dirac at q_i, and its chain child the weight
-    q_i (`ModelWeights.branch_tail_squared` and the Diracs read one sequence,
-    which `wco.require_model_rules` checks), so every branch class is the
-    one exact row q_i q_i^-1 = 1 of the branch rule (`_consist6_branch_row`,
-    `wco._cc_branch_row`), keyed `wco.BRANCH_CLASS`.  No branch is
-    evaluated, and neither `max_branch` nor `max_depth` is read.
+    Each record is a product of the rule's monomials that must be one
+    (`wco.exact_residual`): c M_0 (zgod-prime), (w_0 ... w_{l-1}) c M_-l
+    (widly1[l], and widly1-prime at l = kappa), P_l M_-l (mass[l]), and
+    P_k / F_k for the consistency and CC classes of the trunk (see
+    `consist6_residuals`).  So each residual is exactly 0, whatever the
+    widths of the enclosures; no branch is evaluated, and neither
+    `max_branch` nor `max_depth` is read.  The one numeric check left is
+    h > 0 on the support (`wco.cc_residual`).
     """
-    alpha, c, kappa = artifact.alpha, artifact.c, artifact.request.kappa
-    zgod_prime = _one_residual(c * power_series_certificate(alpha, 0, cfg).enclosure)
-    widly1, widly1_prime = {}, None
-    P = coerce(Fraction(1))
-    for l, w in enumerate(artifact.weights.trunk, start=1):
-        P = P * w
-        r = _one_residual(P * c * power_series_certificate(alpha, -l, cfg).enclosure)
-        if kappa is not INF and l == kappa:
-            widly1_prime = (l, r)  # the terminal inequality, held as an equality
-        else:
-            widly1[l] = r
-    mass = {
-        l: _one_residual(mix.prefactor * power_series_certificate(alpha, -l, cfg).enclosure)
-        for l, mix in enumerate(artifact.measures.mixtures)
-    }
+    kappa = artifact.request.kappa
+    zgod_prime = wco.exact_residual("zgod-prime", ZERO, normalization_rule() * M(0))
+    widly1, product = {}, normalization_rule()
+    for l in range(1, len(artifact.weights.trunk) + 1):
+        product = product * trunk_rule(l - 1)
+        name = "widly1-prime" if l == kappa else f"widly1[l={l}]"
+        widly1[l] = wco.exact_residual(name, Trunk(l - 1), product * M(-l))
+    # the terminal inequality at l = kappa, held as an equality
+    widly1_prime = (kappa, widly1.pop(kappa)) if kappa in widly1 else None
+    mass = {l: wco.exact_residual(f"mass[mu_-{l}]", Trunk(l), prefactor_rule(l) * M(-l))
+            for l in range(len(artifact.measures.mixtures))}
     consist6 = consist6_residuals(artifact, cfg)
     data = wco.from_shift(artifact.tree, artifact.weights)
     cc = wco.cc_residual(data, artifact.measures, artifact.window, cfg)
     return IdentityResiduals(zgod_prime, widly1, widly1_prime, mass, consist6, cc)
 
 
-def _one_residual(iv: Interval) -> Fraction:
-    """Upper bound on |iv - 1| given 1 must lie inside iv."""
-    return max(abs(iv.lo - 1), abs(iv.hi - 1))
-
-
 def consist6_residuals(
     a: CounterexampleArtifact, cfg: CertConfig = DEFAULT_CONFIG
 ) -> Dict[Vertex, ConsistencyResult]:
     """Consistency residual of every class of an artifact's rule (see
-    `wco.require_model_rules`): one row per trunk level k < len(mixtures)
-    (k = 0: vertex 0) by the mixture rule (`_consist6_mixture_row`), and one
-    row for every branch vertex by the branch rule (`_consist6_branch_row`),
-    keyed `wco.BRANCH_CLASS`."""
+    `wco.require_model_rules`), each the exact row `_EXACT_ROW`: one per
+    trunk level k < len(mixtures) (k = 0: vertex 0) by the mixture rule
+    (`MeasureSystem.class_identity`), and one for every branch vertex by the
+    branch rule, keyed `wco.BRANCH_CLASS`: (i, j) and its one child carry
+    the Dirac at q_i, and the child's weight is q_i, so the residual at q_i
+    is |1 - q_i/q_i| = 0."""
     m = a.measures
     wco.require_model_rules(a.tree, a.weights, m)
-    out = {Trunk(k): _consist6_mixture_row(a, k, m.eps_at(Trunk(k)), cfg)
-           for k in reversed(range(len(m.mixtures)))}
-    out[wco.BRANCH_CLASS] = _consist6_branch_row(m.eps_at(wco.BRANCH_CLASS))
+    out = {}
+    for k in reversed(range(len(m.mixtures))):
+        wco.exact_residual("consist6", Trunk(k), m.class_identity(k))
+        out[Trunk(k)] = _EXACT_ROW
+    out[wco.BRANCH_CLASS] = _EXACT_ROW
     return out
 
 
-def _consist6_branch_row(eps) -> ConsistencyResult:
-    """The consistency identity at every branch vertex (i, j) at once, by
-    the branch rule: the vertex and its one child (i, j+1) carry the Dirac
-    at q_i, and the child's weight is q_i, so the atoms are 0 and q_i, with
-    residuals |0 - eps| and |1 - q_i/q_i| = 0.  `per_atom` holds t = 0
-    only; the row stands for every atom q_i at once."""
-    return ConsistencyResult(((Fraction(0), abs(eps)),), abs(eps), implied_eps=Fraction(0))
-
-
-def _consist6_mixture_row(a: CounterexampleArtifact, k: int, eps, cfg) -> ConsistencyResult:
-    """The consistency identity at trunk vertex -k (k = 0: vertex 0) by the
-    mixture rule.
-
-    The vertex carries mu_-k = P_k sum_i alpha_i q_i^-k delta_{q_i}.  Its
-    children are -(k-1), carrying mu_-(k-1) with weight w_{k-1} (k >= 1), or
-    every (i, 1), carrying delta_{q_i} with weight c alpha_i q_i (k = 0).  So
-    at every atom t, LHS - RHS = E_k(t) (P_k - F_k) with E_k(t) the exact
-    sum of alpha_i q_i^-k over q_i = t, at most M_-k (`wco.mixture_gap`
-    gives F_k).  Every exact sum over indices is taken at its true value, and
-    each enclosure (c, P_k, w_k, M_s) is free in its interval and counted
-    once: the row M_-k.hi |P_k - F_k|.upper, rounded up by `wco.grid_up`,
-    bounds the residual at every atom of the infinite tree, off-window atoms
-    and collisions included.  `per_atom` holds t = 0 only, where the
-    residual is |0 - eps|; the row stands for every atom t > 0 at once, and
-    `max_residual` is [0, the larger of the two]."""
-    M = power_series_certificate(a.alpha, -k, cfg).enclosure
-    row = wco.grid_up(M.hi * wco.mixture_gap(a.weights, a.measures, k))
-    top = max(row, abs(eps))
-    return ConsistencyResult(((Fraction(0), abs(eps)),), Interval(0, top), implied_eps=Fraction(0))
+# A class that holds exactly at every atom: `per_atom` states t = 0 only,
+# where eps = 0, and the row stands for every other atom at once.
+_EXACT_ROW = ConsistencyResult(((Fraction(0), Fraction(0)),), Fraction(0), Fraction(0))
 
 
 # --- serialization ---
@@ -789,11 +781,10 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     makes from the request and the document's alpha (the two must be
     equal; a failing row names its vertex, with the larger endpoint
     distance as residual), and then `identity_residuals` on the rule
-    artifact, the call `generate` certifies with: consistency residuals
-    once per class of the rule (one row for every branch), trunk
-    product identities, mixture masses and CC over the same classes, each
-    record failing also when the stored certificate differs
-    from the recomputed value; last the power-domain certificates (each
+    artifact, the call `generate` certifies with: consistency, trunk
+    product, mixture mass and CC records, each passing when its exact
+    residual is 0 and the stored certificate equals the recomputed one
+    (no record reads check_tol); last the power-domain certificates (each
     stored nd[m] must equal the recomputed certificate field for field, see
     `_nd_checks`), and positivity of all stored weights.  The stored
     identity certificates are compared only when every power-domain
@@ -845,7 +836,6 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
             False, (CheckRecord("parse-request", False, detail=str(exc)),)
         )
     cfg = request.cert
-    tol = cfg.check_tol
 
     try:
         stored = _parse_artifact(doc, request)
@@ -898,30 +888,28 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
         name = f"{path[-1]} " if isinstance(path[-1], str) else ""
         return "" if kept == value else f"stored {name}{_show(kept)}, recomputed {_show(value)}"
 
-    uppers = {u: r.residual_upper for u, r in res.consist6.items()}
-    worst = max(uppers, key=uppers.get) if res.consist6_max else None  # first at the max
-    table_records("consist6", ((u, r, "") for u, r in uppers.items() if r > tol),
-                  vertex=worst, residual=res.consist6_max)
+    table_records("consist6", ((u, r.residual_upper, "") for u, r in res.consist6.items()
+                               if r.residual_upper), residual=res.consist6_max)
     if detail := stored_differs("consist6"):
         rec("consist6", False, residual=res.consist6_max, detail=detail)
 
     detail = stored_differs("zgod_prime_residual")
-    rec("zgod-prime", res.zgod_prime <= tol and not detail, residual=res.zgod_prime, detail=detail)
+    rec("zgod-prime", res.zgod_prime == 0 and not detail, residual=res.zgod_prime, detail=detail)
     for l, r in res.widly1.items():
         detail = stored_differs("widly1", l)
-        rec(f"widly1[l={l}]", r <= tol and not detail, vertex=Trunk(l - 1), residual=r,
+        rec(f"widly1[l={l}]", r == 0 and not detail, vertex=Trunk(l - 1), residual=r,
             detail=detail)
     if res.widly1_prime is not None:
         l, r = res.widly1_prime
         detail = stored_differs("widly1_prime")
-        rec("widly1-prime", r <= tol and not detail, vertex=Trunk(l - 1), residual=r,
+        rec("widly1-prime", r == 0 and not detail, vertex=Trunk(l - 1), residual=r,
             detail=detail or "terminal trunk inequality held as equality")
     for l, r in res.mass.items():
         detail = stored_differs("mass_residuals", l)
-        rec(f"mass[mu_-{l}]", r <= tol and not detail, vertex=Trunk(l), residual=r, detail=detail)
+        rec(f"mass[mu_-{l}]", r == 0 and not detail, vertex=Trunk(l), residual=r, detail=detail)
     detail = "; ".join(filter(None, map(partial(stored_differs, "cc"),
                                         ("max_residual", "algebra_bound"))))
-    rec("cc", res.cc.algebra_bound <= tol and not detail, residual=res.cc.algebra_bound,
+    rec("cc", res.cc.algebra_bound == 0 and not detail, residual=res.cc.algebra_bound,
         detail=detail)
     detail = stored_differs("cc", "h_positive_on_support")
     rec("h-positive-on-support", res.cc.h_positive_on_support and not detail, detail=detail)

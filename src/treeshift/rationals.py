@@ -4,11 +4,9 @@ strict rational string format of artifact documents.
 `Interval` arithmetic is done in `fractions.Fraction`, so interval
 operations introduce no rounding of their own: the result interval always
 contains the exact value of the operation applied to any members of the
-operands.  Directed rounding happens only where it is explicit: where
-series are summed (see `series.py`), and where a consistency or CC row of
-the model tree is rounded up onto the 2^-128 grid (see `wco.grid_up`).
-Both round an exact rational onto a 2^-bits grid with `scaled_floor` and
-`scaled_ceil`.
+operands.  Directed rounding happens only where series are summed (see
+`series.py`), which rounds an exact rational onto a 2^-bits grid with
+`scaled_floor` and `scaled_ceil`.
 """
 
 import re

@@ -46,10 +46,11 @@ by construction, never heuristic.
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, reduce
 from bisect import bisect_right
 from itertools import accumulate
 from math import comb, exp
+from operator import mul
 from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
@@ -71,8 +72,9 @@ class CertConfig:
     """Certificate settings: two values a caller sets, six library constants.
 
     series_width is the per-series enclosure width target; a divergence
-    witness must exceed divergence_threshold.  Identities are checked against
-    check_tol, and max_terms caps the explicit terms of any one series.
+    witness must exceed divergence_threshold.  max_terms caps the explicit
+    terms of any one series.  check_tol is stated in documents but decides
+    nothing: identity records are decided exactly (see `Monomial`).
     """
 
     series_width: Fraction = Fraction(1, 10**12)
@@ -970,6 +972,49 @@ def power_series_certificate(
         base = _base_certificate(alpha.q, alpha.omega, alpha.power, l, cfg)
         memo[l, cfg] = _scaled(base, alpha.scale)
     return memo[l, cfg]
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """prod_s M_s^e in the moment series M_s = sum_i alpha_i q_i^s, as its
+    nonzero exponents e keyed by s.  Each value of the construction's rule
+    is one, with no coefficient, so an identity of rule values is decided
+    exactly by `is_one`; `enclosure` is the interval a table stores."""
+
+    powers: Tuple[Tuple[int, int], ...] = ()  # (s, e), increasing s, e != 0
+
+    @staticmethod
+    def moment(s: int) -> "Monomial":
+        return Monomial(((s, 1),))
+
+    def __mul__(self, other: "Monomial", sign: int = 1) -> "Monomial":
+        powers = dict(self.powers)
+        for s, e in other.powers:
+            powers[s] = powers.get(s, 0) + sign * e
+        return Monomial(tuple(sorted((s, e) for s, e in powers.items() if e)))
+
+    def __truediv__(self, other: "Monomial") -> "Monomial":
+        return self.__mul__(other, -1)
+
+    def is_one(self) -> bool:
+        return not self.powers
+
+    def enclosure(self, alpha: AlphaFamily, cfg: CertConfig = DEFAULT_CONFIG) -> Interval:
+        """The product of the certified M_s enclosures, each taken |e| times,
+        and as its recip() for e < 0."""
+        factors = []
+        for s, e in self.powers:
+            cert = power_series_certificate(alpha, s, cfg)
+            if not cert.is_convergent:
+                raise NoCertificateError(f"M_{s} did not certify convergent")
+            factors += [cert.enclosure if e > 0 else cert.enclosure.recip()] * abs(e)
+        return reduce(mul, factors) if factors else Interval.point(1)
+
+    def __str__(self):
+        return " ".join(f"M_{s}" if e == 1 else f"M_{s}^{e}" for s, e in self.powers) or "1"
+
+
+ONE = Monomial()
 
 
 def witness_partial_sum(alpha: AlphaFamily, l: int, upto: int) -> Fraction:

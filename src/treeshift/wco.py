@@ -9,8 +9,8 @@ round trip between CC families and consistent measure systems.
 On an explicit tree, sigma ranges over the finite algebra generated by the
 test atoms; for atomic families this is exhaustive, and residuals on
 arbitrary algebra elements are bounded by the sum of the per-generator
-residuals.  On a model tree each class is one row of its rule, which bounds
-the residual at every Borel sigma at once.
+residuals.  On a model tree each class is one exact row of its rule, which
+holds at every Borel sigma at once.
 """
 
 import math
@@ -29,12 +29,11 @@ from .rationals import (
     Interval,
     Scalar,
     accumulate,
-    scaled_ceil,
     scalar_abs_upper,
     scalar_lower,
     scalar_upper,
 )
-from .series import CertConfig, DEFAULT_CONFIG, power_series_certificate
+from .series import CertConfig, DEFAULT_CONFIG, Monomial, power_series_certificate
 from .shift import ModelWeights, WeightSystem
 from .tree import (
     INF,
@@ -221,18 +220,21 @@ def cc_residual(
 
     On a model tree (see `require_model_rules`) the classes are the rule's,
     and the window is not read: one row per trunk level k < len(P.mixtures)
-    (k = 0: vertex 0) by the mixture rule (`_cc_mixture_row`), and one row
-    for every branch vertex by the branch rule (`_cc_branch_row`).  Each
-    bounds every sigma of the infinite tree.  The classes of an explicit
-    tree are evaluated exactly (`_cc_explicit_classes`).
+    (k = 0: vertex 0) by the mixture rule (`P.class_identity`), and one row
+    for every branch vertex by the branch rule: (i, j) and its one child
+    carry the Dirac at q_i, and the child's weight q_i is h, so LHS - RHS is
+    q_i - q_i or 0 - 0 at every sigma.  Each row is exact (`_cc_row`); h > 0
+    is read from the enclosures.  The classes of an explicit tree are
+    evaluated exactly (`_cc_explicit_classes`).
     """
     if isinstance(data.tree, ModelTree):
         require_model_rules(data.tree, data.weights, P)
-        per_class, h_ok = [_cc_branch_row()], True
+        per_class, h_ok = [_cc_row(BRANCH_CLASS)], True
         for k in range(len(P.mixtures)):
             h = h_function(data, Trunk(k), window, cfg)
             if _h_positive(h):
-                per_class.append(_cc_mixture_row(Trunk(k), data.weights, P, h, cfg))
+                exact_residual("cc", Trunk(k), P.class_identity(k))
+                per_class.append(_cc_row(Trunk(k)))
             elif scalar_upper(h) > 0:
                 h_ok = False  # h is the rule's sum of the children's weights
     else:
@@ -277,53 +279,18 @@ def _cc_explicit_classes(data: CompositionData, P, window: Window, cfg: CertConf
 BRANCH_CLASS = Branch(1, 1)
 
 
-def _cc_branch_row() -> CCClassResidual:
-    """The CC class of every branch vertex (i, j) at once, by the branch
-    rule: (i, j) and its one child carry the Dirac at q_i, and the child's
-    weight q_i is h, so LHS - RHS is q_i - q_i = 0 at every sigma holding
-    q_i and 0 - 0 at every other; as for a mixture row, the worst is R+."""
-    return CCClassResidual(BRANCH_CLASS, _sigma_name(("all",)), Fraction(0), Fraction(0))
+def _cc_row(x: Vertex) -> CCClassResidual:
+    """A CC class that holds exactly: 0 at every sigma, R+ named the worst."""
+    return CCClassResidual(x, _sigma_name(("all",)), Fraction(0), Fraction(0))
 
 
-# A mixture row is rounded up onto the 2^-ROW_BITS grid, so that a stored
-# residual has a power-of-two denominator of at most 128 bits.
-ROW_BITS = 128
-
-
-def grid_up(x: Fraction) -> Fraction:
-    """x rounded up onto the 2^-ROW_BITS grid."""
-    return Fraction(scaled_ceil(x, ROW_BITS), 1 << ROW_BITS)
-
-
-def mixture_gap(weights: ModelWeights, P, k: int) -> Fraction:
-    """|P_k - F_k|.upper at trunk level k (k = 0 is vertex 0), the one
-    difference of enclosures the mixture rows of `construct.consist6_residuals`
-    and `cc_residual` scale.  P_k = P.mixtures[k].prefactor encloses 1/M_-k;
-    F_0 = c and F_k = w_{k-1} P_{k-1} for k >= 1, with w_{k-1} the trunk
-    weight |lambda_-(k-1)|^2.  Each enclosure is free in its interval."""
-    F = weights.c if k == 0 else weights.trunk[k - 1] * P.mixtures[k - 1].prefactor
-    return (P.mixtures[k].prefactor - F).abs_upper()
-
-
-def _cc_mixture_row(x: Trunk, weights: ModelWeights, P, h: Scalar, cfg) -> CCClassResidual:
-    """The CC class of a trunk vertex x = -k (k = 0: vertex 0) by the
-    mixture rule.
-
-    The vertex carries mu_-k = P_k sum_i alpha_i q_i^-k delta_{q_i}.  Its
-    children are -(k-1), carrying mu_-(k-1) with weight w_{k-1} = h (k >= 1),
-    or every (i, 1), carrying delta_{q_i} with weight c alpha_i q_i, with
-    h = c M_1 (k = 0).  So at every Borel sigma of R+,
-    LHS - RHS = B_k(sigma) (F_k - P_k) with B_k(sigma) the exact sum of
-    alpha_i q_i^(1-k) over q_i in sigma, at most M_(1-k) (`mixture_gap`
-    gives F_k).  Every exact sum over indices is taken at its true value, and
-    each enclosure (c, P_k, w_k, M_s) is free in its interval and counted
-    once: the row M_(1-k).hi |F_k - P_k|.upper / h.lo, rounded up by
-    `grid_up`, bounds the residual at every sigma at once, off-window atoms
-    and collisions included.  It is both the max and the algebra bound, and
-    its worst sigma is R+, where B_k = M_(1-k)."""
-    M = power_series_certificate(weights.alpha, 1 - x.k, cfg).enclosure
-    r = grid_up(M.hi * mixture_gap(weights, P, x.k) / scalar_lower(h))
-    return CCClassResidual(x, _sigma_name(("all",)), r, r)
+def exact_residual(record: str, vertex: Vertex, monomial: Monomial) -> Fraction:
+    """The residual of an identity record whose rule values multiply to
+    `monomial`: 0 when it is one, decided exactly; otherwise
+    NoCertificateError names the record, the class and the leftover."""
+    if not monomial.is_one():
+        raise NoCertificateError(f"{record} at {vertex}: the rule leaves {monomial}, not 1")
+    return Fraction(0)
 
 
 def _cc_diffs_exact(rows, w2s, atom_set):

@@ -2,9 +2,11 @@
 
 Every vertex class is evaluated here atom by atom and sigma by sigma, in
 `Fraction` and `Interval` arithmetic, over the atoms of the branches a
-window holds.  The oracle test in `test_identity_kernel` runs it on a window
-several times wider than the artifact's and checks that each row of the
-library bounds every atom's residual.
+window holds.  Each enclosure contains its true value, so where an identity
+holds exactly its interval residual contains 0.  The oracle test in
+`test_identity_kernel` runs it on a window several times wider than the
+artifact's and checks that every residual of a class the library states
+exact contains 0.
 """
 
 from fractions import Fraction
@@ -129,8 +131,9 @@ def _first_moment(measure, cfg):
 
 
 def cc_classes(data, P, window, cfg):
-    """{class vertex: (sigmas, bounds)}, every class evaluated exactly: the
-    bound on sigma is |lhs - rhs| / h.lo, the class's residual there."""
+    """{class vertex: (sigmas, differences)}, every class evaluated
+    exactly: the difference lhs - rhs on sigma, exact or an interval, is the
+    class's residual there times h > 0."""
     imax = window.max_branch
     atoms = set()
     for v in window_vertices(data.tree, window):
@@ -178,6 +181,5 @@ def cc_classes(data, P, window, cfg):
         rhs = {s: x_masses.get(s[1], Fraction(0)) if s[0] == "atom" else None for s in sigmas}
         rhs[("all",)] = _first_moment(rows[0], cfg)
         rhs[("rest",)] = rhs[("all",)] - sum(x_masses.values(), Fraction(0))
-        h_lo = h.lo if isinstance(h, Interval) else h
-        out[x] = (sigmas, [scalar_abs_upper(lhs[s] - rhs[s]) / h_lo for s in sigmas])
+        out[x] = (sigmas, [lhs[s] - rhs[s] for s in sigmas])
     return dict(sorted(out.items(), key=lambda kv: vertex_sort_key(kv[0])))

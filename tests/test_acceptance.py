@@ -32,6 +32,7 @@ from treeshift.construct import (
 )
 from treeshift.measures import AtomicMeasure, moment
 from treeshift.oracle import matrix_power_norm, truncate
+from treeshift.rationals import coerce, scalar_abs_upper
 from treeshift.series import (
     AlphaFamily,
     build_omega,
@@ -40,7 +41,7 @@ from treeshift.series import (
     witness_partial_sum,
 )
 from treeshift.shift import _measure_domain_certificate, dense_defined_power, glowne_power_check
-from treeshift.wco import BRANCH_CLASS, cc_residual, from_shift, roundtrip_measures
+from treeshift.wco import BRANCH_CLASS, cc_residual, from_shift, h_function, roundtrip_measures
 
 import identity_reference as reference
 from conftest import get_artifact, random_weighted_tree
@@ -99,34 +100,35 @@ def test_criterion_1_counterexample_grid():
     print(f"\n[criterion 1] PASS - 24-cell grid verified, worst cell {worst_cell:.2f}s")
 
 
-# Last moved when every branch vertex became one class of the branch rule:
-# only certificates.consist6.vertices_checked changed (61 -> 12 at kappa = inf,
-# 51 -> 2 at kappa = 0: one class per trunk level and one for every branch).
+# Last moved when every identity record became an exact identity of the
+# rule's monomials: only the identity residual leaves changed, each to "0"
+# (zgod_prime_residual, widly1, widly1_prime, mass_residuals,
+# consist6.max_residual, cc.max_residual and cc.algebra_bound).
 GRID_SHA256 = {
-    (1, 0, "linear"): "a65791629ca8b63f06de42dcfba358fd924f039361574b8c3728bf408fc0d7c2",
-    (1, 0, "mixed"): "776c69b79b0328ac713b6a8724169cf78948741eba89ae03d50651e1fe12525d",
-    (1, 1, "linear"): "fabfb0bfe3470be10a6de4b0ebef5e831b6562731eb4e2e07e1817db4d459bee",
-    (1, 1, "mixed"): "87b10792f39c4a35f0b8e75f67a26ffddd3ca51078e88fcb75fd397b3aba464a",
-    (1, 3, "linear"): "45a500d4dacf750ee4c821c85046cb26a747b45e210bee59aa5de1bbae29b514",
-    (1, 3, "mixed"): "fd4b268e05d67bc22510958cf25a43851f835a9305f33d7a351db68156621cc7",
-    (1, ts.INF, "linear"): "9431abf4eb5aa79425b40d026873b0f3854e3d8a97f8257d0c9c92ea7c64b042",
-    (1, ts.INF, "mixed"): "c3807c5884f24be55f4e7d43c0de5df108be78399e9c540b4ac1744cb3c040fd",
-    (2, 0, "linear"): "ed5c3f6ff3a98def0ab8f5eb0ea6dca8d083acd7dbbed4820282e46b6499f018",
-    (2, 0, "mixed"): "8bbff0d8b1b5a8b0e0a837843dc3086e54aa4475a585aa27631e2739893249fe",
-    (2, 1, "linear"): "5532fd89211e8cdb1d53723aab05365674ee30f872bddde793e640b0013d39c3",
-    (2, 1, "mixed"): "8caa3b4d85369ffb1c7774926953a3e343dfb41f6a787ca51ef94aebd9a32d47",
-    (2, 3, "linear"): "8f9f483e80cc1a62dcd1b42d3114d10f88dc439a8ee4cf46874ed9be2d5a0858",
-    (2, 3, "mixed"): "92996165ba7e4841bda1765ed868a51c2f06e5545e8cce25978b7f1252b8c11f",
-    (2, ts.INF, "linear"): "9fba3a3a3cdd177b18ef1b1d3a3d14823fddec8d5991c68a3c37374046df8583",
-    (2, ts.INF, "mixed"): "6111d4d9f2a605e1d891d464e8f11663241aa132a112643a249499301e225e46",
-    (3, 0, "linear"): "2893fa1a434f72cddf3ca5f8320b2835cb3fc3a098324cff60b2e72472c380bd",
-    (3, 0, "mixed"): "acde3a4b967599094d6bcce82ae3aba64a7d16677434d0985298cf5062d07fdc",
-    (3, 1, "linear"): "3eb3694f2a97124cc01312d6059468af1b8590a5ca540107c0088ef31c705c7a",
-    (3, 1, "mixed"): "0ddf60a6802c6040b7354281de3d66cea0824258074f435d27297823f384ea88",
-    (3, 3, "linear"): "71aea6da33b3572452c2066df2fc8d872c7107633408d6ffa04cdf355e0dcfcb",
-    (3, 3, "mixed"): "0c63f7adc852733f271d0141d4c47411ef83653aa784d701b093bbbf5bf2a9c3",
-    (3, ts.INF, "linear"): "02acad71054bdcef3be53fa153508f787e41a4d7b6ef3fd0d2b8cf33083382ba",
-    (3, ts.INF, "mixed"): "a23721dd4e4477865606107fea5ee46c8276accb6d0c6a4c01e9b1b8adc12222",
+    (1, 0, "linear"): "85cee8f2fb45d07d0c9b50c272ebcf38e77a68cec1ca64751a7ef15ca5741bd6",
+    (1, 0, "mixed"): "c80cab743e6b7cef673f50003c8922722a202f9596c5fbd3e377617d4f2a23e3",
+    (1, 1, "linear"): "0ae7e455b778d213e64a68426fe5bc9ee5890a452c29a4088342026057b5d070",
+    (1, 1, "mixed"): "07dcfe4cc7e4d32286ff20313b3ae9d3c56095a4174f42e1d642ae606812f61d",
+    (1, 3, "linear"): "8b9d0f4c4682280f361596b39c5c2eb370ea0e51b8c20218786d9b746ea34260",
+    (1, 3, "mixed"): "a2f224387c19c6c586bceebfb6bae206eeafd1ce142124dfe723b733745b4ecc",
+    (1, ts.INF, "linear"): "5cf437fa95692b347ebf08582fc7b2ffdb5582e3cc0fa6f250e458cef6f13f6b",
+    (1, ts.INF, "mixed"): "7b8677831f624587333549cd2169f91f3f0bb9a5d9ecdb4d52573c8c7b3e81de",
+    (2, 0, "linear"): "c6a789bf81dd7ceeb1f7ace42fa7549d63e15e0b5c424262f7d081549559c780",
+    (2, 0, "mixed"): "278eaf0c1585c0c2e977468036699170642dd17421abfb3661d81bbf2c9fa42c",
+    (2, 1, "linear"): "40afdfca0e3cb6cce248a6e196afda60364c656577ce003e3ef003591e4066e9",
+    (2, 1, "mixed"): "916b7863bc2dcee7213b619688b52fb4132ad1b7f4a83859ebcdd0f2f4e36a4e",
+    (2, 3, "linear"): "ffba5eebd59aa7dd2e9422dd785f7d164673b57161a73174acceeb49322bf408",
+    (2, 3, "mixed"): "e945017588d8ac9820fabe0306c249595dcf7022d27465cbdc7c9e8ebcf66409",
+    (2, ts.INF, "linear"): "05f2a498db6d498e64e18732c3c02b449037e886a27a67377550eab8adfdd2b2",
+    (2, ts.INF, "mixed"): "5aae19239afe230d874b3553f986ed9c83707a89ffcfc6dcf919f0d21d10be9e",
+    (3, 0, "linear"): "629e437f3e45f582db36864e49d1c9cb07204f3e69e4d1644b80a2f803140ae2",
+    (3, 0, "mixed"): "ce04da9f3ad63e53f715e0c6a0c39afb9e443bb381bda0677fc312257bd56a18",
+    (3, 1, "linear"): "97ad6abe47b7f9b6a6979586ae10cfaf3fbd828cddeff7ae27eb512a219861b4",
+    (3, 1, "mixed"): "996bb5e984bf4430a444e6959121d80761a22d3957bdee7802d87a4dbc6ce776",
+    (3, 3, "linear"): "751b4e68678cd39e3ff99188e40ddb4da4e4cd06af9fc641992a3b48380caf2c",
+    (3, 3, "mixed"): "603f73cfd50f5ec6424250e66dfc4fef81906f4e77cd20a710239a6f186f2d92",
+    (3, ts.INF, "linear"): "e858c94ed6567156f21dbf980cbcfe9ad47c8b4015d7225f7c14ad9029d7c802",
+    (3, ts.INF, "mixed"): "ff571f2c081b0906e80ab5c87c4bf3f337a669f404ce076bf7e00d5dbc633a89",
 }
 
 
@@ -334,7 +336,8 @@ def _assert_classes_cover_window(art):
     level and one for every branch; the exact reference, swept over every
     vertex of the window, finds at each of them the residuals of its class:
     at a branch vertex whose chain child the window holds, exactly those of
-    the branch row, and at a trunk vertex at most its mixture row."""
+    the branch row, and at a trunk vertex, whose row is exact, an interval
+    residual containing 0 at every atom and sigma."""
     res = identity_residuals(art, art.request.cert)
     trunk = [Trunk(k) for k in reversed(range(len(art.measures.mixtures)))]
     assert list(res.consist6) == trunk + [BRANCH_CLASS]
@@ -345,19 +348,22 @@ def _assert_classes_cover_window(art):
         if isinstance(u, Branch):
             assert ref.max_residual == res.consist6[BRANCH_CLASS].max_residual == 0, u
         else:
-            assert ref.residual_upper <= res.consist6[u].residual_upper, u
-    exact_cc = reference.cc_classes(from_shift(art.tree, art.weights), art.measures,
-                                    art.window, art.request.cert)
+            assert res.consist6[u].max_residual == 0, u
+            assert all(coerce(r).gap_to(0) == 0 for _, r in ref.per_atom), u
+    data = from_shift(art.tree, art.weights)
+    exact_cc = reference.cc_classes(data, art.measures, art.window, art.request.cert)
     assert list(exact_cc) == list(full)
     classes = {c.vertex: c for c in res.cc.per_class}
     assert list(classes) == trunk + [BRANCH_CLASS]
-    for x, (sigmas, bounds) in exact_cc.items():
+    for x, (sigmas, diffs) in exact_cc.items():
         if isinstance(x, Branch):
             row = classes[BRANCH_CLASS]
+            h = h_function(data, x, art.window, art.request.cert)
+            bounds = [scalar_abs_upper(d) / h for d in diffs]
             assert (max(bounds), sum(bounds[:-1])) == (row.max_residual, row.algebra_bound), x
         else:
-            atoms = [b for s, b in zip(sigmas, bounds) if s[0] == "atom"]
-            assert max(atoms) <= classes[x].algebra_bound, x
+            assert classes[x].algebra_bound == 0, x
+            assert all(coerce(d).gap_to(0) == 0 for d in diffs), x
 
 
 @pytest.mark.parametrize("art_key", [

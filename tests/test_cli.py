@@ -29,6 +29,17 @@ def test_generate_then_verify(artifact_path, capsys):
     assert "verification PASSED" in out
 
 
+def test_wide_series_width_document_verifies(tmp_path, capsys):
+    """At width 1e-8 the M_s enclosures of mixed q are wide relative to
+    M_-3 and M_-4, yet the document generate writes verifies: each identity
+    record is decided exactly, whatever the widths of the enclosures."""
+    out = tmp_path / "wide.json"
+    assert run(["generate", "--n", "3", "--kappa", "inf", "--q", "mixed", "--width", "1e-8",
+                "--out", str(out)]) == 0
+    assert run(["verify", str(out)]) == 0
+    assert "verification PASSED" in capsys.readouterr().out
+
+
 def test_generate_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

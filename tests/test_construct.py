@@ -333,15 +333,15 @@ def small_artifacts():
 def test_artifact_bytes_pinned(small_artifacts):
     """The serialized artifact is a stable format: any change to these bytes
     is a schema change and must be documented.  The digests last moved when
-    every branch vertex became one class of the branch rule: only
-    consist6.vertices_checked changed (16 -> 5)."""
+    every identity record became an exact identity of the rule's monomials:
+    only the identity residual leaves changed, each to "0"."""
     digests = {
         q: hashlib.sha256(art.to_json().encode()).hexdigest()
         for q, art in small_artifacts.items()
     }
     assert digests == {
-        "linear": "e23e5020f9ecc7abade6f2beba5c9fddb1e3b0c0236b3079adc9f337e03962eb",
-        "mixed": "747419be2ec43326e8186831d3520ab2c9659e2a56ed3834719fa7d9fecbbc77",
+        "linear": "75eff8c1b35ca45cd9432e6b02d7304ffe811fc772c2e0e01cffcc27691b2e63",
+        "mixed": "68fc2f3e9824dde4b081f4faac347426be452089f0242dc642bffcb0ffcc12e5",
     }
 
 
@@ -349,16 +349,17 @@ def test_exact_residuals_pinned(small_artifacts):
     """The exact residuals verify computes, the per-atom consistency tuples
     and the CC classes included, are pinned as well: a change the rounded
     max_residual strings of the artifact would hide fails here.  The digests
-    last moved when every branch vertex became one class of the branch rule:
-    the twelve rows (i, 1) became the one row v(1,1), with per_atom at 0 only,
-    and the CC branch row's worst sigma is R+."""
+    last moved when every identity record became an exact identity of the
+    rule's monomials: every residual is Fraction(0), and each trunk row is
+    the branch row's exact shape (per_atom at 0 only, CC worst sigma R+), so
+    the linear and mixed residuals are now the same."""
     digests = {
         q: hashlib.sha256(repr(verify(art.to_json_dict()).residuals).encode()).hexdigest()
         for q, art in small_artifacts.items()
     }
     assert digests == {
-        "linear": "3eaa475be611a2aa07defa569fa3d74ba0165d8883b9ca71d663aa2b998a00ea",
-        "mixed": "24eb31e0a4d5268e9d767a49cee0dd6f18295d5eebf416ad711177ca701e588d",
+        "linear": "a6fcdb9415544230c824d923a3fc345a3a418d85aece7dc84a3480349555b66b",
+        "mixed": "a6fcdb9415544230c824d923a3fc345a3a418d85aece7dc84a3480349555b66b",
     }
 
 
@@ -705,19 +706,21 @@ def doc_363():
 
 @pytest.mark.parametrize("edit, name", [
     (_edit("certificates", "cc", "algebra_bound", value="5"), "cc"),
-    (_edit("certificates", "cc", "max_residual", value="0"), "cc"),
+    (_edit("certificates", "cc", "max_residual", value="1/10000000000000"), "cc"),
     (_edit("certificates", "consist6", "max_residual", value="7"), "consist6"),
     (_edit("certificates", "consist6", "vertices_checked", value=3), "consist6"),
     (_edit("certificates", "cc", "h_positive_on_support", value=False), "h-positive-on-support"),
     (_edit("certificates", "widly1_prime", "holds_leq_1", value=False), "widly1-prime"),
-    (_edit("certificates", "widly1_prime", "residual", value="0"), "widly1-prime"),
+    (_edit("certificates", "widly1_prime", "residual", value="1/10000000000000"), "widly1-prime"),
     (_edit("certificates", "zgod_prime_residual", value="1/3"), "zgod-prime"),
     (_edit("certificates", "widly1", 1, "residual", value="1/7"), "widly1[l=2]"),
-    (_edit("certificates", "mass_residuals", 2, "residual", value="0"), "mass[mu_-2]"),
+    (_edit("certificates", "mass_residuals", 2, "residual", value="1/10000000000000"),
+     "mass[mu_-2]"),
 ])
 def test_verify_compares_stored_identity_certificates(doc_363, edit, name):
     """A stored identity certificate that differs from the recomputed one
-    fails its record, and the detail names both values."""
+    fails its record, and the detail names both values.  Every recomputed
+    residual is 0, so a stored 1e-13, below check_tol, fails as well."""
     doc = json.loads(json.dumps(doc_363))
     edit(doc)
     failures = verify(doc).failures()
@@ -764,8 +767,9 @@ def _leaves(node, path=()):
 
 
 def _edited(value):
-    """A rational string or an interval times 1001/1000, an integer + 1, a
-    boolean flipped, any other string suffixed."""
+    """A rational string or an interval times 1001/1000 (the rational 0 set
+    to 1/1000), an integer + 1, a boolean flipped, any other string
+    suffixed."""
     up = Fraction(1001, 1000)
     if isinstance(value, bool):
         return not value
@@ -774,7 +778,7 @@ def _edited(value):
     if _is_interval(value):
         return [str(Fraction(x) * up) for x in value]
     if _CANONICAL.fullmatch(value):
-        return str(Fraction(value) * up)
+        return str(Fraction(value) * up or Fraction(1, 1000))
     return value + "x"
 
 
@@ -984,3 +988,40 @@ def test_number_cap_leaves_tenfold_headroom():
     largest = max(bits(get_artifact(n, kappa, q).to_json_dict())
                   for n in (1, 2, 3) for kappa in (0, 1, 3, ts.INF) for q in (LINEAR_Q, MIXED_Q))
     assert 10 * largest <= MAX_RATIONAL_BITS
+
+
+# --- the invariant: generate writes only documents its own verify passes ---
+
+_WIDE_FOUND = dict(prefix=(), tail=Tail.MIXED, n=3, kappa=ts.INF, width=Fraction(1, 10**8),
+                   window=ts.Window(10, 8, 3))
+
+
+@given(prefix=st.lists(st.builds(Fraction, st.integers(1, 40), st.integers(1, 3)), max_size=12),
+       tail=st.sampled_from([Tail.LINEAR, Tail.MIXED]),
+       n=st.integers(1, 3),
+       kappa=st.one_of(st.integers(0, 11), st.just(ts.INF)),
+       width=st.integers(10**8, 10**14).map(lambda d: Fraction(1, d)),
+       window=st.builds(ts.Window, st.sampled_from([3, 10]), st.integers(1, 8),
+                        st.integers(1, 3)))
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@example(**_WIDE_FOUND)
+@example(**dict(_WIDE_FOUND, prefix=(11, 13, 10), tail=Tail.LINEAR, n=2,
+                width=Fraction(1, 10**12)))
+@example(**dict(_WIDE_FOUND, prefix=tuple(range(30, 42)), tail=Tail.LINEAR, n=2,
+                width=Fraction(1, 10**12)))
+def test_generate_writes_only_documents_verify_passes(prefix, tail, n, kappa, width, window):
+    """For every request, generate refuses with a TreeshiftError or writes a
+    document that verify passes.  The enclosures' widths are bounded in
+    absolute terms, so at q with a small M_-k (a large prefix, or a width
+    near 1e-8) they are wide relative to it; the identity records must not
+    read those widths.  The explicit examples are requests whose documents
+    verify used to reject under a tolerance."""
+    request = ts.CounterexampleRequest(
+        n=n, kappa=kappa, q=SequenceSpec(tail, prefix=tuple(prefix)),
+        cert=ts.CertConfig(series_width=width), window=window)
+    try:
+        art = generate(request)
+    except ts.TreeshiftError:
+        return
+    report = verify(json.loads(art.to_json()))
+    assert report.passed, [r.line() for r in report.failures()][:3]

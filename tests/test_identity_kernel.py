@@ -1,6 +1,7 @@
 """The rows of the identity layer: the trunk and vertex-0 rows against the
-exact reference evaluation on a wider index range, the branch rows against
-the generic exact path, and totality on tampered documents."""
+exact reference evaluation on a wider index range, the rule's monomials and
+a wrong rule, the branch rows against the generic exact path, and totality
+on tampered documents."""
 
 import copy
 from dataclasses import replace
@@ -11,8 +12,9 @@ import pytest
 import treeshift as ts
 from treeshift import construct, measures, wco
 from treeshift.construct import identity_residuals
-from treeshift.rationals import scalar_abs_upper
-from treeshift.series import power_series_certificate
+from treeshift.errors import NoCertificateError
+from treeshift.rationals import coerce, scalar_abs_upper
+from treeshift.series import ONE, Monomial, power_series_certificate
 from treeshift.tree import Branch, Trunk, Window
 from treeshift.wco import BRANCH_CLASS, from_shift, h_function
 
@@ -36,24 +38,40 @@ def _artifact(n, kappa, q, window):
     return ts.generate(ts.CounterexampleRequest(n=n, kappa=kappa, q=q, window=window))
 
 
-def _check_against_reference(art, wider=WIDER):
-    """Each trunk and vertex-0 row is at least the exact residual of every
-    atom (consistency) and of every atom sigma (CC) that the reference finds
-    on a window `wider` times as many branches wide, and at most check_tol;
-    a CC row is its own algebra bound, at the worst sigma R+.  At every
-    branch (i, 1) of that window the reference's exact residuals are the
-    one branch row's.
+def _assert_rule_enclosures(art):
+    """Each enclosure the rule holds is its monomial's, and that is the
+    interval expression of the M_s enclosures the tables have always stored:
+    c = 1/M_0, w_l = M_-l / M_-(l+1) and P_l = 1/M_-l."""
+    cfg, alpha = art.request.cert, art.alpha
 
-    The reference's complement and R+ sigmas of the mixture classes are not
-    compared: there it counts one enclosure M_s twice (once in h or the unit
-    mass and once in the first moment), so it reads above the row, which
-    counts it once."""
+    def M(s):
+        return power_series_certificate(alpha, s, cfg).enclosure
+
+    assert art.c == construct.normalization_rule().enclosure(alpha, cfg) == M(0).recip()
+    for l, w in enumerate(art.weights.trunk):
+        assert w == construct.trunk_rule(l).enclosure(alpha, cfg) == M(-l) / M(-l - 1), l
+    for l, mix in enumerate(art.measures.mixtures):
+        assert mix.prefactor == construct.prefactor_rule(l).enclosure(alpha, cfg) == M(-l).recip()
+
+
+def _contains_zero(residual) -> bool:
+    return coerce(residual).gap_to(0) == 0
+
+
+def _check_against_reference(art, wider=WIDER):
+    """Each trunk and vertex-0 row is exact, 0 at every atom and sigma, and
+    the reference, on a window `wider` times as many branches wide, finds an
+    interval residual that contains 0 at every atom (consistency) and every
+    sigma (CC) of these classes, the complement of the atoms and R+
+    included.  At every branch (i, 1) of that window the reference's exact
+    residuals are the one branch row's, bit for bit.  Each rule enclosure is
+    its monomial's."""
     cfg = art.request.cert
-    tol = cfg.check_tol
     res = identity_residuals(art, cfg)
     trunk = [Trunk(k) for k in reversed(range(len(art.measures.mixtures)))]
     assert list(res.consist6) == trunk + [BRANCH_CLASS]
     assert [c.vertex for c in res.cc.per_class] == trunk + [BRANCH_CLASS]
+    _assert_rule_enclosures(art)
     W = wider * art.window.max_branch
     wide = replace(art, window=replace(art.window, max_branch=W,
                                        max_depth=min(art.window.max_depth, 2)))
@@ -68,10 +86,9 @@ def _check_against_reference(art, wider=WIDER):
             branch.max_residual, branch.residual_upper), u
     for u in trunk:
         got, ref = res.consist6[u], exact6[u]
-        atoms = [scalar_abs_upper(r) for t, r in ref.per_atom if t != 0]
-        assert len(atoms) >= W // 2, u  # the wide range was read
-        assert max(atoms) <= got.residual_upper <= tol, u
-        assert got.per_atom == ((Fraction(0), Fraction(0)),), u
+        assert len(ref.per_atom) > W // 2, u  # the wide range was read
+        assert all(_contains_zero(r) for _, r in ref.per_atom), u
+        assert (got.max_residual, got.per_atom) == (0, ((Fraction(0), Fraction(0)),)), u
     exact_cc = reference.cc_classes(from_shift(art.tree, art.weights), art.measures,
                                     wide.window, cfg)
     got_cc = {c.vertex: c for c in res.cc.per_class}
@@ -79,24 +96,26 @@ def _check_against_reference(art, wider=WIDER):
     assert [x for x in exact_cc if not isinstance(x, Branch)] == trunk
     branch = got_cc[BRANCH_CLASS]
     assert (branch.worst_sigma, branch.max_residual, branch.algebra_bound) == ("R+", 0, 0)
-    for x, (sigmas, bounds) in exact_cc.items():
+    for x, (sigmas, diffs) in exact_cc.items():
         if isinstance(x, Branch):
+            h = h_function(from_shift(art.tree, art.weights), x, wide.window, cfg)
+            bounds = [scalar_abs_upper(d) / h for d in diffs]
             assert (max(bounds), sum(bounds[:-1])) == (
                 branch.max_residual, branch.algebra_bound), x
             continue
+        assert len(sigmas) - 2 >= W // 2 and sigmas[-2:] == [("rest",), ("all",)], x
+        assert all(_contains_zero(d) for d in diffs), x
         got = got_cc[x]
-        atoms = [b for s, b in zip(sigmas, bounds) if s[0] == "atom"]
-        assert len(atoms) >= W // 2, x
-        assert max(atoms) <= got.max_residual == got.algebra_bound <= tol, x
-        assert got.worst_sigma == "R+", x
+        assert (got.worst_sigma, got.max_residual, got.algebra_bound) == ("R+", 0, 0), x
 
 
 @pytest.mark.parametrize("key", ORACLE_ARTIFACTS, ids=lambda key: "-".join(
     str(part) for part in key[:2] + (key[2].tail.value, "small" if key[3] else "grid")))
 def test_kernel_bounds_against_exact_reference(key):
-    """Every trunk and vertex-0 row bounds the exact residual at each atom
-    of four times the window's branches, and is at most check_tol; the exact
-    residuals at each branch (i, 1) of that range are the branch row's."""
+    """Every trunk and vertex-0 row is exact, and the exact reference finds
+    a residual containing 0 at each atom and sigma of four times the
+    window's branches; the exact residuals at each branch (i, 1) of that
+    range are the branch row's."""
     _check_against_reference(_artifact(*key))
 
 
@@ -117,24 +136,69 @@ def test_kernel_bounds_with_off_window_collisions():
 @pytest.mark.parametrize("key", [(1, 3, ts.LINEAR_Q, SMALL), (2, ts.INF, ts.MIXED_Q, None)],
                          ids=["1-3-linear-small", "2-inf-mixed-grid"])
 def test_mixture_rows_are_the_contract(key):
-    """Each trunk and vertex-0 row is M_-k.hi |P_k - F_k|.upper
-    (consistency) and M_(1-k).hi |F_k - P_k|.upper / h.lo (CC) rounded up
-    onto the 2^-128 grid, from the enclosures the rule holds."""
+    """The rule is the paper's: c = 1/M_0, w_l = M_-l / M_-(l+1) and
+    P_l = 1/M_-l.  So each trunk and vertex-0 class P_k / F_k (F_0 = c,
+    F_k = w_{k-1} P_{k-1}) is the monomial one, and its consistency and CC
+    rows are exact, with R+ the worst sigma; each rule enclosure is its
+    monomial's."""
     art = _artifact(*key)
-    cfg, w, mix = art.request.cert, art.weights, art.measures.mixtures
-    res = identity_residuals(art, cfg)
+    M = Monomial.moment
+    assert construct.normalization_rule() == ONE / M(0)
+    res = identity_residuals(art, art.request.cert)
     cc = {c.vertex: c for c in res.cc.per_class}
-    assert [u for u in res.consist6 if not isinstance(u, Branch)] == [
-        Trunk(k) for k in reversed(range(len(mix)))]
+    mix = art.measures.mixtures
     for k in range(len(mix)):
-        F = art.c if k == 0 else w.trunk[k - 1] * mix[k - 1].prefactor
-        gap = (mix[k].prefactor - F).abs_upper()
-        M = {s: power_series_certificate(art.alpha, s, cfg).enclosure for s in (-k, 1 - k)}
-        h = art.c * M[1] if k == 0 else w.trunk[k - 1]
-        consist, cc_row = wco.grid_up(M[-k].hi * gap), wco.grid_up(M[1 - k].hi * gap / h.lo)
-        assert res.consist6[Trunk(k)].residual_upper == consist, k
-        assert (cc[Trunk(k)].max_residual, cc[Trunk(k)].algebra_bound) == (cc_row, cc_row), k
-        assert consist.denominator <= 1 << 128 and cc_row.denominator <= 1 << 128
+        assert construct.trunk_rule(k) == M(-k) / M(-k - 1)
+        assert construct.prefactor_rule(k) == ONE / M(-k)
+        F = ONE / M(0) if k == 0 else M(1 - k) / M(-k) * (ONE / M(1 - k))
+        assert art.measures.class_identity(k) == construct.prefactor_rule(k) / F == ONE
+        row = res.consist6[Trunk(k)]
+        assert (row.max_residual, row.per_atom) == (0, ((Fraction(0), Fraction(0)),)), k
+        assert (cc[Trunk(k)].worst_sigma, cc[Trunk(k)].max_residual,
+                cc[Trunk(k)].algebra_bound) == ("R+", 0, 0), k
+    _assert_rule_enclosures(art)
+
+
+WRONG_RULES = [
+    ("trunk_rule", lambda l: Monomial.moment(-l) / Monomial.moment(-l - 2),
+     "widly1[l=1] at v(0): the rule leaves M_-2^-1 M_-1, not 1"),
+    ("prefactor_rule", lambda l: ONE / Monomial.moment(-l - 1),
+     "mass[mu_-0] at v(0): the rule leaves M_-1^-1 M_0, not 1"),
+    ("normalization_rule", lambda: ONE / Monomial.moment(1),
+     "zgod-prime at v(0): the rule leaves M_0 M_1^-1, not 1"),
+]
+
+
+@pytest.mark.parametrize("name, rule, message", WRONG_RULES, ids=[w[0] for w in WRONG_RULES])
+def test_wrong_rule_is_refused(monkeypatch, name, rule, message):
+    """A rule that states one value wrongly leaves a monomial other than one
+    in some record: generate raises NoCertificateError naming the record,
+    the class and the leftover, and verify fails a document generated by
+    the right rule, naming the same."""
+    request = ts.CounterexampleRequest(n=1, kappa=3, q=ts.MIXED_Q, window=SMALL)
+    doc = ts.generate(request).to_json_dict()
+    monkeypatch.setattr(construct, name, rule)
+    with pytest.raises(NoCertificateError) as raised:
+        ts.generate(request)
+    assert str(raised.value) == message
+    failures = ts.verify(doc).failures()
+    assert [r.detail for r in failures] == [message]
+
+
+def test_class_rows_decide_the_class_monomial(monkeypatch):
+    """consist6_residuals and cc_residual each read the class monomial
+    P_k / F_k of the measure system itself: under a wrong trunk rule each
+    fails its first trunk class by name."""
+    art = _artifact(1, 3, ts.LINEAR_Q, SMALL)
+    monkeypatch.setattr(construct, "trunk_rule",
+                        lambda l: Monomial.moment(-l) / Monomial.moment(-l - 2))
+    with pytest.raises(NoCertificateError,
+                       match=r"^consist6 at v\(-3\): the rule leaves M_-4 M_-3\^-1, not 1$"):
+        construct.consist6_residuals(art, art.request.cert)
+    with pytest.raises(NoCertificateError,
+                       match=r"^cc at v\(-1\): the rule leaves M_-2 M_-1\^-1, not 1$"):
+        wco.cc_residual(from_shift(art.tree, art.weights), art.measures, art.window,
+                        art.request.cert)
 
 
 # --- the branch rule: one exact row for every branch ---

@@ -711,3 +711,25 @@ def test_rescaled_enclosures_are_exact_multiples():
         big = power_series_certificate(scaled, l)
         assert big.enclosure.lo == base.enclosure.lo * r
         assert big.enclosure.hi == base.enclosure.hi * r
+
+
+# --- monomials in the moment series ---
+
+
+def test_monomial_algebra_and_enclosure():
+    """Exponents add under * and subtract under /, a quotient of equal
+    monomials is one, and the enclosure is the product of the M_s
+    enclosures, a recip() for each negative exponent."""
+    M = series.Monomial.moment
+    w0 = M(0) / M(-1)
+    assert w0.powers == ((-1, -1), (0, 1)) and str(w0) == "M_-1^-1 M_0"
+    assert (w0 * w0).powers == ((-1, -2), (0, 2)) and str(series.ONE) == "1"
+    assert (w0 / w0).is_one() and (series.ONE / M(0) * M(0)).is_one()
+    assert not (M(0) / M(-2)).is_one()
+    fam = AlphaFamily(LINEAR_Q, build_omega(LINEAR_Q), power=1)
+    enc = {s: power_series_certificate(fam, s).enclosure for s in (0, -1)}
+    assert w0.enclosure(fam) == enc[0] / enc[-1]
+    assert (w0 * w0).enclosure(fam) == (enc[0] / enc[-1]) * (enc[0] / enc[-1])
+    assert series.ONE.enclosure(fam) == Interval.point(1)
+    with pytest.raises(NoCertificateError, match="M_2 did not certify convergent"):
+        M(2).enclosure(fam)

@@ -261,13 +261,14 @@ def test_roundtrip_detects_broken_row(artifact_n1_k3):
 
 def test_cc_counts_off_window_mixture_atoms():
     """q_1 = q_60 = 60: the mixtures' atom at 60 carries mass from index 60,
-    beyond the 12-branch window, which the CC rows bound with every other
-    atom.  The digest last moved when every branch vertex became one class
-    of the branch rule: only consist6.vertices_checked changed (16 -> 5)."""
+    beyond the 12-branch window, which the exact CC rows cover with every
+    other atom.  The digest last moved when every identity record became an
+    exact identity of the rule's monomials: only the identity residual
+    leaves changed, each to "0"."""
     q = ts.SequenceSpec(ts.Tail.LINEAR, prefix=(Fraction(60),))
     assert indices_with_value(q, Fraction(60), 12) == (60,)
     art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=Window(3, 12, 4)))
     assert ts.verify(art.to_json_dict()).passed
     assert hashlib.sha256(art.to_json().encode()).hexdigest() == (
-        "41879f73f2d836d5af7db634aa5afe606750143075b7e2e96401dcd4dbe305a1"
+        "306fe02aaa72c66d252eb0d1f3aea9b67c7481f694d44120b0c8ffe5acc55cea"
     )
