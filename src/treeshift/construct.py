@@ -27,16 +27,18 @@ from functools import partial, reduce
 from operator import getitem
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
-from .errors import NoCertificateError, SupNotWitnessedError
+from .errors import IdentityLeftoverError, NoCertificateError, SupNotWitnessedError
 from .measures import AtomicMeasure, ConsistencyResult, MixtureMeasure
 from .rationals import (
     Interval,
-    coerce,
+    Rendered,
     interval_from_json,
-    interval_to_json,
+    outward,
     rat_from_str,
     rat_to_decimal,
     rat_to_str,
+    render_interval,
+    table_interval,
 )
 from .series import (
     AlphaFamily,
@@ -162,23 +164,25 @@ def prefactor_rule(l: int) -> Monomial:
 
 
 def normalize(alpha: AlphaFamily, cfg: CertConfig = DEFAULT_CONFIG):
-    """c (`normalization_rule`) and the certificate of M_0 = sum_i alpha_i."""
-    return normalization_rule().enclosure(alpha, cfg), power_series_certificate(alpha, 0, cfg)
+    """c (`normalization_rule`, rounded `outward`) and the certificate of
+    M_0 = sum_i alpha_i."""
+    c = outward(normalization_rule().enclosure(alpha, cfg))
+    return c, power_series_certificate(alpha, 0, cfg)
 
 
 def trunk_weights(
     alpha: AlphaFamily, kappa, levels: int, cfg: CertConfig = DEFAULT_CONFIG
 ) -> Tuple[Interval, ...]:
-    """|lambda_{-l}|^2 (`trunk_rule`) for l = 0..levels-1; the normalization
-    constant cancels, so these enclosures are exactly invariant under
-    rescaling alpha.
+    """|lambda_{-l}|^2 (`trunk_rule`, rounded `outward`) for l = 0..levels-1;
+    the normalization constant cancels, so these enclosures are exactly
+    invariant under rescaling alpha.
 
     For finite kappa the recursion runs to l = kappa-1 and the last weight
     makes the terminal inequality an equality.
     """
     if kappa is not INF and levels > kappa:
         raise ValueError("more trunk weights requested than non-root trunk vertices")
-    return tuple(trunk_rule(l).enclosure(alpha, cfg) for l in range(levels))
+    return tuple(outward(trunk_rule(l).enclosure(alpha, cfg)) for l in range(levels))
 
 
 @dataclass(frozen=True)
@@ -224,9 +228,9 @@ def build_measure_system(
     alpha: AlphaFamily, kappa, levels: int, cfg: CertConfig = DEFAULT_CONFIG
 ) -> MeasureSystem:
     """Mixtures mu_{-l} = sum_i P_l alpha_i q_i^{-l} delta_{q_i} for
-    l = 0..levels-1 (`prefactor_rule`), derived down the single-child trunk
-    chain; every mass is exactly 1 and every eps vanishes."""
-    mixtures = tuple(MixtureMeasure(alpha, l, prefactor_rule(l).enclosure(alpha, cfg))
+    l = 0..levels-1 (`prefactor_rule`, rounded `outward`), derived down the
+    single-child trunk chain; every mass is exactly 1 and every eps vanishes."""
+    mixtures = tuple(MixtureMeasure(alpha, l, outward(prefactor_rule(l).enclosure(alpha, cfg)))
                      for l in range(levels))
     return MeasureSystem(q=alpha.q, mixtures=mixtures)
 
@@ -420,10 +424,10 @@ def _artifact_doc(a: CounterexampleArtifact) -> dict:
         "window": asdict(a.window),
         "omega": a.omega.to_json(),
         "alpha": a.alpha.to_json(),
-        "c": interval_to_json(a.c),
+        "c": list(render_interval(a.c)),
         "weights": {
             "branch_first": [
-                {"i": i, "w2": interval_to_json(a.weights.branch_first_squared(i))}
+                {"i": i, "w2": list(a.weights.branch_first_squared(i))}
                 for i in range(1, W + 1)
             ],
             "branch_tail": [
@@ -431,7 +435,7 @@ def _artifact_doc(a: CounterexampleArtifact) -> dict:
                 for i in range(1, W + 1)
             ],
             "trunk": [
-                {"l": l, "w2": interval_to_json(w)} for l, w in enumerate(a.weights.trunk)
+                {"l": l, "w2": list(render_interval(w))} for l, w in enumerate(a.weights.trunk)
             ],
         },
         "measures": {
@@ -441,9 +445,9 @@ def _artifact_doc(a: CounterexampleArtifact) -> dict:
             "mixtures": [
                 {
                     "shift": mix.shift,
-                    "prefactor": interval_to_json(mix.prefactor),
+                    "prefactor": list(render_interval(mix.prefactor)),
                     "atoms": [
-                        {"i": i, "mass": interval_to_json(mix.atom_mass(i))}
+                        {"i": i, "mass": list(mix.atom_mass(i))}
                         for i in range(1, W + 1)
                     ],
                 }
@@ -625,12 +629,12 @@ class _Stored(NamedTuple):
 
     window: Window
     alpha: AlphaFamily
-    c: Interval
-    first: Tuple[Interval, ...]  # |lambda_{i,1}|^2
+    c: Rendered
+    first: Tuple[Rendered, ...]  # |lambda_{i,1}|^2
     tail: Tuple[Fraction, ...]  # |lambda_{i,j}|^2, j >= 2
-    trunk: Tuple[Interval, ...]
+    trunk: Tuple[Rendered, ...]
     locations: Tuple[Fraction, ...]  # the atom of branch i
-    mixtures: Tuple[Tuple[Interval, Tuple[Interval, ...]], ...]  # (prefactor, masses)
+    mixtures: Tuple[Tuple[Rendered, Tuple[Rendered, ...]], ...]  # (prefactor, masses)
     certificates: dict
 
 
@@ -658,10 +662,10 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest) -> _Stored:
         power=request.n,
         scale=_read(doc, "alpha.scale", rat_from_str),
     )
-    c = _read(doc, "c", interval_from_json)
+    c = _read(doc, "c", table_interval)
 
     def interval(e, _):
-        return interval_from_json(e["w2"])
+        return table_interval(e["w2"])
 
     first = _table(doc, "weights.branch_first", W, "i", interval)
     tail = _table(doc, "weights.branch_tail", W, "i", lambda e, _: rat_from_str(e["w2"]))
@@ -676,8 +680,8 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest) -> _Stored:
     locations = _table(doc, "measures.branch_atoms", W, "i", atom)
 
     def mixture(m, where):
-        masses = _table(m, "atoms", W, "i", lambda e, _: interval_from_json(e["mass"]), where + ".")
-        return interval_from_json(m["prefactor"]), masses
+        masses = _table(m, "atoms", W, "i", lambda e, _: table_interval(e["mass"]), where + ".")
+        return table_interval(m["prefactor"]), masses
 
     mixtures = _table(doc, "measures.mixtures", _mixture_levels(kappa, stored), "shift", mixture)
     if _at(doc, "measures.eps") != []:  # eps vanishes identically on a generated system
@@ -754,12 +758,17 @@ def _json_fields(obj: dict) -> Dict[str, str]:
 
 def _mismatches(rows):
     """(vertex, distance, detail) for each (vertex, stored, expected, detail)
-    row whose stored value is not the expected one; the distance is the
-    larger endpoint distance (a rational is a point), so it is nonzero."""
+    row whose stored value is not the expected one: an exact rational, or
+    the texts of a rendered enclosure, which must be the rule's rendering.
+    The distance is the larger endpoint distance, 0 only for a stored
+    enclosure that states the rule's values in another form."""
     for vertex, stored, expected, detail in rows:
         if stored != expected:
-            a, b = coerce(stored), coerce(expected)
-            yield vertex, max(abs(a.lo - b.lo), abs(a.hi - b.hi)), detail
+            if isinstance(expected, tuple):
+                ends = zip(map(Fraction, stored), map(Fraction, expected))
+                yield vertex, max(abs(s - e) for s, e in ends), detail
+            else:
+                yield vertex, abs(stored - expected), detail
 
 
 def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
@@ -771,16 +780,20 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     whose numbers (q.prefix, series_width, divergence_threshold) are not in
     the form `rat_to_str` writes, fails a single `parse-request` record.  A
     document with another schema, a non-empty eps, a number not in the form
-    `rat_to_str` writes (or over `MAX_RATIONAL_BITS`), a missing or mistyped
+    `rat_to_str` writes (or over `MAX_RATIONAL_BITS`; a table enclosure's
+    endpoint may also be rendered, see `table_text`), a missing or mistyped
     certificate field, tables not of the shape of its window, or a window
     not the one its request gives, fails a single `parse-artifact` record
     naming the JSON path, and one whose series no certificate covers (a
     bounded q, or a series_width or divergence_threshold out of reach) fails
-    a single `series-certificate` record.  Otherwise the checks are: every
-    stored number against the value written by the rules that `build_rules`
-    makes from the request and the document's alpha (the two must be
-    equal; a failing row names its vertex, with the larger endpoint
-    distance as residual), and then `identity_residuals` on the rule
+    a single `series-certificate` record; a rule whose values leave a
+    monomial other than one in an identity record fails a single record of
+    that name, at its class, with the leftover as detail.  Otherwise the
+    checks are: every stored number against the value written by the rules
+    that `build_rules` makes from the request and the document's alpha (an
+    exact number must equal it, a table enclosure's texts must be its
+    `render_interval`; a failing row names its vertex, with the larger
+    endpoint distance as residual), and then `identity_residuals` on the rule
     artifact, the call `generate` certifies with: consistency, trunk
     product, mixture mass and CC records, each passing when its exact
     residual is 0 and the stored certificate equals the recomputed one
@@ -797,6 +810,9 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     """
     try:
         return _verify(doc)
+    except IdentityLeftoverError as exc:
+        return VerificationReport(False, (CheckRecord(
+            exc.record, False, vertex=str(exc.vertex), detail=exc.detail),))
     except (NoCertificateError, SupNotWitnessedError) as exc:
         return VerificationReport(
             False, (CheckRecord("series-certificate", False, detail=str(exc)),)
@@ -853,20 +869,22 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
     # every stored number must be the one the rules write
     rule = build_rules(request, alpha)
     weights = rule.weights
-    table_records("normalization-constant", _mismatches([(ZERO, stored.c, rule.c, "")]),
-                  residual=0)
+    table_records("normalization-constant",
+                  _mismatches([(ZERO, stored.c, render_interval(rule.c), "")]), residual=0)
     rows = []
     for i, (first, tail) in enumerate(zip(stored.first, stored.tail), 1):
         rows.append((Branch(i, 1), first, weights.branch_first_squared(i), ""))
         rows.append((Branch(i, 2), tail, weights.branch_tail_squared(i),
                      "chain weight differs from rule"))
-    rows += [(Trunk(l), w, weights.trunk[l], "") for l, w in enumerate(stored.trunk)]
+    rows += [(Trunk(l), w, render_interval(weights.trunk[l]), "")
+             for l, w in enumerate(stored.trunk)]
     table_records("weight-reconstruction", _mismatches(rows))
 
     rows = [(Branch(i, 1), t, alpha.q.value(i), "branch atom location differs from q")
             for i, t in enumerate(stored.locations, 1)]
     for l, ((prefactor, masses), mix) in enumerate(zip(stored.mixtures, rule.measures.mixtures)):
-        rows.append((Trunk(l), prefactor, mix.prefactor, "mixture prefactor off rule"))
+        rows.append((Trunk(l), prefactor, render_interval(mix.prefactor),
+                     "mixture prefactor off rule"))
         rows += [(Trunk(l), mass, mix.atom_mass(i), f"mixture atom i={i} off rule")
                  for i, mass in enumerate(masses, 1)]
     table_records("atom-reconstruction", _mismatches(rows))
@@ -917,11 +935,13 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
     for name, ok, residual, detail in nd_checks:
         rec(name, ok, residual=residual, detail=detail)
 
-    # positivity of every stored weight
+    # positivity of every stored weight; a table text (`table_text`) is
+    # positive unless it is "0" or starts with "-"
     misses = [(Branch(i, 1), None, "")
               for i, (first, tail) in enumerate(zip(stored.first, stored.tail), 1)
-              if first.lo <= 0 or tail <= 0]
-    misses += [(Trunk(l), None, "") for l, w in enumerate(stored.trunk) if w.lo <= 0]
+              if first[0].startswith(("-", "0")) or tail <= 0]
+    misses += [(Trunk(l), None, "") for l, w in enumerate(stored.trunk)
+               if w[0].startswith(("-", "0"))]
     table_records("weights-positive", misses)
 
     return VerificationReport(all(r.passed for r in records), tuple(records), residuals=res)

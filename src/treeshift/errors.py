@@ -21,6 +21,16 @@ class NoCertificateError(TreeshiftError):
     """A series lacks the tail metadata needed for a certified verdict."""
 
 
+class IdentityLeftoverError(NoCertificateError):
+    """An identity record's rule values multiply to a monomial other than
+    one; `record` and `vertex` name the record and its class."""
+
+    def __init__(self, record: str, vertex, leftover):
+        self.record, self.vertex = record, vertex
+        self.detail = f"the rule leaves {leftover}, not 1"
+        super().__init__(f"{record} at {vertex}: {self.detail}")
+
+
 class WidthNotReachedError(NoCertificateError):
     """No convergent certificate reaches the requested series width."""
 

@@ -18,11 +18,14 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 from .errors import InfiniteTermError
 from .rationals import (
     Interval,
+    Rendered,
     Scalar,
     accumulate,
     as_fraction,
     coerce,
+    enclosure,
     rat_to_str,
+    render_interval,
     scalar_abs_upper,
     scalar_upper,
 )
@@ -93,8 +96,9 @@ class MixtureMeasure:
     """sum_i prefactor * alpha_i * q_i^(-shift) * delta_{q_i}.
 
     prefactor encloses 1 / sum_i alpha_i q_i^(-shift), so the total mass is
-    exactly 1; atom masses carry the enclosure width.  shift = 0 gives the
-    branching-vertex measure, shift = l the measure l steps down the trunk.
+    exactly 1; atom masses carry the enclosure width, each rendered as its
+    table stores it (`atom_mass`).  shift = 0 gives the branching-vertex
+    measure, shift = l the measure l steps down the trunk.
     Each atom mass is computed once per instance, and the finite view below
     once per instance and index limit; both are kept with the instance.
     """
@@ -107,13 +111,16 @@ class MixtureMeasure:
         return self.alpha.q.value(i)
 
     @cached_property
-    def _masses(self) -> Dict[int, Interval]:
+    def _masses(self) -> Dict[int, Rendered]:
         return {}
 
-    def atom_mass(self, i: int) -> Interval:
+    def atom_mass(self, i: int) -> Rendered:
+        """prefactor * alpha_i * q_i^(-shift), rendered as its table stores it."""
         if i not in self._masses:
-            exact = self.alpha.value(i) * self.atom_location(i) ** (-self.shift)
-            self._masses[i] = self.prefactor * exact
+            a, t = self.alpha.value(i), self.atom_location(i)
+            s = self.shift
+            self._masses[i] = render_interval(self.prefactor, a.numerator * t.denominator**s,
+                                              a.denominator * t.numerator**s)
         return self._masses[i]
 
     @cached_property
@@ -127,7 +134,7 @@ class MixtureMeasure:
             merged: dict = {}
             for i in range(1, imax + 1):
                 t = self.atom_location(i)
-                mass = self.atom_mass(i)
+                mass = enclosure(self.atom_mass(i))
                 merged[t] = merged[t] + mass if t in merged else mass
             self._views[imax] = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
         return self._views[imax]

@@ -1,12 +1,13 @@
-"""Exact rational intervals, directed rounding onto a dyadic grid, and the
-strict rational string format of artifact documents.
+"""Exact rational intervals, directed rounding, and the strict number
+formats of artifact documents.
 
 `Interval` arithmetic is done in `fractions.Fraction`, so interval
 operations introduce no rounding of their own: the result interval always
 contains the exact value of the operation applied to any members of the
 operands.  Directed rounding happens only where series are summed (see
 `series.py`), which rounds an exact rational onto a 2^-bits grid with
-`scaled_floor` and `scaled_ceil`.
+`scaled_floor` and `scaled_ceil`, and where a table enclosure is rounded
+outward to RENDER_DIGITS significant digits (`render`).
 """
 
 import re
@@ -14,9 +15,13 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Union
+from functools import lru_cache
+from typing import Tuple, Union
 
-# exact rationals here routinely exceed the default int<->str digit cap
+# The library's own documents stay far below the default int<->str digit
+# cap.  The one reason for this raise: perfbench/worker.py's traced verify
+# takes str() of the witness partial sum's denominator (14,620 digits on
+# the series-bound workload).
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_000_000))
 
@@ -212,11 +217,12 @@ def rat_to_str(x: Fraction) -> str:
     return str(as_fraction(x))
 
 
-# A document's numbers are read back only in the form rat_to_str writes, and
-# only up to this many bits in numerator and denominator: 16x the largest
-# honest value, the 3,913-bit trunk product residual widly1[l=11] of the
-# kappa = inf grid cells (a mixture mass of the (2, inf, mixed) document with
-# a 400-branch window takes 3,839 bits).
+# A document's numbers are read back only in the form rat_to_str writes, or
+# as rendered table endpoints (see `render`), and only up to this many bits
+# in numerator and denominator: over 100x the largest number of the grid
+# documents, the 449-bit endpoint 1.07...e-96 of weights.branch_first at
+# i = 49 on mixed q (its denominator is 10^135).  Every identity residual
+# reads "0", and the largest exact certificate is a 321-bit nd[1] enclosure.
 MAX_RATIONAL_BITS = 1 << 16
 _MAX_DIGITS = MAX_RATIONAL_BITS * 30103 // 100000 + 2  # digits of 2^MAX_RATIONAL_BITS, and "-"
 _RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
@@ -240,6 +246,96 @@ def rat_from_str(s: str) -> Fraction:
             if x.denominator == den and match.group(2) != "1":
                 return x
     raise ValueError(f"{s[:40]!r}: not in lowest terms, or over {MAX_RATIONAL_BITS} bits")
+
+
+# --- table enclosures, rounded outward ---
+
+# Each endpoint of a table enclosure (c, the first-branch and trunk weights,
+# the mixture prefactors and atom masses) is written "<m>e<k>": m of exactly
+# RENDER_DIGITS decimal digits (more than 128 bits), the first nonzero, and
+# k a signed exponent, lo rounded down and hi up, so the stored interval
+# still encloses the exact value.  |k| <= _MAX_EXPONENT keeps every such
+# number below 2^MAX_RATIONAL_BITS.
+RENDER_DIGITS = 40
+_MANTISSAS = range(10 ** (RENDER_DIGITS - 1), 10**RENDER_DIGITS)
+_MAX_EXPONENT = MAX_RATIONAL_BITS * 30103 // 100000 - RENDER_DIGITS
+_RENDERED = re.compile(r"-?[1-9][0-9]{%d}e(0|-?[1-9][0-9]{0,4})" % (RENDER_DIGITS - 1))
+
+Rendered = Tuple[str, str]  # the (lo, hi) texts of a table enclosure
+
+
+@lru_cache(maxsize=128)  # t <= 77 below the exponent cap
+def _pow10_step(t: int) -> int:
+    return 10 ** (t << 8)
+
+
+def _pow10(j: int) -> int:
+    """10^j (j >= 0) as the kept 10^(256 floor(j/256)) times a small power:
+    at the exponents of tiny masses (|k| in the thousands) the product costs
+    a small fraction of the power."""
+    return _pow10_step(j >> 8) * 10 ** (j & 255)
+
+
+def render(num: int, den: int, up: bool) -> str:
+    """num/den (den > 0) rounded down, or up, to RENDER_DIGITS significant
+    digits, as the text "<m>e<k>" ("0" for zero): by integer division, as
+    `scaled_floor`/`scaled_ceil` take, once the bit lengths have placed k
+    within one of its value, and with no gcd.  Exact, and the one such text
+    of the value, when it has at most RENDER_DIGITS significant digits."""
+    if num <= 0:
+        return "-" + render(-num, den, not up) if num else "0"
+    k = (num.bit_length() - den.bit_length()) * 30103 // 100000 - RENDER_DIGITS + 1
+    a, b = (num, den * _pow10(k)) if k >= 0 else (num * _pow10(-k), den)
+    m, r = divmod(a, b)  # k places floor(num/den / 10^k) in _MANTISSAS
+    while m < _MANTISSAS.start:  # k one too large
+        a, k = 10 * a, k - 1
+        m, r = divmod(a, b)
+    while m >= _MANTISSAS.stop:  # k one too small
+        m, r, k = m // 10, r or m % 10, k + 1
+    if up and r:
+        m += 1
+        if m == _MANTISSAS.stop:  # 10^40 10^k is 10^39 10^(k+1)
+            m, k = m // 10, k + 1
+    return f"{m}e{k}"
+
+
+def render_interval(iv: Interval, num: int = 1, den: int = 1) -> Rendered:
+    """iv * num/den (num/den > 0) as a table stores it: lo rendered down and
+    hi up, each from the product of the numerators over the product of the
+    denominators."""
+    return (render(iv.lo.numerator * num, iv.lo.denominator * den, False),
+            render(iv.hi.numerator * num, iv.hi.denominator * den, True))
+
+
+def enclosure(texts: Rendered) -> Interval:
+    """The interval a rendered enclosure states."""
+    return Interval(Fraction(texts[0]), Fraction(texts[1]))
+
+
+def outward(iv: Interval) -> Interval:
+    """iv with each endpoint rounded outward as a table stores it."""
+    return enclosure(render_interval(iv))
+
+
+def table_text(s) -> str:
+    """s, when a table endpoint may be stored as it: in the rendered form
+    with |k| <= _MAX_EXPONENT, or in rat_to_str's form (`rat_from_str`; a
+    corrupted document writes a/b).  Anything else raises ValueError, in
+    time linear in the length of the string.  The text is kept: `verify`
+    compares it with the rule's rendering."""
+    match = _RENDERED.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
+        rat_from_str(s)
+    elif abs(int(match[1])) > _MAX_EXPONENT:
+        raise ValueError(f"{s[:50]!r}: exponent over {_MAX_EXPONENT}")
+    return s
+
+
+def table_interval(obj) -> Rendered:
+    """The (lo, hi) texts of a stored table enclosure (`table_text`)."""
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ValueError(f"{str(obj)[:40]} is not a [lo, hi] pair")
+    return table_text(obj[0]), table_text(obj[1])
 
 
 def interval_to_json(iv: Interval) -> list:

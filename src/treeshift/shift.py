@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .errors import NoCertificateError, UnknownVertexError, WindowOverflowError
 from .measures import AtomicMeasure, moment
-from .rationals import Interval, Scalar, as_fraction
+from .rationals import Interval, Rendered, Scalar, as_fraction, enclosure, render_interval
 from .series import (
     AlphaFamily,
     CertConfig,
@@ -72,7 +72,7 @@ class ExplicitWeights:
 class ModelWeights:
     """Symbolic weight system of a generated counterexample on T_{inf,kappa}.
 
-    |lambda_{i,1}|^2 = c * alpha_i * q_i (interval-scaled exact rational),
+    |lambda_{i,1}|^2 = c * alpha_i * q_i (rendered as its table stores it),
     computed once per instance and index; |lambda_{i,j}|^2 = q_i for
     j >= 2; and trunk weights are ratios of neighbouring moment series, one
     enclosure per trunk level.
@@ -84,12 +84,14 @@ class ModelWeights:
     trunk: Tuple[Interval, ...]
 
     @cached_property
-    def _first(self) -> Dict[int, Interval]:
+    def _first(self) -> Dict[int, Rendered]:
         return {}
 
-    def branch_first_squared(self, i: int) -> Interval:
+    def branch_first_squared(self, i: int) -> Rendered:
         if i not in self._first:
-            self._first[i] = self.c * (self.alpha.value(i) * self.alpha.q.value(i))
+            a, q = self.alpha.value(i), self.alpha.q.value(i)
+            self._first[i] = render_interval(self.c, a.numerator * q.numerator,
+                                             a.denominator * q.denominator)
         return self._first[i]
 
     def branch_tail_squared(self, i: int) -> Fraction:
@@ -97,7 +99,9 @@ class ModelWeights:
 
     def squared_at(self, v: Vertex) -> Scalar:
         if isinstance(v, Branch):
-            return self.branch_first_squared(v.i) if v.j == 1 else self.branch_tail_squared(v.i)
+            if v.j == 1:
+                return enclosure(self.branch_first_squared(v.i))
+            return self.branch_tail_squared(v.i)
         if isinstance(v, Trunk):
             if self.kappa is not INF and v.k >= self.kappa:
                 raise UnknownVertexError(f"{v} is the root or beyond; no weight")

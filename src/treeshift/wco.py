@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple, Union
 
-from .errors import InfiniteTermError, NoCertificateError
+from .errors import IdentityLeftoverError, InfiniteTermError, NoCertificateError
 from .measures import (
     AtomicMeasure,
     MixtureMeasure,
@@ -287,9 +287,9 @@ def _cc_row(x: Vertex) -> CCClassResidual:
 def exact_residual(record: str, vertex: Vertex, monomial: Monomial) -> Fraction:
     """The residual of an identity record whose rule values multiply to
     `monomial`: 0 when it is one, decided exactly; otherwise
-    NoCertificateError names the record, the class and the leftover."""
+    IdentityLeftoverError names the record, the class and the leftover."""
     if not monomial.is_one():
-        raise NoCertificateError(f"{record} at {vertex}: the rule leaves {monomial}, not 1")
+        raise IdentityLeftoverError(record, vertex, monomial)
     return Fraction(0)
 
 

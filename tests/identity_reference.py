@@ -14,9 +14,11 @@ from typing import Tuple
 
 from treeshift.errors import NoCertificateError
 from treeshift.measures import AtomicMeasure, ConsistencyResult, moment
-from treeshift.rationals import Interval, as_fraction, coerce, scalar_abs_upper, scalar_upper
+from treeshift.rationals import (Interval, as_fraction, coerce, enclosure, scalar_abs_upper,
+                                 scalar_upper)
 from treeshift.series import SequenceSpec, Tail
 from treeshift.tree import (
+    Branch,
     ModelTree,
     ZERO,
     children,
@@ -64,7 +66,7 @@ def _view(measure, imax):
         return dict(measure.atoms)
     merged = {}
     for i in range(1, imax + 1):
-        t, mass = measure.atom_location(i), measure.atom_mass(i)
+        t, mass = measure.atom_location(i), enclosure(measure.atom_mass(i))
         merged[t] = merged[t] + mass if t in merged else mass
     return merged
 
@@ -173,7 +175,7 @@ def cc_classes(data, P, window, cfg):
             rest = tail_all
             for t in atoms:
                 for i in indices_with_value(q, t, imax):
-                    w = data.weights.branch_first_squared(i)
+                    w = data.weights.squared_at(Branch(i, 1))
                     lhs[("atom", t)] = lhs[("atom", t)] + w
                     rest = rest - w
             lhs[("rest",)] = lhs[("rest",)] + rest

@@ -100,35 +100,35 @@ def test_criterion_1_counterexample_grid():
     print(f"\n[criterion 1] PASS - 24-cell grid verified, worst cell {worst_cell:.2f}s")
 
 
-# Last moved when every identity record became an exact identity of the
-# rule's monomials: only the identity residual leaves changed, each to "0"
-# (zgod_prime_residual, widly1, widly1_prime, mass_residuals,
-# consist6.max_residual, cc.max_residual and cc.algebra_bound).
+# Last moved when the table enclosures were rounded outward: every endpoint
+# of `c`, `weights.branch_first`, `weights.trunk` and each mixture's
+# `prefactor` and atom `mass` is written "<m>e<k>" with a 40-digit mantissa,
+# lo rounded down and hi up; no other leaf changed.
 GRID_SHA256 = {
-    (1, 0, "linear"): "85cee8f2fb45d07d0c9b50c272ebcf38e77a68cec1ca64751a7ef15ca5741bd6",
-    (1, 0, "mixed"): "c80cab743e6b7cef673f50003c8922722a202f9596c5fbd3e377617d4f2a23e3",
-    (1, 1, "linear"): "0ae7e455b778d213e64a68426fe5bc9ee5890a452c29a4088342026057b5d070",
-    (1, 1, "mixed"): "07dcfe4cc7e4d32286ff20313b3ae9d3c56095a4174f42e1d642ae606812f61d",
-    (1, 3, "linear"): "8b9d0f4c4682280f361596b39c5c2eb370ea0e51b8c20218786d9b746ea34260",
-    (1, 3, "mixed"): "a2f224387c19c6c586bceebfb6bae206eeafd1ce142124dfe723b733745b4ecc",
-    (1, ts.INF, "linear"): "5cf437fa95692b347ebf08582fc7b2ffdb5582e3cc0fa6f250e458cef6f13f6b",
-    (1, ts.INF, "mixed"): "7b8677831f624587333549cd2169f91f3f0bb9a5d9ecdb4d52573c8c7b3e81de",
-    (2, 0, "linear"): "c6a789bf81dd7ceeb1f7ace42fa7549d63e15e0b5c424262f7d081549559c780",
-    (2, 0, "mixed"): "278eaf0c1585c0c2e977468036699170642dd17421abfb3661d81bbf2c9fa42c",
-    (2, 1, "linear"): "40afdfca0e3cb6cce248a6e196afda60364c656577ce003e3ef003591e4066e9",
-    (2, 1, "mixed"): "916b7863bc2dcee7213b619688b52fb4132ad1b7f4a83859ebcdd0f2f4e36a4e",
-    (2, 3, "linear"): "ffba5eebd59aa7dd2e9422dd785f7d164673b57161a73174acceeb49322bf408",
-    (2, 3, "mixed"): "e945017588d8ac9820fabe0306c249595dcf7022d27465cbdc7c9e8ebcf66409",
-    (2, ts.INF, "linear"): "05f2a498db6d498e64e18732c3c02b449037e886a27a67377550eab8adfdd2b2",
-    (2, ts.INF, "mixed"): "5aae19239afe230d874b3553f986ed9c83707a89ffcfc6dcf919f0d21d10be9e",
-    (3, 0, "linear"): "629e437f3e45f582db36864e49d1c9cb07204f3e69e4d1644b80a2f803140ae2",
-    (3, 0, "mixed"): "ce04da9f3ad63e53f715e0c6a0c39afb9e443bb381bda0677fc312257bd56a18",
-    (3, 1, "linear"): "97ad6abe47b7f9b6a6979586ae10cfaf3fbd828cddeff7ae27eb512a219861b4",
-    (3, 1, "mixed"): "996bb5e984bf4430a444e6959121d80761a22d3957bdee7802d87a4dbc6ce776",
-    (3, 3, "linear"): "751b4e68678cd39e3ff99188e40ddb4da4e4cd06af9fc641992a3b48380caf2c",
-    (3, 3, "mixed"): "603f73cfd50f5ec6424250e66dfc4fef81906f4e77cd20a710239a6f186f2d92",
-    (3, ts.INF, "linear"): "e858c94ed6567156f21dbf980cbcfe9ad47c8b4015d7225f7c14ad9029d7c802",
-    (3, ts.INF, "mixed"): "ff571f2c081b0906e80ab5c87c4bf3f337a669f404ce076bf7e00d5dbc633a89",
+    (1, 0, "linear"): "99566601d40825bdce582803b4308a5eb8ca2589b0cb137dbd0eacf80cd73f54",
+    (1, 0, "mixed"): "365a5805556a2e2f2dc63ca5c809880d80de30674a499e55e5ff36a95821e835",
+    (1, 1, "linear"): "d24f61bdc91ea8960a293a689ca69eb184d28b96f35fce8d419c84d284385e2a",
+    (1, 1, "mixed"): "ed339b8352cbb3cae5ac5a52064741624d3e77b364599b0c69f4d3d3bc7a23e1",
+    (1, 3, "linear"): "05ffa4696909ed48e7f54ee540286c336c0c22e15af793ced22477dc70fdd9ef",
+    (1, 3, "mixed"): "d3b00440027214e41c778bd9c952ab21975160769d131f50ee5476e11665cd95",
+    (1, ts.INF, "linear"): "0654cfb4afdf7339b97ae440a10226c84b7aa82f8af71e5adfaf547500bda1b4",
+    (1, ts.INF, "mixed"): "364a92565f02a6a5f941d76b4176f32d748dd3ebd14a679eccb4b3acf5ee1e49",
+    (2, 0, "linear"): "c303b25aa9beee6fff82f4a8ec7677e30ec86794cf670f359b5a5c2801d1fa49",
+    (2, 0, "mixed"): "cf83e0120ab953c6eec0b3dd6de44459d92f5c67c225115f3c7cdc9bd98c29c7",
+    (2, 1, "linear"): "13d4fc1ba77802e1323cbd496212d2a36c65e733c0c0213cf3a646ead8eb4efb",
+    (2, 1, "mixed"): "fa8c64baa796f16424f2c6c2a4dde2ff1c44ccc79a3f1a6df6b025de9bdcbd31",
+    (2, 3, "linear"): "a242accd996d16e546325a14e7b3e0cc72f45f14a23a7d784e1427583721a17a",
+    (2, 3, "mixed"): "d0986dc3134effb940690d84dc0e765fe29d087f606c679056f6f02d47f7fb7d",
+    (2, ts.INF, "linear"): "e86309100eb6d3c138f9110604defc9bbbe7585299020ac0ca47e0a12d82b671",
+    (2, ts.INF, "mixed"): "0a772fd882c976bc687ea95ebf5d1ddf23740a35c696f66d6efcb86f5a0d9949",
+    (3, 0, "linear"): "618b34995a85a57ac0691c93ac909681e8d03630e1011778d7e0a45ad9fb87dd",
+    (3, 0, "mixed"): "ddebe7b667601db260c4efd1866809209aeef0e5188b1516ec07b7bac6079018",
+    (3, 1, "linear"): "c7a5c575a5a9841e2f53a00354ef13a32bc048dc0b67e39b5baacbe41b1b1524",
+    (3, 1, "mixed"): "f378f4da39289ec7e860b8b89c1645d8a41c3b2e32908d0067eed5e12e22de66",
+    (3, 3, "linear"): "f1225f048c09fc607188d5de7f5f6b94054be35aa277aaf302cc090fede03617",
+    (3, 3, "mixed"): "19b5510b0ca030988d1f3676f4c1399621e75ef38a28e84c81ff588129870d50",
+    (3, ts.INF, "linear"): "8402eb9c80f4600496e591a1d0849a59b24ba71eb928e970232b45a2a2995b5d",
+    (3, ts.INF, "mixed"): "0f844a5725f4333c76993fbbaca9933d4575d770f7846a48076d5828278924ad",
 }
 
 

@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 import treeshift as ts
 from treeshift import Branch, LINEAR_Q, MIXED_Q, SequenceSpec, Tail, Trunk
 from treeshift.construct import (
+    approx_residual,
     choose_subsequence,
     consist6_residuals,
     generate,
@@ -36,7 +38,7 @@ from treeshift.construct import (
 from treeshift.errors import NoCertificateError, SupNotWitnessedError
 from treeshift.measures import atoms_view
 from treeshift import series
-from treeshift.rationals import Interval
+from treeshift.rationals import Interval, enclosure, render_interval
 from treeshift.series import AlphaFamily, power_series_certificate
 from treeshift.tree import window_vertices
 
@@ -128,9 +130,11 @@ def test_normalize_linear_n2():
 
 def test_branch_weights_values(artifact_n1):
     art = artifact_n1
-    # |lambda_{2,1}|^2 = c * (1/8) * 2 = c/4
+    # |lambda_{2,1}|^2 = c * (1/8) * 2 = c/4, each endpoint rounded outward
+    # to 40 digits: the rendering of the reduced quotient
     w = art.weights.branch_first_squared(2)
-    assert w.lo == art.c.lo / 4 and w.hi == art.c.hi / 4
+    assert w == render_interval(art.c / 4)
+    assert enclosure(w).lo <= art.c.lo / 4 and art.c.hi / 4 <= enclosure(w).hi
     # |lambda_{i,j}|^2 = q_i for j >= 2
     assert art.weights.branch_tail_squared(5) == 5
     assert art.weights.squared_at(Branch(5, 5)) == 5
@@ -333,15 +337,16 @@ def small_artifacts():
 def test_artifact_bytes_pinned(small_artifacts):
     """The serialized artifact is a stable format: any change to these bytes
     is a schema change and must be documented.  The digests last moved when
-    every identity record became an exact identity of the rule's monomials:
-    only the identity residual leaves changed, each to "0"."""
+    the table enclosures were rounded outward: only the endpoints of `c`,
+    `branch_first`, `trunk`, `prefactor` and `mass` changed, each to
+    "<m>e<k>" with a 40-digit mantissa."""
     digests = {
         q: hashlib.sha256(art.to_json().encode()).hexdigest()
         for q, art in small_artifacts.items()
     }
     assert digests == {
-        "linear": "75eff8c1b35ca45cd9432e6b02d7304ffe811fc772c2e0e01cffcc27691b2e63",
-        "mixed": "68fc2f3e9824dde4b081f4faac347426be452089f0242dc642bffcb0ffcc12e5",
+        "linear": "3467ce0eda37f7fa15c99a701921bbb0c7104318adcfffa99b342ae3033fcff9",
+        "mixed": "633719badaf4f06b233381605b150b3a0ee71a57eb52fc5afe38d4753ac5e875",
     }
 
 
@@ -746,7 +751,7 @@ def test_verify_fails_edited_chain_weight_or_atom(paths, failures):
     assert [(r.name, r.vertex) for r in verify(doc).failures()] == failures
 
 
-_CANONICAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_CANONICAL = re.compile(r"-?[0-9]+(/[0-9]+|e-?[0-9]+)?")  # rat_to_str's form or a rendered one
 
 
 def _is_interval(value) -> bool:
@@ -767,9 +772,10 @@ def _leaves(node, path=()):
 
 
 def _edited(value):
-    """A rational string or an interval times 1001/1000 (the rational 0 set
-    to 1/1000), an integer + 1, a boolean flipped, any other string
-    suffixed."""
+    """A rational string (rat_to_str's form or a rendered table endpoint) or
+    an interval times 1001/1000, written as rat_to_str writes it (the
+    rational 0 set to 1/1000), an integer + 1, a boolean flipped, any other
+    string suffixed."""
     up = Fraction(1001, 1000)
     if isinstance(value, bool):
         return not value
@@ -944,7 +950,10 @@ def test_verify_rejects_widly1_prime_without_terminal_level():
 
 NONCANONICAL = ["1e-100000", "1e100000", "1E5", 3.0, 3, "3.0", ".5", "1/2.0", " 3", "+3", "0x10",
                 "1_000", "1/0", "1" + "0" * 20000, "1/" + "7" * 10**6, "2/" + str(2**65536),
-                "02", "2/4", "2/1", "-0", "0/7"]
+                "02", "2/4", "2/1", "-0", "0/7",
+                # near misses of a rendered table endpoint "<40 digits>e<k>"
+                "1" * 39 + "e-40", "2" * 41 + "e-40", "0" + "3" * 39 + "e-40", "4" * 40 + "E-40",
+                "6" * 40 + "e+5", "7" * 40 + "e-05", "8" * 40 + "e-19689"]
 
 
 @pytest.mark.parametrize("value", NONCANONICAL, ids=lambda v: repr(v)[:24])
@@ -959,7 +968,8 @@ NONCANONICAL = ["1e-100000", "1e100000", "1E5", 3.0, 3, "3.0", ".5", "1/2.0", " 
     ("request", "cert", "divergence_threshold"),
 ])
 def test_verify_rejects_noncanonical_numbers_fast(doc_363, path, value):
-    """Only the form rat_to_str writes, under the bit cap, is read: anything
+    """Only the form rat_to_str writes, under the bit cap, is read (and, in
+    a table enclosure, the rendered form within the exponent cap): anything
     else fails one parse-artifact record, or one parse-request record in the
     request block, in under 0.1 s."""
     doc = json.loads(json.dumps(doc_363))
@@ -971,6 +981,22 @@ def test_verify_rejects_noncanonical_numbers_fast(doc_363, path, value):
     assert [(r.name, r.passed) for r in report.records] == [(name, False)]
 
 
+@pytest.mark.parametrize("level, index, end", [(0, 2, 0), (2, 5, 1), (3, 0, 1)])
+def test_verify_fails_last_digit_of_a_mass(doc_363, level, index, end):
+    """One unit more in the last mantissa digit of a stored mass endpoint,
+    inside or just outside the rule's enclosure, fails atom-reconstruction
+    at that trunk level: the stored text must be the rule's rendering."""
+    doc = json.loads(json.dumps(doc_363))
+    pair = doc["measures"]["mixtures"][level]["atoms"][index]["mass"]
+    mantissa, exponent = pair[end].split("e")
+    assert len(mantissa) == 40 and not mantissa.endswith("9")
+    pair[end] = f"{int(mantissa) + 1}e{exponent}"
+    report = verify(doc)
+    assert [(r.name, r.vertex) for r in report.failures()] == [
+        ("atom-reconstruction", f"v(-{level})" if level else "v(0)")]
+    assert report.failures()[0].residual == approx_residual(Fraction(f"1e{exponent}"))
+
+
 def test_number_cap_leaves_tenfold_headroom():
     """Every number of the 24 grid documents is at most a tenth of the cap."""
     from treeshift.rationals import MAX_RATIONAL_BITS
@@ -980,7 +1006,7 @@ def test_number_cap_leaves_tenfold_headroom():
             node = list(node.values())
         if isinstance(node, list):
             return max(map(bits, node), default=0)
-        if isinstance(node, str) and node.lstrip("-").replace("/", "").isdigit():
+        if isinstance(node, str) and _CANONICAL.fullmatch(node):  # rendered ones too
             x = Fraction(node)
             return max(x.numerator.bit_length(), x.denominator.bit_length())
         return 0
@@ -988,6 +1014,51 @@ def test_number_cap_leaves_tenfold_headroom():
     largest = max(bits(get_artifact(n, kappa, q).to_json_dict())
                   for n in (1, 2, 3) for kappa in (0, 1, 3, ts.INF) for q in (LINEAR_Q, MIXED_Q))
     assert 10 * largest <= MAX_RATIONAL_BITS
+
+
+def _wide_document(q, max_branch: int) -> str:
+    """The (2, inf, q) document of Window(2, max_branch, 2), as JSON text."""
+    request = ts.CounterexampleRequest(n=2, kappa=ts.INF, q=q, window=ts.Window(2, max_branch, 2))
+    return generate(request).to_json()
+
+
+def _under_default_int_str_limit(run):
+    """run() with Python's default int <-> str digit limit in force, when
+    this Python has one; the previous limit is restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return run()
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        return run()
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_wide_mixed_window_verifies_under_default_int_str_limit():
+    """generate, to_json, json.loads and verify of the mixed (2, inf)
+    Window(2, 1600, 2) document need no raised int <-> str limit: every
+    table endpoint has a 40-digit mantissa, where the exact masses had
+    5,602-digit integers.  The document is under 1.3 MB."""
+    def run():
+        text = _wide_document(MIXED_Q, 1600)
+        return len(text.encode()), verify(json.loads(text))
+
+    size, report = _under_default_int_str_limit(run)
+    assert report.passed, [r.line() for r in report.failures()][:3]
+    assert size <= 1_300_000
+
+
+@pytest.mark.parametrize("q", [LINEAR_Q, MIXED_Q], ids=lambda q: q.tail.value)
+def test_document_bytes_grow_linearly_in_the_window(q):
+    """Doubling max_branch from 400 to 800 to 1600 doubles the (2, inf, q)
+    document, within 1.9-2.1x per doubling, on linear and on mixed q (mixed
+    grew as B^1.9 while the tables held exact quotients); B = 1600 writes
+    at most 1.3 MB under the default int <-> str limit."""
+    sizes = _under_default_int_str_limit(
+        lambda: [len(_wide_document(q, B).encode()) for B in (400, 800, 1600)])
+    assert all(1.9 <= b / a <= 2.1 for a, b in zip(sizes, sizes[1:])), sizes
+    assert sizes[-1] <= 1_300_000, sizes
 
 
 # --- the invariant: generate writes only documents its own verify passes ---

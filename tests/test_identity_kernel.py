@@ -13,7 +13,7 @@ import treeshift as ts
 from treeshift import construct, measures, wco
 from treeshift.construct import identity_residuals
 from treeshift.errors import NoCertificateError
-from treeshift.rationals import coerce, scalar_abs_upper
+from treeshift.rationals import coerce, outward, scalar_abs_upper
 from treeshift.series import ONE, Monomial, power_series_certificate
 from treeshift.tree import Branch, Trunk, Window
 from treeshift.wco import BRANCH_CLASS, from_shift, h_function
@@ -39,19 +39,23 @@ def _artifact(n, kappa, q, window):
 
 
 def _assert_rule_enclosures(art):
-    """Each enclosure the rule holds is its monomial's, and that is the
-    interval expression of the M_s enclosures the tables have always stored:
-    c = 1/M_0, w_l = M_-l / M_-(l+1) and P_l = 1/M_-l."""
+    """Each enclosure the rule holds is its monomial's rounded outward to
+    RENDER_DIGITS digits, which a table stores, and the monomial's is the
+    interval expression of the M_s enclosures: c = 1/M_0,
+    w_l = M_-l / M_-(l+1) and P_l = 1/M_-l."""
     cfg, alpha = art.request.cert, art.alpha
 
     def M(s):
         return power_series_certificate(alpha, s, cfg).enclosure
 
-    assert art.c == construct.normalization_rule().enclosure(alpha, cfg) == M(0).recip()
+    assert construct.normalization_rule().enclosure(alpha, cfg) == M(0).recip()
+    assert art.c == outward(M(0).recip())
     for l, w in enumerate(art.weights.trunk):
-        assert w == construct.trunk_rule(l).enclosure(alpha, cfg) == M(-l) / M(-l - 1), l
+        assert construct.trunk_rule(l).enclosure(alpha, cfg) == M(-l) / M(-l - 1), l
+        assert w == outward(M(-l) / M(-l - 1)), l
     for l, mix in enumerate(art.measures.mixtures):
-        assert mix.prefactor == construct.prefactor_rule(l).enclosure(alpha, cfg) == M(-l).recip()
+        assert construct.prefactor_rule(l).enclosure(alpha, cfg) == M(-l).recip(), l
+        assert mix.prefactor == outward(M(-l).recip()), l
 
 
 def _contains_zero(residual) -> bool:
@@ -161,28 +165,31 @@ def test_mixture_rows_are_the_contract(key):
 
 WRONG_RULES = [
     ("trunk_rule", lambda l: Monomial.moment(-l) / Monomial.moment(-l - 2),
-     "widly1[l=1] at v(0): the rule leaves M_-2^-1 M_-1, not 1"),
+     ("widly1[l=1]", "v(0)", "the rule leaves M_-2^-1 M_-1, not 1")),
     ("prefactor_rule", lambda l: ONE / Monomial.moment(-l - 1),
-     "mass[mu_-0] at v(0): the rule leaves M_-1^-1 M_0, not 1"),
+     ("mass[mu_-0]", "v(0)", "the rule leaves M_-1^-1 M_0, not 1")),
     ("normalization_rule", lambda: ONE / Monomial.moment(1),
-     "zgod-prime at v(0): the rule leaves M_0 M_1^-1, not 1"),
+     ("zgod-prime", "v(0)", "the rule leaves M_0 M_1^-1, not 1")),
 ]
 
 
-@pytest.mark.parametrize("name, rule, message", WRONG_RULES, ids=[w[0] for w in WRONG_RULES])
-def test_wrong_rule_is_refused(monkeypatch, name, rule, message):
+@pytest.mark.parametrize("name, rule, failure", WRONG_RULES, ids=[w[0] for w in WRONG_RULES])
+def test_wrong_rule_is_refused(monkeypatch, name, rule, failure):
     """A rule that states one value wrongly leaves a monomial other than one
     in some record: generate raises NoCertificateError naming the record,
-    the class and the leftover, and verify fails a document generated by
-    the right rule, naming the same."""
+    the class and the leftover, and verify of a document generated by the
+    right rule fails one record of that name, at that class, with the
+    leftover as detail."""
     request = ts.CounterexampleRequest(n=1, kappa=3, q=ts.MIXED_Q, window=SMALL)
     doc = ts.generate(request).to_json_dict()
     monkeypatch.setattr(construct, name, rule)
     with pytest.raises(NoCertificateError) as raised:
         ts.generate(request)
-    assert str(raised.value) == message
-    failures = ts.verify(doc).failures()
-    assert [r.detail for r in failures] == [message]
+    record, vertex, detail = failure
+    assert str(raised.value) == f"{record} at {vertex}: {detail}"
+    report = ts.verify(doc)
+    assert [(r.name, r.passed, r.vertex, r.detail) for r in report.records] == [
+        (record, False, vertex, detail)]
 
 
 def test_class_rows_decide_the_class_monomial(monkeypatch):

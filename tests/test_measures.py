@@ -12,6 +12,7 @@ import treeshift as ts
 from treeshift import AtomicMeasure
 from treeshift.errors import InfiniteTermError
 from treeshift.measures import atoms_view, check_cc_dt, check_consist6_at, moment
+from treeshift.rationals import enclosure, render_interval
 
 HALF = Fraction(1, 2)
 
@@ -199,10 +200,13 @@ def test_mixture_view_merges_and_masses(artifact_n1):
     mix = artifact_n1.measures.mixtures[0]
     view = atoms_view(mix, 5)
     assert [t for t, _ in view] == [1, 2, 3, 4, 5]
-    c = artifact_n1.c
+    c = artifact_n1.c  # the prefactor of mu_0: both are 1/M_0 rounded outward
+    assert mix.prefactor == c
     for i, (t, mass) in enumerate(view, start=1):
-        alpha_i = Fraction(1, i**3)
-        assert mass.lo == c.lo * alpha_i and mass.hi == c.hi * alpha_i
+        alpha_i = Fraction(1, i**3)  # each mass c alpha_i, rounded outward to 40 digits
+        assert mix.atom_mass(i) == render_interval(c * alpha_i)
+        assert mass == enclosure(mix.atom_mass(i))
+        assert mass.lo <= c.lo * alpha_i and c.hi * alpha_i <= mass.hi
 
 
 def test_mixture_needs_limit(artifact_n1):

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treeshift.rationals import Interval, rat_to_decimal
+from treeshift.rationals import (RENDER_DIGITS, Interval, outward, rat_to_decimal, render,
+                                 render_interval, table_text)
 
 
 rationals = st.fractions(
@@ -118,3 +119,65 @@ def test_kernel_matches_textbook_definitions(a, b, x):
 def test_decimal_rendering():
     assert rat_to_decimal(Fraction(1, 3), 5) == "0.33333"
     assert rat_to_decimal(Fraction(2), 5) == "2"
+
+
+# --- table enclosures rendered outward ---
+
+wide_rationals = st.builds(
+    Fraction, st.integers(-(10**90), 10**90), st.integers(1, 10**90)
+) | st.builds(lambda m, e: Fraction(m) * Fraction(10) ** e,
+              st.integers(-(10**45), 10**45), st.integers(-3000, 3000))
+
+
+@given(wide_rationals)
+@settings(derandomize=True, max_examples=400, database=None)
+@example(Fraction(10**45 - 899999, 10**2847))  # hi rounds up to the next decade
+@example(Fraction(999999 - 10**45, 100))
+@example(Fraction(10**40 - 1) / 3)
+def test_render_rounds_outward_and_is_exact_on_rendered_values(x):
+    """render rounds down for lo and up for hi onto 40 significant digits,
+    one unit of the coarser last digit apart at most, and a value that
+    already has at most 40 digits renders exactly, to the same text both
+    ways, also just below a power of ten."""
+    lo_text = render(x.numerator, x.denominator, False)
+    hi_text = render(x.numerator, x.denominator, True)
+    lo, hi = Fraction(lo_text), Fraction(hi_text)
+    assert lo <= x <= hi
+    if x == 0:
+        assert lo_text == hi_text == "0"
+        return
+    for text in (lo_text, hi_text):
+        mantissa, _ = text.lstrip("-").split("e")
+        assert len(mantissa) == RENDER_DIGITS and mantissa[0] != "0"
+        assert table_text(text) == text
+    unit = Fraction(10) ** max(int(t.split("e")[1]) for t in (lo_text, hi_text))
+    assert hi - lo <= unit and (lo == hi) == (lo == x)
+    for y in (lo, hi):
+        assert render(y.numerator, y.denominator, False) == render(
+            y.numerator, y.denominator, True) == (lo_text if y == lo else hi_text)
+    assert render_interval(Interval(lo, hi)) == (lo_text, hi_text)
+
+
+def test_render_interval_divides_the_product_once():
+    """iv * num/den rendered from the unreduced products equals the rendering
+    of the reduced endpoints, and outward widens to that rendering."""
+    iv = Interval(Fraction(1, 3), Fraction(2, 3))
+    assert render_interval(iv, 6, 4) == render_interval(iv * Fraction(3, 2)) == (
+        "5" + "0" * 39 + "e-40", "1" + "0" * 39 + "e-39")
+    assert render_interval(iv) == ("3" * 40 + "e-40", "6" * 39 + "7e-40")
+    assert outward(iv) == Interval(Fraction("3" * 40 + "e-40"), Fraction("6" * 39 + "7e-40"))
+
+
+@pytest.mark.parametrize("text", ["1" * 39 + "e-5", "1" * 41 + "e-5", "0" + "1" * 39 + "e-5",
+                                  "1" * 40 + "E-5", "1" * 40 + "e+5", "1" * 40 + "e-05",
+                                  "1" * 40 + "e-19689", "1" * 40 + "e19689", "1" * 40 + "e",
+                                  "1" * 40, "1" * 40 + ".0e1", "-0e0", "2/4"])
+def test_table_text_reads_only_the_two_forms(text):
+    """A table endpoint is a 40-digit rendered number within the exponent
+    cap, or a rational as rat_to_str writes it ("1"*40 is one)."""
+    if text == "1" * 40:
+        assert table_text(text) == text
+        return
+    with pytest.raises(ValueError):
+        table_text(text)
+    assert table_text("1" * 40 + "e-19688") and table_text("-" + "9" * 40 + "e0")
