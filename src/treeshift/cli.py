@@ -5,8 +5,9 @@ query dense definedness of a power, emit a verification report, and dump
 series partial sums as CSV for external plotting.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 missing
-certificate.  Persisted numbers are exact rational strings or interval
-pairs; decimals appear only in human-readable summaries (marked ~) and in
+certificate.  A document's exact numbers are rational strings; its table
+enclosures are [lo, hi] pairs of "<m>e<k>" endpoints rounded outward.
+Other decimals appear only in human-readable summaries (marked ~) and in
 CSV rendering columns.
 """
 
@@ -32,7 +33,7 @@ from .errors import (
     TreeshiftError,
     WidthNotReachedError,
 )
-from .rationals import rat_to_decimal, rat_to_str
+from .rationals import MAX_RATIONAL_BITS, rat_to_decimal, rat_to_str
 from .series import LINEAR_Q, MIXED_Q, SequenceSpec
 from .shift import glowne_power_check
 from .tree import INF, Window
@@ -94,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partial-sums", help="CSV of series terms and partial sums")
     p.add_argument("artifact", type=Path)
     p.add_argument("--exponent", type=int, required=True, help="exponent l of sum alpha_i q_i^l")
-    p.add_argument("--count", type=int, default=200, help="number of rows")
+    p.add_argument("--count", type=int, default=100, help="number of rows; exit 2 when an "
+                   f"exact cell is over MAX_RATIONAL_BITS = {MAX_RATIONAL_BITS} bits")
     p.add_argument("--out", type=Path, required=True)
     return parser
 
@@ -159,13 +161,10 @@ def _cmd_domain_check(args) -> int:
 
 def _cmd_report(args) -> int:
     report = verify(_load_doc(args.artifact))
-    res = report.residuals  # None when the document did not parse
     if args.format == "json":
         payload = {
             "passed": report.passed,
-            "consist6_residuals": {} if res is None else {  # v(1,1): every branch vertex
-                str(u): approx_residual(r.residual_upper) for u, r in res.consist6.items()
-            },
+            "consist6_residuals": {},
             "checks": [
                 {
                     "name": r.name,
@@ -177,12 +176,17 @@ def _cmd_report(args) -> int:
                 for r in report.records
             ],
         }
-        if res is not None:
+        if report.lemmas is not None:  # None when verify stopped before the identity records
+            leaves = dict(leaf for lemma in report.lemmas for leaf in lemma.leaves)
+            consist6 = leaves["consist6",]["max_residual"]
+            (classes,) = (lemma.classes for lemma in report.lemmas if lemma.name == "consist6")
             payload.update(
-                cc_max_residual=rat_to_str(res.cc.max_residual),
-                cc_algebra_bound=rat_to_str(res.cc.algebra_bound),
-                h_positive_on_support=res.cc.h_positive_on_support,
-                consist6_max_residual=rat_to_str(res.consist6_max),
+                # one entry per class, each exact: v(1,1) stands for every branch vertex
+                consist6_residuals={str(u): approx_residual(consist6) for u, _ in classes},
+                cc_max_residual=rat_to_str(leaves["cc", "max_residual"]),
+                cc_algebra_bound=rat_to_str(leaves["cc", "algebra_bound"]),
+                h_positive_on_support=leaves["cc", "h_positive_on_support"],
+                consist6_max_residual=rat_to_str(consist6),
             )
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     else:
@@ -203,15 +207,18 @@ def _cmd_report(args) -> int:
 def _cmd_partial_sums(args) -> int:
     artifact = _load_rules(args.artifact)
     alpha = artifact.alpha
-    lines = ["index,term,partial_sum,term_exact,partial_sum_exact"]
-    total = Fraction(0)
-    for i in range(1, args.count + 1):
+    cells, total = [], Fraction(0)
+    for i in range(1, args.count + 1):  # every exact cell first: nothing is written past the cap
         term = alpha.value(i) * alpha.q.value(i) ** args.exponent
         total += term
-        lines.append(
-            f"{i},{rat_to_decimal(term)},{rat_to_decimal(total)},"
-            f"{rat_to_str(term)},{rat_to_str(total)}"
-        )
+        if max(n.bit_length() for x in (term, total) for n in (x.numerator, x.denominator)) \
+                > MAX_RATIONAL_BITS:
+            raise ValueError(f"row {i} has an exact cell over MAX_RATIONAL_BITS = "
+                             f"{MAX_RATIONAL_BITS} bits; --count {i - 1} is the most rows")
+        cells.append((term, total))
+    lines = ["index,term,partial_sum,term_exact,partial_sum_exact"]
+    lines += [f"{i},{rat_to_decimal(term)},{rat_to_decimal(total)},"
+              f"{rat_to_str(term)},{rat_to_str(total)}" for i, (term, total) in enumerate(cells, 1)]
     args.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(
         f"wrote {args.out} (series sum_i alpha_i*q_i^{args.exponent}; multiply by the "

@@ -23,7 +23,7 @@ requires every stored number to equal the rule's, and certifies the rules.
 import json
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from operator import getitem
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
@@ -207,7 +207,8 @@ class MeasureSystem:
     def eps_at(self, v: Vertex) -> Fraction:
         return Fraction(0)
 
-    def class_identity(self, k: int) -> Monomial:
+    @staticmethod
+    def class_identity(k: int) -> Monomial:
         """P_k / F_k, the monomial the consistency and CC classes of trunk
         vertex -k (k = 0: vertex 0) reduce to; `wco` reads the rule here.
 
@@ -248,7 +249,8 @@ class CounterexampleArtifact:
     c: Interval
     weights: ModelWeights
     measures: MeasureSystem
-    certificates: dict = field(default_factory=dict)
+    certificates: dict = field(default_factory=dict)  # nd[m], m = 1..n+1
+    lemmas: Tuple["Lemma", ...] = ()  # the identity records, decided
 
     @property
     def n(self) -> int:
@@ -304,107 +306,118 @@ def build_rules(
 
 
 def generate(request: CounterexampleRequest) -> CounterexampleArtifact:
-    """Run the full pipeline and certify every promised identity."""
-    artifact = build_rules(request)
-    artifact.certificates = _certify(artifact, request.cert)
+    """Run the full pipeline and certify every promised identity: the
+    power-domain certificates nd[m], and the records of `identity_lemmas`."""
+    artifact, cfg = build_rules(request), request.cert
+    artifact.certificates = {"nd": {m: power_series_certificate(artifact.alpha, m, cfg)
+                                    for m in range(1, artifact.n + 2)}}
+    artifact.lemmas = decide_lemmas(identity_lemmas(request.kappa, artifact.window), artifact, cfg)
     return artifact
 
 
-def _certify(artifact: CounterexampleArtifact, cfg: CertConfig) -> dict:
-    """All certificates attached to a generated artifact."""
-    nd = {m: power_series_certificate(artifact.alpha, m, cfg) for m in range(1, artifact.n + 2)}
-    return {"nd": nd, **_identity_certificates(identity_residuals(artifact, cfg))}
+# --- the identity records: one table, which generate writes and verify reads ---
+
+LeafPath = Tuple[Union[str, int], ...]
 
 
-def _identity_certificates(res: "IdentityResiduals") -> dict:
-    """The certificates of an artifact's identities, as `generate` stores
-    them and `verify` compares them.  `vertices_checked` counts the classes
-    of the rule whose consistency identity is evaluated: one per trunk level
-    and one for every branch vertex, so it depends on neither `max_branch`
-    nor `max_depth`."""
-    certs = {
-        "zgod_prime_residual": res.zgod_prime,
-        "widly1": res.widly1,
-        "mass_residuals": res.mass,
-        "consist6": {"max_residual": res.consist6_max, "vertices_checked": len(res.consist6)},
-        "cc": {
-            "max_residual": res.cc.max_residual,
-            "algebra_bound": res.cc.algebra_bound,
-            "h_positive_on_support": res.cc.h_positive_on_support,
-        },
-    }
-    if res.widly1_prime is not None:
-        l, r = res.widly1_prime
-        certs["widly1_prime"] = {"l": l, "residual": r, "holds_leq_1": r == 0}
-    return certs
+class Lemma(NamedTuple):
+    """An identity record of the rule (see `identity_lemmas`)."""
+
+    name: str
+    vertex: Optional[Vertex]  # where the record is reported
+    classes: Tuple[Tuple[Vertex, Monomial], ...]  # each monomial must be one at its class
+    # (path below `certificates`, the value stored when the record holds)
+    leaves: Tuple[Tuple[LeafPath, object], ...]
+    note: str = ""  # the record's detail when it passes
 
 
-@dataclass(frozen=True)
-class IdentityResiduals:
-    """Residuals of the identities an artifact promises: `generate`
-    serialises them into its certificates, `verify` turns them into records.
-    Each is an identity of the rule's monomials, decided exactly, so each
-    residual is 0 (see `identity_residuals`)."""
-
-    zgod_prime: Fraction  # c M_0 = 1
-    widly1: Dict[int, Fraction]  # trunk product identity at level l
-    widly1_prime: Optional[Tuple[int, Fraction]]  # (kappa, residual) on a finite trunk
-    mass: Dict[int, Fraction]  # P_l M_-l = 1: the mixture at trunk level l has mass 1
-    consist6: Dict[Vertex, ConsistencyResult]  # keyed Trunk(k), and BRANCH_CLASS for every branch
-    cc: wco.CCReport  # the same classes
-
-    @property
-    def consist6_max(self) -> Fraction:
-        return max((r.residual_upper for r in self.consist6.values()), default=Fraction(0))
+# The residual tables: the entry of position p is {key: p, "residual": r},
+# and a leaf path (table, p) names its residual.
+_TABLE_KEYS = {"widly1": "l", "mass_residuals": "shift"}
 
 
-def identity_residuals(artifact: CounterexampleArtifact, cfg: CertConfig) -> IdentityResiduals:
-    """Normalization, trunk product, mixture mass, consistency and CC
-    residuals of the rules `build_rules` makes, on the artifact's levels.
+def identity_lemmas(kappa, window: Window) -> Tuple[Lemma, ...]:
+    """The identity records of the rule on an artifact's window, in the
+    order `verify` reports them: the one statement of each record's name,
+    classes and stored certificate.  `generate` writes the leaves,
+    `verify` reads, decides and compares them, and `report` lists them.
 
-    Each record is a product of the rule's monomials that must be one
-    (`wco.exact_residual`): c M_0 (zgod-prime), (w_0 ... w_{l-1}) c M_-l
-    (widly1[l], and widly1-prime at l = kappa), P_l M_-l (mass[l]), and
-    P_k / F_k for the consistency and CC classes of the trunk (see
-    `consist6_residuals`).  So each residual is exactly 0, whatever the
-    widths of the enclosures; no branch is evaluated, and neither
-    `max_branch` nor `max_depth` is read.  The one numeric check left is
-    h > 0 on the support (`wco.cc_residual`).
-    """
-    kappa = artifact.request.kappa
-    zgod_prime = wco.exact_residual("zgod-prime", ZERO, normalization_rule() * M(0))
-    widly1, product = {}, normalization_rule()
-    for l in range(1, len(artifact.weights.trunk) + 1):
+    Each class is a product of the rule's monomials that must be one
+    (`wco.exact_residual`): P_k / F_k for the consistency and CC classes of
+    each trunk level k (`MeasureSystem.class_identity`; k = 0: vertex 0),
+    and the branch rule's q_i q_i^-1 for every branch vertex, keyed
+    `wco.BRANCH_CLASS`; c M_0 (zgod-prime); (w_0 ... w_{l-1}) c M_-l
+    (widly1[l], and widly1-prime at l = kappa, the terminal inequality
+    held as an equality); and P_l M_-l (mass[l]).  So each residual is
+    exactly 0, whatever the widths of the enclosures: no branch is
+    evaluated, and neither `max_branch` nor `max_depth` is read.  The last
+    record, h > 0 on the support, has no monomial: `wco.cc_residual` reads
+    it from the enclosures.  `vertices_checked` counts the classes."""
+    zero, product = Fraction(0), normalization_rule()
+    classes = _classes(kappa, window)
+    rows = [Lemma("consist6", None, classes, ((("consist6",), {
+                "max_residual": zero, "vertices_checked": len(classes)}),)),
+            Lemma("zgod-prime", None, ((ZERO, product * M(0)),),
+                  ((("zgod_prime_residual",), zero),))]
+    for l in range(1, _trunk_levels(kappa, window) + 1):
         product = product * trunk_rule(l - 1)
-        name = "widly1-prime" if l == kappa else f"widly1[l={l}]"
-        widly1[l] = wco.exact_residual(name, Trunk(l - 1), product * M(-l))
-    # the terminal inequality at l = kappa, held as an equality
-    widly1_prime = (kappa, widly1.pop(kappa)) if kappa in widly1 else None
-    mass = {l: wco.exact_residual(f"mass[mu_-{l}]", Trunk(l), prefactor_rule(l) * M(-l))
-            for l in range(len(artifact.measures.mixtures))}
-    consist6 = consist6_residuals(artifact, cfg)
+        identity = ((Trunk(l - 1), product * M(-l)),)
+        if l == kappa:
+            rows.append(Lemma("widly1-prime", Trunk(l - 1), identity, ((("widly1_prime",), {
+                "l": l, "residual": zero, "holds_leq_1": True}),),
+                "terminal trunk inequality held as equality"))
+        else:
+            rows.append(Lemma(f"widly1[l={l}]", Trunk(l - 1), identity, ((("widly1", l), zero),)))
+    rows += [Lemma(f"mass[mu_-{l}]", Trunk(l), ((Trunk(l), prefactor_rule(l) * M(-l)),),
+                   ((("mass_residuals", l), zero),)) for l in range(_mixture_levels(kappa, window))]
+    rows += [Lemma("cc", None, classes, ((("cc", "max_residual"), zero),
+                                         (("cc", "algebra_bound"), zero))),
+             Lemma("h-positive-on-support", None, (), ((("cc", "h_positive_on_support"), True),))]
+    return tuple(rows)
+
+
+def _classes(kappa, window: Window) -> Tuple[Tuple[Vertex, Monomial], ...]:
+    """The consistency and CC classes of the rule (see `identity_lemmas`)."""
+    return tuple((Trunk(k), MeasureSystem.class_identity(k))
+                 for k in reversed(range(_mixture_levels(kappa, window)))) + (
+        (wco.BRANCH_CLASS, ONE),)
+
+
+def decide_lemmas(lemmas: Tuple[Lemma, ...], artifact: CounterexampleArtifact,
+                  cfg: CertConfig) -> Tuple[Lemma, ...]:
+    """The records `lemmas` of an artifact's rule (`identity_lemmas`),
+    decided, each leaf the value the rule gives it: every monomial by
+    `wco.exact_residual`, those of the consistency and CC classes last, by
+    their layers `consist6_residuals` and `wco.cc_residual`, which also
+    reads h > 0 on the support.  IdentityLeftoverError names the first
+    record whose monomial is not one."""
+    for lemma in lemmas:
+        if lemma.name not in ("consist6", "cc"):
+            for vertex, monomial in lemma.classes:
+                wco.exact_residual(lemma.name, vertex, monomial)
+    consist6_residuals(artifact, cfg)
     data = wco.from_shift(artifact.tree, artifact.weights)
     cc = wco.cc_residual(data, artifact.measures, artifact.window, cfg)
-    return IdentityResiduals(zgod_prime, widly1, widly1_prime, mass, consist6, cc)
+    return tuple(lemma if lemma.classes else  # no monomial: h > 0 on the support
+                 lemma._replace(leaves=tuple((path, cc.h_positive_on_support)
+                                             for path, _ in lemma.leaves))
+                 for lemma in lemmas)
 
 
 def consist6_residuals(
     a: CounterexampleArtifact, cfg: CertConfig = DEFAULT_CONFIG
 ) -> Dict[Vertex, ConsistencyResult]:
-    """Consistency residual of every class of an artifact's rule (see
-    `wco.require_model_rules`), each the exact row `_EXACT_ROW`: one per
-    trunk level k < len(mixtures) (k = 0: vertex 0) by the mixture rule
-    (`MeasureSystem.class_identity`), and one for every branch vertex by the
-    branch rule, keyed `wco.BRANCH_CLASS`: (i, j) and its one child carry
-    the Dirac at q_i, and the child's weight is q_i, so the residual at q_i
-    is |1 - q_i/q_i| = 0."""
-    m = a.measures
-    wco.require_model_rules(a.tree, a.weights, m)
+    """Consistency residual of every class of the consist6 record of
+    `identity_lemmas` (see `wco.require_model_rules`), each the exact row
+    `_EXACT_ROW` once its monomial is one.  The branch class stands for
+    every branch vertex: (i, j) and its one child carry the Dirac at q_i,
+    and the child's weight is q_i, so the residual at q_i is
+    |1 - q_i/q_i| = 0."""
+    wco.require_model_rules(a.tree, a.weights, a.measures)
     out = {}
-    for k in reversed(range(len(m.mixtures))):
-        wco.exact_residual("consist6", Trunk(k), m.class_identity(k))
-        out[Trunk(k)] = _EXACT_ROW
-    out[wco.BRANCH_CLASS] = _EXACT_ROW
+    for vertex, monomial in _classes(a.request.kappa, a.window):
+        wco.exact_residual("consist6", vertex, monomial)
+        out[vertex] = _EXACT_ROW
     return out
 
 
@@ -455,40 +468,32 @@ def _artifact_doc(a: CounterexampleArtifact) -> dict:
             ],
             "eps": [],
         },
-        "certificates": _certs_json(a.certificates),
+        "certificates": {
+            "nd": {str(m): cert.to_json() for m, cert in a.certificates["nd"].items()},
+            **_lemmas_json(a.lemmas),
+        },
     }
     return doc
 
 
-def _certs_json(certs: dict) -> dict:
-    out = {
-        "nd": {str(m): cert.to_json() for m, cert in certs["nd"].items()},
-        "zgod_prime_residual": rat_to_str(certs["zgod_prime_residual"]),
-        "widly1": [
-            {"l": l, "residual": rat_to_str(r)} for l, r in sorted(certs["widly1"].items())
-        ],
-        "mass_residuals": [
-            {"shift": l, "residual": rat_to_str(r)}
-            for l, r in sorted(certs["mass_residuals"].items())
-        ],
-        "consist6": {
-            "max_residual": rat_to_str(certs["consist6"]["max_residual"]),
-            "vertices_checked": certs["consist6"]["vertices_checked"],
-        },
-        "cc": {
-            "max_residual": rat_to_str(certs["cc"]["max_residual"]),
-            "algebra_bound": rat_to_str(certs["cc"]["algebra_bound"]),
-            "h_positive_on_support": certs["cc"]["h_positive_on_support"],
-        },
-    }
-    if "widly1_prime" in certs:
-        wp = certs["widly1_prime"]
-        out["widly1_prime"] = {
-            "l": wp["l"],
-            "residual": rat_to_str(wp["residual"]),
-            "holds_leq_1": wp["holds_leq_1"],
-        }
+def _lemmas_json(lemmas) -> dict:
+    """The leaves of `lemmas` as a document stores them under `certificates`."""
+    out = {table: [] for table in _TABLE_KEYS}
+    for lemma in lemmas:
+        for path, value in lemma.leaves:
+            if path[0] in _TABLE_KEYS:
+                table, position = path
+                out[table].append({_TABLE_KEYS[table]: position, "residual": rat_to_str(value)})
+            else:
+                node = reduce(lambda node, key: node.setdefault(key, {}), path[:-1], out)
+                node[path[-1]] = _leaf_json(value)
     return out
+
+
+def _leaf_json(value):
+    if isinstance(value, dict):
+        return {key: _leaf_json(v) for key, v in value.items()}
+    return rat_to_str(value) if isinstance(value, Fraction) else value
 
 
 # --- verification ---
@@ -519,7 +524,8 @@ class CheckRecord:
 class VerificationReport:
     passed: bool
     records: Tuple[CheckRecord, ...]
-    residuals: Optional[IdentityResiduals] = None  # None when the document did not parse
+    # the identity records decided (`decide_lemmas`); None when verify stopped before them
+    lemmas: Optional[Tuple[Lemma, ...]] = None
 
     def failures(self) -> Tuple[CheckRecord, ...]:
         return tuple(r for r in self.records if not r.passed)
@@ -593,34 +599,31 @@ def _read(node, path: str, parse):
         raise _Malformed(f"{path}: {exc}") from None
 
 
-def _parse_identity_certificates(doc: dict, kappa, window: Window) -> dict:
-    """The identity certificates a document stores, in the shape of
-    `_identity_certificates`; every entry the window implies must be there."""
-    residual = lambda e, _: rat_from_str(e["residual"])  # noqa: E731
-    levels = _trunk_levels(kappa, window)
-    prime = kappa is not INF and levels == kappa >= 1  # the last level is the terminal one
-    certs = {
-        "zgod_prime_residual": _read(doc, "certificates.zgod_prime_residual", rat_from_str),
-        "widly1": dict(enumerate(_table(doc, "certificates.widly1", levels - prime, "l",
-                                        residual, start=1), start=1)),
-        "mass_residuals": dict(enumerate(_table(doc, "certificates.mass_residuals",
-                                                _mixture_levels(kappa, window), "shift",
-                                                residual))),
-    }
-    for key, fields in (("consist6", (("max_residual", rat_from_str),
-                                      ("vertices_checked", _index))),
-                        ("cc", (("max_residual", rat_from_str), ("algebra_bound", rat_from_str),
-                                ("h_positive_on_support", _flag)))):
-        certs[key] = {f: _read(doc, f"certificates.{key}.{f}", parse) for f, parse in fields}
-    if prime:
-        certs["widly1_prime"] = {
-            f: _read(doc, f"certificates.widly1_prime.{f}", parse)
-            for f, parse in (("l", _index), ("residual", rat_from_str), ("holds_leq_1", _flag))
-        }
-    elif "widly1_prime" in _at(doc, "certificates"):
+def _stored_leaves(doc: dict, lemmas: Tuple[Lemma, ...], kappa) -> Dict[LeafPath, object]:
+    """The leaf of each record of `lemmas` a document stores, read as the
+    type of the value the record states; every leaf must be there, and a
+    residual table must hold exactly the entries the records give it."""
+    leaves = {}
+    for table, key in _TABLE_KEYS.items():
+        positions = [path[1] for lemma in lemmas for path, _ in lemma.leaves if path[0] == table]
+        residuals = _table(doc, f"certificates.{table}", len(positions), key,
+                           lambda e, _: rat_from_str(e["residual"]),
+                           start=positions[0] if positions else 0)
+        leaves.update(((table, p), r) for p, r in zip(positions, residuals))
+
+    def read(path, like):
+        if isinstance(like, dict):
+            return {key: read(path + (key,), value) for key, value in like.items()}
+        parse = (_flag if isinstance(like, bool) else _index if isinstance(like, int)
+                 else rat_from_str)
+        return _read(doc, ".".join(("certificates",) + path), parse)
+
+    for lemma in lemmas:
+        leaves.update((path, read(path, like)) for path, like in lemma.leaves if path not in leaves)
+    if ("widly1_prime",) not in leaves and "widly1_prime" in _at(doc, "certificates"):
         raise _Malformed(f"certificates.widly1_prime: kappa = {kappa} has no terminal level "
                          "in the window")
-    return certs
+    return leaves
 
 
 class _Stored(NamedTuple):
@@ -635,16 +638,17 @@ class _Stored(NamedTuple):
     trunk: Tuple[Rendered, ...]
     locations: Tuple[Fraction, ...]  # the atom of branch i
     mixtures: Tuple[Tuple[Rendered, Tuple[Rendered, ...]], ...]  # (prefactor, masses)
-    certificates: dict
+    nd: Dict[int, dict]  # each stored nd[m] certificate, as its JSON object
+    lemmas: Tuple[Lemma, ...]  # the identity records of the window (`identity_lemmas`)
+    leaves: Dict[LeafPath, object]  # their certificates as stored (`_stored_leaves`)
 
 
 def _parse_artifact(doc: dict, request: CounterexampleRequest) -> _Stored:
     """The numbers a document stores.  Every table must have the length the
     stored window gives it, so no later check reads past a table or runs
     longer than the tables; a shape error raises _Malformed naming its JSON
-    path.  The certificates hold the identity certificates parsed and,
-    under "nd", each stored nd[m] (m = 1..n+1) as the JSON object it is,
-    once its verdict and the fields that verdict needs have parsed."""
+    path.  `nd` holds each stored nd[m] (m = 1..n+1) as the JSON object it
+    is, once its verdict and the fields that verdict needs have parsed."""
     kappa = request.kappa
     if doc.get("schema") != SCHEMA:
         raise _Malformed(f"schema: {doc.get('schema')!r}, expected {SCHEMA!r}")
@@ -707,8 +711,9 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest) -> _Stored:
         stored_nd[int(m)] = nd[m]
     if _artifact_window(request) != stored:
         raise _Malformed(f"request.window: gives {_artifact_window(request)}, not {stored}")
-    certificates = {"nd": stored_nd, **_parse_identity_certificates(doc, kappa, stored)}
-    return _Stored(stored, alpha, c, first, tail, trunk, locations, mixtures, certificates)
+    lemmas = identity_lemmas(kappa, stored)
+    return _Stored(stored, alpha, c, first, tail, trunk, locations, mixtures, stored_nd, lemmas,
+                   _stored_leaves(doc, lemmas, kappa))
 
 
 def _show(value) -> str:
@@ -793,11 +798,11 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     that `build_rules` makes from the request and the document's alpha (an
     exact number must equal it, a table enclosure's texts must be its
     `render_interval`; a failing row names its vertex, with the larger
-    endpoint distance as residual), and then `identity_residuals` on the rule
-    artifact, the call `generate` certifies with: consistency, trunk
-    product, mixture mass and CC records, each passing when its exact
-    residual is 0 and the stored certificate equals the recomputed one
-    (no record reads check_tol); last the power-domain certificates (each
+    endpoint distance as residual), and then the records of
+    `identity_lemmas`, decided on the rule artifact as `generate` decides
+    them: consistency, trunk product, mixture mass and CC records, each
+    passing when its exact residual is 0 and each leaf it stores equals the
+    recomputed one (no record reads check_tol); last the power-domain certificates (each
     stored nd[m] must equal the recomputed certificate field for field, see
     `_nd_checks`), and positivity of all stored weights.  The stored
     identity certificates are compared only when every power-domain
@@ -889,48 +894,27 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
                  for i, mass in enumerate(masses, 1)]
     table_records("atom-reconstruction", _mismatches(rows))
 
-    res = identity_residuals(rule, cfg)
-    recomputed = _identity_certificates(res)
-    nd_checks = _nd_checks(stored.certificates["nd"], alpha, request.n, cfg)
+    lemmas = decide_lemmas(stored.lemmas, rule, cfg)
+    nd_checks = _nd_checks(stored.nd, alpha, request.n, cfg)
     # stored identity certificates were computed from the stored series
     # certificates: when one of those fails its nd record, the document
     # fails there, and its identity certificates are not compared
     compare = all(ok for _, ok, _, _ in nd_checks)
-
-    def stored_differs(*path) -> str:
-        """"" when the stored certificate at `path` equals the recomputed
-        one (or nothing is compared), else both values."""
-        if not compare:
-            return ""
-        value, kept = reduce(getitem, path, recomputed), reduce(getitem, path, stored.certificates)
-        name = f"{path[-1]} " if isinstance(path[-1], str) else ""
-        return "" if kept == value else f"stored {name}{_show(kept)}, recomputed {_show(value)}"
-
-    table_records("consist6", ((u, r.residual_upper, "") for u, r in res.consist6.items()
-                               if r.residual_upper), residual=res.consist6_max)
-    if detail := stored_differs("consist6"):
-        rec("consist6", False, residual=res.consist6_max, detail=detail)
-
-    detail = stored_differs("zgod_prime_residual")
-    rec("zgod-prime", res.zgod_prime == 0 and not detail, residual=res.zgod_prime, detail=detail)
-    for l, r in res.widly1.items():
-        detail = stored_differs("widly1", l)
-        rec(f"widly1[l={l}]", r == 0 and not detail, vertex=Trunk(l - 1), residual=r,
-            detail=detail)
-    if res.widly1_prime is not None:
-        l, r = res.widly1_prime
-        detail = stored_differs("widly1_prime")
-        rec("widly1-prime", r == 0 and not detail, vertex=Trunk(l - 1), residual=r,
-            detail=detail or "terminal trunk inequality held as equality")
-    for l, r in res.mass.items():
-        detail = stored_differs("mass_residuals", l)
-        rec(f"mass[mu_-{l}]", r == 0 and not detail, vertex=Trunk(l), residual=r, detail=detail)
-    detail = "; ".join(filter(None, map(partial(stored_differs, "cc"),
-                                        ("max_residual", "algebra_bound"))))
-    rec("cc", res.cc.algebra_bound == 0 and not detail, residual=res.cc.algebra_bound,
-        detail=detail)
-    detail = stored_differs("cc", "h_positive_on_support")
-    rec("h-positive-on-support", res.cc.h_positive_on_support and not detail, detail=detail)
+    for lemma, stated in zip(lemmas, stored.lemmas):
+        detail = "; ".join(
+            f"stored {path[-1] + ' ' if isinstance(path[-1], str) else ''}"
+            f"{_show(stored.leaves[path])}, recomputed {_show(value)}"
+            for path, value in lemma.leaves if compare and stored.leaves[path] != value)
+        # a record holds when its leaves are the values it states; the
+        # classes' residuals are exact 0 (decide_lemmas raises otherwise)
+        holds, residual = lemma.leaves == stated.leaves, Fraction(0) if lemma.classes else None
+        if lemma.name == "consist6":  # the classes' verdict, then the stored certificate's
+            rec(lemma.name, holds, residual=residual)
+            if detail:
+                rec(lemma.name, False, residual=residual, detail=detail)
+        else:
+            rec(lemma.name, holds and not detail, vertex=lemma.vertex, residual=residual,
+                detail=detail or lemma.note)
 
     for name, ok, residual, detail in nd_checks:
         rec(name, ok, residual=residual, detail=detail)
@@ -944,4 +928,4 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
                if w[0].startswith(("-", "0"))]
     table_records("weights-positive", misses)
 
-    return VerificationReport(all(r.passed for r in records), tuple(records), residuals=res)
+    return VerificationReport(all(r.passed for r in records), tuple(records), lemmas)

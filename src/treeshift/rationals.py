@@ -19,9 +19,11 @@ from functools import lru_cache
 from typing import Tuple, Union
 
 # The library's own documents stay far below the default int<->str digit
-# cap.  The one reason for this raise: perfbench/worker.py's traced verify
-# takes str() of the witness partial sum's denominator (14,620 digits on
-# the series-bound workload).
+# cap of 4,300 digits.  Two callers pass it, hence this raise:
+# perfbench/worker.py's traced verify takes str() of the witness partial
+# sum's denominator (14,620 digits on the series-bound workload), and
+# `treeshift partial-sums` writes exact sums of up to MAX_RATIONAL_BITS
+# (19,729 digits), past 4,300 digits within its default 100 rows on mixed q.
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_000_000))
 

@@ -26,7 +26,6 @@ import treeshift as ts
 from treeshift import Branch, Trunk, Window
 from treeshift.construct import (
     consist6_residuals,
-    identity_residuals,
     trunk_weights,
     verify,
 )
@@ -332,28 +331,30 @@ def test_criterion_8_negative_controls():
 
 
 def _assert_classes_cover_window(art):
-    """identity_residuals evaluates the rule's classes, one row per trunk
-    level and one for every branch; the exact reference, swept over every
-    vertex of the window, finds at each of them the residuals of its class:
-    at a branch vertex whose chain child the window holds, exactly those of
-    the branch row, and at a trunk vertex, whose row is exact, an interval
-    residual containing 0 at every atom and sigma."""
-    res = identity_residuals(art, art.request.cert)
+    """consist6_residuals and cc_residual evaluate the rule's classes, one
+    row per trunk level and one for every branch; the exact reference,
+    swept over every vertex of the window, finds at each of them the
+    residuals of its class: at a branch vertex whose chain child the window
+    holds, exactly those of the branch row, and at a trunk vertex, whose
+    row is exact, an interval residual containing 0 at every atom and
+    sigma."""
+    consist6 = consist6_residuals(art, art.request.cert)
+    data = from_shift(art.tree, art.weights)
+    cc = cc_residual(data, art.measures, art.window, art.request.cert)
     trunk = [Trunk(k) for k in reversed(range(len(art.measures.mixtures)))]
-    assert list(res.consist6) == trunk + [BRANCH_CLASS]
+    assert list(consist6) == trunk + [BRANCH_CLASS]
     full = reference.consist6_residuals(art)
     W, D = art.window.max_branch, art.window.max_depth
     assert list(full) == trunk + [Branch(i, j) for i in range(1, W + 1) for j in range(1, D)]
     for u, ref in full.items():
         if isinstance(u, Branch):
-            assert ref.max_residual == res.consist6[BRANCH_CLASS].max_residual == 0, u
+            assert ref.max_residual == consist6[BRANCH_CLASS].max_residual == 0, u
         else:
-            assert res.consist6[u].max_residual == 0, u
+            assert consist6[u].max_residual == 0, u
             assert all(coerce(r).gap_to(0) == 0 for _, r in ref.per_atom), u
-    data = from_shift(art.tree, art.weights)
     exact_cc = reference.cc_classes(data, art.measures, art.window, art.request.cert)
     assert list(exact_cc) == list(full)
-    classes = {c.vertex: c for c in res.cc.per_class}
+    classes = {c.vertex: c for c in cc.per_class}
     assert list(classes) == trunk + [BRANCH_CLASS]
     for x, (sigmas, diffs) in exact_cc.items():
         if isinstance(x, Branch):
@@ -380,8 +381,10 @@ def test_identity_classes_do_not_read_the_window():
     seen = []
     for window in (Window(3, 6, 3), Window(3, 60, 3), Window(3, 6, 1)):
         art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=ts.MIXED_Q, window=window))
-        res = identity_residuals(art, art.request.cert)
-        seen.append((res.consist6, res.cc, art.certificates["consist6"]))
+        cfg = art.request.cert
+        cc = cc_residual(from_shift(art.tree, art.weights), art.measures, art.window, cfg)
+        seen.append((consist6_residuals(art, cfg), cc,
+                     art.to_json_dict()["certificates"]["consist6"]))
     assert seen[0] == seen[1] == seen[2]
     assert list(seen[0][0]) == [Trunk(3), Trunk(2), Trunk(1), Trunk(0), BRANCH_CLASS]
     assert seen[0][2]["vertices_checked"] == 5

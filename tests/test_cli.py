@@ -109,6 +109,25 @@ def test_partial_sums_csv(artifact_path, tmp_path):
     assert third[4] == "11/6"
 
 
+def test_partial_sums_stop_at_the_number_cap(tmp_path, capsys):
+    """The exact partial sums of mixed q pass MAX_RATIONAL_BITS at row 197
+    of the (1, 3, mixed) document (66,498 bits): --count 197 exits 2 before
+    writing, in under 1 s, naming the row, --count 196 writes every row,
+    and so does the default count of 100."""
+    doc, out = tmp_path / "mixed.json", tmp_path / "sums.csv"
+    assert run(["generate", "--n", "1", "--kappa", "3", "--q", "mixed", "--out", str(doc)]) == 0
+    sums = ["partial-sums", str(doc), "--exponent", "1", "--out", str(out)]
+    started = time.monotonic()
+    assert run(sums + ["--count", "197"]) == 2
+    assert time.monotonic() - started < 1
+    assert "row 197 has an exact cell over MAX_RATIONAL_BITS" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(sums + ["--count", "196"]) == 0
+    assert len(out.read_text().splitlines()) == 197
+    assert run(sums) == 0
+    assert len(out.read_text().splitlines()) == 101
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["generate", "--n", "1"])  # --out missing

@@ -14,23 +14,27 @@ with integral tail sandwiches, cross-checked against mpmath.zeta):
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import json
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import treeshift as ts
-from treeshift import Branch, LINEAR_Q, MIXED_Q, SequenceSpec, Tail, Trunk
+from treeshift import Branch, LINEAR_Q, MIXED_Q, SequenceSpec, Tail, Trunk, construct, wco
 from treeshift.construct import (
     approx_residual,
     choose_subsequence,
     consist6_residuals,
     generate,
+    identity_lemmas,
     normalize,
     trunk_weights,
     verify,
@@ -263,9 +267,42 @@ def test_request_rejects_booleans(field, value):
 def test_widly1_residuals(artifact_n1_k3):
     art = artifact_n1_k3
     tol = art.request.cert.check_tol
-    for l, r in art.certificates["widly1"].items():
-        assert r <= tol, l
-    assert art.certificates["widly1_prime"]["residual"] <= tol
+    certificates = art.to_json_dict()["certificates"]
+    for entry in certificates["widly1"]:
+        assert Fraction(entry["residual"]) <= tol, entry["l"]
+    assert Fraction(certificates["widly1_prime"]["residual"]) <= tol
+
+
+def test_generate_keeps_the_traced_layer_calls(monkeypatch):
+    """perfbench/spans.py times the layers by rebinding the module
+    attributes in its _LAYER_CALLS, and perfbench/worker.py reads what the
+    consistency and CC layers return: every (module, attribute) pair there
+    resolves, and generate calls construct.consist6_residuals and
+    wco.cc_residual through their module attributes, once each, the first
+    returning a dict keyed by class with the branch class last, the second
+    a report whose classes name their vertices."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attribute, _ in spans._LAYER_CALLS:
+        assert callable(getattr(module, attribute, None)), (module.__name__, attribute)
+    results = {}
+
+    def spy(module, attribute):
+        real = getattr(module, attribute)
+
+        def called(*args, **kwargs):
+            results.setdefault(attribute, []).append(real(*args, **kwargs))
+            return results[attribute][-1]
+        monkeypatch.setattr(module, attribute, called)
+
+    spy(construct, "consist6_residuals")
+    spy(wco, "cc_residual")
+    generate(ts.CounterexampleRequest(n=1, kappa=3, q=MIXED_Q, window=ts.Window(3, 6, 3)))
+    (consist6,), (cc,) = results["consist6_residuals"], results["cc_residual"]
+    assert list(consist6) == [Trunk(3), Trunk(2), Trunk(1), Trunk(0), wco.BRANCH_CLASS]
+    assert [c.vertex for c in cc.per_class] == list(consist6)
 
 
 def test_verify_roundtrip(artifact_n1_k3):
@@ -351,20 +388,22 @@ def test_artifact_bytes_pinned(small_artifacts):
 
 
 def test_exact_residuals_pinned(small_artifacts):
-    """The exact residuals verify computes, the per-atom consistency tuples
-    and the CC classes included, are pinned as well: a change the rounded
-    max_residual strings of the artifact would hide fails here.  The digests
-    last moved when every identity record became an exact identity of the
-    rule's monomials: every residual is Fraction(0), and each trunk row is
-    the branch row's exact shape (per_atom at 0 only, CC worst sigma R+), so
-    the linear and mixed residuals are now the same."""
-    digests = {
-        q: hashlib.sha256(repr(verify(art.to_json_dict()).residuals).encode()).hexdigest()
-        for q, art in small_artifacts.items()
-    }
+    """The records verify gives and the identity records it decided (each
+    record's classes with their monomials, and each leaf as recomputed) are
+    pinned as well: a change the rounded max_residual strings of the
+    artifact would hide fails here.  The digests last moved when the
+    identity records became one table (`identity_lemmas`): this test pinned
+    `repr(verify(doc).residuals)`, a record class whose every residual was
+    Fraction(0) and which is gone, and pins the records and the decided
+    table in its place.  Each class monomial is one, so the linear and
+    mixed tables are the same; the records differ in their nd details."""
+    digests = {}
+    for q, art in small_artifacts.items():
+        report = verify(art.to_json_dict())
+        digests[q] = hashlib.sha256(repr((report.records, report.lemmas)).encode()).hexdigest()
     assert digests == {
-        "linear": "a6fcdb9415544230c824d923a3fc345a3a418d85aece7dc84a3480349555b66b",
-        "mixed": "a6fcdb9415544230c824d923a3fc345a3a418d85aece7dc84a3480349555b66b",
+        "linear": "54408b7ee823a3f95e26c5af2a9adad72bb02b796bca9b515f27ffa571588770",
+        "mixed": "7280343bb95c082b0c3e581f71f92f8a3b0ccf64c65c46b670cac380f5a8b937",
     }
 
 
@@ -550,8 +589,9 @@ def _huge_window(doc):
     doc["window"]["max_branch"] = 10**6
 
 
-def _edit(*path, value=None):
-    """Set the entry at `path` to `value`, or delete it when value is None."""
+def _edit(*path, value=None, kappa=3):
+    """Set the entry at `path` to `value`, or delete it when value is None;
+    `kappa` names the (1, kappa, mixed) document an identity edit is for."""
     def edit(doc):
         node = doc
         for key in path[:-1]:
@@ -560,6 +600,7 @@ def _edit(*path, value=None):
             del node[path[-1]]
         else:
             node[path[-1]] = value
+    edit.kappa = kappa
     return edit
 
 
@@ -721,16 +762,43 @@ def doc_363():
     (_edit("certificates", "widly1", 1, "residual", value="1/7"), "widly1[l=2]"),
     (_edit("certificates", "mass_residuals", 2, "residual", value="1/10000000000000"),
      "mass[mu_-2]"),
+    # kappa = inf: four widly1 rows, the last at l = 4, and no widly1-prime
+    pytest.param(_edit("certificates", "widly1", 3, "residual", value="1/7", kappa=ts.INF),
+                 "widly1[l=4]", id="inf-widly1[l=4]"),
+    pytest.param(_edit("certificates", "consist6", "vertices_checked", value=4, kappa=ts.INF),
+                 "consist6", id="inf-consist6"),
+    pytest.param(_edit("certificates", "mass_residuals", 3, "residual", value="1/3",
+                       kappa=ts.INF), "mass[mu_-3]", id="inf-mass[mu_-3]"),
+    pytest.param(_edit("certificates", "cc", "algebra_bound", value="1/3", kappa=ts.INF),
+                 "cc", id="inf-cc"),
 ])
-def test_verify_compares_stored_identity_certificates(doc_363, edit, name):
+def test_verify_compares_stored_identity_certificates(edit, name):
     """A stored identity certificate that differs from the recomputed one
     fails its record, and the detail names both values.  Every recomputed
-    residual is 0, so a stored 1e-13, below check_tol, fails as well."""
-    doc = json.loads(json.dumps(doc_363))
+    residual is 0, so a stored 1e-13, below check_tol, fails as well.
+    Every leaf of the document's identity certificates is owned by exactly
+    one record of `identity_lemmas`, so none goes unread."""
+    text = _fuzz_document("mixed", edit.kappa)
+    stored = Counter(path for path, _ in _identity_leaves(json.loads(text)["certificates"]))
+    owned = Counter(path for lemma in identity_lemmas(edit.kappa, ts.Window(3, 6, 3))
+                    for path, _ in _identity_leaves(construct._lemmas_json((lemma,))))
+    assert owned == stored and set(owned.values()) == {1}
+    doc = json.loads(text)
     edit(doc)
     failures = verify(doc).failures()
     assert [r.name for r in failures] == [name]
     assert "stored" in failures[0].detail and "recomputed" in failures[0].detail
+
+
+def _identity_leaves(certificates):
+    """(path, value) of each leaf of the identity certificates of a
+    document, an entry of a residual table keyed by its position, not its
+    index in the list."""
+    for path, value in _leaves({k: v for k, v in certificates.items() if k != "nd"}):
+        if path[0] in ("widly1", "mass_residuals"):
+            entry = certificates[path[0]][path[1]]
+            path = (path[0], entry["l" if path[0] == "widly1" else "shift"]) + path[2:]
+        yield path, value
 
 
 @pytest.mark.parametrize("paths, failures", [
@@ -826,10 +894,10 @@ def test_verify_checks_every_leaf(q):
 
 
 @functools.cache
-def _fuzz_document(tail: str) -> str:
-    """The (1, 3, q) Window(3, 6, 3) document, as JSON text."""
+def _fuzz_document(tail: str, kappa=3) -> str:
+    """The (1, kappa, q) Window(3, 6, 3) document, as JSON text."""
     q = {"linear": LINEAR_Q, "mixed": MIXED_Q}[tail]
-    request = ts.CounterexampleRequest(n=1, kappa=3, q=q, window=ts.Window(3, 6, 3))
+    request = ts.CounterexampleRequest(n=1, kappa=kappa, q=q, window=ts.Window(3, 6, 3))
     return generate(request).to_json()
 
 
@@ -926,11 +994,23 @@ def test_verify_total_under_mutation(tail, edit):
     (_edit("schema"), "schema"),
     (_edit("measures", "eps", value=[1, 2]), "measures.eps"),
     (_edit("measures", "eps"), "measures.eps"),
+    # kappa = inf: no terminal level, and four widly1 entries
+    pytest.param(_edit("certificates", "widly1_prime", kappa=ts.INF,
+                       value={"l": 4, "residual": "0", "holds_leq_1": True}),
+                 "certificates.widly1_prime: kappa = inf", id="inf-widly1_prime"),
+    pytest.param(_edit("certificates", "widly1", 3, kappa=ts.INF),
+                 "certificates.widly1: 3 entries, the window needs 4", id="inf-widly1-short"),
+    pytest.param(_edit("certificates", "widly1", 3, "l", value=5, kappa=ts.INF),
+                 "certificates.widly1[3]: ValueError: l = 5, expected 4", id="inf-widly1-l"),
+    pytest.param(_edit("certificates", "mass_residuals", 3, "residual", value=0, kappa=ts.INF),
+                 "certificates.mass_residuals[3]", id="inf-mass-retyped"),
+    pytest.param(_edit("certificates", "consist6", "max_residual", kappa=ts.INF),
+                 "certificates.consist6.max_residual: missing", id="inf-consist6-missing"),
 ])
-def test_verify_rejects_missing_or_mistyped_fields(doc_363, edit, path):
+def test_verify_rejects_missing_or_mistyped_fields(edit, path):
     """A missing or mistyped certificate field, a wrong or missing schema and
     a non-empty eps each fail one parse-artifact record naming the path."""
-    doc = json.loads(json.dumps(doc_363))
+    doc = json.loads(_fuzz_document("mixed", edit.kappa))
     edit(doc)
     report = verify(doc)
     assert [(r.name, r.passed) for r in report.records] == [("parse-artifact", False)]

@@ -11,7 +11,7 @@ import pytest
 
 import treeshift as ts
 from treeshift import construct, measures, wco
-from treeshift.construct import identity_residuals
+from treeshift.construct import consist6_residuals
 from treeshift.errors import NoCertificateError
 from treeshift.rationals import coerce, outward, scalar_abs_upper
 from treeshift.series import ONE, Monomial, power_series_certificate
@@ -58,6 +58,14 @@ def _assert_rule_enclosures(art):
         assert mix.prefactor == outward(M(-l).recip()), l
 
 
+def _class_rows(art):
+    """The consistency rows and the CC report of an artifact's classes, as
+    the layers give them."""
+    cfg = art.request.cert
+    return (consist6_residuals(art, cfg),
+            wco.cc_residual(from_shift(art.tree, art.weights), art.measures, art.window, cfg))
+
+
 def _contains_zero(residual) -> bool:
     return coerce(residual).gap_to(0) == 0
 
@@ -71,16 +79,16 @@ def _check_against_reference(art, wider=WIDER):
     residuals are the one branch row's, bit for bit.  Each rule enclosure is
     its monomial's."""
     cfg = art.request.cert
-    res = identity_residuals(art, cfg)
+    consist6, cc = _class_rows(art)
     trunk = [Trunk(k) for k in reversed(range(len(art.measures.mixtures)))]
-    assert list(res.consist6) == trunk + [BRANCH_CLASS]
-    assert [c.vertex for c in res.cc.per_class] == trunk + [BRANCH_CLASS]
+    assert list(consist6) == trunk + [BRANCH_CLASS]
+    assert [c.vertex for c in cc.per_class] == trunk + [BRANCH_CLASS]
     _assert_rule_enclosures(art)
     W = wider * art.window.max_branch
     wide = replace(art, window=replace(art.window, max_branch=W,
                                        max_depth=min(art.window.max_depth, 2)))
     exact6 = reference.consist6_residuals(wide)
-    branch = res.consist6[BRANCH_CLASS]
+    branch = consist6[BRANCH_CLASS]
     assert branch.max_residual == 0 and branch.per_atom == ((Fraction(0), Fraction(0)),)
     ref_branches = [u for u in exact6 if isinstance(u, Branch)]
     assert ref_branches == ([Branch(i, 1) for i in range(1, W + 1)]
@@ -89,13 +97,13 @@ def _check_against_reference(art, wider=WIDER):
         assert (exact6[u].max_residual, exact6[u].residual_upper) == (
             branch.max_residual, branch.residual_upper), u
     for u in trunk:
-        got, ref = res.consist6[u], exact6[u]
+        got, ref = consist6[u], exact6[u]
         assert len(ref.per_atom) > W // 2, u  # the wide range was read
         assert all(_contains_zero(r) for _, r in ref.per_atom), u
         assert (got.max_residual, got.per_atom) == (0, ((Fraction(0), Fraction(0)),)), u
     exact_cc = reference.cc_classes(from_shift(art.tree, art.weights), art.measures,
                                     wide.window, cfg)
-    got_cc = {c.vertex: c for c in res.cc.per_class}
+    got_cc = {c.vertex: c for c in cc.per_class}
     assert [x for x in exact_cc if isinstance(x, Branch)] == ref_branches
     assert [x for x in exact_cc if not isinstance(x, Branch)] == trunk
     branch = got_cc[BRANCH_CLASS]
@@ -148,15 +156,15 @@ def test_mixture_rows_are_the_contract(key):
     art = _artifact(*key)
     M = Monomial.moment
     assert construct.normalization_rule() == ONE / M(0)
-    res = identity_residuals(art, art.request.cert)
-    cc = {c.vertex: c for c in res.cc.per_class}
+    consist6, report = _class_rows(art)
+    cc = {c.vertex: c for c in report.per_class}
     mix = art.measures.mixtures
     for k in range(len(mix)):
         assert construct.trunk_rule(k) == M(-k) / M(-k - 1)
         assert construct.prefactor_rule(k) == ONE / M(-k)
         F = ONE / M(0) if k == 0 else M(1 - k) / M(-k) * (ONE / M(1 - k))
         assert art.measures.class_identity(k) == construct.prefactor_rule(k) / F == ONE
-        row = res.consist6[Trunk(k)]
+        row = consist6[Trunk(k)]
         assert (row.max_residual, row.per_atom) == (0, ((Fraction(0), Fraction(0)),)), k
         assert (cc[Trunk(k)].worst_sigma, cc[Trunk(k)].max_residual,
                 cc[Trunk(k)].algebra_bound) == ("R+", 0, 0), k
@@ -226,10 +234,10 @@ def test_branch_rows_equal_the_generic_exact_path(q, window):
     at every depth, a window of depth 1 too."""
     art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=window))
     cfg, W = art.request.cert, window.max_branch
-    res = identity_residuals(art, cfg)
-    row = res.consist6[BRANCH_CLASS]
-    (cc_row,) = [c for c in res.cc.per_class if isinstance(c.vertex, Branch)]
-    assert [u for u in res.consist6 if isinstance(u, Branch)] == [cc_row.vertex] == [BRANCH_CLASS]
+    consist6, cc = _class_rows(art)
+    row = consist6[BRANCH_CLASS]
+    (cc_row,) = [c for c in cc.per_class if isinstance(c.vertex, Branch)]
+    assert [u for u in consist6 if isinstance(u, Branch)] == [cc_row.vertex] == [BRANCH_CLASS]
     data = from_shift(art.tree, art.weights)
     atom_set = frozenset(art.alpha.q.value(i) for i in range(1, W + 1))
     for i in range(1, W + 1):
