@@ -38,6 +38,10 @@ from .series import LINEAR_Q, MIXED_Q, SequenceSpec
 from .shift import glowne_power_check
 from .tree import INF, Window
 
+# The most decimal digits the exact cells of one `partial-sums` file may
+# hold, about 10 MB.
+MAX_CSV_DIGITS = 10_000_000
+
 
 def _parse_kappa(text: str):
     return INF if text in ("inf", "infinity") else int(text)
@@ -96,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("artifact", type=Path)
     p.add_argument("--exponent", type=int, required=True, help="exponent l of sum alpha_i q_i^l")
     p.add_argument("--count", type=int, default=100, help="number of rows; exit 2 when an "
-                   f"exact cell is over MAX_RATIONAL_BITS = {MAX_RATIONAL_BITS} bits")
+                   f"exact cell is over MAX_RATIONAL_BITS = {MAX_RATIONAL_BITS} bits, or the "
+                   f"exact cells over MAX_CSV_DIGITS = {MAX_CSV_DIGITS} digits")
     p.add_argument("--out", type=Path, required=True)
     return parser
 
@@ -207,14 +212,18 @@ def _cmd_report(args) -> int:
 def _cmd_partial_sums(args) -> int:
     artifact = _load_rules(args.artifact)
     alpha = artifact.alpha
-    cells, total = [], Fraction(0)
-    for i in range(1, args.count + 1):  # every exact cell first: nothing is written past the cap
+    cells, total, digits = [], Fraction(0), 0
+    for i in range(1, args.count + 1):  # every exact cell first: nothing is written past a cap
         term = alpha.value(i) * alpha.q.value(i) ** args.exponent
         total += term
-        if max(n.bit_length() for x in (term, total) for n in (x.numerator, x.denominator)) \
-                > MAX_RATIONAL_BITS:
+        bits = [n.bit_length() for x in (term, total) for n in (x.numerator, x.denominator)]
+        if max(bits) > MAX_RATIONAL_BITS:
             raise ValueError(f"row {i} has an exact cell over MAX_RATIONAL_BITS = "
                              f"{MAX_RATIONAL_BITS} bits; --count {i - 1} is the most rows")
+        digits += sum(bits) * 30103 // 100000  # the exact cells' decimal digits, near enough
+        if digits > MAX_CSV_DIGITS:
+            raise ValueError(f"row {i} takes the exact cells past MAX_CSV_DIGITS = "
+                             f"{MAX_CSV_DIGITS} digits; --count {i - 1} is the most rows")
         cells.append((term, total))
     lines = ["index,term,partial_sum,term_exact,partial_sum_exact"]
     lines += [f"{i},{rat_to_decimal(term)},{rat_to_decimal(total)},"

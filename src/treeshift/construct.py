@@ -908,13 +908,8 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
         # a record holds when its leaves are the values it states; the
         # classes' residuals are exact 0 (decide_lemmas raises otherwise)
         holds, residual = lemma.leaves == stated.leaves, Fraction(0) if lemma.classes else None
-        if lemma.name == "consist6":  # the classes' verdict, then the stored certificate's
-            rec(lemma.name, holds, residual=residual)
-            if detail:
-                rec(lemma.name, False, residual=residual, detail=detail)
-        else:
-            rec(lemma.name, holds and not detail, vertex=lemma.vertex, residual=residual,
-                detail=detail or lemma.note)
+        rec(lemma.name, holds and not detail, vertex=lemma.vertex, residual=residual,
+            detail=detail or lemma.note)
 
     for name, ok, residual, detail in nd_checks:
         rec(name, ok, residual=residual, detail=detail)

@@ -14,12 +14,13 @@ accumulated in fixed-point arithmetic with directed rounding (denominator
 2^dyadic_bits).  On Omega's affine tail i_k = a*k + b the omitted terms are
 1/(k^2 (a*k+b)^m); with d = b/a an integer, partial fractions turn their sum
 into Hurwitz zeta tails zeta(p, N) and |d| exact reciprocals, and each zeta
-is bracketed by an exact-rational Euler-Maclaurin expansion whose remainder
-is bounded by its first omitted Bernoulli term (F. Johansson, "Rigorous
-high-precision computation of the Hurwitz zeta function and its
-derivatives", arXiv:1309.2877); the off-Omega tail is geometric.  Tail
-bounds are rounded outward onto the same 2^-dyadic_bits grid, so every
-enclosure endpoint is dyadic.
+is bracketed by its Euler-Maclaurin expansion, whose remainder is bounded by
+its first omitted Bernoulli term (F. Johansson, "Rigorous high-precision
+computation of the Hurwitz zeta function and its derivatives",
+arXiv:1309.2877), summed in fixed point with directed rounding, the
+Bernoulli numbers coming from integer tangent numbers; the off-Omega tail
+is geometric.  Tail bounds are rounded outward onto the same 2^-dyadic_bits
+grid, so every enclosure endpoint is dyadic.
 Divergent verdicts carry a harmonic minorant, the witness index at which
 the on-Omega partial sum first crosses a configurable threshold, and a
 certified dyadic lower bound of that partial sum, itself above the
@@ -49,7 +50,7 @@ from fractions import Fraction
 from functools import cache, cached_property, lru_cache, reduce
 from bisect import bisect_right
 from itertools import accumulate
-from math import comb, exp
+from math import exp
 from operator import mul
 from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
@@ -413,61 +414,109 @@ class SeriesCertificate:
 
 
 @cache
+def _tangent_numbers(n: int) -> Tuple[int, ...]:
+    """T_1..T_n by Brent and Harvey's integer recurrence ("Fast computation
+    of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286, algorithm
+    TangentNumbers): T_k = (k-1)! at first, then for k = 2..n every
+    T_j, j >= k, becomes (j-k) T_{j-1} + (j-k+2) T_j."""
+    T = [1]
+    for k in range(2, n + 1):
+        T.append((k - 1) * T[-1])
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j - 1] = (j - k) * T[j - 2] + (j - k + 2) * T[j - 1]
+    return tuple(T)
+
+
+def tangent_number(j: int) -> int:
+    """T_j = tan^(2j-1)(0), the j-th tangent number (1, 2, 16, 272, ...),
+    for j >= 1, from a table of at least 16 that doubles on demand."""
+    return _tangent_numbers(max(16, 1 << (j - 1).bit_length()))[j - 1]
+
+
+@cache
 def bernoulli_even(j: int) -> Fraction:
-    """B_{2j}, from sum_{i=0}^{m} C(m+1, i) B_i = 0 (m = 2j) with B_1 = -1/2
-    and the other odd Bernoulli numbers zero; computed on first use."""
+    """B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) from the tangent number
+    T_j (B_0 = 1); one Fraction per value, computed on first use."""
     if j == 0:
         return Fraction(1)
-    m = 2 * j
-    s = sum(comb(m + 1, 2 * i) * bernoulli_even(i) for i in range(j)) - Fraction(m + 1, 2)
-    return -s / (m + 1)
+    return Fraction((-1) ** (j - 1) * 2 * j * tangent_number(j), (1 << 2 * j) * ((1 << 2 * j) - 1))
 
 
-def zeta_tail_brackets(p: int, N: int) -> Iterator[Tuple[int, Fraction, Fraction]]:
-    """(J, S, R) for J = 1, 2, ...: sum_{k>=N} k^-p lies in [S - R, S + R].
+def _em_fixed(p: int, N: int, bits: int) -> Iterator[Tuple[int, int, int, int]]:
+    """(lo, hi, r, d) for J = 1, 2, ...: lo <= 2^bits x <= hi, where x is
+    zeta(p, N) = sum_{k>=N} k^-p for p >= 2 and H_N - ln N - gamma for
+    p = 1, from J Euler-Maclaurin terms, and r/d is their remainder bound R.
 
-    S is the Euler-Maclaurin expansion with J Bernoulli terms,
-      N^{1-p}/(p-1) + N^{-p}/2 + sum_{j<=J} B_2j/(2j)! (p)_{2j-1} N^{1-p-2j},
-    and R = |B_{2J+2}|/(2J+2)! (p)_{2J+1} N^{-p-2J-1} is its first omitted
-    term.  Every even derivative of x^-p is positive on (0, inf), so the
-    remainder lies between 0 and that term (F. Johansson, arXiv:1309.2877,
-    section 2; F. W. J. Olver, Asymptotics and Special Functions, 8.1).
-    For p >= 2 and N >= 1.
-    """
-    S = Fraction(1, (p - 1) * N ** (p - 1)) + Fraction(1, 2 * N**p)
-    rising, fact, power = p, 2, N ** (p + 1)  # (p)_{2j-1}, (2j)!, N^{p+2j-1}
-    J = 0
+    For p >= 2 the expansion is
+      zeta(p, N) = N^{1-p}/(p-1) + N^{-p}/2 + sum_{j<=J} t_j + rem,
+      t_j = B_2j/(2j)! (p)_{2j-1} N^{1-p-2j}
+          = (-1)^(j-1) T_j (p)_{2j-1} / ((2j-1)! 4^j (4^j - 1) N^{p+2j-1}),
+    and every even derivative of x^-p is positive on (0, inf), so rem lies
+    between 0 and t_{J+1}: |rem| <= R = |t_{J+1}| (F. Johansson,
+    arXiv:1309.2877, section 2; F. W. J. Olver, Asymptotics and Special
+    Functions, 8.1).  For p = 1, H_N - gamma = psi(N) + 1/N, and the
+    digamma expansion gives H_N - ln N - gamma = 1/(2N) - sum_{j<=J} t_j +
+    rem with t_j = B_2j/(2j N^2j), the same formula at p = 1, and the same
+    bound on rem (NIST DLMF 5.11.2 and 5.11(ii)).
+
+    Each term is an integer quotient, floored into lo and ceiled into hi,
+    and R is ceiled onto both ends, so [lo, hi] holds the exact bracket
+    2^bits [S - R, S + R], each end at most J + 2 grid steps outside it.
+    No Fraction is built.  For N >= 1."""
+    sign = -1 if p == 1 else 1
+    lead = [(1, 2 * N)] if p == 1 else [(1, (p - 1) * N ** (p - 1)), (1, 2 * N**p)]
+    lo = sum((num << bits) // den for num, den in lead)
+    hi = -sum((-num << bits) // den for num, den in lead)
+    # t_j = num/den from (p)_{2j-1}, (2j-1)!, 4^j and N^{p+2j-1}; T_1 = 1
+    rising, fact, four, power, n2, j = p, 1, 4, N ** (p + 1), N * N, 1
+    num, den = sign * rising, fact * four * (four - 1) * power
     while True:
-        J += 1
-        S += bernoulli_even(J) * rising / (fact * power)
-        rising *= (p + 2 * J - 1) * (p + 2 * J)
-        fact *= (2 * J + 1) * (2 * J + 2)
-        power *= N * N
-        yield J, S, abs(bernoulli_even(J + 1)) * rising / (fact * power)
+        lo += (num << bits) // den
+        hi -= (-num << bits) // den
+        rising *= (p + 2 * j - 1) * (p + 2 * j)
+        fact *= 2 * j * (2 * j + 1)
+        four, power, sign, j = four << 2, power * n2, -sign, j + 1
+        num, den = sign * tangent_number(j) * rising, fact * four * (four - 1) * power
+        r = abs(num)
+        ceil_r = -((-r << bits) // den)
+        yield lo - ceil_r, hi + ceil_r, r, den
+
+
+def _em_bracket(p: int, N: int, bits: int) -> Tuple[int, int]:
+    """(lo, hi) of `_em_fixed(p, N, bits)` at the first J whose remainder
+    is below 2^-bits, or at the last J before the remainder stops
+    shrinking; both rules compare the exact remainders."""
+    prev = None
+    for lo, hi, r, d in _em_fixed(p, N, bits):
+        if prev is not None and r * prev[3] >= prev[2] * d:
+            return prev[:2]
+        if r << bits < d:
+            return lo, hi
+        prev = lo, hi, r, d
 
 
 @cache
 def _zeta_fixed_brackets(p: int, N: int, bits: int):
     """The pairs _zeta_fixed has found for (p, N, bits), J = 1, 2, ..., and
-    the expansion that extends them: memoized like bernoulli_even, since
-    each pair is a pure function of (p, N, J, bits)."""
-    return [], zeta_tail_brackets(p, N)
+    the kernel that extends them: memoized like bernoulli_even, since each
+    pair is a pure function of (p, N, J, bits)."""
+    return [], _em_fixed(p, N, bits)
 
 
 def _zeta_fixed(p: int, N: int, J: int, bits: int) -> Tuple[int, int]:
     """(lo, hi) with lo <= 2^bits zeta(p, N) <= hi, from J Bernoulli terms."""
     pairs, brackets = _zeta_fixed_brackets(p, N, bits)
     while len(pairs) < J:
-        _, S, R = next(brackets)
-        pairs.append((scaled_floor(S - R, bits), scaled_ceil(S + R, bits)))
+        pairs.append(next(brackets)[:2])
     return pairs[J - 1]
 
 
 def _em_width_floor(p: int, N: int, limit: Fraction) -> Fraction:
-    """A lower bound on the width 2R of every bracket zeta_tail_brackets(p,
-    N) yields (J >= 1), or, once some J may give a bracket at most `limit`
-    wide, a value <= limit.  |B_2j|/(2j)! = 2 zeta(2j)/(2 pi)^2j >
-    2/(2 pi)^2j, so the J-th bracket is wider than
+    """A lower bound on the width 2R of every exact Euler-Maclaurin bracket
+    of zeta(p, N) (`_em_fixed`, J >= 1), or, once some J may give a bracket
+    at most `limit` wide, a value <= limit.  |B_2j|/(2j)! =
+    2 zeta(2j)/(2 pi)^2j > 2/(2 pi)^2j, so the J-th bracket is wider than
       w_J = 4 (p)_{2J+1} / ((P/Q)^{2J+2} N^{p+2J+1}),  P/Q = 710/113 > 2 pi,
     and w_{J+1}/w_J = (p+2J+1)(p+2J+2) Q^2/(P N)^2: w_J falls until that
     ratio reaches 1, and rises after."""
@@ -498,7 +547,8 @@ def _on_tail_bounds(a: int, b: int, m: int, K: int, budget: Fraction, bits: int)
       tail = a^-m (A2 zeta(2, K+1) + A1 E + sum_{j=2..m} B_j zeta(j, K+1+d)),
     or a^-m zeta(m+2, K+1) when m = 0 or d = 0.  The parts cancel from O(1)
     to far below 2^-bits, so each zeta gets J Euler-Maclaurin terms on the
-    2^-(bits+64) grid, the parts are combined there in integers with
+    2^-(bits+64) grid (`_em_fixed`: each end at most J + 2 steps outside
+    the exact bracket), the parts are combined there in integers with
     directed rounding, and the sum is rounded outward to 2^-bits once.  J
     grows for every zeta together until the bracket is at most `budget`
     wide, or until another term no longer narrows it.
@@ -578,8 +628,11 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     off_tail_hi = Fraction(0) if off_empty else Fraction(1, 2**I)
 
     bits = cfg.dyadic_bits
-    width = rat_to_decimal(cfg.series_width, 3)
-    missed = f"sum_i alpha_i*q_i^{l}: series_width {width} not reached"
+
+    def missed():  # the error text, built only when it is raised
+        width = rat_to_decimal(cfg.series_width, 3)
+        return f"sum_i alpha_i*q_i^{l}: series_width {width} not reached"
+
     K = max(16, omega.affine_from)
     while True:
         # the tail's share of the width: the rest goes to the off-Omega tail
@@ -588,7 +641,7 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
         budget = cfg.series_width - spent
         if budget <= 0:  # a larger K only shrinks the budget
             raise WidthNotReachedError(
-                f"{missed}; the off-Omega tail and the rounding alone take "
+                f"{missed()}; the off-Omega tail and the rounding alone take "
                 f"{rat_to_decimal(spent, 3)} at {K} on-Omega terms"
             )
         tail = _on_tail_bounds(omega.slope, omega.intercept, m, K, budget, bits)
@@ -596,10 +649,10 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
             break
         if K >= cfg.max_terms:
             raise WidthNotReachedError(
-                f"{missed}; {K} on-Omega terms give width "
+                f"{missed()}; {K} on-Omega terms give width "
                 f"{rat_to_decimal(spent + tail[1] - tail[0], 3)}, of which the off-Omega tail "
                 f"and the rounding take {rat_to_decimal(spent, 3)}" if tail else
-                f"{missed}; Euler-Maclaurin cannot bracket the tail beyond {K} on-Omega "
+                f"{missed()}; Euler-Maclaurin cannot bracket the tail beyond {K} on-Omega "
                 f"terms within {rat_to_decimal(budget, 3)}"
             )
         K = min(2 * K, cfg.max_terms)
@@ -760,9 +813,9 @@ def _closed_form_witness(q, omega, k0: int, lo0: int, T: Fraction) -> Tuple[int,
     and with H_N = ln N + gamma + E(N) this is C + a (ln k + E(k)) -
     b zeta(2, k+1) for a constant C, gamma cancelling.  Each piece is an
     integer bracket on the 2^-bits grid with directed rounding: ln N from
-    ln_fixed, E(N) from harmonic_brackets and zeta(2, N) from
-    zeta_tail_brackets, each summed until its remainder bound is below one
-    grid step.  A step is decided when both ends of S_k's bracket have the
+    ln_fixed, and E(N) and zeta(2, N) from the fixed-point Euler-Maclaurin
+    kernel (`_em_bracket`), each summed until its remainder bound is below
+    one grid step.  A step is decided when both ends of S_k's bracket have the
     same 128-bit floor, which is then floor(2^128 S_k); otherwise the step
     is retried with 64, 128, 256 and 512 more bits, and past that raises
     NoCertificateError naming k.  bits is 192, or 96 above k's bit length
@@ -781,10 +834,10 @@ def _closed_form_witness(q, omega, k0: int, lo0: int, T: Fraction) -> Tuple[int,
     consts, brackets, floors = {}, {}, {}
 
     def harmonic(N, bits):  # ln N + E(N) = H_N - gamma
-        return _add(ln_fixed(N, bits), _fixed_bracket(harmonic_brackets(N), bits))
+        return _add(ln_fixed(N, bits), _em_bracket(1, N, bits))
 
     def zeta2(N, bits):
-        return _fixed_bracket(zeta_tail_brackets(2, N), bits)
+        return _em_bracket(2, N, bits)
 
     def const(bits):  # C = S_k0 - a (ln k0 + E(k0)) + b zeta(2, k0+1)
         if bits not in consts:
@@ -902,40 +955,6 @@ def ln_fixed(N: int, bits: int) -> Tuple[int, int]:
     a_lo, a_hi = _atanh_fixed(N - (1 << e), N + (1 << e), bits)
     l_lo, l_hi = _ln2_fixed(bits)
     return e * l_lo + 2 * a_lo, e * l_hi + 2 * a_hi
-
-
-def harmonic_brackets(N: int) -> Iterator[Tuple[int, Fraction, Fraction]]:
-    """(J, S, R) for J = 1, 2, ...: H_N - ln N - gamma lies in [S - R, S + R].
-
-    S = 1/(2N) - sum_{j<=J} B_2j/(2j N^2j) is the Euler-Maclaurin expansion
-    of the digamma function (H_N - gamma = psi(N) + 1/N), and
-    R = |B_{2J+2}|/((2J+2) N^{2J+2}) is its first omitted term: for real
-    N > 0 the remainder has that term's sign and at most its size (NIST
-    DLMF 5.11.2 and 5.11(ii)).  For N >= 1.
-    """
-    S = Fraction(1, 2 * N)
-    n2, power = N * N, 1  # power = N^{2J}
-    J = 0
-    while True:
-        J += 1
-        power *= n2
-        S -= bernoulli_even(J) / (2 * J * power)
-        yield J, S, abs(bernoulli_even(J + 1)) / ((2 * J + 2) * power * n2)
-
-
-def _fixed_bracket(brackets: Iterator[Tuple[int, Fraction, Fraction]], bits: int):
-    """(lo, hi) with lo <= 2^bits x <= hi, from a sequence of brackets
-    (J, S, R) of x: the first whose R is below 2^-bits, or the last before
-    R stops shrinking."""
-    prev = None
-    for _, S, R in brackets:
-        if prev is not None and R >= prev[1]:
-            S, R = prev
-            break
-        prev = S, R
-        if R.numerator << bits < R.denominator:
-            break
-    return scaled_floor(S - R, bits), scaled_ceil(S + R, bits)
 
 
 def _scaled(cert: SeriesCertificate, scale: Fraction) -> SeriesCertificate:

@@ -128,6 +128,24 @@ def test_partial_sums_stop_at_the_number_cap(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 101
 
 
+def test_partial_sums_stop_at_the_digit_cap(tmp_path, capsys):
+    """On linear q no cell reaches MAX_RATIONAL_BITS before row 22,709, but
+    the file grows about quadratically in the rows (--count 12000 wrote
+    126 MB in 31 s): once the exact cells pass MAX_CSV_DIGITS, at row 3,394
+    of the (1, 3, linear) document, the command exits 2 naming that row
+    before anything is written.  The default count still writes."""
+    doc, out = tmp_path / "linear.json", tmp_path / "sums.csv"
+    assert run(["generate", "--n", "1", "--kappa", "3", "--out", str(doc)]) == 0
+    sums = ["partial-sums", str(doc), "--exponent", "1", "--out", str(out)]
+    started = time.monotonic()
+    assert run(sums + ["--count", "12000"]) == 2
+    assert time.monotonic() - started < 2
+    assert "row 3394 takes the exact cells past MAX_CSV_DIGITS" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(sums) == 0
+    assert len(out.read_text().splitlines()) == 101
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["generate", "--n", "1"])  # --out missing

@@ -11,6 +11,7 @@ with integral tail sandwiches, cross-checked against mpmath.zeta):
   1/zeta(4)       = 0.92393840292159016702...
 """
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 import treeshift as ts
 from treeshift import Branch, LINEAR_Q, MIXED_Q, SequenceSpec, Tail, Trunk, construct, wco
 from treeshift.construct import (
+    CheckRecord,
     approx_residual,
     choose_subsequence,
     consist6_residuals,
@@ -788,6 +790,22 @@ def test_verify_compares_stored_identity_certificates(edit, name):
     failures = verify(doc).failures()
     assert [r.name for r in failures] == [name]
     assert "stored" in failures[0].detail and "recomputed" in failures[0].detail
+
+
+def test_verify_reports_one_consist6_record(doc_363):
+    """A stored consist6 leaf that differs fails one consist6 record, whose
+    detail names both values, as every other record does; the intact
+    document has one passing consist6 record, with no vertex and no note."""
+    def consist6(doc):
+        return [r for r in verify(doc).records if r.name == "consist6"]
+
+    assert consist6(doc_363) == [CheckRecord("consist6", True, residual="0")]
+    doc = copy.deepcopy(doc_363)
+    doc["certificates"]["consist6"]["vertices_checked"] = 3
+    (record,) = consist6(doc)
+    assert not record.passed and record.vertex is None and record.residual == "0"
+    assert record.detail == ("stored consist6 {max_residual: 0, vertices_checked: 3}, "
+                             "recomputed {max_residual: 0, vertices_checked: 5}")
 
 
 def _identity_leaves(certificates):

@@ -10,6 +10,7 @@ and mpmath.zeta at 40 digits on the other (both agree to all shown digits).
   zeta(5) = 1.0369277551433699263...
 """
 
+import functools
 import itertools
 import math
 import time
@@ -34,7 +35,6 @@ from treeshift.series import (
     dyadic_floor,
     power_series_certificate,
     witness_partial_sum,
-    zeta_tail_brackets,
 )
 
 mp.mp.dps = 40
@@ -177,64 +177,129 @@ def test_mixed_certificate_soundness():
         assert cert.enclosure.lo <= partial + Fraction(1, 200) + Fraction(1, 2**399)
 
 
-# --- the Euler-Maclaurin zeta tail ---
+# --- the Euler-Maclaurin kernel and its exact-rational reference ---
+
+
+@functools.cache
+def _bernoulli_recursive(j):
+    """B_{2j} from its definition sum_{i=0}^{m} C(m+1, i) B_i = 0 (m = 2j),
+    with B_1 = -1/2 and the other odd Bernoulli numbers zero."""
+    if j == 0:
+        return Fraction(1)
+    m = 2 * j
+    s = sum(math.comb(m + 1, 2 * i) * _bernoulli_recursive(i) for i in range(j))
+    return -(s - Fraction(m + 1, 2)) / (m + 1)
+
+
+def zeta_tail_brackets(p, N):
+    """(J, S, R) for J = 1, 2, ...: the exact-rational Euler-Maclaurin
+    bracket [S - R, S + R] of zeta(p, N) for p >= 2, and of
+    H_N - ln N - gamma for p = 1 (see `series._em_fixed`), the reference
+    the fixed-point kernel is checked against."""
+    sign, S = (-1, Fraction(1, 2 * N)) if p == 1 else (
+        1, Fraction(1, (p - 1) * N ** (p - 1)) + Fraction(1, 2 * N**p))
+    rising, fact, power = p, 2, N ** (p + 1)  # (p)_{2j-1}, (2j)!, N^{p+2j-1}
+    J = 0
+    while True:
+        J += 1
+        S += sign * _bernoulli_recursive(J) * rising / (fact * power)
+        rising *= (p + 2 * J - 1) * (p + 2 * J)
+        fact *= (2 * J + 1) * (2 * J + 2)
+        power *= N * N
+        yield J, S, abs(_bernoulli_recursive(J + 1)) * rising / (fact * power)
 
 
 def _zeta_tail(p, N, J):
-    """(S, R) of zeta_tail_brackets(p, N) after J Bernoulli terms."""
+    """(S, R) of the reference bracket after J Bernoulli terms."""
     return next((S, R) for j, S, R in zeta_tail_brackets(p, N) if j == J)
 
 
 def _stated_remainder(p, N, J):
     """|B_{2J+2}|/(2J+2)! (p)_{2J+1} N^{-p-2J-1}, from its definition."""
     rising = math.prod(range(p, p + 2 * J + 1))
-    return abs(bernoulli_even(J + 1)) * rising / (math.factorial(2 * J + 2) * N ** (p + 2 * J + 1))
+    B = abs(_bernoulli_recursive(J + 1))
+    return B * rising / (math.factorial(2 * J + 2) * N ** (p + 2 * J + 1))
 
 
-def _assert_bracket_contains_hurwitz_zeta(p, N, J):
-    S, R = _zeta_tail(p, N, J)
-    lo, hi = S - R, S + R
-    assert hi - lo == 2 * _stated_remainder(p, N, J)
+def _kernel(p, N, J, bits):
+    """(lo, hi, R) of the kernel's J-th bracket on the 2^-bits grid."""
+    lo, hi, r, d = next(itertools.islice(series._em_fixed(p, N, bits), J - 1, None))
+    return lo, hi, Fraction(r, d)
+
+
+def _em_exact(p, N):
+    """zeta(p, N) for p >= 2 and H_N - ln N - gamma for p = 1, by mpmath."""
+    return mp.zeta(p, N) if p > 1 else mp.harmonic(N) - mp.log(N) - mp.euler
+
+
+def _assert_kernel_contains_mpmath(p, N, J, bits=256):
+    lo, hi, R = _kernel(p, N, J, bits)
+    assert R == _stated_remainder(p, N, J)
     # mpmath reaches zeta(p, N) through zeta(p) minus a partial sum, so its
-    # error is absolute: resolve R on the scale of 1, plus guard digits
-    with mp.workdps(30 + len(str(R.denominator // R.numerator))):
-        assert contains_mpf(Interval(lo, hi), mp.zeta(p, N)), (p, N, J)
+    # error is absolute: resolve the 2^-bits grid, plus guard digits
+    with mp.workdps(30 + bits * 30103 // 100000):
+        assert lo <= _em_exact(p, N) * mp.mpf(2) ** bits <= hi, (p, N, J)
 
 
 def test_bernoulli_numbers():
+    """B_2j from the tangent numbers equal the recursive definition and
+    mpmath for j < 60."""
+    assert [series.tangent_number(j) for j in range(1, 7)] == [1, 2, 16, 272, 7936, 353792]
     assert [bernoulli_even(j) for j in range(6)] == [
         1, Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66)
     ]
     assert bernoulli_even(10) == Fraction(-174611, 330)
     with mp.workdps(60):
-        for j in range(1, 40):
+        for j in range(60):
             b = bernoulli_even(j)
+            assert b == _bernoulli_recursive(j), j
             assert mp.almosteq(mp.mpf(b.numerator) / b.denominator, mp.bernoulli(2 * j), 1e-50)
 
 
 @pytest.mark.parametrize("N", [17, 33, 65, 1025])
 def test_zeta_tail_bracket_contains_mpmath(N):
-    for p in range(2, 41):
+    """Each fixed-point bracket of zeta(p, N), p = 2..40, and of
+    H_N - ln N - gamma (p = 1) holds mpmath's value, with the stated
+    remainder bound."""
+    for p in range(1, 41):
         for J in (1, 2, 4, 8, 15):
-            _assert_bracket_contains_hurwitz_zeta(p, N, J)
+            _assert_kernel_contains_mpmath(p, N, J)
 
 
 @given(
-    p=st.integers(min_value=2, max_value=40),
+    p=st.integers(min_value=1, max_value=40),
     N=st.integers(min_value=1, max_value=5000),
     J=st.integers(min_value=1, max_value=30),
+    bits=st.sampled_from([64, 256, 512]),
 )
-@settings(max_examples=80, deadline=None)
-def test_zeta_tail_bracket_contains_mpmath_random(p, N, J):
-    _assert_bracket_contains_hurwitz_zeta(p, N, J)
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+def test_zeta_tail_bracket_contains_mpmath_random(p, N, J, bits):
+    _assert_kernel_contains_mpmath(p, N, J, bits)
+
+
+@pytest.mark.parametrize("N", [1, 2, 17, 33, 65, 1025])
+def test_kernel_within_j_plus_2_steps_of_the_exact_bracket(N):
+    """Each end of the kernel's J-th bracket lies at most J + 2 grid steps
+    outside the reference's exact bracket [S - R, S + R], rounded outward:
+    J + 3 quotients (two leading terms, J Bernoulli terms and R; one fewer
+    for p = 1) are each rounded once."""
+    for bits in (64, 256, 384):
+        for p in range(1, 41):
+            kernel = itertools.islice(series._em_fixed(p, N, bits), 15)
+            for (J, S, R), (lo, hi, r, d) in zip(zeta_tail_brackets(p, N), kernel):
+                exact_lo, exact_hi = scaled_floor(S - R, bits), -scaled_floor(-S - R, bits)
+                assert Fraction(r, d) == R
+                assert exact_lo - (J + 2) <= lo <= exact_lo, (bits, p, J)
+                assert exact_hi <= hi <= exact_hi + J + 2, (bits, p, J)
 
 
 def test_zeta_tail_bracket_sizing():
     # the sizes the default certificates rely on: K = 16 on-Omega terms leave
     # zeta(p, 17), which a handful of Bernoulli terms pin below 1e-14, and a
     # 1e-30 target needs 15 terms at N = 17 or 8 at N = 65
-    assert all(2 * _zeta_tail(p, 17, 4)[1] < Fraction(1, 10**14) for p in range(2, 41))
-    first = {N: next(J for J, _, R in zeta_tail_brackets(2, N) if 2 * R < Fraction(1, 10**30))
+    assert all(2 * _kernel(p, 17, 4, 64)[2] < Fraction(1, 10**14) for p in range(2, 41))
+    first = {N: next(J for J, (_, _, r, d) in enumerate(series._em_fixed(2, N, 64), 1)
+                     if 2 * Fraction(r, d) < Fraction(1, 10**30))
              for N in (17, 65)}
     assert first == {17: 15, 65: 8}
 
@@ -311,7 +376,8 @@ def test_em_width_floor_is_the_narrowest_bracket(p, N):
     (|B_2j|/(2j)! exceeds 2/(2 pi)^2j by the factor zeta(2j) only); with a
     limit some bracket meets, it returns a value no larger than the limit."""
     floor = series._em_width_floor(p, N, Fraction(0))
-    narrowest = min(2 * R for _, _, R in itertools.islice(series.zeta_tail_brackets(p, N), 4 * N))
+    kernel = itertools.islice(series._em_fixed(p, N, 64), 4 * N)
+    narrowest = min(2 * Fraction(r, d) for _, _, r, d in kernel)
     assert floor <= narrowest <= floor * Fraction(1001, 1000)
     assert series._em_width_floor(p, N, 2 * narrowest) <= 2 * narrowest
 
@@ -582,26 +648,60 @@ def test_ln_bracket_contains_mpmath(bits):
 
 @pytest.mark.parametrize("bits", [192, 256])
 def test_harmonic_difference_bracket_contains_mpmath(bits):
-    """Each harmonic_brackets bracket holds H_N - ln N - gamma, and with
-    ln_fixed they bracket H_K - H_h on the 2^-bits grid."""
+    """Each kernel bracket (`_em_fixed` at p = 1) holds H_N - ln N - gamma,
+    and with ln_fixed the bracket the witness takes (`_em_bracket`)
+    brackets H_K - H_h on the 2^-bits grid."""
     def harmonic(N):  # H_N - gamma
-        return series._add(series.ln_fixed(N, bits),
-                           series._fixed_bracket(series.harmonic_brackets(N), bits))
-
-    def mpq(x):
-        return mp.mpf(x.numerator) / x.denominator
+        return series._add(series.ln_fixed(N, bits), series._em_bracket(1, N, bits))
 
     with mp.workdps(100):
-        for N in (n for n in BRACKET_N if n <= 10**7):  # R far above 10^-100 for J <= 4
-            e = mp.harmonic(N) - mp.log(N) - mp.euler
-            for (J, S, R), _ in zip(series.harmonic_brackets(N), range(4)):
-                assert mpq(S - R) <= e <= mpq(S + R), (N, J)
+        for N in (n for n in BRACKET_N if n <= 10**7):
+            e = (mp.harmonic(N) - mp.log(N) - mp.euler) * mp.mpf(2) ** bits
+            for J, (lo, hi, _, _) in zip(range(1, 5), series._em_fixed(1, N, bits)):
+                assert lo <= e <= hi, (N, J)
         for h, K in zip(BRACKET_N, BRACKET_N[1:]):
             (k_lo, k_hi), (h_lo, h_hi) = harmonic(K), harmonic(h)
             diff = (mp.harmonic(K) - mp.harmonic(h)) * mp.mpf(2) ** bits
             assert k_lo - h_hi <= diff <= k_hi - h_lo, (h, K)
             if K > 1000:  # where the witness uses it; small N stop at R ~ e^(-2 pi N)
                 assert k_hi - k_lo < 2**16, K
+
+
+def _reference_em_bracket(p, N, bits):
+    """The witness's bracket from the exact-rational reference: S and R at
+    the first J whose R is below 2^-bits, or at the last J before R stops
+    shrinking, S - R floored and S + R ceiled onto the 2^-bits grid."""
+    prev = None
+    for _, S, R in zeta_tail_brackets(p, N):
+        if prev is not None and R >= prev[1]:
+            S, R = prev
+            break
+        prev = S, R
+        if R.numerator << bits < R.denominator:
+            break
+    return scaled_floor(S - R, bits), -scaled_floor(-S - R, bits)
+
+
+@pytest.mark.parametrize("q, thresholds", [
+    (LINEAR_Q, (2, 11, Fraction(73, 3), 100, 300, 354)),
+    (MIXED_Q, (2, 11, Fraction(73, 3), 100, 354, 700)),
+], ids=["linear", "mixed"])
+def test_witness_equals_the_exact_bracket_witness(monkeypatch, q, thresholds):
+    """The fixed-point kernel's brackets are a few grid steps wider than the
+    exact-rational ones, and the witness is the same: (K,
+    witness_partial_lb) on a threshold sweep up to K near 2^512 equals the
+    one found with the reference brackets."""
+    omega = build_omega(q)
+
+    def witnesses():
+        certs = [series._divergent_base(q, omega, 1, 2, CertConfig(divergence_threshold=T))
+                 for T in map(Fraction, thresholds)]
+        return [(cert.witness_index, cert.witness_partial_lb) for cert in certs]
+
+    kernel = witnesses()
+    monkeypatch.setattr(series, "_em_bracket", _reference_em_bracket)
+    assert witnesses() == kernel
+    assert kernel[-1][0].bit_length() > (508 if q is LINEAR_Q else 500)
 
 
 @pytest.mark.parametrize("threshold", [20, 100])
