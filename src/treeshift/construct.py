@@ -16,7 +16,7 @@ S^{n+1} is not:
 
 Artifacts serialize to a single deterministic JSON document carrying both
 the symbolic rules and concrete per-vertex tables inside the truncation
-window; `verify` rebuilds the rules from a document's request and alpha,
+window; `verify` rebuilds the rules from a document's request alone,
 requires every stored number to equal the rule's, and certifies the rules.
 """
 
@@ -25,9 +25,10 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from operator import getitem
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import IdentityLeftoverError, NoCertificateError, SupNotWitnessedError
+from .errors import (IdentityLeftoverError, NoCertificateError, SupNotWitnessedError,
+                     TableRangeError)
 from .measures import AtomicMeasure, ConsistencyResult, MixtureMeasure
 from .rationals import (
     Interval,
@@ -66,15 +67,9 @@ from . import wco
 
 SCHEMA = "treeshift-artifact/1"
 
-# the fixed constants as a document must state them under `request.cert`
-_FIXED_CERT_JSON = {
-    "check_tol": rat_to_str(CertConfig.check_tol),
-    "max_terms": CertConfig.max_terms,
-    "off_omega_terms": CertConfig.off_omega_terms,
-    "scan_horizon": CertConfig.scan_horizon,
-    "dyadic_bits": CertConfig.dyadic_bits,
-    "max_power": CertConfig.max_power,
-}
+# the fixed constants as a document must state them under `request.cert`:
+# only the one a reader of documents uses (perfbench/checks.py)
+_FIXED_CERT_JSON = {"check_tol": rat_to_str(CertConfig.check_tol)}
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,8 @@ class CounterexampleRequest:
 
     @staticmethod
     def from_json(obj) -> "CounterexampleRequest":
-        """The request a document states; ValueError names a missing or mistyped key."""
+        """The request a document states; ValueError names a missing or
+        mistyped key, or a key of `cert` the library does not state."""
 
         def read(path, parse=lambda value: value):
             try:
@@ -123,6 +119,11 @@ class CounterexampleRequest:
             stated = read(f"cert.{key}")
             if stated != value:
                 raise ValueError(f"cert.{key}: {stated!r}, the library fixes {value!r}")
+        cert = obj["cert"]  # an object: its check_tol was read
+        unknown = sorted(cert.keys() - {"series_width", "divergence_threshold", *_FIXED_CERT_JSON})
+        if unknown:  # a constant the library no longer states, or never did
+            key = unknown[0]
+            raise ValueError(f"cert.{key[:40]}: {repr(cert[key])[:40]}, not a key of the request")
         return CounterexampleRequest(
             n=read("n", _index),
             kappa=read("kappa", lambda kappa: INF if kappa == "inf" else _index(kappa)),
@@ -139,8 +140,9 @@ class CounterexampleRequest:
 
 
 def choose_subsequence(q: SequenceSpec, cfg: CertConfig = DEFAULT_CONFIG) -> OmegaSpec:
-    """Strictly increasing i_k with q_{i_k} >= k, greedily smallest."""
-    return build_omega(q, cfg)
+    """Strictly increasing i_k with q_{i_k} >= k, greedily smallest
+    (`build_omega`; no setting of cfg changes it)."""
+    return build_omega(q)
 
 
 # --- the rule: each value once, as a monomial in M_s = sum_i alpha_i q_i^s ---
@@ -166,7 +168,7 @@ def prefactor_rule(l: int) -> Monomial:
 def normalize(alpha: AlphaFamily, cfg: CertConfig = DEFAULT_CONFIG):
     """c (`normalization_rule`, rounded `outward`) and the certificate of
     M_0 = sum_i alpha_i."""
-    c = outward(normalization_rule().enclosure(alpha, cfg))
+    c = outward(normalization_rule().enclosure(alpha, cfg), "c")
     return c, power_series_certificate(alpha, 0, cfg)
 
 
@@ -182,7 +184,8 @@ def trunk_weights(
     """
     if kappa is not INF and levels > kappa:
         raise ValueError("more trunk weights requested than non-root trunk vertices")
-    return tuple(outward(trunk_rule(l).enclosure(alpha, cfg)) for l in range(levels))
+    return tuple(outward(trunk_rule(l).enclosure(alpha, cfg), f"weights.trunk at l = {l}")
+                 for l in range(levels))
 
 
 @dataclass(frozen=True)
@@ -231,7 +234,8 @@ def build_measure_system(
     """Mixtures mu_{-l} = sum_i P_l alpha_i q_i^{-l} delta_{q_i} for
     l = 0..levels-1 (`prefactor_rule`, rounded `outward`), derived down the
     single-child trunk chain; every mass is exactly 1 and every eps vanishes."""
-    mixtures = tuple(MixtureMeasure(alpha, l, outward(prefactor_rule(l).enclosure(alpha, cfg)))
+    mixtures = tuple(MixtureMeasure(alpha, l, outward(prefactor_rule(l).enclosure(alpha, cfg),
+                                                      f"measures.mixtures (shift {l}) prefactor"))
                      for l in range(levels))
     return MeasureSystem(q=alpha.q, mixtures=mixtures)
 
@@ -279,25 +283,22 @@ def _artifact_window(request: CounterexampleRequest) -> Window:
     return replace(request.window, max_trunk=min(request.window.max_trunk, request.kappa))
 
 
-def build_rules(
-    request: CounterexampleRequest, alpha: Optional[AlphaFamily] = None
-) -> CounterexampleArtifact:
+def build_rules(request: CounterexampleRequest) -> CounterexampleArtifact:
     """The uncertified artifact of a request: omega, alpha, c, the trunk
     weights and the measure system on the request's window, with no
-    certificates.  `alpha` defaults to the family of the greedy subsequence;
-    `verify` passes the one a document states."""
+    certificates.  Everything is derived from the request: `generate`
+    writes this rule, and `verify` compares a document with it."""
     cfg, kappa = request.cert, request.kappa
     window = _artifact_window(request)
-    if alpha is None:
-        omega = choose_subsequence(request.q, cfg)
-        alpha = AlphaFamily(q=request.q, omega=omega, power=request.n)
+    omega = choose_subsequence(request.q, cfg)
+    alpha = AlphaFamily(q=request.q, omega=omega, power=request.n)
     c, _ = normalize(alpha, cfg)
     trunk = trunk_weights(alpha, kappa, _trunk_levels(kappa, window), cfg)
     return CounterexampleArtifact(
         request=request,
         tree=ModelTree(eta=INF, kappa=kappa),
         window=window,
-        omega=alpha.omega,
+        omega=omega,
         alpha=alpha,
         c=c,
         weights=ModelWeights(alpha=alpha, c=c, kappa=kappa, trunk=trunk),
@@ -631,7 +632,7 @@ class _Stored(NamedTuple):
     trunk table at its level."""
 
     window: Window
-    alpha: AlphaFamily
+    omega: object  # as the document states it, any JSON value
     c: Rendered
     first: Tuple[Rendered, ...]  # |lambda_{i,1}|^2
     tail: Tuple[Fraction, ...]  # |lambda_{i,j}|^2, j >= 2
@@ -657,15 +658,15 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest) -> _Stored:
     except (TypeError, ValueError) as exc:
         raise _Malformed(f"window: {exc}") from None
     W = stored.max_branch
-    power = _read(doc, "alpha.power", _index)
-    if power != request.n:
-        raise _Malformed(f"alpha.power: {power!r}, the request has n = {request.n}")
-    alpha = AlphaFamily(
-        q=request.q,
-        omega=OmegaSpec.from_json(_at(doc, "omega")),
-        power=request.n,
-        scale=_read(doc, "alpha.scale", rat_from_str),
-    )
+    # alpha is the rule's, power n and scale 1 (`build_rules`), each key as
+    # canonical JSON text, so 1.0 for 1 differs
+    alpha = _at(doc, "alpha")
+    if not isinstance(alpha, dict):
+        raise _Malformed("alpha: not an object")
+    rule = {"power": request.n, "scale": "1"}
+    differ = _json_differ(alpha, rule)
+    if differ:
+        raise _Malformed(f"alpha.{differ[0][:40]}: not the request's alpha {rule}")
     c = _read(doc, "c", table_interval)
 
     def interval(e, _):
@@ -712,8 +713,8 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest) -> _Stored:
     if _artifact_window(request) != stored:
         raise _Malformed(f"request.window: gives {_artifact_window(request)}, not {stored}")
     lemmas = identity_lemmas(kappa, stored)
-    return _Stored(stored, alpha, c, first, tail, trunk, locations, mixtures, stored_nd, lemmas,
-                   _stored_leaves(doc, lemmas, kappa))
+    return _Stored(stored, _at(doc, "omega"), c, first, tail, trunk, locations, mixtures,
+                   stored_nd, lemmas, _stored_leaves(doc, lemmas, kappa))
 
 
 def _show(value) -> str:
@@ -736,9 +737,7 @@ def _nd_checks(stored: Dict[int, dict], alpha: AlphaFamily, n: int, cfg: CertCon
         if m not in stored:
             out.append((f"nd[{m}]", False, None, "certificate missing"))
             continue
-        fields, expected = _json_fields(stored[m]), _json_fields(cert.to_json())
-        differ = sorted(key for key in fields.keys() | expected.keys()
-                        if fields.get(key) != expected.get(key))
+        differ = _json_differ(stored[m], cert.to_json())
         K, T = cert.witness_index, cfg.divergence_threshold
         if differ:
             detail = f"stored {', '.join(differ)} differ from the recomputed certificate"
@@ -756,9 +755,12 @@ def _nd_checks(stored: Dict[int, dict], alpha: AlphaFamily, n: int, cfg: CertCon
     return out
 
 
-def _json_fields(obj: dict) -> Dict[str, str]:
-    """Each field of a JSON object as canonical JSON text."""
-    return {key: json.dumps(value, sort_keys=True) for key, value in obj.items()}
+def _json_differ(obj: dict, expected: dict) -> List[str]:
+    """The keys of either JSON object whose values differ as canonical JSON
+    text, sorted: a value of another type or form (16.0 for 16) differs."""
+    fields, want = ({key: json.dumps(value, sort_keys=True) for key, value in o.items()}
+                    for o in (obj, expected))
+    return sorted(key for key in fields.keys() | want.keys() if fields.get(key) != want.get(key))
 
 
 def _mismatches(rows):
@@ -777,41 +779,46 @@ def _mismatches(rows):
 
 
 def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
-    """Check that an artifact document states the rules of its request and
-    alpha, on the whole window it stores, and re-run every certificate check
-    on those rules.
+    """Check that an artifact document states the rules of its request, on
+    the whole window it stores, and re-run every certificate check on those
+    rules.
 
-    A request that states other fixed constants than the library's, or
-    whose numbers (q.prefix, series_width, divergence_threshold) are not in
-    the form `rat_to_str` writes, fails a single `parse-request` record.  A
-    document with another schema, a non-empty eps, a number not in the form
-    `rat_to_str` writes (or over `MAX_RATIONAL_BITS`; a table enclosure's
-    endpoint may also be rendered, see `table_text`), a missing or mistyped
-    certificate field, tables not of the shape of its window, or a window
-    not the one its request gives, fails a single `parse-artifact` record
-    naming the JSON path, and one whose series no certificate covers (a
-    bounded q, or a series_width or divergence_threshold out of reach) fails
-    a single `series-certificate` record; a rule whose values leave a
-    monomial other than one in an identity record fails a single record of
-    that name, at its class, with the leftover as detail.  Otherwise the
-    checks are: every stored number against the value written by the rules
-    that `build_rules` makes from the request and the document's alpha (an
-    exact number must equal it, a table enclosure's texts must be its
+    A request that states other fixed constants than the library's, a key
+    of `cert` the library does not state, or numbers (q.prefix,
+    series_width, divergence_threshold) not in the form `rat_to_str` writes
+    fails a single `parse-request` record.  A document with another schema,
+    a non-empty eps, a number not in the form `rat_to_str` writes (or over
+    `MAX_RATIONAL_BITS`; a table enclosure's endpoint may also be rendered,
+    see `table_text`), a missing or mistyped certificate field, tables not
+    of the shape of its window, a window not the one its request gives, or
+    an `alpha` other than the rule's (each key compared as canonical JSON
+    text) fails a single `parse-artifact` record naming the JSON path.  The
+    stored `omega` must be the request's, as canonical JSON text, or
+    verification stops at a failing `omega-reconstruction` record: `omega`
+    and `alpha` are compared, never read.  A document whose series no
+    certificate covers (a bounded q, or a series_width or
+    divergence_threshold out of reach) fails a single `series-certificate`
+    record, one whose rule writes a table number past the exponent range
+    (`rationals.render`) a single `table-range` record, and a rule whose
+    values leave a monomial other than one in an identity record a single
+    record of that name, at its class, with the leftover as detail.
+
+    Otherwise the checks are: every stored number against the value
+    written by the rules that `build_rules` makes from the request alone
+    (an exact number must equal it, a table enclosure's texts must be its
     `render_interval`; a failing row names its vertex, with the larger
     endpoint distance as residual), and then the records of
     `identity_lemmas`, decided on the rule artifact as `generate` decides
     them: consistency, trunk product, mixture mass and CC records, each
     passing when its exact residual is 0 and each leaf it stores equals the
-    recomputed one (no record reads check_tol); last the power-domain certificates (each
-    stored nd[m] must equal the recomputed certificate field for field, see
-    `_nd_checks`), and positivity of all stored weights.  The stored
-    identity certificates are compared only when every power-domain
-    certificate passes, since they were computed from those series.  Every
-    series certificate is recomputed within the call: it is kept on the
-    family the document's own alpha builds, so nothing `generate` computed
-    is read.  A key the reader does not know is ignored: documents written
-    when the format still had `tree` and the bounded-q scan summary verify
-    with the same records.
+    recomputed one (no record reads check_tol); last the power-domain
+    certificates (each stored nd[m] must equal the recomputed certificate
+    field for field, see `_nd_checks`), and positivity of all stored
+    weights.  The stored identity certificates are compared only when every
+    power-domain certificate passes, since they were computed from those
+    series.  Every series certificate is recomputed within the call on the
+    family the rule builds, so nothing `generate` computed is read.  A
+    top-level key the reader does not know is ignored.
     """
     try:
         return _verify(doc)
@@ -822,6 +829,8 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
         return VerificationReport(
             False, (CheckRecord("series-certificate", False, detail=str(exc)),)
         )
+    except TableRangeError as exc:
+        return VerificationReport(False, (CheckRecord("table-range", False, detail=str(exc)),))
 
 
 def _verify(doc: Union[dict, CounterexampleArtifact]):
@@ -864,16 +873,17 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
         return VerificationReport(
             False, (CheckRecord("parse-artifact", False, detail=str(exc)),)
         )
-    alpha = stored.alpha
 
-    omega_ok = alpha.omega == choose_subsequence(request.q, cfg)
+    # the stored omega must be the request's, as canonical JSON text
+    omega = json.dumps(choose_subsequence(request.q, cfg).to_json(), sort_keys=True)
+    omega_ok = json.dumps(stored.omega, sort_keys=True) == omega
     rec("omega-reconstruction", omega_ok, detail="greedy subsequence matches stored spec")
-    if not omega_ok:  # every rule below is built from the stored omega
+    if not omega_ok:  # a document of another rule: nothing below would compare
         return VerificationReport(False, tuple(records))
 
     # every stored number must be the one the rules write
-    rule = build_rules(request, alpha)
-    weights = rule.weights
+    rule = build_rules(request)
+    weights, alpha = rule.weights, rule.alpha
     table_records("normalization-constant",
                   _mismatches([(ZERO, stored.c, render_interval(rule.c), "")]), residual=0)
     rows = []

@@ -40,7 +40,12 @@ class ThresholdNotReachedError(NoCertificateError):
 
 
 class SupNotWitnessedError(TreeshiftError):
-    """No index with q_i >= k was found within the scan horizon."""
+    """q is bounded, so no subsequence has q_{i_k} >= k for every k."""
+
+
+class TableRangeError(TreeshiftError, ValueError):
+    """A table number's decimal exponent is past the range a document may
+    state (`rationals.table_text`); the message names the table and index."""
 
 
 class InfiniteTermError(TreeshiftError):

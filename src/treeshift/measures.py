@@ -119,8 +119,9 @@ class MixtureMeasure:
         if i not in self._masses:
             a, t = self.alpha.value(i), self.atom_location(i)
             s = self.shift
-            self._masses[i] = render_interval(self.prefactor, a.numerator * t.denominator**s,
-                                              a.denominator * t.numerator**s)
+            self._masses[i] = render_interval(
+                self.prefactor, a.numerator * t.denominator**s, a.denominator * t.numerator**s,
+                f"measures.mixtures (shift {s}) atom mass at i = {i}")
         return self._masses[i]
 
     @cached_property

@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple, Union
 
+from .errors import TableRangeError
+
 # The library's own documents stay far below the default int<->str digit
 # cap of 4,300 digits.  Two callers pass it, hence this raise:
 # perfbench/worker.py's traced verify takes str() of the witness partial
@@ -278,14 +280,16 @@ def _pow10(j: int) -> int:
     return _pow10_step(j >> 8) * 10 ** (j & 255)
 
 
-def render(num: int, den: int, up: bool) -> str:
+def render(num: int, den: int, up: bool, where: str = "a table number") -> str:
     """num/den (den > 0) rounded down, or up, to RENDER_DIGITS significant
     digits, as the text "<m>e<k>" ("0" for zero): by integer division, as
     `scaled_floor`/`scaled_ceil` take, once the bit lengths have placed k
     within one of its value, and with no gcd.  Exact, and the one such text
-    of the value, when it has at most RENDER_DIGITS significant digits."""
+    of the value, when it has at most RENDER_DIGITS significant digits.
+    A k past _MAX_EXPONENT, which `table_text` does not read, raises
+    TableRangeError naming `where`."""
     if num <= 0:
-        return "-" + render(-num, den, not up) if num else "0"
+        return "-" + render(-num, den, not up, where) if num else "0"
     k = (num.bit_length() - den.bit_length()) * 30103 // 100000 - RENDER_DIGITS + 1
     a, b = (num, den * _pow10(k)) if k >= 0 else (num * _pow10(-k), den)
     m, r = divmod(a, b)  # k places floor(num/den / 10^k) in _MANTISSAS
@@ -298,15 +302,19 @@ def render(num: int, den: int, up: bool) -> str:
         m += 1
         if m == _MANTISSAS.stop:  # 10^40 10^k is 10^39 10^(k+1)
             m, k = m // 10, k + 1
+    if abs(k) > _MAX_EXPONENT:
+        raise TableRangeError(f"{where}: exponent {k} over {_MAX_EXPONENT}, "
+                              "past what a document states")
     return f"{m}e{k}"
 
 
-def render_interval(iv: Interval, num: int = 1, den: int = 1) -> Rendered:
+def render_interval(iv: Interval, num: int = 1, den: int = 1,
+                    where: str = "a table number") -> Rendered:
     """iv * num/den (num/den > 0) as a table stores it: lo rendered down and
     hi up, each from the product of the numerators over the product of the
-    denominators."""
-    return (render(iv.lo.numerator * num, iv.lo.denominator * den, False),
-            render(iv.hi.numerator * num, iv.hi.denominator * den, True))
+    denominators (see `render`; `where` names the entry)."""
+    return (render(iv.lo.numerator * num, iv.lo.denominator * den, False, where),
+            render(iv.hi.numerator * num, iv.hi.denominator * den, True, where))
 
 
 def enclosure(texts: Rendered) -> Interval:
@@ -314,9 +322,10 @@ def enclosure(texts: Rendered) -> Interval:
     return Interval(Fraction(texts[0]), Fraction(texts[1]))
 
 
-def outward(iv: Interval) -> Interval:
-    """iv with each endpoint rounded outward as a table stores it."""
-    return enclosure(render_interval(iv))
+def outward(iv: Interval, where: str = "a table number") -> Interval:
+    """iv with each endpoint rounded outward as the table entry `where`
+    stores it."""
+    return enclosure(render_interval(iv, where=where))
 
 
 def table_text(s) -> str:

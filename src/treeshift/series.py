@@ -63,14 +63,9 @@ from .errors import (
 from .rationals import (Interval, as_fraction, rat_from_str, rat_to_decimal, rat_to_str,
                         scaled_ceil, scaled_floor)
 
-_STABLE_STEPS = 8
-_VERIFY_STEPS = 64
-_MAX_STABILIZE_SCAN = 10_000
-
-
 @dataclass(frozen=True)
 class CertConfig:
-    """Certificate settings: two values a caller sets, six library constants.
+    """Certificate settings: two values a caller sets, five library constants.
 
     series_width is the per-series enclosure width target; a divergence
     witness must exceed divergence_threshold.  max_terms caps the explicit
@@ -83,7 +78,6 @@ class CertConfig:
     check_tol: ClassVar[Fraction] = Fraction(1, 10**10)
     max_terms: ClassVar[int] = 1_200_000
     off_omega_terms: ClassVar[int] = 48
-    scan_horizon: ClassVar[int] = 1_000_000
     dyadic_bits: ClassVar[int] = 320
     max_power: ClassVar[int] = 16
 
@@ -131,12 +125,6 @@ class SequenceSpec:
             return Fraction(i) if i % 2 == 0 else Fraction(1, i)
         return self.prefix[-1]
 
-    def sup_bound(self) -> Optional[Fraction]:
-        """A finite upper bound for sup q_i, or None when unbounded."""
-        if self.tail is Tail.CONSTANT:
-            return max(self.prefix)
-        return None
-
     def to_json(self):
         return {"tail": self.tail.value, "prefix": [rat_to_str(x) for x in self.prefix]}
 
@@ -155,9 +143,9 @@ MIXED_Q = SequenceSpec(Tail.MIXED)
 class OmegaSpec:
     """The subsequence i_k chosen greedily so that q_{i_k} >= k.
 
-    head memoizes the first indices; from affine_from onward the greedy
-    choice stabilizes to i_k = slope*k + intercept with q_{i_k} = i_k
-    (the construction verifies this before trusting it).
+    head holds the indices before affine_from; from affine_from onward
+    i_k = slope*k + intercept with q_{i_k} = i_k (`build_omega` derives
+    this from the tail rule).
     """
 
     head: tuple
@@ -183,13 +171,13 @@ class OmegaSpec:
 
     def k_of(self, i: int) -> Optional[int]:
         """The k with i_k == i, or None when i is off the subsequence."""
-        if i <= self.head[-1]:
+        if self.head and i <= self.head[-1]:
             try:
                 return self.head.index(i) + 1
             except ValueError:
                 return None
         d, r = divmod(i - self.intercept, self.slope)
-        return d if r == 0 else None
+        return d if r == 0 and d >= self.affine_from else None
 
     def contains(self, i: int) -> bool:
         return self.k_of(i) is not None
@@ -202,85 +190,40 @@ class OmegaSpec:
             "intercept": self.intercept,
         }
 
-    @staticmethod
-    def from_json(obj) -> "OmegaSpec":
-        head, rest = tuple(obj["head"]), (obj["affine_from"], obj["slope"], obj["intercept"])
-        if any(isinstance(x, bool) for x in head + rest):  # True == 1 would pass as 1
-            raise TypeError("omega: a boolean where an integer belongs")
-        return OmegaSpec(head, *rest)
 
-
-def build_omega(q: SequenceSpec, cfg: CertConfig = DEFAULT_CONFIG) -> OmegaSpec:
+def build_omega(q: SequenceSpec) -> OmegaSpec:
     """Greedy subsequence: i_k = smallest index > i_{k-1} with q_i >= k.
 
-    Scans until the choice stabilizes to an affine pattern in the pure tail
-    region, then verifies the pattern for a further margin of steps.
-    Raises SupNotWitnessedError when q is bounded (no valid index exists
-    for some k within the scan horizon).
+    One pass over the prefix keeps each index whose value reaches the
+    current k; an index it skips has q_i < k, and k only grows, so it never
+    qualifies later.  The tail rule gives every later index, each with
+    q_{i_k} = i_k >= k, since the first one is past the prefix and k is at
+    most one more than the prefix length:
+      * linear (q_i = i): every index past the prefix P, so slope 1 from
+        index P + 1;
+      * mixed (q_i = i for even i, 1/i for odd i): index 1 when the prefix
+        is empty (q_1 = 1), then every even index, since q_i < 1 <= k at
+        every other odd index;
+      * constant: sup q_i is the largest value, so SupNotWitnessedError.
+    So the head holds exactly the indices before affine_from.
     """
-    bound = q.sup_bound()
-
-    def fail(k):
+    if q.tail is Tail.CONSTANT:
         raise SupNotWitnessedError(
-            f"no index with q_i >= {k} witnessed (sup q_i looks bounded)"
+            "q has a constant tail (sup q_i looks bounded): no subsequence has q_{i_k} >= k"
         )
-
     head = []
-    prev = 0
-
-    def step(k):
-        nonlocal prev
-        if bound is not None and k > bound:
-            fail(k)
-        i = prev + 1
-        scanned = 0
-        while q.value(i) < k:
-            i += 1
-            scanned += 1
-            if scanned > cfg.scan_horizon:
-                fail(k)
-        if q.value(i) < k:
-            fail(k)
-        head.append(i)
-        prev = i
-
-    prefix_len = len(q.prefix)
-    k = 0
-    while True:
-        k += 1
-        step(k)
-        if k > _MAX_STABILIZE_SCAN:
-            raise NoCertificateError("greedy subsequence did not stabilize")
-        if k < _STABLE_STEPS + 1 or k <= prefix_len:
-            continue
-        window = head[-(_STABLE_STEPS + 1):]
-        diffs = {b - a for a, b in zip(window, window[1:])}
-        if len(diffs) != 1:
-            continue
-        d = diffs.pop()
-        if window[0] <= prefix_len:
-            continue
-        if any(q.value(i) != i for i in window):
-            continue
-        slope, intercept = d, head[-1] - d * k
-        affine_from = k - _STABLE_STEPS
-        # verify the affine prediction for a margin of further greedy steps
-        ok = True
-        for kk in range(k + 1, k + 1 + _VERIFY_STEPS):
-            step(kk)
-            want = slope * kk + intercept
-            if head[-1] != want or q.value(want) != Fraction(want):
-                ok = False
-                break
-        if not ok:
-            k = len(head)
-            continue
-        # q_{i_k} >= k must persist on the affine tail
-        if slope == 1 and intercept < 0:
-            raise NoCertificateError("affine tail violates q_{i_k} >= k")
-        if (slope - 1) * affine_from + intercept < 0:
-            raise NoCertificateError("affine tail violates q_{i_k} >= k")
-        return OmegaSpec(tuple(head), affine_from, slope, intercept)
+    for i, x in enumerate(q.prefix, 1):
+        if x >= len(head) + 1:
+            head.append(i)
+    P = len(q.prefix)
+    if q.tail is Tail.LINEAR:
+        slope, first = 1, P + 1
+    else:
+        if not P:
+            head.append(1)
+        slope, first = 2, P + 2 - P % 2  # the first even index past the prefix and past 1
+    k = len(head) + 1
+    return OmegaSpec(tuple(head), k, slope, first - slope * k)
 
 
 @dataclass(frozen=True)
@@ -434,15 +377,6 @@ def tangent_number(j: int) -> int:
     return _tangent_numbers(max(16, 1 << (j - 1).bit_length()))[j - 1]
 
 
-@cache
-def bernoulli_even(j: int) -> Fraction:
-    """B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) from the tangent number
-    T_j (B_0 = 1); one Fraction per value, computed on first use."""
-    if j == 0:
-        return Fraction(1)
-    return Fraction((-1) ** (j - 1) * 2 * j * tangent_number(j), (1 << 2 * j) * ((1 << 2 * j) - 1))
-
-
 def _em_fixed(p: int, N: int, bits: int) -> Iterator[Tuple[int, int, int, int]]:
     """(lo, hi, r, d) for J = 1, 2, ...: lo <= 2^bits x <= hi, where x is
     zeta(p, N) = sum_{k>=N} k^-p for p >= 2 and H_N - ln N - gamma for
@@ -499,7 +433,7 @@ def _em_bracket(p: int, N: int, bits: int) -> Tuple[int, int]:
 @cache
 def _zeta_fixed_brackets(p: int, N: int, bits: int):
     """The pairs _zeta_fixed has found for (p, N, bits), J = 1, 2, ..., and
-    the kernel that extends them: memoized like bernoulli_even, since each
+    the kernel that extends them: memoized like the tangent numbers, since each
     pair is a pure function of (p, N, J, bits)."""
     return [], _em_fixed(p, N, bits)
 
@@ -535,7 +469,7 @@ def _on_tail_bounds(a: int, b: int, m: int, K: int, budget: Fraction, bits: int)
     tail, with dyadic endpoints (denominator 2^bits); None when no J can
     make it at most `budget` wide.
 
-    With d = b/a (an integer for every Omega build_omega returns: linear
+    With d = b/a (an integer for every Omega build_omega derives: linear
     tails have slope 1, mixed tails slope 2 and an even intercept; any other
     shift raises NoCertificateError), each term is a^-m x^-2 (x+d)^-m at
     x = k.  Expanding (x+d)^-m about x = 0, and x^-2 = d^-2 (1 - y/d)^-2 =
@@ -605,8 +539,8 @@ def _on_omega_floors(head, omega, s: int, bits: int, stop: int, start: int = 1) 
     by one integer division, so their sum is what exact rational floors
     would add.  head holds q_{i_k} as `_head_ratios` gives it, at least up
     to k = min(stop, len(omega.head)); past omega.head, q_{i_k} is the index
-    i_k = slope*k + intercept itself (build_omega checks this on the affine
-    tail)."""
+    i_k = slope*k + intercept itself (build_omega derives the affine tail
+    from the tail rule, where q_i = i at every index it keeps)."""
     e, a, b = abs(s), omega.slope, omega.intercept
     h = max(start - 1, min(stop, len(omega.head)))  # the last k read from the head
     u, v = [x for x, _ in head[start - 1:h]], [y for _, y in head[start - 1:h]]

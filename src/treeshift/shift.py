@@ -91,7 +91,8 @@ class ModelWeights:
         if i not in self._first:
             a, q = self.alpha.value(i), self.alpha.q.value(i)
             self._first[i] = render_interval(self.c, a.numerator * q.numerator,
-                                             a.denominator * q.denominator)
+                                             a.denominator * q.denominator,
+                                             f"weights.branch_first at i = {i}")
         return self._first[i]
 
     def branch_tail_squared(self, i: int) -> Fraction:

@@ -99,35 +99,40 @@ def test_criterion_1_counterexample_grid():
     print(f"\n[criterion 1] PASS - 24-cell grid verified, worst cell {worst_cell:.2f}s")
 
 
-# Last moved when the table enclosures were rounded outward: every endpoint
-# of `c`, `weights.branch_first`, `weights.trunk` and each mixture's
-# `prefactor` and atom `mass` is written "<m>e<k>" with a 40-digit mantissa,
-# lo rounded down and hi up; no other leaf changed.
+# Last moved when Omega became derived from the tail rule: `omega.head`
+# holds only the indices before `affine_from` ([] on linear q, [1] on mixed
+# q, where the scan wrote 73 or 74), and `request.cert` states only
+# `check_tol` (`max_terms`, `off_omega_terms`, `scan_horizon`, `dyadic_bits`
+# and `max_power` left it); no other leaf changed, and the records `verify`
+# gives are the same.  Before that, when the table enclosures were rounded
+# outward, every endpoint of `c`, `weights.branch_first`, `weights.trunk` and
+# each mixture's `prefactor` and atom `mass` became "<m>e<k>" with a
+# 40-digit mantissa.
 GRID_SHA256 = {
-    (1, 0, "linear"): "99566601d40825bdce582803b4308a5eb8ca2589b0cb137dbd0eacf80cd73f54",
-    (1, 0, "mixed"): "365a5805556a2e2f2dc63ca5c809880d80de30674a499e55e5ff36a95821e835",
-    (1, 1, "linear"): "d24f61bdc91ea8960a293a689ca69eb184d28b96f35fce8d419c84d284385e2a",
-    (1, 1, "mixed"): "ed339b8352cbb3cae5ac5a52064741624d3e77b364599b0c69f4d3d3bc7a23e1",
-    (1, 3, "linear"): "05ffa4696909ed48e7f54ee540286c336c0c22e15af793ced22477dc70fdd9ef",
-    (1, 3, "mixed"): "d3b00440027214e41c778bd9c952ab21975160769d131f50ee5476e11665cd95",
-    (1, ts.INF, "linear"): "0654cfb4afdf7339b97ae440a10226c84b7aa82f8af71e5adfaf547500bda1b4",
-    (1, ts.INF, "mixed"): "364a92565f02a6a5f941d76b4176f32d748dd3ebd14a679eccb4b3acf5ee1e49",
-    (2, 0, "linear"): "c303b25aa9beee6fff82f4a8ec7677e30ec86794cf670f359b5a5c2801d1fa49",
-    (2, 0, "mixed"): "cf83e0120ab953c6eec0b3dd6de44459d92f5c67c225115f3c7cdc9bd98c29c7",
-    (2, 1, "linear"): "13d4fc1ba77802e1323cbd496212d2a36c65e733c0c0213cf3a646ead8eb4efb",
-    (2, 1, "mixed"): "fa8c64baa796f16424f2c6c2a4dde2ff1c44ccc79a3f1a6df6b025de9bdcbd31",
-    (2, 3, "linear"): "a242accd996d16e546325a14e7b3e0cc72f45f14a23a7d784e1427583721a17a",
-    (2, 3, "mixed"): "d0986dc3134effb940690d84dc0e765fe29d087f606c679056f6f02d47f7fb7d",
-    (2, ts.INF, "linear"): "e86309100eb6d3c138f9110604defc9bbbe7585299020ac0ca47e0a12d82b671",
-    (2, ts.INF, "mixed"): "0a772fd882c976bc687ea95ebf5d1ddf23740a35c696f66d6efcb86f5a0d9949",
-    (3, 0, "linear"): "618b34995a85a57ac0691c93ac909681e8d03630e1011778d7e0a45ad9fb87dd",
-    (3, 0, "mixed"): "ddebe7b667601db260c4efd1866809209aeef0e5188b1516ec07b7bac6079018",
-    (3, 1, "linear"): "c7a5c575a5a9841e2f53a00354ef13a32bc048dc0b67e39b5baacbe41b1b1524",
-    (3, 1, "mixed"): "f378f4da39289ec7e860b8b89c1645d8a41c3b2e32908d0067eed5e12e22de66",
-    (3, 3, "linear"): "f1225f048c09fc607188d5de7f5f6b94054be35aa277aaf302cc090fede03617",
-    (3, 3, "mixed"): "19b5510b0ca030988d1f3676f4c1399621e75ef38a28e84c81ff588129870d50",
-    (3, ts.INF, "linear"): "8402eb9c80f4600496e591a1d0849a59b24ba71eb928e970232b45a2a2995b5d",
-    (3, ts.INF, "mixed"): "0f844a5725f4333c76993fbbaca9933d4575d770f7846a48076d5828278924ad",
+    (1, 0, "linear"): "b080a99bfdc95cee9f7ca461eaab8adbdc30b3f588fde52868348524c432e172",
+    (1, 0, "mixed"): "8fef688829c681043a8165dbfcd270cd80c7afe886746d0ed277d3c0e5d0341c",
+    (1, 1, "linear"): "0fad2f86851004a6589dfbcaf22c48ac169d6f7ad85597e612d86205b777cd30",
+    (1, 1, "mixed"): "c866e173dff5dd68575c4a89149cc37d8c4b6a6790a59b41ec43526157ae2a4e",
+    (1, 3, "linear"): "797141dd3508e2e21e28883d9ad121bb132d50b564aa188a1a325a8b27089101",
+    (1, 3, "mixed"): "d5cdbf68b58bea037f9b240d3905fe788840b859ef8155d6ad05bee1ed254baf",
+    (1, ts.INF, "linear"): "200adda9246e71ab6bab8272cd6350c1ac15e9c3fe1719bc2e8374df460387fc",
+    (1, ts.INF, "mixed"): "5b2ef2c0b83fba2b66981b1bda82eeb26f7af8837c1a92bc8abe13354d67cc49",
+    (2, 0, "linear"): "6ef2e5df8814c76357563c03964567be81bc1b1d8578ec6d1ec4a0e0f3f58c64",
+    (2, 0, "mixed"): "5220876e9245d58aeb8dc73e24b515b3489e6037839875891f2956f96057d28b",
+    (2, 1, "linear"): "1619953599e8a8b5d648f116462b9aaa9b2731c5f546bce6f3e00b2792503374",
+    (2, 1, "mixed"): "fb45a9a23cb77c7518d5747d4b1786fee4ea595ff442e155964f918646d78f8b",
+    (2, 3, "linear"): "f828e0eb4d5e946df94ca8c4aa64a2d68056bef467bea931abe30de9268cda5f",
+    (2, 3, "mixed"): "27edd5cb406d02bfe7ecf0fd2d10bd015385f82e02861a1918e26abae277cd91",
+    (2, ts.INF, "linear"): "13cc2ceb7fb1d55a300af9166decfca71727a04bf152ec8da346d6ac93dfccd5",
+    (2, ts.INF, "mixed"): "7921a5fa6c5833083954f1cbf29495e624be323afafb6b13ffd131685af57f0c",
+    (3, 0, "linear"): "560e2614f14d279634ba1b055e11e8a91bf7553741a1ac4856e390629eba0bc1",
+    (3, 0, "mixed"): "64709b6740ceea492a877f767938c6a5a5b5ec654bc618469af1d4d21977be2f",
+    (3, 1, "linear"): "a3ef04ad19a8f1a254ddfb4e69899bef33c430f370af66bc5c5ed466fd5f4968",
+    (3, 1, "mixed"): "52442c734abe6ec63f6c11b6363ab583465b6c97ae19b07953f47dea42306d58",
+    (3, 3, "linear"): "74644132914c53bcfefc0184549b4ae1f02965d87645df328556d03290acfc66",
+    (3, 3, "mixed"): "f54d69208ab25f79300955c47602ce6a10b09a759b8c3779357551fb2d632728",
+    (3, ts.INF, "linear"): "50e6534deb34d9d952cb0165e061667c4440b2eee97048a40ed4c60b4aaf5032",
+    (3, ts.INF, "mixed"): "f1fc9520d6d025832b908db0005103ee1c4b5102d0a74df6701166906de8c963",
 }
 
 

@@ -239,6 +239,23 @@ def test_nonpositive_width_exit_2(tmp_path):
     assert not out.exists()
 
 
+def test_table_number_past_exponent_range_exit_2(tmp_path, capsys, monkeypatch):
+    """A request whose document would state a table exponent that verify
+    does not read is refused with exit 2, naming the table and the index,
+    and nothing is written.  The CLI takes no prefix, so the test gives
+    "linear" one."""
+    from treeshift import cli
+    from treeshift.series import SequenceSpec, Tail
+
+    monkeypatch.setattr(cli, "LINEAR_Q", SequenceSpec(Tail.LINEAR, prefix=(Fraction(10**3276),)))
+    out = tmp_path / "e.json"
+    assert run(["generate", "--n", "3", "--kappa", "3", "--q", "linear", "--max-trunk", "3",
+                "--max-branch", "8", "--max-depth", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "measures.mixtures (shift 3) atom mass at i = 1: exponent -19693 over 19688" in err
+    assert not out.exists()
+
+
 def test_unreachable_width_exit_2(tmp_path, capsys):
     out = tmp_path / "w.json"
     assert run(["generate", "--n", "1", "--kappa", "3", "--q", "mixed", "--max-trunk", "3",

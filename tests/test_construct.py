@@ -376,16 +376,16 @@ def small_artifacts():
 def test_artifact_bytes_pinned(small_artifacts):
     """The serialized artifact is a stable format: any change to these bytes
     is a schema change and must be documented.  The digests last moved when
-    the table enclosures were rounded outward: only the endpoints of `c`,
-    `branch_first`, `trunk`, `prefactor` and `mass` changed, each to
-    "<m>e<k>" with a 40-digit mantissa."""
+    Omega became derived from the tail rule: only `omega.head` ([] on
+    linear q, [1] on mixed q) and `request.cert`, which states `check_tol`
+    alone, changed.  Before that the table enclosures were rounded outward."""
     digests = {
         q: hashlib.sha256(art.to_json().encode()).hexdigest()
         for q, art in small_artifacts.items()
     }
     assert digests == {
-        "linear": "3467ce0eda37f7fa15c99a701921bbb0c7104318adcfffa99b342ae3033fcff9",
-        "mixed": "633719badaf4f06b233381605b150b3a0ee71a57eb52fc5afe38d4753ac5e875",
+        "linear": "1e9c554ad4c21b6aa493e487fedfefd4b52bfbe2ebfa253d51d972f854d19e96",
+        "mixed": "dda29b2473f30cc35e769066b3a359ef7fe63a7b1106a7d498ed7283c4449f00",
     }
 
 
@@ -659,11 +659,13 @@ def test_verify_work_independent_of_depth(small_artifacts):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("head", []), ("head", ["a"]), ("slope", 0), ("intercept", -5)]
+    "key, value", [("head", [1]), ("head", ["a"]), ("slope", 0), ("intercept", -5)]
 )
 def test_verify_stops_at_wrong_omega(small_artifacts, key, value):
-    """Every later rule is built from the stored omega, so a wrong one ends
-    verification at its reconstruction record."""
+    """The stored omega is compared with the request's, never read: a wrong
+    one states another rule and ends verification at its reconstruction
+    record.  The head of linear q is [] (every index is on Omega from
+    affine_from = 1), so [1] is a wrong head."""
     doc = small_artifacts["linear"].to_json_dict()
     doc["omega"][key] = value
     report = verify(doc)
@@ -679,8 +681,9 @@ def _scalar_leaves(node, path):
         yield path
 
 
-FIXED_CERT_KEYS = ("check_tol", "max_terms", "off_omega_terms", "scan_horizon", "dyadic_bits",
-                   "max_power")
+FIXED_CERT_KEYS = ("check_tol",)
+# constants the library keeps but documents no longer state
+RETIRED_CERT_KEYS = ("max_terms", "off_omega_terms", "scan_horizon", "dyadic_bits", "max_power")
 REQUEST_LEAVES = tuple(_scalar_leaves(
     ts.CounterexampleRequest(n=1, kappa=3, window=SMALL_WINDOW).to_json(), ("request",)
 ))
@@ -688,11 +691,13 @@ REQUEST_LEAVES = tuple(_scalar_leaves(
 
 @pytest.mark.parametrize("value", [1.5, None, "x", -3])
 @pytest.mark.parametrize(
-    "path", REQUEST_LEAVES + (("alpha", "power"), ("alpha", "scale")), ids=".".join
+    "path", REQUEST_LEAVES + tuple(("request", "cert", key) for key in RETIRED_CERT_KEYS)
+    + (("alpha", "power"), ("alpha", "scale")), ids=".".join
 )
 def test_verify_total_on_retyped_leaves(small_artifacts, path, value):
     """Any scalar of the request or alpha, retyped or out of range, gives a
-    failing report and never an exception; a fixed constant fails parsing."""
+    failing report and never an exception; a fixed constant, or a retired
+    one stated again, fails parsing."""
     doc = small_artifacts["linear"].to_json_dict()
     node = doc
     for key in path[:-1]:
@@ -700,7 +705,7 @@ def test_verify_total_on_retyped_leaves(small_artifacts, path, value):
     node[path[-1]] = value
     report = verify(doc)
     assert not report.passed
-    if path[:2] == ("request", "cert") and path[2] in FIXED_CERT_KEYS:
+    if path[:2] == ("request", "cert") and path[2] in FIXED_CERT_KEYS + RETIRED_CERT_KEYS:
         assert [r.name for r in report.records] == ["parse-request"]
         assert report.records[0].detail.startswith(f"cert.{path[2]}")
 
@@ -733,6 +738,9 @@ def test_verify_rejects_forged_tolerance(small_artifacts):
      ("dyadic_bits", 100000), ("max_power", 3)],
 )
 def test_verify_rejects_other_fixed_constants(small_artifacts, key, value):
+    """check_tol, the one constant a document states, must be the library's;
+    the retired constants are not keys of the request, so a document that
+    states one, at any value, fails parsing too."""
     doc = small_artifacts["linear"].to_json_dict()
     doc["request"]["cert"][key] = value
     started = time.monotonic()
@@ -945,6 +953,7 @@ _SEED_EDITS = [
 _RETYPED = [None, True, False, 0, 7, 2.5, "x", [], {}]
 _FITS = {  # the nodes a random edit of these kinds may pick
     "truncate": lambda old: isinstance(old, list) and old,
+    "float": lambda old: type(old) is int,
     "scale": lambda old: _is_interval(old) or isinstance(old, str) and _CANONICAL.fullmatch(old),
 }
 
@@ -958,19 +967,27 @@ def _seeded(test):
 
 
 @given(tail=st.sampled_from(["linear", "mixed"]),
-       edit=st.tuples(st.sampled_from(["drop", "truncate", "retype", "scale"]),
+       edit=st.tuples(st.sampled_from(["drop", "truncate", "retype", "scale", "float"]),
                       st.integers(min_value=0), st.sampled_from(_RETYPED)))
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @example(tail="linear", edit=("scale", ("request", "cert", "series_width"), None))
 @example(tail="mixed", edit=("retype", ("request", "window", "max_trunk"), 7))
+@example(tail="mixed", edit=("float", ("omega", "slope"), None))
+@example(tail="mixed", edit=("float", ("omega", "intercept"), None))
+@example(tail="mixed", edit=("float", ("omega", "head", 0), None))
+@example(tail="mixed", edit=("float", ("omega", "affine_from"), None))
+@example(tail="mixed", edit=("float", ("alpha", "power"), None))
 @_seeded
 def test_verify_total_under_mutation(tail, edit):
     """verify is total on the (1, 3, q) Window(3, 6, 3) documents: after one
-    dropped key or list entry, truncated list, retyped node or rational times
-    1001/1000, it returns a report within 1 s and never raises, and the report
-    fails, except for the two edits that state another request with the same
-    artifact (a wider series_width, a larger max_trunk).  perfbench's
-    mutation kinds run as explicit examples."""
+    dropped key or list entry, truncated list, retyped node, integer
+    replaced by the equal float or rational times 1001/1000, it returns a
+    report within 1 s and never raises, and the report fails, except for the
+    two edits that state another request with the same artifact (a wider
+    series_width, a larger max_trunk).  perfbench's mutation kinds run as
+    explicit examples, and so do the float edits of `omega` and `alpha`,
+    which verify used to read: three of them raised TypeError, and
+    affine_from 2.0 passed."""
     doc = json.loads(_fuzz_document(tail))
     kind, path, value = edit
     if isinstance(path, int):  # a random edit: the integer picks the node
@@ -985,7 +1002,7 @@ def test_verify_total_under_mutation(tail, edit):
     elif kind == "truncate":
         old.pop()
     else:
-        parent[path[-1]] = _edited(old) if kind == "scale" else value
+        parent[path[-1]] = {"scale": _edited, "float": float}.get(kind, lambda _: value)(old)
         assume(type(parent[path[-1]]) is not type(old) or parent[path[-1]] != old)
     started = time.monotonic()
     report = verify(doc)
@@ -1161,11 +1178,37 @@ def test_document_bytes_grow_linearly_in_the_window(q):
 
 # --- the invariant: generate writes only documents its own verify passes ---
 
+
+def test_verify_reports_a_rule_past_the_exponent_range(small_artifacts):
+    """A document whose request gives a table number past the exponent range
+    a document states fails one `table-range` record naming the entry,
+    where verify would have raised from `render`."""
+    doc = small_artifacts["linear"].to_json_dict()
+    q = SequenceSpec(Tail.LINEAR, prefix=(Fraction(10**6000),))
+    doc["request"]["q"], doc["omega"] = q.to_json(), choose_subsequence(q).to_json()
+    report = verify(doc)
+    assert [(r.name, r.passed) for r in report.records] == [("table-range", False)]
+    assert report.records[0].detail.startswith("measures.mixtures (shift 3) atom mass at i = 1")
+
+
 _WIDE_FOUND = dict(prefix=(), tail=Tail.MIXED, n=3, kappa=ts.INF, width=Fraction(1, 10**8),
                    window=ts.Window(10, 8, 3))
 
 
-@given(prefix=st.lists(st.builds(Fraction, st.integers(1, 40), st.integers(1, 3)), max_size=12),
+# prefix values: small ones, and numerators and denominators up to 2^16000,
+# within the 2^65536 that `rat_from_str` reads back
+_PREFIX_VALUES = st.one_of(st.builds(Fraction, st.integers(1, 40), st.integers(1, 3)),
+                           st.builds(Fraction, st.integers(1, 2**16_000),
+                                     st.integers(1, 2**16_000)))
+# requests whose documents stated a table exponent past the one `table_text`
+# reads (mixtures atom mass at i = 1, and branch_first at i = 14)
+_EXPONENT_FOUND = dict(prefix=(10**3276,), tail=Tail.LINEAR, n=3, kappa=3,
+                       width=Fraction(1, 10**12), window=ts.Window(3, 8, 3))
+_TINY_FOUND = dict(prefix=(Fraction(1, 10**1500),) * 20, tail=Tail.LINEAR, n=3, kappa=ts.INF,
+                   width=Fraction(1, 10**12), window=ts.Window(10, 30, 3))
+
+
+@given(prefix=st.lists(_PREFIX_VALUES, max_size=12),
        tail=st.sampled_from([Tail.LINEAR, Tail.MIXED]),
        n=st.integers(1, 3),
        kappa=st.one_of(st.integers(0, 11), st.just(ts.INF)),
@@ -1178,19 +1221,23 @@ _WIDE_FOUND = dict(prefix=(), tail=Tail.MIXED, n=3, kappa=ts.INF, width=Fraction
                 width=Fraction(1, 10**12)))
 @example(**dict(_WIDE_FOUND, prefix=tuple(range(30, 42)), tail=Tail.LINEAR, n=2,
                 width=Fraction(1, 10**12)))
+@example(**_EXPONENT_FOUND)
+@example(**_TINY_FOUND)
 def test_generate_writes_only_documents_verify_passes(prefix, tail, n, kappa, width, window):
-    """For every request, generate refuses with a TreeshiftError or writes a
-    document that verify passes.  The enclosures' widths are bounded in
-    absolute terms, so at q with a small M_-k (a large prefix, or a width
-    near 1e-8) they are wide relative to it; the identity records must not
-    read those widths.  The explicit examples are requests whose documents
-    verify used to reject under a tolerance."""
+    """For every request, generate refuses with a TreeshiftError, when
+    building the artifact or writing it, or writes a document that verify
+    passes.  The enclosures' widths are bounded in absolute terms, so at q
+    with a small M_-k (a large prefix, or a width near 1e-8) they are wide
+    relative to it; the identity records must not read those widths.  The
+    explicit examples are requests whose documents verify used to reject,
+    under a tolerance or at parsing: a table exponent past the range a
+    document states."""
     request = ts.CounterexampleRequest(
         n=n, kappa=kappa, q=SequenceSpec(tail, prefix=tuple(prefix)),
         cert=ts.CertConfig(series_width=width), window=window)
     try:
-        art = generate(request)
+        text = generate(request).to_json()
     except ts.TreeshiftError:
         return
-    report = verify(json.loads(art.to_json()))
+    report = verify(json.loads(text))
     assert report.passed, [r.line() for r in report.failures()][:3]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treeshift.errors import TableRangeError
 from treeshift.rationals import (RENDER_DIGITS, Interval, outward, rat_to_decimal, render,
                                  render_interval, table_text)
 
@@ -181,3 +182,17 @@ def test_table_text_reads_only_the_two_forms(text):
     with pytest.raises(ValueError):
         table_text(text)
     assert table_text("1" * 40 + "e-19688") and table_text("-" + "9" * 40 + "e0")
+
+
+@pytest.mark.parametrize("k, fits", [(-19688, True), (19688, True), (-19689, False),
+                                     (19689, False), (-21043, False)])
+def test_render_writes_only_what_table_text_reads(k, fits):
+    """render writes 10^39 10^k as table_text reads it while |k| <= 19688,
+    and refuses any larger |k| with TableRangeError naming the entry."""
+    num, den = (10 ** (k + 39), 1) if k + 39 >= 0 else (1, 10 ** -(k + 39))
+    for up in (False, True):
+        if fits:
+            assert table_text(render(num, den, up)) == "1" + "0" * 39 + f"e{k}"
+        else:
+            with pytest.raises(TableRangeError, match=rf"^weights.x at i = 2: exponent {k} over"):
+                render(num, den, up, "weights.x at i = 2")

@@ -30,7 +30,6 @@ from treeshift.series import (
     CertConfig,
     OmegaSpec,
     _slon4_denominator,
-    bernoulli_even,
     build_omega,
     dyadic_floor,
     power_series_certificate,
@@ -75,6 +74,44 @@ def test_bounded_sequence_rejected():
     flat = SequenceSpec(Tail.CONSTANT, prefix=(Fraction(1),))
     with pytest.raises(SupNotWitnessedError):
         build_omega(flat)
+
+
+def _greedy_indices(q, upto):
+    """i_1, ..., i_upto by the definition: each the smallest index past the
+    last with q_i >= k, found by scanning."""
+    out, i = [], 0
+    for k in range(1, upto + 1):
+        i += 1
+        while q.value(i) < k:
+            i += 1
+        out.append(i)
+    return out
+
+
+@given(prefix=st.lists(st.builds(Fraction, st.integers(1, 40), st.integers(1, 3)), max_size=30),
+       tail=st.sampled_from([Tail.LINEAR, Tail.MIXED]))
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+def test_build_omega_is_the_greedy_subsequence(prefix, tail):
+    """The derived Omega is the scanned greedy subsequence: the same i_k for
+    k <= 400, the same membership for i <= 400, and a head of exactly the
+    indices before affine_from."""
+    q = SequenceSpec(tail, prefix=tuple(prefix))
+    omega, greedy = build_omega(q), _greedy_indices(q, 400)
+    assert [omega.index(k) for k in range(1, 401)] == greedy
+    members = set(greedy)
+    assert [omega.contains(i) for i in range(1, 401)] == [i in members for i in range(1, 401)]
+    assert len(omega.head) == omega.affine_from - 1
+
+
+@pytest.mark.parametrize("value", [7, 10**6, 10**1000], ids=["7", "1e6", "1e1000"])
+def test_constant_tail_refused_at_once(value):
+    """A constant tail is bounded: build_omega refuses it at once, whatever
+    the value."""
+    q = SequenceSpec(Tail.CONSTANT, prefix=(Fraction(value),))
+    started = time.perf_counter()
+    with pytest.raises(SupNotWitnessedError, match="sup q_i looks bounded"):
+        build_omega(q)
+    assert time.perf_counter() - started < 0.01
 
 
 def test_table_prefix_stabilizes():
@@ -178,6 +215,17 @@ def test_mixed_certificate_soundness():
 
 
 # --- the Euler-Maclaurin kernel and its exact-rational reference ---
+
+
+@functools.cache
+def bernoulli_even(j: int) -> Fraction:
+    """B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) from the tangent number
+    T_j (B_0 = 1), the identity the Euler-Maclaurin kernel `series._em_fixed`
+    sums its terms by."""
+    if j == 0:
+        return Fraction(1)
+    return Fraction((-1) ** (j - 1) * 2 * j * series.tangent_number(j),
+                    (1 << 2 * j) * ((1 << 2 * j) - 1))
 
 
 @functools.cache

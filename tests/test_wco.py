@@ -262,14 +262,14 @@ def test_roundtrip_detects_broken_row(artifact_n1_k3):
 def test_cc_counts_off_window_mixture_atoms():
     """q_1 = q_60 = 60: the mixtures' atom at 60 carries mass from index 60,
     beyond the 12-branch window, which the exact CC rows cover with every
-    other atom.  The digest last moved when the table enclosures were
-    rounded outward: only the endpoints of `c`, `branch_first`, `trunk`,
-    `prefactor` and `mass` changed, each to "<m>e<k>" with a 40-digit
-    mantissa."""
+    other atom.  The digest last moved when Omega became derived from the
+    tail rule: only `omega.head` ([1], where the scan wrote 74 indices) and
+    `request.cert`, which states `check_tol` alone, changed.  Before that the
+    table enclosures were rounded outward."""
     q = ts.SequenceSpec(ts.Tail.LINEAR, prefix=(Fraction(60),))
     assert indices_with_value(q, Fraction(60), 12) == (60,)
     art = ts.generate(ts.CounterexampleRequest(n=1, kappa=3, q=q, window=Window(3, 12, 4)))
     assert ts.verify(art.to_json_dict()).passed
     assert hashlib.sha256(art.to_json().encode()).hexdigest() == (
-        "956d7aef5274ea5ca32998edad0a6d74c3028fcf3ffe750faa9f4d6857f338c2"
+        "105975258d493c682d954f16a4f1cf7a4ca97e1e31faab254fd1957b7b0377cd"
     )
