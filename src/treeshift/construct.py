@@ -874,10 +874,15 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
             False, (CheckRecord("parse-artifact", False, detail=str(exc)),)
         )
 
-    # the stored omega must be the request's, as canonical JSON text
-    omega = json.dumps(choose_subsequence(request.q, cfg).to_json(), sort_keys=True)
-    omega_ok = json.dumps(stored.omega, sort_keys=True) == omega
-    rec("omega-reconstruction", omega_ok, detail="greedy subsequence matches stored spec")
+    # the stored omega must be the request's, each key as canonical JSON text
+    omega = choose_subsequence(request.q, cfg).to_json()
+    if not isinstance(stored.omega, dict):
+        omega_ok, detail = False, "omega: not an object"
+    else:
+        differ = _json_differ(stored.omega, omega)
+        omega_ok, detail = not differ, (f"omega.{differ[0][:40]}: not the request's omega {omega}"
+                                        if differ else "greedy subsequence matches stored spec")
+    rec("omega-reconstruction", omega_ok, detail=detail)
     if not omega_ok:  # a document of another rule: nothing below would compare
         return VerificationReport(False, tuple(records))
 

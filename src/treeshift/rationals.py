@@ -317,9 +317,19 @@ def render_interval(iv: Interval, num: int = 1, den: int = 1,
             render(iv.hi.numerator * num, iv.hi.denominator * den, True, where))
 
 
+def _text_value(s: str) -> Fraction:
+    """The rational a table text states: "<m>e<k>" as m 10^k, built from the
+    two integers, and any other form ("0", a/b) by Fraction."""
+    m, e, k = s.partition("e")
+    if not e:
+        return Fraction(s)
+    m, k = int(m), int(k)
+    return Fraction(m * _pow10(k)) if k >= 0 else Fraction(m, _pow10(-k))
+
+
 def enclosure(texts: Rendered) -> Interval:
     """The interval a rendered enclosure states."""
-    return Interval(Fraction(texts[0]), Fraction(texts[1]))
+    return Interval(_text_value(texts[0]), _text_value(texts[1]))
 
 
 def outward(iv: Interval, where: str = "a table number") -> Interval:

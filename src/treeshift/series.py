@@ -30,12 +30,15 @@ sum add the on-Omega floors floor(2^bits q_{i_k}^s / k^2), s = l - n, of one
 integer kernel, so they store the same numbers an exact rational loop would.
 The crossing rule "S_k > T and floor(2^128 S_k) > 2^128 T" is monotone in
 k (the terms are nonnegative), so the witness is found by bisections over
-the running sums of the first 1024 floors, a chunk at a time, and, past
-them, by bisection on a closed form: for
+the running sums of the first 256 floors, a chunk at a time (on to 1024
+when a bound says the crossing may lie there), and, past them, by
+bisection on a closed form: for
 linear terms (a*k + b)/k^2, S_k = C + a (H_k - gamma) - b zeta(2, k+1),
 with ln k from an integer atanh series, H_k - ln k - gamma and
-zeta(2, k+1) from Euler-Maclaurin expansions whose remainders are bounded
-by their first omitted terms, all in fixed point with directed rounding.
+zeta(2, k+1) (only when b != 0) from Euler-Maclaurin expansions whose
+remainders are bounded by their first omitted terms, all in fixed point
+with directed rounding; a step next to one already bracketed adds or
+subtracts the exact term between them instead.
 A step whose bracket straddles a 2^-128 grid point is redone with more
 bits, up to a stated cap, and never guessed.  The cost grows like log K,
 and a threshold whose witness index would reach 2^512 is rejected.
@@ -554,6 +557,27 @@ def _on_omega_floors(head, omega, s: int, bits: int, stop: int, start: int = 1) 
     return [(x << bits) // (y * k * k) for k, x, y in zip(range(start, stop + 1), u, v)]
 
 
+@lru_cache(maxsize=16)
+def _off_omega_bases(q, omega, I: int) -> Tuple[Tuple[int, int, int, int, int], ...]:
+    """(i, u, v, num, den) for each index i <= I off Omega, with q_i = u/v
+    and den > 0: the term 2^-i q_i^l / D_i of sum_i alpha_i q_i^l is
+    num/den q_i^(l-n-1+i), where D_i = q_i^(n+1-i) (q_i^i - 1)/(q_i - 1)
+    (`_slon4_denominator`), so num/den = (u - v) v^(i-1) / ((u^i - v^i) 2^i),
+    or 1/(i 2^i) with u = v = 1 when q_i = 1.  No base depends on n or l, so
+    every exponent of every power of a request shares them."""
+    out = []
+    for i in range(1, I + 1):
+        if omega.contains(i):
+            continue
+        u, v = q.value(i).as_integer_ratio()
+        if u == v:
+            out.append((i, 1, 1, 1, i << i))
+        else:
+            num, den = (u - v) * v ** (i - 1), (u**i - v**i) << i
+            out.append((i, u, v, num, den) if den > 0 else (i, u, v, -num, -den))
+    return tuple(out)
+
+
 def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     """Unscaled convergent certificate for sum_i alpha_i q_i^l, l <= n."""
     m = n - l
@@ -592,21 +616,15 @@ def _convergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
         K = min(2 * K, cfg.max_terms)
     t_lo, t_hi, J = tail
 
-    # the floors of the first K on-Omega terms and of the off-Omega terms
-    # 2^-i q^l / D_i = (q-1) q^(l-n-1+i) / (2^i (q^i - 1)) with q = u/v, each
-    # by one integer division: the exact partial sum of those K + len(off)
-    # terms lies in [lo, lo + K + len(off)] / 2^bits
+    # the floors of the first K on-Omega terms and of the off-Omega terms, each
+    # its shared base times q_i^(l-n-1+i) by one integer division: the exact
+    # partial sum of those K + len(off) terms lies in [lo, lo + K + len(off)] / 2^bits
     lo = sum(_on_omega_floors(_head_ratios(q, omega, K), omega, -m, bits, K))
-    off = [i for i in range(1, I + 1) if not omega.contains(i)]
-    for i in off:
-        qv = q.value(i)
-        u, v, e = qv.numerator, qv.denominator, l - n - 1 + i
-        if u == v:  # q = 1: the term is 2^-i / i
-            lo += (1 << bits) // (i << i)
-        else:
-            num, den = (u - v) * v ** (i - 1), (u**i - v**i) << i
-            num, den = (num * u**e, den * v**e) if e >= 0 else (num * v**-e, den * u**-e)
-            lo += (num << bits) // den if den > 0 else (-num << bits) // -den
+    off = _off_omega_bases(q, omega, I)
+    for i, u, v, num, den in off:
+        e = l - n - 1 + i
+        num, den = (num * u**e, den * v**e) if e >= 0 else (num * v**-e, den * u**-e)
+        lo += (num << bits) // den
 
     partial_lo, partial_hi = Fraction(lo, 1 << bits), Fraction(lo + K + len(off), 1 << bits)
     tail_lo = t_lo
@@ -639,7 +657,8 @@ def dyadic_floor(x: Fraction) -> Fraction:
 
 
 _WITNESS_BITS = 192  # 128 bits of the stored dyadic floor plus 64 guard bits
-_WITNESS_LOOP = 1024  # the loop sums at least this far before the closed form
+_WITNESS_PREFIX = 256  # the explicit floors always summed, unless the head is longer
+_WITNESS_LOOP = 1024  # the explicit floors summed when the crossing may lie below this
 _MAX_WITNESS_BITS = 512  # a witness index must be below 2^512
 _MAX_GUARD_BITS = 512  # closed form: the most extra bits tried on an open step
 _NEWTON_STEPS = 6  # closed form: steering steps before the gallop, which decides
@@ -664,7 +683,7 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     (a - 1) k + b >= 0 at the first tail k, which then holds for every
     later k; otherwise NoCertificateError names the first k that breaks it.
 
-    The first K0 = max(1024, len(omega.head)) steps are decided on the
+    The first k0 = max(256, len(omega.head)) steps are decided on the
     running sums lo of _on_omega_floors' floor(2^W * term) (W = 192),
     taken in chunks of 64, 64, 128, 256, ... terms, so after k terms S_k
     lies in [lo, lo + k] / 2^W.  That bracket decides each step: S_k <= T
@@ -675,10 +694,17 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     leaves open (S_k within k/2^W of T or of a 2^-128 grid point) is
     decided on the exact sum witness_partial_sum.
 
-    The steps past K0 go to _closed_form_witness, which brackets S_k in
-    closed form and bisects on the predicate in O(log K) evaluations;
-    witness_index and witness_partial_lb are those of the exact rule either
-    way.
+    Past k0 the terms are (a*k + b)/k^2, so S_k < S_k0 + a ln(k/k0) +
+    max(b, 0)/k0.  When that bound (ln 2 rounded up, ln(k/k0) at most e ln 2
+    with k0 2^e >= 1024) lets S_1024 pass T, the explicit sum runs on to
+    1024, again in chunks of 64, 64, 128, ... from k0; so mixed q's K = 261
+    at T = 10 stays on it.  Otherwise, and past 1024, the steps go to
+    _closed_form_witness, which brackets S_k in closed form and bisects on
+    the predicate in O(log K) evaluations.  The bound picks the method
+    only: witness_index and witness_partial_lb are those of the exact rule
+    either way.  k0 >= 256 keeps every precision retry of the closed form
+    decidable (see there), and a smaller k0 would need more Bernoulli terms
+    per Euler-Maclaurin bracket of E(k0).
     """
     m = l - n  # >= 1
     if m > 1:
@@ -699,9 +725,9 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     t_den, t_num_w = T.denominator, T.numerator << _WITNESS_BITS
     guard = _WITNESS_BITS - 128
     bound = t_num_w // t_den  # S_k <= T while lo + k <= bound
-    last, lo, stop = max(_WITNESS_LOOP, len(omega.head)), 0, 0
-    while stop < last:  # in chunks of 64, 64, 128, ..., so an early witness sums few floors
-        start, stop = stop + 1, min(max(64, 2 * stop), last)
+    last, lo, stop, base = max(_WITNESS_PREFIX, len(omega.head)), 0, 0, 0
+    while stop < last:  # in chunks of 64, 64, 128, ... from base, so an early witness sums few floors
+        start, stop = stop + 1, min(stop + max(64, stop - base), last)
         sums = list(accumulate(_on_omega_floors(head, omega, 1, _WITNESS_BITS, stop, start),
                                initial=lo))  # lo after k terms at k - start + 1
         lo = sums[-1]
@@ -719,6 +745,14 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
             if lb is not None and lb > T:
                 break
         else:
+            # for last < k <= last 2^e, S_k < S_last + a e ln 2 + max(b, 0)/last,
+            # ln 2 < 45427/2^16: sum on to _WITNESS_LOOP only when that bound
+            # passes T there
+            if stop == last < _WITNESS_LOOP:
+                e = ((_WITNESS_LOOP - 1) // last).bit_length()  # last 2^e >= _WITNESS_LOOP
+                rise = (a * e * 45427 << (_WITNESS_BITS - 16)) + (max(b, 0) << _WITNESS_BITS) // last
+                if lo + last + rise + 1 > bound:
+                    base, last = last, _WITNESS_LOOP
             continue
         break
     else:
@@ -737,6 +771,45 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     )
 
 
+def _partial_sum_brackets(q, omega, k0: int, lo0: int):
+    """(const, bracket) for `_closed_form_witness`: const(bits) brackets C
+    and bracket(k, bits) brackets S_k, k > k0, on the 2^-bits grid, each kept
+    per argument.  bracket takes S_k from a kept S_(k-1) or S_(k+1) and the
+    exact term (a*k + b)/k^2 between them, floored and ceiled onto the same
+    grid, which widens it by at most one step, and else from the closed
+    form C + a (ln k + E(k)) - b zeta(2, k+1), the zeta taken only when b !=
+    0."""
+    a, b = omega.slope, omega.intercept
+    consts, brackets = {}, {}
+
+    def moving(N, bits):  # a (ln N + E(N)) - b zeta(2, N+1), ln N + E(N) = H_N - gamma
+        h = _times(a, _add(ln_fixed(N, bits), _em_bracket(1, N, bits)))
+        return _add(h, _times(-b, _em_bracket(2, N + 1, bits))) if b else h
+
+    def const(bits):  # C = S_k0 - moving(k0)
+        if bits not in consts:
+            s = lo0 if bits == _WITNESS_BITS else sum(
+                _on_omega_floors(_head_ratios(q, omega, k0), omega, 1, bits, k0))
+            consts[bits] = _add((s, s + k0), _times(-1, moving(k0, bits)))
+        return consts[bits]
+
+    def term(k, bits):  # (a*k + b)/k^2 >= 0 on the 2^-bits grid
+        t, r = divmod((a * k + b) << bits, k * k)
+        return t, t + (r > 0)
+
+    def bracket(k, bits):
+        if (k, bits) not in brackets:
+            if (k - 1, bits) in brackets:
+                brackets[k, bits] = _add(brackets[k - 1, bits], term(k, bits))
+            elif (k + 1, bits) in brackets:
+                brackets[k, bits] = _add(brackets[k + 1, bits], _times(-1, term(k + 1, bits)))
+            else:
+                brackets[k, bits] = _add(const(bits), moving(k, bits))
+        return brackets[k, bits]
+
+    return const, bracket
+
+
 def _closed_form_witness(q, omega, k0: int, lo0: int, T: Fraction) -> Tuple[int, int]:
     """(K, floor(2^128 S_K)) for the least K > k0 with floor(2^128 S_K) >
     2^128 T, where S_k is the on-Omega partial sum for m = 1, no k <= k0
@@ -745,16 +818,24 @@ def _closed_form_witness(q, omega, k0: int, lo0: int, T: Fraction) -> Tuple[int,
     Past k0 the terms are (a*k + b)/k^2 (a = slope, b = intercept), so
       S_k = S_k0 + a (H_k - H_k0) + b (zeta(2, k0+1) - zeta(2, k+1)),
     and with H_N = ln N + gamma + E(N) this is C + a (ln k + E(k)) -
-    b zeta(2, k+1) for a constant C, gamma cancelling.  Each piece is an
-    integer bracket on the 2^-bits grid with directed rounding: ln N from
-    ln_fixed, and E(N) and zeta(2, N) from the fixed-point Euler-Maclaurin
-    kernel (`_em_bracket`), each summed until its remainder bound is below
-    one grid step.  A step is decided when both ends of S_k's bracket have the
+    b zeta(2, k+1) for a constant C, gamma cancelling; on linear q, b = 0
+    and no zeta is taken.  Each piece is an integer bracket on the 2^-bits
+    grid with directed rounding: ln N from ln_fixed, and E(N) and zeta(2, N)
+    from the fixed-point Euler-Maclaurin kernel (`_em_bracket`), each summed
+    until its remainder bound is below one grid step
+    (`_partial_sum_brackets`).  A step next to one already bracketed at the
+    same bits is that bracket plus or minus the exact term between them, so
+    deciding that K crosses and K - 1 does not costs one closed-form
+    evaluation.  A step is decided when both ends of S_k's bracket have the
     same 128-bit floor, which is then floor(2^128 S_k); otherwise the step
     is retried with 64, 128, 256 and 512 more bits, and past that raises
     NoCertificateError naming k.  bits is 192, or 96 above k's bit length
     rounded up to a multiple of 64, so the bracket is far narrower than the
-    last term a/k.
+    last term a/k; the largest retry, at k near 2^512, is 640 + 512 = 1152
+    bits.  The Euler-Maclaurin bracket of E(k0) narrows only to about
+    e^(-2 pi k0) (its terms are smallest near J = pi k0), so k0 >= 128,
+    where that is about 2^-1160, keeps every retry decidable;
+    _divergent_base's k0 >= 256 gives about 2^-2320.
 
     A float estimate ln K ~ (T - C)/a, then Newton steps on the bracket's
     midpoint, only choose where to look: a gallop from that point and a
@@ -762,30 +843,11 @@ def _closed_form_witness(q, omega, k0: int, lo0: int, T: Fraction) -> Tuple[int,
     2^_MAX_WITNESS_BITS: when S_k at that cap is decided not to cross,
     ThresholdNotReachedError is raised.
     """
-    a, b = omega.slope, omega.intercept
+    a = omega.slope
     g = (T.numerator << 128) // T.denominator + 1  # crossing: floor(2^128 S_k) >= g
     k_max = 1 << _MAX_WITNESS_BITS
-    consts, brackets, floors = {}, {}, {}
-
-    def harmonic(N, bits):  # ln N + E(N) = H_N - gamma
-        return _add(ln_fixed(N, bits), _em_bracket(1, N, bits))
-
-    def zeta2(N, bits):
-        return _em_bracket(2, N, bits)
-
-    def const(bits):  # C = S_k0 - a (ln k0 + E(k0)) + b zeta(2, k0+1)
-        if bits not in consts:
-            s = lo0 if bits == _WITNESS_BITS else sum(
-                _on_omega_floors(_head_ratios(q, omega, k0), omega, 1, bits, k0))
-            consts[bits] = _add((s, s + k0), _times(-a, harmonic(k0, bits)),
-                                _times(b, zeta2(k0 + 1, bits)))
-        return consts[bits]
-
-    def bracket(k, bits):  # S_k = C + a (ln k + E(k)) - b zeta(2, k+1)
-        if (k, bits) not in brackets:
-            brackets[k, bits] = _add(const(bits), _times(a, harmonic(k, bits)),
-                                     _times(-b, zeta2(k + 1, bits)))
-        return brackets[k, bits]
+    const, bracket = _partial_sum_brackets(q, omega, k0, lo0)
+    floors = {}
 
     def precision(k):
         return max(_WITNESS_BITS, -(-(k.bit_length() + 96) // 64) * 64)

@@ -664,13 +664,23 @@ def test_verify_work_independent_of_depth(small_artifacts):
 def test_verify_stops_at_wrong_omega(small_artifacts, key, value):
     """The stored omega is compared with the request's, never read: a wrong
     one states another rule and ends verification at its reconstruction
-    record.  The head of linear q is [] (every index is on Omega from
-    affine_from = 1), so [1] is a wrong head."""
+    record, which names the key that differs.  The head of linear q is []
+    (every index is on Omega from affine_from = 1), so [1] is a wrong head."""
     doc = small_artifacts["linear"].to_json_dict()
     doc["omega"][key] = value
     report = verify(doc)
     assert not report.passed
     assert [(r.name, r.passed) for r in report.records] == [("omega-reconstruction", False)]
+    assert report.records[0].detail.startswith(f"omega.{key}: not the request's omega {{")
+
+
+@pytest.mark.parametrize("value", [[], "x", None])
+def test_verify_stops_at_omega_not_an_object(small_artifacts, value):
+    doc = small_artifacts["linear"].to_json_dict()
+    doc["omega"] = value
+    report = verify(doc)
+    assert [(r.name, r.passed, r.detail) for r in report.records] == [
+        ("omega-reconstruction", False, "omega: not an object")]
 
 
 def _scalar_leaves(node, path):

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeshift.errors import TableRangeError
-from treeshift.rationals import (RENDER_DIGITS, Interval, outward, rat_to_decimal, render,
-                                 render_interval, table_text)
+from treeshift.rationals import (RENDER_DIGITS, Interval, _text_value, enclosure, outward,
+                                 rat_to_decimal, render, render_interval, table_text)
 
 
 rationals = st.fractions(
@@ -196,3 +196,22 @@ def test_render_writes_only_what_table_text_reads(k, fits):
         else:
             with pytest.raises(TableRangeError, match=rf"^weights.x at i = 2: exponent {k} over"):
                 render(num, den, up, "weights.x at i = 2")
+
+
+@given(wide_rationals)
+@settings(derandomize=True, max_examples=200, database=None)
+@example(Fraction(0))
+@example(Fraction(-7, 3))
+@example(Fraction(10**19727))  # renders at exponent 19688
+@example(Fraction(1, 10**19649))  # and at -19688
+@example(Fraction(-(10**19728), 3))
+@example(Fraction(-7, 10**19649))
+def test_text_value_equals_the_parsed_text(x):
+    """A rendered endpoint's value, built from its mantissa and exponent,
+    equals Fraction of its text, at 0, negative values and the exponent cap
+    ±19688; other forms ("0", a/b) are read by Fraction."""
+    texts = (render(x.numerator, x.denominator, False), render(x.numerator, x.denominator, True))
+    for text in texts:
+        assert _text_value(text) == Fraction(text)
+    assert enclosure(texts) == Interval(Fraction(texts[0]), Fraction(texts[1]))
+    assert _text_value(str(x)) == x

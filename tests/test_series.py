@@ -487,6 +487,66 @@ def test_convergent_kernel_matches_fraction_loop(q, powers, lowest):
             assert lo <= exact <= hi, (n, l)
 
 
+def _reference_off_floors(q, omega, n, l, I, bits):
+    """(sum, count) of the off-Omega floors by the per-exponent loop the
+    shared bases replaced: each term 2^-i q^l / D_i = (q-1) q^(l-n-1+i) /
+    (2^i (q^i - 1)), q = u/v, built for this exponent and floored by one
+    integer division."""
+    lo = count = 0
+    for i in range(1, I + 1):
+        if omega.contains(i):
+            continue
+        count += 1
+        qv = q.value(i)
+        u, v, e = qv.numerator, qv.denominator, l - n - 1 + i
+        if u == v:  # q = 1: the term is 2^-i / i
+            lo += (1 << bits) // (i << i)
+        else:
+            num, den = (u - v) * v ** (i - 1), (u**i - v**i) << i
+            num, den = (num * u**e, den * v**e) if e >= 0 else (num * v**-e, den * u**-e)
+            lo += (num << bits) // den if den > 0 else (-num << bits) // -den
+    return lo, count
+
+
+@st.composite
+def _mixed_prefixes(draw):
+    """Up to 40 values q_i = 1, q_i < 1 or q_i > 1; half the time each
+    q_i > 1 is raised by i, so that it joins Omega and the head runs long."""
+    size = draw(st.integers(min_value=0, max_value=40))
+    values = draw(st.lists(st.one_of(
+        st.just(Fraction(1)),
+        st.fractions(min_value=Fraction(1, 9), max_value=Fraction(8, 9), max_denominator=9),
+        st.fractions(min_value=Fraction(6, 5), max_value=60, max_denominator=5),
+    ), min_size=size, max_size=size))
+    lift = draw(st.booleans())
+    return [x + i if lift and x > 1 else x for i, x in enumerate(values, 1)]
+
+
+@given(
+    prefix=_mixed_prefixes(),
+    tail=st.sampled_from([Tail.LINEAR, Tail.MIXED]),
+    n=st.integers(min_value=1, max_value=3),
+)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_convergent_base_matches_per_exponent_loop(prefix, tail, n):
+    """The off-Omega bases built once per (q, Omega) and multiplied by q_i^e
+    for each exponent give the floors of the per-exponent loop, for prefixes
+    with q_i = 1, q_i < 1 and long heads, and exponents n down to -12."""
+    q = SequenceSpec(tail, tuple(prefix))
+    omega = build_omega(q)
+    cfg = CertConfig(series_width=Fraction(1, 10**6))
+    bits = CertConfig.dyadic_bits
+    for l in range(n, -13, -1):
+        cert = series._convergent_base(q, omega, n, l, cfg)
+        K = cert.omega_terms
+        on = sum(series._on_omega_floors(series._head_ratios(q, omega, K), omega, l - n, bits, K))
+        I = 0 if omega.covers_all else max(CertConfig.off_omega_terms, n + 1 - l, 1)
+        off, count = _reference_off_floors(q, omega, n, l, I, bits)
+        assert cert.partial_lo == Fraction(on + off, 1 << bits), l
+        assert cert.partial_hi == Fraction(on + off + K + count, 1 << bits), l
+        assert cert.off_terms == count, l
+
+
 def test_certificate_structure_invariants():
     omega = build_omega(LINEAR_Q)
     fam = AlphaFamily(LINEAR_Q, omega, power=2)
@@ -618,8 +678,8 @@ def test_witness_cost_linear_in_index():
 
 
 def _loop_witness(q, omega, m, T):
-    """(K, witness_partial_lb) by the linear-time loop the closed form replaced
-    past k = 1024: every step bracketed by a 192-bit floor sum, an open one
+    """(K, witness_partial_lb) by a linear-time loop over every step, with no
+    closed form: every step bracketed by a 192-bit floor sum, an open one
     decided on the exact partial sum."""
     W, head = 192, len(omega.head)
     lo = k = 0
@@ -659,7 +719,8 @@ def _exact_partial_sum(q, omega, k):
 def test_closed_form_witness_matches_loop(prefix, tail, power, k, offset):
     """The loop-then-bisection witness equals the linear-time loop's for
     thresholds on, just off and between exact partial sums S_k, so that K
-    lies on both sides of the loop's last step k0 = 1024."""
+    lies on both sides of the explicit prefix k0 = 256 and of the loop's
+    end at 1024, where the explicit sum stops when it runs on past k0."""
     q = SequenceSpec(tail, tuple(prefix))
     omega = build_omega(q)
     threshold = _exact_partial_sum(q, omega, k) + offset
@@ -670,9 +731,11 @@ def test_closed_form_witness_matches_loop(prefix, tail, power, k, offset):
 
 
 def test_closed_form_witness_both_sides_of_loop():
-    """Pinned thresholds whose witness lies just below, at and above k0."""
+    """Pinned thresholds whose witness lies just below, at and above the
+    explicit prefix k0 and the loop's end at 1024."""
     omega = build_omega(LINEAR_Q)
-    for k in (1023, 1024, 1025, 2000):
+    k0 = series._WITNESS_PREFIX
+    for k in (k0 - 2, k0 - 1, k0, 1023, 1024, 1025, 2000):
         threshold = _exact_partial_sum(LINEAR_Q, omega, k)
         cfg = CertConfig(divergence_threshold=threshold)
         cert = series._divergent_base(LINEAR_Q, omega, 1, 2, cfg)
@@ -680,6 +743,59 @@ def test_closed_form_witness_both_sides_of_loop():
             LINEAR_Q, omega, 1, threshold
         )
         assert cert.witness_index == k + 1
+
+
+def test_witness_work(monkeypatch):
+    """Linear q at T = 11 (K = 33617) sums at most k0 explicit floors and
+    then takes two Euler-Maclaurin brackets, both of E: one for C at k0 and
+    one closed-form step, the step next to it taken from the exact term;
+    b = 0, so no zeta(2, .).  Mixed q at T = 10 (K = 261) stays on the
+    explicit sum, which runs on past k0 because its bound reaches T below
+    1024, and takes none."""
+    floors, brackets = [], []
+    real_floors, real_em = series._on_omega_floors, series._em_bracket
+
+    def counted_floors(head, omega, s, bits, stop, start=1):
+        floors.append(stop - start + 1)
+        return real_floors(head, omega, s, bits, stop, start)
+
+    monkeypatch.setattr(series, "_on_omega_floors", counted_floors)
+    monkeypatch.setattr(series, "_em_bracket",
+                        lambda p, N, bits: brackets.append(p) or real_em(p, N, bits))
+    for q, T, K, summed, taken in ((LINEAR_Q, 11, 33617, series._WITNESS_PREFIX, [1, 1]),
+                                   (MIXED_Q, 10, 261, 320, [])):
+        floors.clear()
+        brackets.clear()
+        cfg = CertConfig(divergence_threshold=Fraction(T))
+        assert series._divergent_base(q, build_omega(q), 1, 2, cfg).witness_index == K
+        assert sum(floors) == summed and brackets == taken, q
+
+
+@pytest.mark.parametrize("q, threshold", [(LINEAR_Q, 11), (MIXED_Q, 20)], ids=["linear", "mixed"])
+def test_neighbour_bracket_contains_partial_sum(monkeypatch, q, threshold):
+    """The brackets of S_(K-1) and S_(K+1) taken from S_K's and the exact
+    term between them take no Euler-Maclaurin bracket, widen S_K's by at
+    most one grid step, and contain mpmath's partial sums."""
+    omega, bits, k0 = build_omega(q), 192, series._WITNESS_PREFIX
+    cfg = CertConfig(divergence_threshold=Fraction(threshold))
+    K = series._divergent_base(q, omega, 1, 2, cfg).witness_index
+    lo0 = sum(series._on_omega_floors(series._head_ratios(q, omega, k0), omega, 1, bits, k0))
+    _, bracket = series._partial_sum_brackets(q, omega, k0, lo0)
+    at_K = bracket(K, bits)
+    monkeypatch.setattr(series, "_em_bracket", None)  # any Euler-Maclaurin call raises
+    near = {k: bracket(k, bits) for k in (K - 1, K + 1)}
+
+    def term(k):
+        v = q.value(omega.index(k))
+        return mp.mpf(v.numerator) / (v.denominator * k * k)
+
+    with mp.workdps(80):
+        S = {K - 1: mp.fsum(map(term, range(1, K)))}
+        S[K] = S[K - 1] + term(K)
+        S[K + 1] = S[K] + term(K + 1)
+        for k, (lo, hi) in [(K, at_K), *near.items()]:
+            assert lo <= S[k] * mp.mpf(2) ** bits <= hi, k
+            assert hi - lo <= at_K[1] - at_K[0] + (k != K), k
 
 
 BRACKET_N = (1, 2, 3, 7, 1024, 1025, 33617, 10**6 + 3, 2**64 + 1, 10**20, 3**50, 10**40)
