@@ -12,6 +12,8 @@ CSV rendering columns.
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import replace
@@ -195,12 +197,12 @@ def _cmd_report(args) -> int:
             )
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     else:
-        lines = ["name,passed,vertex,residual,detail"]
-        for r in report.records:
-            lines.append(
-                f"{r.name},{int(r.passed)},{r.vertex or ''},{r.residual or ''},{r.detail}"
-            )
-        text = "\n".join(lines) + "\n"
+        buffer = io.StringIO()
+        rows = csv.writer(buffer, lineterminator="\n")  # quotes a field holding a comma
+        rows.writerow(["name", "passed", "vertex", "residual", "detail"])
+        rows.writerows((r.name, int(r.passed), r.vertex or "", r.residual or "", r.detail)
+                       for r in report.records)
+        text = buffer.getvalue()
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -214,9 +216,20 @@ def _cmd_partial_sums(args) -> int:
     alpha = artifact.alpha
     cells, total, digits = [], Fraction(0), 0
     for i in range(1, args.count + 1):  # every exact cell first: nothing is written past a cap
-        term = alpha.value(i) * alpha.q.value(i) ** args.exponent
-        total += term
-        bits = [n.bit_length() for x in (term, total) for n in (x.numerator, x.denominator)]
+        alpha_i, q_i = alpha.value(i), alpha.q.value(i)
+        (a, b), (u, v), e = alpha_i.as_integer_ratio(), q_i.as_integer_ratio(), args.exponent
+        if e < 0:
+            u, v, e = v, u, -e
+        # in lowest terms alpha_i q_i^e has a numerator >= u^e/b and a denominator
+        # >= v^e/a: a cell these bounds put over the cap is refused before any power
+        least = max(e * (u.bit_length() - 1) - b.bit_length(),
+                    e * (v.bit_length() - 1) - a.bit_length()) + 1
+        if least > MAX_RATIONAL_BITS:
+            bits = [least]
+        else:
+            term = alpha_i * q_i ** args.exponent
+            total += term
+            bits = [n.bit_length() for x in (term, total) for n in (x.numerator, x.denominator)]
         if max(bits) > MAX_RATIONAL_BITS:
             raise ValueError(f"row {i} has an exact cell over MAX_RATIONAL_BITS = "
                              f"{MAX_RATIONAL_BITS} bits; --count {i - 1} is the most rows")

@@ -20,15 +20,6 @@ from typing import Tuple, Union
 
 from .errors import TableRangeError
 
-# The library's own documents stay far below the default int<->str digit
-# cap of 4,300 digits.  Two callers pass it, hence this raise:
-# perfbench/worker.py's traced verify takes str() of the witness partial
-# sum's denominator (14,620 digits on the series-bound workload), and
-# `treeshift partial-sums` writes exact sums of up to MAX_RATIONAL_BITS
-# (19,729 digits), past 4,300 digits within its default 100 rows on mixed q.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_000_000))
-
 Rational = Union[Fraction, int]
 
 
@@ -229,6 +220,18 @@ def rat_to_str(x: Fraction) -> str:
 # reads "0", and the largest exact certificate is a 321-bit nd[1] enclosure.
 MAX_RATIONAL_BITS = 1 << 16
 _MAX_DIGITS = MAX_RATIONAL_BITS * 30103 // 100000 + 2  # digits of 2^MAX_RATIONAL_BITS, and "-"
+
+# No number of the library has more than _MAX_DIGITS digits: rat_from_str
+# reads at most that many, and rat_to_str writes at most 19,729 for a value
+# below 2^MAX_RATIONAL_BITS, as `treeshift partial-sums` does for its exact
+# cells (past the default int<->str limit of 4,300 digits within 100 rows on
+# mixed q); the benchmark's traced verify takes str() of a 14,620-digit
+# witness denominator.  So the process-wide limit is raised to _MAX_DIGITS
+# and no further: a JSON integer past it is refused at once, not parsed in
+# quadratic time.  A limit of 0 (none) is left as it is.
+if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits():
+    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), _MAX_DIGITS))
+
 _RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 

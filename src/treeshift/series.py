@@ -28,20 +28,9 @@ threshold; the exact partial sum itself is not kept.  Above l = n+1 the
 terms dominate those at l = n+1, whose witness is reused.  Both kinds of
 sum add the on-Omega floors floor(2^bits q_{i_k}^s / k^2), s = l - n, of one
 integer kernel, so they store the same numbers an exact rational loop would.
-The crossing rule "S_k > T and floor(2^128 S_k) > 2^128 T" is monotone in
-k (the terms are nonnegative), so the witness is found by bisections over
-the running sums of the first 256 floors, a chunk at a time (on to 1024
-when a bound says the crossing may lie there), and, past them, by
-bisection on a closed form: for
-linear terms (a*k + b)/k^2, S_k = C + a (H_k - gamma) - b zeta(2, k+1),
-with ln k from an integer atanh series, H_k - ln k - gamma and
-zeta(2, k+1) (only when b != 0) from Euler-Maclaurin expansions whose
-remainders are bounded by their first omitted terms, all in fixed point
-with directed rounding; a step next to one already bracketed adds or
-subtracts the exact term between them instead.
-A step whose bracket straddles a 2^-128 grid point is redone with more
-bits, up to a stated cap, and never guessed.  The cost grows like log K,
-and a threshold whose witness index would reach 2^512 is rejected.
+One search finds the witness in O(log K) steps, each decided by one rule on
+the explicit sums or on a closed form (`_divergent_base`), and a threshold
+whose witness index would reach 2^512 is rejected.
 
 Everything below a certificate is an exact rational; enclosures are sound
 by construction, never heuristic.
@@ -51,7 +40,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, reduce
-from bisect import bisect_right
 from itertools import accumulate
 from math import exp
 from operator import mul
@@ -660,8 +648,8 @@ _WITNESS_BITS = 192  # 128 bits of the stored dyadic floor plus 64 guard bits
 _WITNESS_PREFIX = 256  # the explicit floors always summed, unless the head is longer
 _WITNESS_LOOP = 1024  # the explicit floors summed when the crossing may lie below this
 _MAX_WITNESS_BITS = 512  # a witness index must be below 2^512
-_MAX_GUARD_BITS = 512  # closed form: the most extra bits tried on an open step
-_NEWTON_STEPS = 6  # closed form: steering steps before the gallop, which decides
+_MAX_GUARD_BITS = 512  # the most extra bits tried on an open closed-form step
+_NEWTON_STEPS = 6  # steering steps before the gallop, which decides
 
 
 def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
@@ -671,40 +659,50 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     m = 1 term q_{i_k}/k^2, since q_{i_k} >= k >= 1, so the certificate is
     the m = 1 one, witness and all, with a minorant saying so.
 
-    For m = 1 the witness is the first k at which the on-Omega partial sum
-    S_k exceeds the threshold T and so does dyadic_floor(S_k).  The terms
-    are nonnegative, so S_k and floor(2^128 S_k) never decrease in k, and
-    since dyadic_floor(S_k) <= S_k the rule is the monotone predicate
-    floor(2^128 S_k) > 2^128 T: the witness is the least k where it holds,
-    and any search that decides that predicate exactly finds it.
-
     The minorant q_{i_k} >= k is checked once, for every k: on each head
     entry, and on the affine tail i_k = a*k + b by a >= 1 and
     (a - 1) k + b >= 0 at the first tail k, which then holds for every
     later k; otherwise NoCertificateError names the first k that breaks it.
 
-    The first k0 = max(256, len(omega.head)) steps are decided on the
-    running sums lo of _on_omega_floors' floor(2^W * term) (W = 192),
-    taken in chunks of 64, 64, 128, 256, ... terms, so after k terms S_k
-    lies in [lo, lo + k] / 2^W.  That bracket decides each step: S_k <= T
-    when (lo + k)/2^W <= T, which holds up to some k and never after, so a
-    bisection over each chunk's sums skips those steps; and
-    when lo/2^W > T with lo and lo + k agreeing above bit 64, S_k > T and
-    dyadic_floor(S_k) is exactly (lo >> 64)/2^128.  A step the bracket
-    leaves open (S_k within k/2^W of T or of a 2^-128 grid point) is
-    decided on the exact sum witness_partial_sum.
-
-    Past k0 the terms are (a*k + b)/k^2, so S_k < S_k0 + a ln(k/k0) +
-    max(b, 0)/k0.  When that bound (ln 2 rounded up, ln(k/k0) at most e ln 2
-    with k0 2^e >= 1024) lets S_1024 pass T, the explicit sum runs on to
-    1024, again in chunks of 64, 64, 128, ... from k0; so mixed q's K = 261
-    at T = 10 stays on it.  Otherwise, and past 1024, the steps go to
-    _closed_form_witness, which brackets S_k in closed form and bisects on
-    the predicate in O(log K) evaluations.  The bound picks the method
-    only: witness_index and witness_partial_lb are those of the exact rule
-    either way.  k0 >= 256 keeps every precision retry of the closed form
-    decidable (see there), and a smaller k0 would need more Bernoulli terms
-    per Euler-Maclaurin bracket of E(k0).
+    For m = 1 the witness K is the first k at which the on-Omega partial sum
+    S_k exceeds the threshold T and so does dyadic_floor(S_k) <= S_k, and
+    witness_partial_lb is dyadic_floor(S_K).  The terms are nonnegative, so
+    this is the least k of the monotone predicate floor(2^128 S_k) >
+    2^128 T, and one function decides every step: floor(2^128 S_k) is read
+    off a bracket [lo, hi] of 2^bits S_k whose ends have the same top bits.
+      * Up to the explicit end k0 = max(256, len(omega.head)), lo is the
+        running sum of _on_omega_floors' floor(2^192 term) and hi = lo + k.
+        Past k0 the terms are (a*k + b)/k^2, so S_k < S_k0 + a ln(k/k0) +
+        max(b, 0)/k0; when that bound (ln 2 rounded up, ln(k/k0) at most
+        e ln 2 with k0 2^e >= 1024) lets S_1024 pass T, the explicit end
+        moves on to 1024, so mixed q's K = 261 at T = 10 stays explicit.  A
+        step whose bracket holds a 2^-128 grid point above lo (S_k within
+        k 2^-192 of it) is open, and is decided on the exact sum
+        witness_partial_sum.
+      * Past the explicit end, S_k = S_k0 + a (H_k - H_k0) + b (zeta(2,
+        k0+1) - zeta(2, k+1)) = C + a (ln k + E(k)) - b zeta(2, k+1), with
+        H_N = ln N + gamma + E(N), gamma cancelling and the zeta taken only
+        when b != 0: ln N from ln_fixed, E(N) and zeta(2, N) from the
+        fixed-point Euler-Maclaurin kernel (`_em_bracket`), each summed
+        until its remainder bound is below one grid step, all with directed
+        rounding (`_partial_sum_brackets`).  A step next to one already
+        bracketed at the same bits is that bracket plus or minus the exact
+        term between them, so deciding that K crosses and K - 1 does not
+        costs one closed-form evaluation.  bits is 192, or 96 above k's bit
+        length rounded up to a multiple of 64; an open step is retried with
+        64, 128, 256 and 512 more bits, and past that raises
+        NoCertificateError naming k.  The largest retry, at k near 2^512, is
+        on the 2^-1152 grid, and the bracket of E(k0) narrows to about
+        e^(-2 pi k0) (its terms are smallest near J = pi k0), so k0 >= 128
+        keeps every retry decidable; k0 >= 256 gives about 2^-2320.
+    The search probes the explicit region at its chunk ends, 64, 64, 128,
+    256, ... steps from 0 (and from k0 when the end moves on), so an early
+    witness sums few floors.
+    Past it, a float estimate ln K ~ (T - C)/a and Newton steps on the
+    bracket's midpoint only choose where a gallop starts.  One bisection
+    between a step that does not cross and one that does then finds K, in
+    O(log K) steps.  K must be below 2^_MAX_WITNESS_BITS: when the step at
+    that cap is decided not to cross, ThresholdNotReachedError is raised.
     """
     m = l - n  # >= 1
     if m > 1:
@@ -722,42 +720,88 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
     if a < 1 or (a - 1) * k + b < 0:
         raise NoCertificateError(f"q_{{i_{k}}} = {a * k + b} < {k}: minorant broken")
     T = as_fraction(cfg.divergence_threshold)
-    t_den, t_num_w = T.denominator, T.numerator << _WITNESS_BITS
-    guard = _WITNESS_BITS - 128
-    bound = t_num_w // t_den  # S_k <= T while lo + k <= bound
-    last, lo, stop, base = max(_WITNESS_PREFIX, len(omega.head)), 0, 0, 0
-    while stop < last:  # in chunks of 64, 64, 128, ... from base, so an early witness sums few floors
-        start, stop = stop + 1, min(stop + max(64, stop - base), last)
-        sums = list(accumulate(_on_omega_floors(head, omega, 1, _WITNESS_BITS, stop, start),
-                               initial=lo))  # lo after k terms at k - start + 1
-        lo = sums[-1]
-        # lo + k grows with k: bisect for the first k of the chunk past the bound
-        first = start + bisect_right(range(start, stop + 1), bound,
-                                     key=lambda k: sums[k - start + 1] + k)
-        for k in range(first, stop + 1):
-            lo_k = sums[k - start + 1]
-            if lo_k * t_den > t_num_w and lo_k >> guard == (lo_k + k) >> guard:
-                lb = Fraction(lo_k >> guard, 1 << 128)
-            else:
-                S = witness_partial_sum(AlphaFamily(q, omega, n), l, k)
-                lb = dyadic_floor(S) if S > T else None
-            # stop at the first crossing whose dyadic floor still exceeds T
-            if lb is not None and lb > T:
-                break
+    g = (T.numerator << 128) // T.denominator + 1  # crossing: floor(2^128 S_k) >= g
+    k_max, guard = 1 << _MAX_WITNESS_BITS, _WITNESS_BITS - 128
+    sums, floors = [0], {}  # sums[k]: the running sum of the first k explicit floors
+
+    def precision(k):
+        return max(_WITNESS_BITS, -(-(k.bit_length() + 96) // 64) * 64)
+
+    def floor128(k):  # floor(2^128 S_k), read off a bracket of 2^bits S_k
+        if k in floors:
+            return floors[k]
+        if k < len(sums):  # explicit: [sums[k], sums[k] + k] at 192 bits, or the exact sum
+            f = sums[k] >> guard
+            if f != (sums[k] + k) >> guard:
+                f = scaled_floor(witness_partial_sum(AlphaFamily(q, omega, n), l, k), 128)
+        else:  # closed form: an open step is retried with more bits
+            bits = first = precision(k)
+            s_lo, s_hi = bracket(k, bits)
+            while s_lo >> (bits - 128) != s_hi >> (bits - 128):
+                if bits - first >= _MAX_GUARD_BITS:
+                    raise NoCertificateError(
+                        f"divergence witness step k = {k} undecided at {bits} bits"
+                    )
+                bits = first + max(64, 2 * (bits - first))
+                s_lo, s_hi = bracket(k, bits)
+            f = s_lo >> (bits - 128)
+        floors[k] = f
+        return f
+
+    def crosses(k):
+        return floor128(k) >= g
+
+    lo, hi, base, end = 0, None, 0, max(_WITNESS_PREFIX, len(omega.head))
+    while hi is None and lo < end:  # the explicit chunks: 64, 64, 128, ... steps from base
+        stop = min(lo + max(64, lo - base), end)
+        sums += accumulate(_on_omega_floors(head, omega, 1, _WITNESS_BITS, stop, lo + 1),
+                           initial=sums.pop())
+        lo, hi = (lo, stop) if crosses(stop) else (stop, None)
+        # for end < k <= end 2^e, S_k < S_end + a e ln 2 + max(b, 0)/end, ln 2 <
+        # 45427/2^16: sum on to _WITNESS_LOOP only when that bound passes T there
+        if lo == end < _WITNESS_LOOP:
+            e = ((_WITNESS_LOOP - 1) // end).bit_length()  # end 2^e >= _WITNESS_LOOP
+            rise = (a * e * 45427 << (_WITNESS_BITS - 16)) + (max(b, 0) << _WITNESS_BITS) // end
+            if sums[end] + end + rise >= (T.numerator << _WITNESS_BITS) // T.denominator:
+                base, end = end, _WITNESS_LOOP
+    if hi is None:  # past the explicit end: steer, then gallop
+        const, bracket = _partial_sum_brackets(q, omega, end, sums[end])
+        c_lo, c_hi = const(_WITNESS_BITS)  # S_k ~ C + a ln k steers the first guess
+        a_ln_k = (g << (_WITNESS_BITS - 128)) - ((c_lo + c_hi) >> 1)
+        if a_ln_k >= (a * _MAX_WITNESS_BITS) << _WITNESS_BITS:  # ln K >= 512 > ln 2^512
+            k = k_max
         else:
-            # for last < k <= last 2^e, S_k < S_last + a e ln 2 + max(b, 0)/last,
-            # ln 2 < 45427/2^16: sum on to _WITNESS_LOOP only when that bound
-            # passes T there
-            if stop == last < _WITNESS_LOOP:
-                e = ((_WITNESS_LOOP - 1) // last).bit_length()  # last 2^e >= _WITNESS_LOOP
-                rise = (a * e * 45427 << (_WITNESS_BITS - 16)) + (max(b, 0) << _WITNESS_BITS) // last
-                if lo + last + rise + 1 > bound:
-                    base, last = last, _WITNESS_LOOP
-            continue
-        break
-    else:
-        k, floor128 = _closed_form_witness(q, omega, last, lo, T)
-        lb = Fraction(floor128, 1 << 128)
+            k = min(max(int(exp(a_ln_k / (a << _WITNESS_BITS))), end + 1), k_max)
+            for _ in range(_NEWTON_STEPS):  # on the midpoint, with dS/dk ~ a/k
+                bits = precision(k)
+                s_lo, s_hi = bracket(k, bits)
+                step = (((g << (bits - 128)) - ((s_lo + s_hi) >> 1)) * k) // (a << bits)
+                k = min(max(k + step, end + 1), k_max)
+                if abs(step) <= 1:
+                    break
+        if crosses(k):
+            hi, width = k, 1
+            while True:
+                lo = max(hi - width, end)
+                if lo == end or not crosses(lo):
+                    break
+                hi, width = lo, 2 * width
+        else:
+            lo, width = k, 1
+            while True:
+                hi = min(lo + width, k_max)
+                if crosses(hi):
+                    break
+                if hi == k_max:
+                    raise ThresholdNotReachedError(
+                        f"divergence_threshold {rat_to_str(T)} not reached: the on-Omega partial "
+                        f"sum is below {rat_to_decimal(Fraction(floors[hi] + 1, 1 << 128), 6)} up "
+                        f"to k = 2^{_MAX_WITNESS_BITS}, the cap on the witness index"
+                    )
+                lo, width = hi, 2 * width
+    while hi - lo > 1:  # not crosses(lo), crosses(hi)
+        mid = (lo + hi) >> 1
+        lo, hi = (lo, mid) if crosses(mid) else (mid, hi)
     return SeriesCertificate(
         terms=f"sum_i alpha_i*q_i^{l}",
         verdict="divergent",
@@ -766,19 +810,15 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
             f"q_{{i_k}} >= k); remaining terms nonnegative"
         ),
         threshold=T,
-        witness_index=k,
-        witness_partial_lb=lb,
+        witness_index=hi,
+        witness_partial_lb=Fraction(floor128(hi), 1 << 128),
     )
 
 
 def _partial_sum_brackets(q, omega, k0: int, lo0: int):
-    """(const, bracket) for `_closed_form_witness`: const(bits) brackets C
-    and bracket(k, bits) brackets S_k, k > k0, on the 2^-bits grid, each kept
-    per argument.  bracket takes S_k from a kept S_(k-1) or S_(k+1) and the
-    exact term (a*k + b)/k^2 between them, floored and ceiled onto the same
-    grid, which widens it by at most one step, and else from the closed
-    form C + a (ln k + E(k)) - b zeta(2, k+1), the zeta taken only when b !=
-    0."""
+    """(const, bracket): const(bits) brackets C and bracket(k, bits) S_k, k >
+    k0, on the 2^-bits grid, each kept per argument, from S_k0 in [lo0, lo0 +
+    k0]/2^192 (see `_divergent_base`)."""
     a, b = omega.slope, omega.intercept
     consts, brackets = {}, {}
 
@@ -808,105 +848,6 @@ def _partial_sum_brackets(q, omega, k0: int, lo0: int):
         return brackets[k, bits]
 
     return const, bracket
-
-
-def _closed_form_witness(q, omega, k0: int, lo0: int, T: Fraction) -> Tuple[int, int]:
-    """(K, floor(2^128 S_K)) for the least K > k0 with floor(2^128 S_K) >
-    2^128 T, where S_k is the on-Omega partial sum for m = 1, no k <= k0
-    crosses, k0 >= len(omega.head) and S_k0 lies in [lo0, lo0 + k0]/2^192.
-
-    Past k0 the terms are (a*k + b)/k^2 (a = slope, b = intercept), so
-      S_k = S_k0 + a (H_k - H_k0) + b (zeta(2, k0+1) - zeta(2, k+1)),
-    and with H_N = ln N + gamma + E(N) this is C + a (ln k + E(k)) -
-    b zeta(2, k+1) for a constant C, gamma cancelling; on linear q, b = 0
-    and no zeta is taken.  Each piece is an integer bracket on the 2^-bits
-    grid with directed rounding: ln N from ln_fixed, and E(N) and zeta(2, N)
-    from the fixed-point Euler-Maclaurin kernel (`_em_bracket`), each summed
-    until its remainder bound is below one grid step
-    (`_partial_sum_brackets`).  A step next to one already bracketed at the
-    same bits is that bracket plus or minus the exact term between them, so
-    deciding that K crosses and K - 1 does not costs one closed-form
-    evaluation.  A step is decided when both ends of S_k's bracket have the
-    same 128-bit floor, which is then floor(2^128 S_k); otherwise the step
-    is retried with 64, 128, 256 and 512 more bits, and past that raises
-    NoCertificateError naming k.  bits is 192, or 96 above k's bit length
-    rounded up to a multiple of 64, so the bracket is far narrower than the
-    last term a/k; the largest retry, at k near 2^512, is 640 + 512 = 1152
-    bits.  The Euler-Maclaurin bracket of E(k0) narrows only to about
-    e^(-2 pi k0) (its terms are smallest near J = pi k0), so k0 >= 128,
-    where that is about 2^-1160, keeps every retry decidable;
-    _divergent_base's k0 >= 256 gives about 2^-2320.
-
-    A float estimate ln K ~ (T - C)/a, then Newton steps on the bracket's
-    midpoint, only choose where to look: a gallop from that point and a
-    bisection find K on decided steps alone.  K must be below
-    2^_MAX_WITNESS_BITS: when S_k at that cap is decided not to cross,
-    ThresholdNotReachedError is raised.
-    """
-    a = omega.slope
-    g = (T.numerator << 128) // T.denominator + 1  # crossing: floor(2^128 S_k) >= g
-    k_max = 1 << _MAX_WITNESS_BITS
-    const, bracket = _partial_sum_brackets(q, omega, k0, lo0)
-    floors = {}
-
-    def precision(k):
-        return max(_WITNESS_BITS, -(-(k.bit_length() + 96) // 64) * 64)
-
-    def floor128(k):
-        if k not in floors:
-            bits = base = precision(k)
-            while True:
-                lo, hi = bracket(k, bits)
-                if lo >> (bits - 128) == hi >> (bits - 128):
-                    break
-                if bits - base >= _MAX_GUARD_BITS:
-                    raise NoCertificateError(
-                        f"divergence witness step k = {k} undecided at {bits} bits"
-                    )
-                bits = base + max(64, 2 * (bits - base))
-            floors[k] = lo >> (bits - 128)
-        return floors[k]
-
-    def crosses(k):
-        return floor128(k) >= g
-
-    c_lo, c_hi = const(_WITNESS_BITS)  # S_k ~ C + a ln k steers the first guess
-    a_ln_k = (g << (_WITNESS_BITS - 128)) - ((c_lo + c_hi) >> 1)
-    if a_ln_k >= (a * _MAX_WITNESS_BITS) << _WITNESS_BITS:  # ln K >= 512 > ln 2^512
-        k = k_max
-    else:
-        k = min(max(int(exp(a_ln_k / (a << _WITNESS_BITS))), k0 + 1), k_max)
-        for _ in range(_NEWTON_STEPS):  # on the midpoint, with dS/dk ~ a/k
-            bits = precision(k)
-            lo, hi = bracket(k, bits)
-            step = (((g << (bits - 128)) - ((lo + hi) >> 1)) * k) // (a << bits)
-            k = min(max(k + step, k0 + 1), k_max)
-            if abs(step) <= 1:
-                break
-    if crosses(k):
-        hi, width = k, 1
-        while True:
-            lo = max(hi - width, k0)
-            if lo == k0 or not crosses(lo):
-                break
-            hi, width = lo, 2 * width
-    else:
-        lo, width = k, 1
-        while True:
-            hi = min(lo + width, k_max)
-            if crosses(hi):
-                break
-            if hi == k_max:
-                raise ThresholdNotReachedError(
-                    f"divergence_threshold {rat_to_str(T)} not reached: the on-Omega partial "
-                    f"sum is below {rat_to_decimal(Fraction(floors[hi] + 1, 1 << 128), 6)} up "
-                    f"to k = 2^{_MAX_WITNESS_BITS}, the cap on the witness index"
-                )
-            lo, width = hi, 2 * width
-    while hi - lo > 1:  # not crosses(lo), crosses(hi)
-        mid = (lo + hi) >> 1
-        lo, hi = (lo, mid) if crosses(mid) else (mid, hi)
-    return hi, floor128(hi)
 
 
 def _add(*brackets):

@@ -128,6 +128,68 @@ def test_partial_sums_stop_at_the_number_cap(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 101
 
 
+@pytest.mark.parametrize("prefix, exponent, row", [
+    (None, 1_000_000_000, 2),  # q_2 = 2: 2^(10^9)
+    (["3"], 30_000_000, 1),  # q_1 = 3: 3^(3 * 10^7)
+], ids=["mixed", "prefix-3"])
+def test_partial_sums_refuse_a_huge_exponent_before_the_power(tmp_path, capsys, prefix,
+                                                              exponent, row):
+    """A cell whose numerator or denominator must pass MAX_RATIONAL_BITS,
+    bounded from below by bit lengths alone, is refused before q_i^e is
+    built, at the row the full computation names (where these requests took
+    8 and 21 s)."""
+    doc, out = tmp_path / "mixed.json", tmp_path / "sums.csv"
+    assert run(["generate", "--n", "1", "--kappa", "3", "--q", "mixed", "--out", str(doc)]) == 0
+    if prefix is not None:
+        edited = json.loads(doc.read_text())
+        edited["request"]["q"] = {"tail": "linear", "prefix": prefix}
+        doc.write_text(json.dumps(edited))
+    started = time.monotonic()
+    assert run(["partial-sums", str(doc), "--exponent", str(exponent), "--count", "5",
+                "--out", str(out)]) == 2
+    assert time.monotonic() - started < 0.5
+    assert f"row {row} has an exact cell over MAX_RATIONAL_BITS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_integer_past_the_digit_cap_refused(artifact_path, tmp_path, capsys):
+    """Importing treeshift raises the int <-> str digit limit only to the
+    library's own cap (rationals._MAX_DIGITS): a 30,000-digit JSON integer is
+    refused, not parsed in quadratic time, and verify exits 2 on it."""
+    from treeshift.rationals import _MAX_DIGITS
+
+    with pytest.raises(ValueError):
+        json.loads("9" * 30_000)
+    assert json.loads("9" * _MAX_DIGITS) == 10**_MAX_DIGITS - 1
+    text = artifact_path.read_text()
+    bad = tmp_path / "digits.json"
+    bad.write_text(text.replace('"max_depth": 30', '"max_depth": ' + "9" * 30_000, 1))
+    assert bad.read_text() != text
+    assert run(["verify", str(bad)]) == 2
+    assert "integer string conversion" in capsys.readouterr().err
+
+
+def test_report_csv_quotes_fields_with_commas(tmp_path):
+    """A branch vertex such as v(3,2), or a detail holding a comma, stays
+    one quoted field: each row reads back as the five fields of its record."""
+    import csv
+
+    from treeshift.construct import verify
+
+    doc_path, out = tmp_path / "mixed.json", tmp_path / "report.csv"
+    assert run(["generate", "--n", "1", "--kappa", "3", "--q", "mixed", "--out", str(doc_path)]) == 0
+    doc = json.loads(doc_path.read_text())
+    doc["weights"]["branch_tail"][2]["w2"] = "4"
+    doc_path.write_text(json.dumps(doc))
+    assert run(["report", str(doc_path), "--format", "csv", "--out", str(out)]) == 1
+    rows = list(csv.reader(out.read_text().splitlines()))
+    expected = [[r.name, str(int(r.passed)), r.vertex or "", r.residual or "", r.detail]
+                for r in verify(doc).records]
+    assert rows == [["name", "passed", "vertex", "residual", "detail"], *expected]
+    assert ["v(3,2)"] == [row[2] for row in rows if row[0] == "weight-reconstruction"]
+    assert any("," in row[4] for row in rows)
+
+
 def test_partial_sums_stop_at_the_digit_cap(tmp_path, capsys):
     """On linear q no cell reaches MAX_RATIONAL_BITS before row 22,709, but
     the file grows about quadratically in the rows (--count 12000 wrote

@@ -619,8 +619,9 @@ def _partial_sums(fam, l):
 
 @pytest.mark.parametrize("threshold, index", [(Fraction(1), 2), (Fraction(11, 6), 4)])
 def test_witness_at_exact_partial_sum(monkeypatch, threshold, index):
-    # H_1 = 1 and H_3 = 11/6: the fixed-point bracket cannot decide the step
-    # whose sum equals the threshold, so that step falls back to the exact sum
+    # H_1 = 1 and H_3 = 11/6: the step whose sum equals the threshold has a
+    # bracket that reaches past T but holds no 2^-128 grid point above its
+    # lower end, so its floor decides it and no exact sum is taken
     fam = AlphaFamily(LINEAR_Q, build_omega(LINEAR_Q), power=1)
     exact_steps = []
 
@@ -631,10 +632,35 @@ def test_witness_at_exact_partial_sum(monkeypatch, threshold, index):
     monkeypatch.setattr(series, "witness_partial_sum", counted)
     cfg = CertConfig(divergence_threshold=threshold)
     cert = series._divergent_base(fam.q, fam.omega, fam.power, 2, cfg)
-    assert exact_steps == [index - 1]
+    assert exact_steps == []
     assert witness_partial_sum(fam, 2, index - 1) == threshold
     assert cert.witness_index == index
     assert cert.witness_partial_lb == dyadic_floor(witness_partial_sum(fam, 2, index))
+
+
+@pytest.mark.parametrize("prefix, index, lb, open_steps", [
+    ((2 - Fraction(1, 2**1000),), 1, Fraction(2**129 - 1, 2**128), {1, 2}),
+    ((Fraction(4, 3), Fraction(8, 3)), 2, Fraction(2), {2}),
+], ids=["below-grid-point", "on-grid-point"])
+def test_open_explicit_step_takes_the_exact_sum(monkeypatch, prefix, index, lb, open_steps):
+    """q_1 = 2 - 2^-1000 puts S_1 2^-1000 below the grid point 2, so no
+    bracket of up to 704 bits decides floor(2^128 S_1), and S_2 = 5/2 -
+    2^-1000 is open too; with q_1 = 4/3 and q_2 = 8/3, S_2 = 4/3 + 2/3 is
+    the grid point 2 itself, but its two floors fall a step short of it.
+    The witness reads such a step's floor off the exact sum."""
+    q = SequenceSpec(Tail.LINEAR, prefix)
+    exact_steps = []
+
+    def counted(alpha, l, upto):
+        exact_steps.append(upto)
+        return witness_partial_sum(alpha, l, upto)
+
+    monkeypatch.setattr(series, "witness_partial_sum", counted)
+    cfg = CertConfig(divergence_threshold=Fraction(3, 2))
+    cert = series._divergent_base(q, build_omega(q), 1, 2, cfg)
+    assert cert.witness_index == index
+    assert cert.witness_partial_lb == lb
+    assert index in exact_steps and set(exact_steps) <= open_steps
 
 
 @given(
