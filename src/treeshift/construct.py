@@ -32,7 +32,6 @@ from .errors import (IdentityLeftoverError, NoCertificateError, SupNotWitnessedE
 from .measures import AtomicMeasure, ConsistencyResult, MixtureMeasure
 from .rationals import (
     Interval,
-    Rendered,
     interval_from_json,
     outward,
     rat_from_str,
@@ -387,18 +386,19 @@ def _classes(kappa, window: Window) -> Tuple[Tuple[Vertex, Monomial], ...]:
 def decide_lemmas(lemmas: Tuple[Lemma, ...], artifact: CounterexampleArtifact,
                   cfg: CertConfig) -> Tuple[Lemma, ...]:
     """The records `lemmas` of an artifact's rule (`identity_lemmas`),
-    decided, each leaf the value the rule gives it: every monomial by
-    `wco.exact_residual`, those of the consistency and CC classes last, by
-    their layers `consist6_residuals` and `wco.cc_residual`, which also
-    reads h > 0 on the support.  IdentityLeftoverError names the first
-    record whose monomial is not one."""
+    decided, each leaf the value the rule gives it: every monomial once, by
+    `wco.exact_residual`, the consistency classes (the CC record's too)
+    last, by their layer `consist6_residuals`; `wco.cc_residual` reads h > 0
+    on the support.  IdentityLeftoverError names the first record whose
+    monomial is not one."""
     for lemma in lemmas:
         if lemma.name not in ("consist6", "cc"):
             for vertex, monomial in lemma.classes:
                 wco.exact_residual(lemma.name, vertex, monomial)
-    consist6_residuals(artifact, cfg)
+    (classes,) = (lemma.classes for lemma in lemmas if lemma.name == "consist6")
+    consist6_residuals(artifact, cfg, classes)
     data = wco.from_shift(artifact.tree, artifact.weights)
-    cc = wco.cc_residual(data, artifact.measures, artifact.window, cfg)
+    cc = wco.cc_residual(data, artifact.measures, artifact.window, cfg, decided=True)
     return tuple(lemma if lemma.classes else  # no monomial: h > 0 on the support
                  lemma._replace(leaves=tuple((path, cc.h_positive_on_support)
                                              for path, _ in lemma.leaves))
@@ -406,17 +406,17 @@ def decide_lemmas(lemmas: Tuple[Lemma, ...], artifact: CounterexampleArtifact,
 
 
 def consist6_residuals(
-    a: CounterexampleArtifact, cfg: CertConfig = DEFAULT_CONFIG
+    a: CounterexampleArtifact, cfg: CertConfig = DEFAULT_CONFIG, classes=None
 ) -> Dict[Vertex, ConsistencyResult]:
     """Consistency residual of every class of the consist6 record of
-    `identity_lemmas` (see `wco.require_model_rules`), each the exact row
-    `_EXACT_ROW` once its monomial is one.  The branch class stands for
-    every branch vertex: (i, j) and its one child carry the Dirac at q_i,
-    and the child's weight is q_i, so the residual at q_i is
-    |1 - q_i/q_i| = 0."""
+    `identity_lemmas` (see `wco.require_model_rules`; `classes`, built here
+    when None), each the exact row `_EXACT_ROW` once its monomial is one.
+    The branch class stands for every branch vertex: (i, j) and its one
+    child carry the Dirac at q_i, and the child's weight is q_i, so the
+    residual at q_i is |1 - q_i/q_i| = 0."""
     wco.require_model_rules(a.tree, a.weights, a.measures)
     out = {}
-    for vertex, monomial in _classes(a.request.kappa, a.window):
+    for vertex, monomial in classes or _classes(a.request.kappa, a.window):
         wco.exact_residual("consist6", vertex, monomial)
         out[vertex] = _EXACT_ROW
     return out
@@ -429,9 +429,36 @@ _EXACT_ROW = ConsistencyResult(((Fraction(0), Fraction(0)),), Fraction(0), Fract
 
 # --- serialization ---
 
+def _window_tables(kappa, window: Window) -> tuple:
+    """The window tables of a document, the one statement of them for
+    `_artifact_doc` and `verify`: (JSON path, entry key, positions, field,
+    value, record, vertex, detail), an entry per position keyed by it, its
+    field value(artifact, position); a stored value other than the rule's
+    fails `record` at vertex(position), with `detail` formatted with it."""
+    branches, levels = range(1, window.max_branch + 1), range(_mixture_levels(kappa, window))
+    return (
+        (("weights", "branch_first"), "i", branches, "w2",
+         lambda a, i: list(a.weights.branch_first_squared(i)),
+         "weight-reconstruction", lambda i: Branch(i, 1), ""),
+        (("weights", "branch_tail"), "i", branches, "w2",
+         lambda a, i: rat_to_str(a.weights.branch_tail_squared(i)),
+         "weight-reconstruction", lambda i: Branch(i, 2), "chain weight differs from rule"),
+        (("weights", "trunk"), "l", range(_trunk_levels(kappa, window)), "w2",
+         lambda a, l: list(render_interval(a.weights.trunk[l])), "weight-reconstruction", Trunk, ""),
+        (("measures", "branch_atoms"), "i", branches, "t",
+         lambda a, i: rat_to_str(a.measures.q.value(i)),
+         "atom-reconstruction", lambda i: Branch(i, 1), "branch atom location differs from q"),
+        (("measures", "mixtures"), "shift", levels, "prefactor",
+         lambda a, l: list(render_interval(a.measures.mixtures[l].prefactor)),
+         "atom-reconstruction", Trunk, "mixture prefactor off rule"),
+    ) + tuple(
+        (("measures", "mixtures", l, "atoms"), "i", branches, "mass",
+         lambda a, i, l=l: list(a.measures.mixtures[l].atom_mass(i)),
+         "atom-reconstruction", lambda i, l=l: Trunk(l), "mixture atom i={} off rule")
+        for l in levels)
+
 
 def _artifact_doc(a: CounterexampleArtifact) -> dict:
-    W = a.window.max_branch
     doc = {
         "schema": SCHEMA,
         "request": a.request.to_json(),
@@ -439,41 +466,16 @@ def _artifact_doc(a: CounterexampleArtifact) -> dict:
         "omega": a.omega.to_json(),
         "alpha": a.alpha.to_json(),
         "c": list(render_interval(a.c)),
-        "weights": {
-            "branch_first": [
-                {"i": i, "w2": list(a.weights.branch_first_squared(i))}
-                for i in range(1, W + 1)
-            ],
-            "branch_tail": [
-                {"i": i, "w2": rat_to_str(a.weights.branch_tail_squared(i))}
-                for i in range(1, W + 1)
-            ],
-            "trunk": [
-                {"l": l, "w2": list(render_interval(w))} for l, w in enumerate(a.weights.trunk)
-            ],
-        },
-        "measures": {
-            "branch_atoms": [
-                {"i": i, "t": rat_to_str(a.measures.q.value(i))} for i in range(1, W + 1)
-            ],
-            "mixtures": [
-                {
-                    "shift": mix.shift,
-                    "prefactor": list(render_interval(mix.prefactor)),
-                    "atoms": [
-                        {"i": i, "mass": list(mix.atom_mass(i))}
-                        for i in range(1, W + 1)
-                    ],
-                }
-                for mix in a.measures.mixtures
-            ],
-            "eps": [],
-        },
+        "weights": {},
+        "measures": {"eps": []},
         "certificates": {
             "nd": {str(m): cert.to_json() for m, cert in a.certificates["nd"].items()},
             **_lemmas_json(a.lemmas),
         },
     }
+    for path, key, positions, field, value, *_ in _window_tables(a.request.kappa, a.window):
+        reduce(getitem, path[:-1], doc)[path[-1]] = [
+            {key: p, field: value(a, p)} for p in positions]
     return doc
 
 
@@ -536,39 +538,40 @@ class _Malformed(Exception):
     """A document whose shape does not match its declared window."""
 
 
-def _at(node, path: str, prefix: str = ""):
-    """The value at the dotted JSON path `path` below `node`, itself at `prefix`."""
-    keys = path.split(".")
-    for depth, key in enumerate(keys):
-        if not isinstance(node, dict):
-            raise _Malformed(f"{(prefix + '.'.join(keys[:depth])).rstrip('.')}: not an object")
-        if key not in node:
-            raise _Malformed(f"{prefix}{path}: missing")
+def _path_text(path) -> str:
+    """A JSON path as a detail names it: measures.mixtures[0].atoms."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+def _at(node, path):
+    """The value at `path` below `node`, a list index in it one of a checked table."""
+    for depth, key in enumerate(path):
+        if isinstance(key, str):
+            if not isinstance(node, dict):
+                raise _Malformed(f"{_path_text(path[:depth])}: not an object")
+            if key not in node:
+                raise _Malformed(f"{_path_text(path)}: missing")
         node = node[key]
     return node
 
 
-def _table(node, path: str, count: int, pos_key: str, parse, prefix: str = "", start=None):
-    """Parse the table at `path` below `node`: exactly `count` entries, the
-    `pos_key` field of entry p equal to start + p (start defaults to 1 for a
-    branch index `i` and to 0 for a trunk level), each entry read by
-    parse(entry, its JSON path)."""
-    start = (1 if pos_key == "i" else 0) if start is None else start
-    rows = _at(node, path, prefix)
-    path = prefix + path
-    if not isinstance(rows, list) or len(rows) != count:
+def _table(doc, path, positions, key: str, parse) -> list:
+    """parse(entry, position) of each entry of the table at `path`, one per
+    position and keyed by it; _Malformed names the path of a table not of
+    this shape, or of an entry that does not parse."""
+    rows, where = _at(doc, path), _path_text(path)
+    if not isinstance(rows, list) or len(rows) != len(positions):
         size = len(rows) if isinstance(rows, list) else "no"
-        raise _Malformed(f"{path}: {size} entries, the window needs {count}")
+        raise _Malformed(f"{where}: {size} entries, the window needs {len(positions)}")
     out = []
-    for p, row in enumerate(rows):
-        where = f"{path}[{p}]"
+    for p, (row, position) in enumerate(zip(rows, positions)):
         try:
-            if _index(row[pos_key]) != start + p:
-                raise ValueError(f"{pos_key} = {row[pos_key]!r}, expected {start + p}")
-            out.append(parse(row, where))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise _Malformed(f"{where}: {type(exc).__name__}: {exc}") from None
-    return tuple(out)
+            if _index(row[key]) != position:
+                raise ValueError(f"{key} = {row[key]!r}, expected {position}")
+            out.append(parse(row, position))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _Malformed(f"{where}[{p}]: {type(exc).__name__}: {exc}") from None
+    return out
 
 
 def _index(value) -> int:
@@ -590,115 +593,97 @@ def _flag(value) -> bool:
     return value
 
 
-def _read(node, path: str, parse):
-    """parse(the value at `path`); _Malformed names the path of a missing
-    or mistyped value."""
-    value = _at(node, path)
-    try:
-        return parse(value)
-    except (TypeError, ValueError) as exc:
-        raise _Malformed(f"{path}: {exc}") from None
+def _same(stored, written) -> bool:
+    """Whether a stored JSON value is the written one as canonical JSON
+    text: another type or form (16.0 for 16, 1 for true) differs."""
+    return type(stored) is type(written) and stored == written
+
+
+def _typed(stored, stated):
+    """A stored identity leaf: the stated value when the document writes it
+    as `_leaf_json` does, and otherwise read as the stated value's type."""
+    if _same(stored, _leaf_json(stated)):
+        return stated
+    return (_flag if isinstance(stated, bool) else _index if isinstance(stated, int)
+            else rat_from_str)(stored)
+
+
+def _atom(entry, i) -> Fraction:
+    """The atom of branch i, always read: it must be > 0."""
+    t = rat_from_str(entry["t"])
+    if t <= 0:
+        raise _Malformed(f"measures.branch_atoms[{i - 1}].t: atom at {t}, branch atoms must be > 0")
+    return t
 
 
 def _stored_leaves(doc: dict, lemmas: Tuple[Lemma, ...], kappa) -> Dict[LeafPath, object]:
-    """The leaf of each record of `lemmas` a document stores, read as the
-    type of the value the record states; every leaf must be there, and a
-    residual table must hold exactly the entries the records give it."""
+    """The leaf of each record of `lemmas` a document stores (`_typed`):
+    every leaf must be there, and a residual table must hold exactly the
+    entries the records give it."""
     leaves = {}
     for table, key in _TABLE_KEYS.items():
-        positions = [path[1] for lemma in lemmas for path, _ in lemma.leaves if path[0] == table]
-        residuals = _table(doc, f"certificates.{table}", len(positions), key,
-                           lambda e, _: rat_from_str(e["residual"]),
-                           start=positions[0] if positions else 0)
-        leaves.update(((table, p), r) for p, r in zip(positions, residuals))
+        stated = {path[1]: value for lemma in lemmas for path, value in lemma.leaves
+                  if path[0] == table}
+        read = _table(doc, ("certificates", table), list(stated), key,
+                      lambda entry, position: _typed(entry["residual"], stated[position]))
+        leaves.update(((table, p), value) for p, value in zip(stated, read))
 
-    def read(path, like):
-        if isinstance(like, dict):
-            return {key: read(path + (key,), value) for key, value in like.items()}
-        parse = (_flag if isinstance(like, bool) else _index if isinstance(like, int)
-                 else rat_from_str)
-        return _read(doc, ".".join(("certificates",) + path), parse)
+    def read(path, stated):
+        if isinstance(stated, dict):
+            return {key: read(path + (key,), value) for key, value in stated.items()}
+        path = ("certificates",) + path
+        try:
+            return _typed(_at(doc, path), stated)
+        except (TypeError, ValueError) as exc:
+            raise _Malformed(f"{_path_text(path)}: {exc}") from None
 
     for lemma in lemmas:
-        leaves.update((path, read(path, like)) for path, like in lemma.leaves if path not in leaves)
-    if ("widly1_prime",) not in leaves and "widly1_prime" in _at(doc, "certificates"):
+        leaves.update((path, read(path, value)) for path, value in lemma.leaves
+                      if path not in leaves)
+    if ("widly1_prime",) not in leaves and "widly1_prime" in _at(doc, ("certificates",)):
         raise _Malformed(f"certificates.widly1_prime: kappa = {kappa} has no terminal level "
                          "in the window")
     return leaves
 
 
-class _Stored(NamedTuple):
-    """The numbers a document stores: each branch table at i - 1, each
-    trunk table at its level."""
-
-    window: Window
-    omega: object  # as the document states it, any JSON value
-    c: Rendered
-    first: Tuple[Rendered, ...]  # |lambda_{i,1}|^2
-    tail: Tuple[Fraction, ...]  # |lambda_{i,j}|^2, j >= 2
-    trunk: Tuple[Rendered, ...]
-    locations: Tuple[Fraction, ...]  # the atom of branch i
-    mixtures: Tuple[Tuple[Rendered, Tuple[Rendered, ...]], ...]  # (prefactor, masses)
-    nd: Dict[int, dict]  # each stored nd[m] certificate, as its JSON object
-    lemmas: Tuple[Lemma, ...]  # the identity records of the window (`identity_lemmas`)
-    leaves: Dict[LeafPath, object]  # their certificates as stored (`_stored_leaves`)
-
-
-def _parse_artifact(doc: dict, request: CounterexampleRequest) -> _Stored:
-    """The numbers a document stores.  Every table must have the length the
-    stored window gives it, so no later check reads past a table or runs
-    longer than the tables; a shape error raises _Malformed naming its JSON
-    path.  `nd` holds each stored nd[m] (m = 1..n+1) as the JSON object it
-    is, once its verdict and the fields that verdict needs have parsed."""
+def _parse_artifact(doc: dict, request: CounterexampleRequest):
+    """(omega as stated, nd, the window's identity records, their leaves
+    as stored) of a document whose shape is checked before any series
+    work: each table the length the stored window gives it, with its
+    position keys, and every field there; _Malformed names the JSON path of
+    a shape error.  Of the values only the branch atoms (each > 0), the
+    fields each nd[m] needs for its verdict and the identity leaves that
+    differ (`_stored_leaves`) are read; `nd` holds each nd[m] as stored."""
     kappa = request.kappa
     if doc.get("schema") != SCHEMA:
         raise _Malformed(f"schema: {doc.get('schema')!r}, expected {SCHEMA!r}")
     try:
-        stored = _window(_at(doc, "window"))
+        stored = _window(_at(doc, ("window",)))
     except (TypeError, ValueError) as exc:
         raise _Malformed(f"window: {exc}") from None
-    W = stored.max_branch
     # alpha is the rule's, power n and scale 1 (`build_rules`), each key as
     # canonical JSON text, so 1.0 for 1 differs
-    alpha = _at(doc, "alpha")
+    alpha = _at(doc, ("alpha",))
     if not isinstance(alpha, dict):
         raise _Malformed("alpha: not an object")
     rule = {"power": request.n, "scale": "1"}
     differ = _json_differ(alpha, rule)
     if differ:
         raise _Malformed(f"alpha.{differ[0][:40]}: not the request's alpha {rule}")
-    c = _read(doc, "c", table_interval)
-
-    def interval(e, _):
-        return table_interval(e["w2"])
-
-    first = _table(doc, "weights.branch_first", W, "i", interval)
-    tail = _table(doc, "weights.branch_tail", W, "i", lambda e, _: rat_from_str(e["w2"]))
-    trunk = _table(doc, "weights.trunk", _trunk_levels(kappa, stored), "l", interval)
-
-    def atom(e, where):
-        t = rat_from_str(e["t"])
-        if t <= 0:
-            raise _Malformed(f"{where}.t: atom at {t}, branch atoms must be > 0")
-        return t
-
-    locations = _table(doc, "measures.branch_atoms", W, "i", atom)
-
-    def mixture(m, where):
-        masses = _table(m, "atoms", W, "i", lambda e, _: table_interval(e["mass"]), where + ".")
-        return table_interval(m["prefactor"]), masses
-
-    mixtures = _table(doc, "measures.mixtures", _mixture_levels(kappa, stored), "shift", mixture)
-    if _at(doc, "measures.eps") != []:  # eps vanishes identically on a generated system
+    _at(doc, ("c",))  # compared with the rule's once it is built (`_table_misses`)
+    for path, key, positions, field, *_ in _window_tables(kappa, stored):
+        _table(doc, path, positions, key,
+               _atom if field == "t" else lambda entry, _, field=field: entry[field])
+    if _at(doc, ("measures", "eps")) != []:  # eps vanishes identically on a generated system
         raise _Malformed("measures.eps: not [], the system's eps is 0 at every vertex")
-    nd = _at(doc, "certificates.nd")
+    nd = _at(doc, ("certificates", "nd"))
     if not isinstance(nd, dict):
         raise _Malformed("certificates.nd: not an object")
     stored_nd = {}
     for m in map(str, range(1, request.n + 2)):
         if m not in nd:
             continue  # verify fails it as a missing certificate
-        verdict = _at(nd, f"{m}.verdict", "certificates.nd.")
+        verdict = _at(doc, ("certificates", "nd", m, "verdict"))
         if verdict not in ("convergent", "divergent"):
             raise _Malformed(f"certificates.nd.{m}.verdict: {verdict!r} is not a verdict")
         fields = ((("enclosure", interval_from_json),) if verdict == "convergent" else
@@ -706,15 +691,52 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest) -> _Stored:
                    ("witness_index", _index)))
         for key, parse in fields:
             try:
-                parse(_at(nd, f"{m}.{key}", "certificates.nd."))
+                parse(_at(doc, ("certificates", "nd", m, key)))
             except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise _Malformed(f"certificates.nd.{m}.{key}: {exc}") from None
         stored_nd[int(m)] = nd[m]
     if _artifact_window(request) != stored:
         raise _Malformed(f"request.window: gives {_artifact_window(request)}, not {stored}")
     lemmas = identity_lemmas(kappa, stored)
-    return _Stored(stored, _at(doc, "omega"), c, first, tail, trunk, locations, mixtures,
-                   stored_nd, lemmas, _stored_leaves(doc, lemmas, kappa))
+    return _at(doc, ("omega",)), stored_nd, lemmas, _stored_leaves(doc, lemmas, kappa)
+
+
+def _distance(stored, written) -> Fraction:
+    """The larger endpoint distance from a stored table value, read by
+    `table_interval` or `rat_from_str` (ValueError), to the written one: 0
+    only for the written value in another form."""
+    if isinstance(written, list):
+        return max(abs(Fraction(s) - Fraction(w)) for s, w in zip(table_interval(stored), written))
+    return abs(rat_from_str(stored) - Fraction(written))
+
+
+def _table_misses(doc: dict, rule: CounterexampleArtifact) -> Dict[str, list]:
+    """(vertex, `_distance`, detail) of each stored table number other than
+    the one `_artifact_doc` writes for `rule`, by record, branches by (i, j)
+    and then the trunk by level.  Only these are read: _Malformed names
+    the path of one that does not read."""
+    misses = {name: [] for name in (
+        "normalization-constant", "weight-reconstruction", "atom-reconstruction")}
+    c = list(render_interval(rule.c))
+    if not _same(doc["c"], c):
+        try:
+            misses["normalization-constant"].append((ZERO, _distance(doc["c"], c), ""))
+        except ValueError as exc:
+            raise _Malformed(f"c: {exc}") from None
+    for path, _, positions, field, value, record, vertex, detail in _window_tables(
+            rule.request.kappa, rule.window):
+        for p, (entry, position) in enumerate(zip(_at(doc, path), positions)):
+            stored, written = entry[field], value(rule, position)
+            if not _same(stored, written):
+                try:
+                    residual = _distance(stored, written)
+                except ValueError as exc:
+                    raise _Malformed(f"{_path_text(path)}[{p}]: ValueError: {exc}") from None
+                misses[record].append((vertex(position), residual, detail.format(position)))
+    for rows in misses.values():
+        rows.sort(key=lambda row: (1, row[0].k) if isinstance(row[0], Trunk)
+                  else (0, row[0].i, row[0].j))
+    return misses
 
 
 def _show(value) -> str:
@@ -763,21 +785,6 @@ def _json_differ(obj: dict, expected: dict) -> List[str]:
     return sorted(key for key in fields.keys() | want.keys() if fields.get(key) != want.get(key))
 
 
-def _mismatches(rows):
-    """(vertex, distance, detail) for each (vertex, stored, expected, detail)
-    row whose stored value is not the expected one: an exact rational, or
-    the texts of a rendered enclosure, which must be the rule's rendering.
-    The distance is the larger endpoint distance, 0 only for a stored
-    enclosure that states the rule's values in another form."""
-    for vertex, stored, expected, detail in rows:
-        if stored != expected:
-            if isinstance(expected, tuple):
-                ends = zip(map(Fraction, stored), map(Fraction, expected))
-                yield vertex, max(abs(s - e) for s, e in ends), detail
-            else:
-                yield vertex, abs(stored - expected), detail
-
-
 def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     """Check that an artifact document states the rules of its request, on
     the whole window it stores, and re-run every certificate check on those
@@ -786,13 +793,18 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     A request that states other fixed constants than the library's, a key
     of `cert` the library does not state, or numbers (q.prefix,
     series_width, divergence_threshold) not in the form `rat_to_str` writes
-    fails a single `parse-request` record.  A document with another schema,
-    a non-empty eps, a number not in the form `rat_to_str` writes (or over
-    `MAX_RATIONAL_BITS`; a table enclosure's endpoint may also be rendered,
-    see `table_text`), a missing or mistyped certificate field, tables not
-    of the shape of its window, a window not the one its request gives, or
-    an `alpha` other than the rule's (each key compared as canonical JSON
-    text) fails a single `parse-artifact` record naming the JSON path.  The
+    fails a single `parse-request` record.  Before any series work, a
+    document with another schema, a non-empty eps, a missing field, tables
+    not of the shape of its window (lengths and position keys), a window
+    not the one its request gives, or an `alpha` other than the rule's
+    fails a single `parse-artifact` record naming the JSON path.  Only
+    these shape fields, the branch atoms (each must be > 0) and the fields
+    each nd[m] needs for its verdict are always read.  Any other value is
+    compared, as canonical JSON text, with the one `generate` writes for
+    the rule, and read only where it differs: a number not in the form
+    `rat_to_str` writes (or over `MAX_RATIONAL_BITS`; a table endpoint may
+    also be rendered, see `table_text`), or a certificate field of another
+    type, then fails a single `parse-artifact` record naming its path.  The
     stored `omega` must be the request's, as canonical JSON text, or
     verification stops at a failing `omega-reconstruction` record: `omega`
     and `alpha` are compared, never read.  A document whose series no
@@ -803,10 +815,9 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     values leave a monomial other than one in an identity record a single
     record of that name, at its class, with the leftover as detail.
 
-    Otherwise the checks are: every stored number against the value
-    written by the rules that `build_rules` makes from the request alone
-    (an exact number must equal it, a table enclosure's texts must be its
-    `render_interval`; a failing row names its vertex, with the larger
+    Otherwise the checks are: every stored table number against the text
+    written for the rules that `build_rules` makes from the request alone
+    (`_window_tables`; a failing row names its vertex, with the larger
     endpoint distance as residual), and then the records of
     `identity_lemmas`, decided on the rule artifact as `generate` decides
     them: consistency, trunk product, mixture mass and CC records, each
@@ -823,14 +834,16 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     try:
         return _verify(doc)
     except IdentityLeftoverError as exc:
-        return VerificationReport(False, (CheckRecord(
-            exc.record, False, vertex=str(exc.vertex), detail=exc.detail),))
+        return _stopped(exc.record, exc.detail, str(exc.vertex))
     except (NoCertificateError, SupNotWitnessedError) as exc:
-        return VerificationReport(
-            False, (CheckRecord("series-certificate", False, detail=str(exc)),)
-        )
+        return _stopped("series-certificate", str(exc))
     except TableRangeError as exc:
-        return VerificationReport(False, (CheckRecord("table-range", False, detail=str(exc)),))
+        return _stopped("table-range", str(exc))
+
+
+def _stopped(name: str, detail: str, vertex: Optional[str] = None) -> VerificationReport:
+    """The report of a verify that stopped at one failing record."""
+    return VerificationReport(False, (CheckRecord(name, False, vertex=vertex, detail=detail),))
 
 
 def _verify(doc: Union[dict, CounterexampleArtifact]):
@@ -841,19 +854,11 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
     def rec(name, passed, vertex=None, residual=None, detail=""):
         if isinstance(residual, Fraction):
             residual = approx_residual(residual)
-        records.append(
-            CheckRecord(
-                name,
-                bool(passed),
-                vertex=None if vertex is None else str(vertex),
-                residual=None if residual is None else str(residual),
-                detail=detail,
-            )
-        )
+        records.append(CheckRecord(name, bool(passed), None if vertex is None else str(vertex),
+                                   None if residual is None else str(residual), detail))
 
     def table_records(name, misses, **passed):
         """A FAIL record per (vertex, residual, detail) miss, or one PASS."""
-        misses = list(misses)
         for vertex, residual, detail in misses:
             rec(name, False, vertex=vertex, residual=residual, detail=detail)
         if not misses:
@@ -862,24 +867,20 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
     try:
         request = CounterexampleRequest.from_json(doc["request"])
     except Exception as exc:  # structural failure: nothing else can run
-        return VerificationReport(
-            False, (CheckRecord("parse-request", False, detail=str(exc)),)
-        )
+        return _stopped("parse-request", str(exc))
     cfg = request.cert
 
     try:
-        stored = _parse_artifact(doc, request)
+        stored_omega, stored_nd, identities, leaves = _parse_artifact(doc, request)
     except Exception as exc:
-        return VerificationReport(
-            False, (CheckRecord("parse-artifact", False, detail=str(exc)),)
-        )
+        return _stopped("parse-artifact", str(exc))
 
     # the stored omega must be the request's, each key as canonical JSON text
     omega = choose_subsequence(request.q, cfg).to_json()
-    if not isinstance(stored.omega, dict):
+    if not isinstance(stored_omega, dict):
         omega_ok, detail = False, "omega: not an object"
     else:
-        differ = _json_differ(stored.omega, omega)
+        differ = _json_differ(stored_omega, omega)
         omega_ok, detail = not differ, (f"omega.{differ[0][:40]}: not the request's omega {omega}"
                                         if differ else "greedy subsequence matches stored spec")
     rec("omega-reconstruction", omega_ok, detail=detail)
@@ -888,38 +889,24 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
 
     # every stored number must be the one the rules write
     rule = build_rules(request)
-    weights, alpha = rule.weights, rule.alpha
-    table_records("normalization-constant",
-                  _mismatches([(ZERO, stored.c, render_interval(rule.c), "")]), residual=0)
-    rows = []
-    for i, (first, tail) in enumerate(zip(stored.first, stored.tail), 1):
-        rows.append((Branch(i, 1), first, weights.branch_first_squared(i), ""))
-        rows.append((Branch(i, 2), tail, weights.branch_tail_squared(i),
-                     "chain weight differs from rule"))
-    rows += [(Trunk(l), w, render_interval(weights.trunk[l]), "")
-             for l, w in enumerate(stored.trunk)]
-    table_records("weight-reconstruction", _mismatches(rows))
+    try:
+        misses = _table_misses(doc, rule)
+    except _Malformed as exc:
+        return _stopped("parse-artifact", str(exc))
+    for name, rows in misses.items():
+        table_records(name, rows, residual=0 if name == "normalization-constant" else None)
 
-    rows = [(Branch(i, 1), t, alpha.q.value(i), "branch atom location differs from q")
-            for i, t in enumerate(stored.locations, 1)]
-    for l, ((prefactor, masses), mix) in enumerate(zip(stored.mixtures, rule.measures.mixtures)):
-        rows.append((Trunk(l), prefactor, render_interval(mix.prefactor),
-                     "mixture prefactor off rule"))
-        rows += [(Trunk(l), mass, mix.atom_mass(i), f"mixture atom i={i} off rule")
-                 for i, mass in enumerate(masses, 1)]
-    table_records("atom-reconstruction", _mismatches(rows))
-
-    lemmas = decide_lemmas(stored.lemmas, rule, cfg)
-    nd_checks = _nd_checks(stored.nd, alpha, request.n, cfg)
+    lemmas = decide_lemmas(identities, rule, cfg)
+    nd_checks = _nd_checks(stored_nd, rule.alpha, request.n, cfg)
     # stored identity certificates were computed from the stored series
     # certificates: when one of those fails its nd record, the document
     # fails there, and its identity certificates are not compared
     compare = all(ok for _, ok, _, _ in nd_checks)
-    for lemma, stated in zip(lemmas, stored.lemmas):
+    for lemma, stated in zip(lemmas, identities):
         detail = "; ".join(
             f"stored {path[-1] + ' ' if isinstance(path[-1], str) else ''}"
-            f"{_show(stored.leaves[path])}, recomputed {_show(value)}"
-            for path, value in lemma.leaves if compare and stored.leaves[path] != value)
+            f"{_show(leaves[path])}, recomputed {_show(value)}"
+            for path, value in lemma.leaves if compare and leaves[path] != value)
         # a record holds when its leaves are the values it states; the
         # classes' residuals are exact 0 (decide_lemmas raises otherwise)
         holds, residual = lemma.leaves == stated.leaves, Fraction(0) if lemma.classes else None
@@ -929,13 +916,17 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
     for name, ok, residual, detail in nd_checks:
         rec(name, ok, residual=residual, detail=detail)
 
-    # positivity of every stored weight; a table text (`table_text`) is
-    # positive unless it is "0" or starts with "-"
-    misses = [(Branch(i, 1), None, "")
-              for i, (first, tail) in enumerate(zip(stored.first, stored.tail), 1)
-              if first[0].startswith(("-", "0")) or tail <= 0]
-    misses += [(Trunk(l), None, "") for l, w in enumerate(stored.trunk)
-               if w[0].startswith(("-", "0"))]
+    # positivity of every stored weight, each now a text the rule writes or
+    # one that reads (`table_text`): positive unless it is "0" or starts with "-"
+    def positive(entry):
+        w2 = entry["w2"]
+        return not (w2[0] if isinstance(w2, list) else w2).startswith(("-", "0"))
+
+    weights = doc["weights"]
+    misses = [(Branch(i, 1), None, "") for i, (first, tail)
+              in enumerate(zip(weights["branch_first"], weights["branch_tail"]), 1)
+              if not (positive(first) and positive(tail))]
+    misses += [(Trunk(l), None, "") for l, w in enumerate(weights["trunk"]) if not positive(w)]
     table_records("weights-positive", misses)
 
     return VerificationReport(all(r.passed for r in records), tuple(records), lemmas)

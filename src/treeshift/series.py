@@ -676,9 +676,10 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
         max(b, 0)/k0; when that bound (ln 2 rounded up, ln(k/k0) at most
         e ln 2 with k0 2^e >= 1024) lets S_1024 pass T, the explicit end
         moves on to 1024, so mixed q's K = 261 at T = 10 stays explicit.  A
-        step whose bracket holds a 2^-128 grid point above lo (S_k within
-        k 2^-192 of it) is open, and is decided on the exact sum
-        witness_partial_sum.
+        step whose bracket lies on one side of g 2^-128 (g = floor(2^128 T)
+        + 1) is decided without its floor.  A floor whose bracket holds a
+        2^-128 grid point above lo is open, and is read off the exact sum
+        witness_partial_sum: at a step whose bracket straddles g, or at K.
       * Past the explicit end, S_k = S_k0 + a (H_k - H_k0) + b (zeta(2,
         k0+1) - zeta(2, k+1)) = C + a (ln k + E(k)) - b zeta(2, k+1), with
         H_N = ln N + gamma + E(N), gamma cancelling and the zeta taken only
@@ -749,6 +750,8 @@ def _divergent_base(q, omega, n, l, cfg) -> SeriesCertificate:
         return f
 
     def crosses(k):
+        if k < len(sums) and k not in floors and not sums[k] < g << guard <= sums[k] + k:
+            return sums[k] >= g << guard  # the explicit bracket lies on one side of g
         return floor128(k) >= g
 
     lo, hi, base, end = 0, None, 0, max(_WITNESS_PREFIX, len(omega.head))

@@ -17,6 +17,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import random
 import re
 import sys
 import time
@@ -43,7 +44,7 @@ from treeshift.construct import (
 )
 from treeshift.errors import NoCertificateError, SupNotWitnessedError
 from treeshift.measures import atoms_view
-from treeshift import series
+from treeshift import rationals, series
 from treeshift.rationals import Interval, enclosure, render_interval
 from treeshift.series import AlphaFamily, power_series_certificate
 from treeshift.tree import window_vertices
@@ -1081,8 +1082,7 @@ NONCANONICAL = ["1e-100000", "1e100000", "1E5", 3.0, 3, "3.0", ".5", "1/2.0", " 
                 "6" * 40 + "e+5", "7" * 40 + "e-05", "8" * 40 + "e-19689"]
 
 
-@pytest.mark.parametrize("value", NONCANONICAL, ids=lambda v: repr(v)[:24])
-@pytest.mark.parametrize("path", [
+NONCANONICAL_PATHS = [
     ("measures", "mixtures", 0, "atoms", 2, "mass", 0),
     ("measures", "branch_atoms", 2, "t"),
     ("weights", "branch_tail", 0, "w2"),
@@ -1091,7 +1091,11 @@ NONCANONICAL = ["1e-100000", "1e100000", "1E5", 3.0, 3, "3.0", ".5", "1/2.0", " 
     ("request", "q", "prefix"),
     ("request", "cert", "series_width"),
     ("request", "cert", "divergence_threshold"),
-])
+]
+
+
+@pytest.mark.parametrize("value", NONCANONICAL, ids=lambda v: repr(v)[:24])
+@pytest.mark.parametrize("path", NONCANONICAL_PATHS)
 def test_verify_rejects_noncanonical_numbers_fast(doc_363, path, value):
     """Only the form rat_to_str writes, under the bit cap, is read (and, in
     a table enclosure, the rendered form within the exponent cap): anything
@@ -1121,6 +1125,188 @@ def test_verify_fails_last_digit_of_a_mass(doc_363, level, index, end):
         ("atom-reconstruction", f"v(-{level})" if level else "v(0)")]
     assert report.failures()[0].residual == approx_residual(Fraction(f"1e{exponent}"))
 
+
+# --- the records of failing documents, pinned ---
+
+
+def _mutated(kind, doc, rng):
+    """A copy of `doc` with perfbench/mutate.py's edit of `kind`, restated:
+    the seeded `rng` picks the entry and, for a scale-* kind, the factor
+    1001/1000 or 999/1000."""
+    doc = copy.deepcopy(doc)
+    factor = rng.choice((Fraction(1001, 1000), Fraction(999, 1000)))
+    weights, measures = doc["weights"], doc["measures"]
+    mixtures = measures["mixtures"]
+
+    def scale(entry, key):
+        value = entry[key]
+        if isinstance(value, list):
+            lo, hi = sorted(Fraction(x) * factor for x in value)
+            entry[key] = [str(lo), str(hi)]
+        else:
+            entry[key] = str(Fraction(value) * factor)
+
+    def pick(table):
+        return table[rng.randrange(len(table))]
+
+    if kind == "scale-branch-first":
+        scale(pick(weights["branch_first"]), "w2")
+    elif kind == "scale-branch-tail":
+        scale(pick(weights["branch_tail"]), "w2")
+    elif kind == "scale-trunk":
+        scale(pick(weights["trunk"]), "w2")
+    elif kind == "scale-branch-atom":
+        scale(pick(measures["branch_atoms"]), "t")
+    elif kind == "scale-mixture-mass":
+        scale(pick(pick(mixtures)["atoms"]), "mass")
+    elif kind == "scale-prefactor":
+        scale(pick(mixtures), "prefactor")
+    elif kind == "drop-certificates":
+        del doc["certificates"]
+    elif kind == "drop-divergent-nd":
+        del doc["certificates"]["nd"][str(doc["request"]["n"] + 1)]
+    elif kind == "truncate-table":
+        weights["branch_first"].pop()
+    elif kind == "drop-mixture":
+        del mixtures[rng.randrange(len(mixtures))]
+    elif kind == "flip-verdict":
+        nd = doc["certificates"]["nd"]
+        m = sorted(nd, key=int)[rng.randrange(len(nd))]
+        nd[m]["verdict"] = "divergent" if nd[m]["verdict"] == "convergent" else "convergent"
+    else:
+        assert kind == "atom-at-zero"
+        pick(measures["branch_atoms"])["t"] = "0"
+    return doc
+
+
+_MUTATION_KINDS = ("scale-branch-first", "scale-branch-tail", "scale-trunk", "scale-branch-atom",
+                   "scale-mixture-mass", "scale-prefactor", "drop-certificates",
+                   "drop-divergent-nd", "truncate-table", "drop-mixture", "flip-verdict",
+                   "atom-at-zero")
+# the kinds verify refuses at parse-artifact, before any series work
+_PARSE_KINDS = ("drop-certificates", "truncate-table", "drop-mixture", "flip-verdict",
+                "atom-at-zero")
+
+
+def _edits(*edits):
+    """A copy of a document with each (path, value) set, a callable value
+    applied to the stored one."""
+    def edit(doc):
+        doc = copy.deepcopy(doc)
+        for path, value in edits:
+            node = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+            node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+        return doc
+    return edit
+
+
+def _up(value):
+    """A table value times 1001/1000, written as rat_to_str writes it."""
+    if isinstance(value, list):
+        return [str(Fraction(x) * Fraction(1001, 1000)) for x in value]
+    return str(Fraction(value) * Fraction(1001, 1000))
+
+
+# two or three mismatching entries in different tables: the FAIL records of
+# one name come in the order of their vertices, not of their tables
+_MULTI_EDITS = [
+    _edits((("weights", "branch_first", 5, "w2"), _up), (("weights", "branch_tail", 2, "w2"), _up)),
+    _edits((("weights", "branch_tail", 4, "w2"), _up), (("weights", "branch_first", 4, "w2"), _up),
+           (("weights", "trunk", 1, "w2"), _up)),
+    _edits((("weights", "trunk", 0, "w2"), _up), (("weights", "branch_first", 0, "w2"), _up)),
+    _edits((("c",), _up), (("weights", "trunk", 2, "w2"), _up)),
+    _edits((("measures", "mixtures", 2, "atoms", 1, "mass"), _up),
+           (("measures", "mixtures", 1, "prefactor"), _up),
+           (("measures", "branch_atoms", 5, "t"), _up)),
+    _edits((("measures", "mixtures", 0, "atoms", 3, "mass"), _up),
+           (("weights", "branch_tail", 3, "w2"), "-3"),
+           (("weights", "trunk", 1, "w2"), ["0", "1"])),
+]
+
+
+def _records_digest(docs):
+    """sha256 of the full record list verify gives each document, in turn."""
+    digest = hashlib.sha256()
+    for doc in docs:
+        digest.update(repr([(r.name, r.passed, r.vertex, r.residual, r.detail)
+                            for r in verify(doc).records]).encode())
+    return digest.hexdigest()
+
+
+def test_failing_document_records_pinned(doc_363):
+    """The records verify gives failing documents, each with its order,
+    vertex, residual and detail, are pinned: criterion 8's corruptions,
+    every non-canonical number of `test_verify_rejects_noncanonical_numbers_fast`,
+    perfbench's twelve mutation kinds on three documents (seed 31), and
+    documents with mismatching entries in several tables."""
+    from test_acceptance import CORRUPTIONS, _corrupt
+
+    criterion_8 = [_corrupt(get_artifact(*key).to_json_dict(), path, factor)
+                   for key, factor, path in CORRUPTIONS]
+    noncanonical = []
+    for path in NONCANONICAL_PATHS:
+        for value in NONCANONICAL:
+            doc = copy.deepcopy(doc_363)
+            _edit(*path, value=[value] if path[-1] == "prefix" else value)(doc)
+            noncanonical.append(doc)
+    rng = random.Random(31)
+    mutated = [_mutated(kind, json.loads(text), rng)
+               for text in (_fuzz_document("linear"), _fuzz_document("mixed", ts.INF),
+                            get_artifact(2, 3, MIXED_Q).to_json())
+               for kind in _MUTATION_KINDS]
+    multi = [edit(json.loads(_fuzz_document(tail, kappa)))
+             for tail, kappa in (("linear", 3), ("mixed", ts.INF)) for edit in _MULTI_EDITS]
+    digests = {name: _records_digest(docs) for name, docs in (
+        ("criterion-8", criterion_8), ("noncanonical", noncanonical), ("mutated", mutated),
+        ("multi", multi))}
+    assert digests == {
+        "criterion-8": "cfd73f51bc796f08d56332b5ffe178d6961bb9f961868fb05705553c6d4d7f8e",
+        "noncanonical": "e5e7fa5125785d04978ac1cab294c25baae5df364467da783c91aaa390e853bd",
+        "mutated": "db2e8797f3605015358d81de77963e03c6e205f3262b55c10ff5d2ecce094de7",
+        "multi": "67b63792da8833e81331627e0f2d21f1e14a0a5dff592f59fd4234bf00d71659",
+    }
+
+
+@pytest.mark.parametrize("kind", _PARSE_KINDS)
+def test_parse_kinds_stop_before_the_rule(monkeypatch, doc_363, kind):
+    """The mutation kinds whose documents are not of their window's shape
+    fail one parse-artifact record before verify builds the rule."""
+    def refused(request):
+        raise AssertionError("verify built the rule of a malformed document")
+
+    monkeypatch.setattr(construct, "build_rules", refused)
+    for seed in range(3):
+        report = verify(_mutated(kind, doc_363, random.Random(seed)))
+        assert [(r.name, r.passed) for r in report.records] == [("parse-artifact", False)]
+
+
+@pytest.mark.parametrize("cell", [(1, 0, LINEAR_Q), (2, ts.INF, MIXED_Q), (3, 3, LINEAR_Q)],
+                         ids=lambda cell: str(cell))
+def test_verify_reads_no_table_value_but_the_branch_atoms(monkeypatch, cell):
+    """On a passing grid document, every table value but the branch atoms
+    is compared with the text the writer writes for the rule, and none is
+    read: `table_text` and `table_interval` are not called, and
+    `rat_from_str` reads the branch atoms, the request's numbers and the
+    nd fields only (a convergent enclosure twice: its shape, and its gap to
+    the recomputed one)."""
+    doc = get_artifact(*cell).to_json_dict()
+    names = ("rat_from_str", "table_text", "table_interval")
+    real = {name: getattr(rationals, name) for name in names}
+    read = []
+    for module in (construct, rationals, series):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda value, name=name: (
+                    read.append((name, value)) or real[name](value)))
+    assert verify(doc).passed
+    request = doc["request"]
+    expected = [entry["t"] for entry in doc["measures"]["branch_atoms"]]
+    expected += [request["cert"]["series_width"], request["cert"]["divergence_threshold"],
+                 *request["q"]["prefix"]]
+    for cert in doc["certificates"]["nd"].values():
+        expected += (2 * cert["enclosure"] if cert["verdict"] == "convergent"
+                     else [cert["witness_partial_lb"], cert["threshold"]])
+    assert sorted(read) == sorted(("rat_from_str", value) for value in expected)
 
 def test_number_cap_leaves_tenfold_headroom():
     """Every number of the 24 grid documents is at most a tenth of the cap."""

@@ -663,6 +663,24 @@ def test_open_explicit_step_takes_the_exact_sum(monkeypatch, prefix, index, lb, 
     assert index in exact_steps and set(exact_steps) <= open_steps
 
 
+def test_explicit_step_takes_the_exact_sum_only_for_its_floor(monkeypatch):
+    """With q_1 = 2 - 2^-1000 on a linear tail at T = 3/2, every step the
+    search probes has a bracket above T's grid point, so it crosses
+    without its floor: S_2 = 5/2 - 2^-1000, whose floor is open, takes no
+    exact sum, and the one exact sum is the floor stored at K = 1."""
+    q = SequenceSpec(Tail.LINEAR, (2 - Fraction(1, 2**1000),))
+    exact_steps = []
+
+    def counted(alpha, l, upto):
+        exact_steps.append(upto)
+        return witness_partial_sum(alpha, l, upto)
+
+    monkeypatch.setattr(series, "witness_partial_sum", counted)
+    cfg = CertConfig(divergence_threshold=Fraction(3, 2))
+    cert = series._divergent_base(q, build_omega(q), 1, 2, cfg)
+    assert (cert.witness_index, exact_steps) == (1, [1])
+
+
 @given(
     prefix=st.lists(
         st.fractions(min_value=Fraction(1, 4), max_value=8, max_denominator=6), max_size=4
