@@ -229,13 +229,17 @@ def test_each_class_built_and_decided_once(monkeypatch, kappa):
     monkeypatch.setattr(wco, "exact_residual", lambda record, vertex, monomial: (
         decided.append((record, vertex)) or exact_residual(record, vertex, monomial)))
     request = ts.CounterexampleRequest(n=1, kappa=kappa, q=ts.MIXED_Q, window=SMALL)
-    levels = [Trunk(k) for k in reversed(range(4))]
-    for run in (lambda: ts.generate(request).to_json_dict(), lambda: ts.verify(doc)):
+    classes = [Trunk(k) for k in reversed(range(4))] + [BRANCH_CLASS]
+
+    def counted(run):
         built.clear(), decided.clear()
-        doc = run()
+        result = run()
         assert sorted(built) == list(range(4))
-        assert [v for record, v in decided if record in ("consist6", "cc")] == (
-            levels + [BRANCH_CLASS])
+        assert [v for record, v in decided if record in ("consist6", "cc")] == classes
+        return result
+
+    doc = counted(lambda: ts.generate(request).to_json_dict())
+    assert counted(lambda: ts.verify(doc)).passed
 
 
 # --- the branch rule: one exact row for every branch ---
