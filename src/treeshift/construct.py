@@ -386,19 +386,18 @@ def _classes(kappa, window: Window) -> Tuple[Tuple[Vertex, Monomial], ...]:
 def decide_lemmas(lemmas: Tuple[Lemma, ...], artifact: CounterexampleArtifact,
                   cfg: CertConfig) -> Tuple[Lemma, ...]:
     """The records `lemmas` of an artifact's rule (`identity_lemmas`),
-    decided, each leaf the value the rule gives it: every monomial once, by
-    `wco.exact_residual`, the consistency classes (the CC record's too)
-    last, by their layer `consist6_residuals`; `wco.cc_residual` reads h > 0
-    on the support.  IdentityLeftoverError names the first record whose
-    monomial is not one."""
+    decided, each leaf the value the rule gives it: every monomial by
+    `wco.exact_residual`, those of the consistency and CC classes last, by
+    their layers `consist6_residuals` and `wco.cc_residual`, which also
+    reads h > 0 on the support.  IdentityLeftoverError names the first
+    record whose monomial is not one."""
     for lemma in lemmas:
         if lemma.name not in ("consist6", "cc"):
             for vertex, monomial in lemma.classes:
                 wco.exact_residual(lemma.name, vertex, monomial)
-    (classes,) = (lemma.classes for lemma in lemmas if lemma.name == "consist6")
-    consist6_residuals(artifact, cfg, classes)
+    consist6_residuals(artifact, cfg)
     data = wco.from_shift(artifact.tree, artifact.weights)
-    cc = wco.cc_residual(data, artifact.measures, artifact.window, cfg, decided=True)
+    cc = wco.cc_residual(data, artifact.measures, artifact.window, cfg)
     return tuple(lemma if lemma.classes else  # no monomial: h > 0 on the support
                  lemma._replace(leaves=tuple((path, cc.h_positive_on_support)
                                              for path, _ in lemma.leaves))
@@ -406,17 +405,17 @@ def decide_lemmas(lemmas: Tuple[Lemma, ...], artifact: CounterexampleArtifact,
 
 
 def consist6_residuals(
-    a: CounterexampleArtifact, cfg: CertConfig = DEFAULT_CONFIG, classes=None
+    a: CounterexampleArtifact, cfg: CertConfig = DEFAULT_CONFIG
 ) -> Dict[Vertex, ConsistencyResult]:
     """Consistency residual of every class of the consist6 record of
-    `identity_lemmas` (see `wco.require_model_rules`; `classes`, built here
-    when None), each the exact row `_EXACT_ROW` once its monomial is one.
-    The branch class stands for every branch vertex: (i, j) and its one
-    child carry the Dirac at q_i, and the child's weight is q_i, so the
-    residual at q_i is |1 - q_i/q_i| = 0."""
+    `identity_lemmas` (see `wco.require_model_rules`), each the exact row
+    `_EXACT_ROW` once its monomial is one.  The branch class stands for
+    every branch vertex: (i, j) and its one child carry the Dirac at q_i,
+    and the child's weight is q_i, so the residual at q_i is
+    |1 - q_i/q_i| = 0."""
     wco.require_model_rules(a.tree, a.weights, a.measures)
     out = {}
-    for vertex, monomial in classes or _classes(a.request.kappa, a.window):
+    for vertex, monomial in _classes(a.request.kappa, a.window):
         wco.exact_residual("consist6", vertex, monomial)
         out[vertex] = _EXACT_ROW
     return out
@@ -432,27 +431,28 @@ _EXACT_ROW = ConsistencyResult(((Fraction(0), Fraction(0)),), Fraction(0), Fract
 def _window_tables(kappa, window: Window) -> tuple:
     """The window tables of a document, the one statement of them for
     `_artifact_doc` and `verify`: (JSON path, entry key, positions, field,
-    value, record, vertex, detail), an entry per position keyed by it, its
-    field value(artifact, position); a stored value other than the rule's
-    fails `record` at vertex(position), with `detail` formatted with it."""
+    read, value, record, vertex, detail), an entry per position keyed by
+    it, its field value(artifact, position), which `read` reads; a stored
+    value other than the rule's fails `record` at vertex(position), with
+    `detail` formatted with it."""
     branches, levels = range(1, window.max_branch + 1), range(_mixture_levels(kappa, window))
     return (
-        (("weights", "branch_first"), "i", branches, "w2",
+        (("weights", "branch_first"), "i", branches, "w2", table_interval,
          lambda a, i: list(a.weights.branch_first_squared(i)),
          "weight-reconstruction", lambda i: Branch(i, 1), ""),
-        (("weights", "branch_tail"), "i", branches, "w2",
+        (("weights", "branch_tail"), "i", branches, "w2", rat_from_str,
          lambda a, i: rat_to_str(a.weights.branch_tail_squared(i)),
          "weight-reconstruction", lambda i: Branch(i, 2), "chain weight differs from rule"),
-        (("weights", "trunk"), "l", range(_trunk_levels(kappa, window)), "w2",
+        (("weights", "trunk"), "l", range(_trunk_levels(kappa, window)), "w2", table_interval,
          lambda a, l: list(render_interval(a.weights.trunk[l])), "weight-reconstruction", Trunk, ""),
-        (("measures", "branch_atoms"), "i", branches, "t",
+        (("measures", "branch_atoms"), "i", branches, "t", rat_from_str,
          lambda a, i: rat_to_str(a.measures.q.value(i)),
          "atom-reconstruction", lambda i: Branch(i, 1), "branch atom location differs from q"),
-        (("measures", "mixtures"), "shift", levels, "prefactor",
+        (("measures", "mixtures"), "shift", levels, "prefactor", table_interval,
          lambda a, l: list(render_interval(a.measures.mixtures[l].prefactor)),
          "atom-reconstruction", Trunk, "mixture prefactor off rule"),
     ) + tuple(
-        (("measures", "mixtures", l, "atoms"), "i", branches, "mass",
+        (("measures", "mixtures", l, "atoms"), "i", branches, "mass", table_interval,
          lambda a, i, l=l: list(a.measures.mixtures[l].atom_mass(i)),
          "atom-reconstruction", lambda i, l=l: Trunk(l), "mixture atom i={} off rule")
         for l in levels)
@@ -473,7 +473,7 @@ def _artifact_doc(a: CounterexampleArtifact) -> dict:
             **_lemmas_json(a.lemmas),
         },
     }
-    for path, key, positions, field, value, *_ in _window_tables(a.request.kappa, a.window):
+    for path, key, positions, field, _, value, *_ in _window_tables(a.request.kappa, a.window):
         reduce(getitem, path[:-1], doc)[path[-1]] = [
             {key: p, field: value(a, p)} for p in positions]
     return doc
@@ -569,7 +569,7 @@ def _table(doc, path, positions, key: str, parse) -> list:
             if _index(row[key]) != position:
                 raise ValueError(f"{key} = {row[key]!r}, expected {position}")
             out.append(parse(row, position))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise _Malformed(f"{where}[{p}]: {type(exc).__name__}: {exc}") from None
     return out
 
@@ -646,14 +646,17 @@ def _stored_leaves(doc: dict, lemmas: Tuple[Lemma, ...], kappa) -> Dict[LeafPath
     return leaves
 
 
-def _parse_artifact(doc: dict, request: CounterexampleRequest):
+def _parse_artifact(doc: dict, request: CounterexampleRequest, read: bool):
     """(omega as stated, nd, the window's identity records, their leaves
     as stored) of a document whose shape is checked before any series
     work: each table the length the stored window gives it, with its
     position keys, and every field there; _Malformed names the JSON path of
     a shape error.  Of the values only the branch atoms (each > 0), the
     fields each nd[m] needs for its verdict and the identity leaves that
-    differ (`_stored_leaves`) are read; `nd` holds each nd[m] as stored."""
+    differ (`_stored_leaves`) are read, and with `read` c and every table
+    value too, each where the document states it, so the first fault
+    raised is the first in document order; `nd` holds each nd[m] as
+    stored."""
     kappa = request.kappa
     if doc.get("schema") != SCHEMA:
         raise _Malformed(f"schema: {doc.get('schema')!r}, expected {SCHEMA!r}")
@@ -670,10 +673,30 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest):
     differ = _json_differ(alpha, rule)
     if differ:
         raise _Malformed(f"alpha.{differ[0][:40]}: not the request's alpha {rule}")
-    _at(doc, ("c",))  # compared with the rule's once it is built (`_table_misses`)
-    for path, key, positions, field, *_ in _window_tables(kappa, stored):
-        _table(doc, path, positions, key,
-               _atom if field == "t" else lambda entry, _, field=field: entry[field])
+    c = _at(doc, ("c",))  # else compared with the rule's once it is built (`_table_misses`)
+    if read:
+        try:
+            table_interval(c)
+        except (TypeError, ValueError) as exc:
+            raise _Malformed(f"c: {exc}") from None
+    tables = _window_tables(kappa, stored)
+    inner = {spec[0][:-1]: spec for spec in tables if len(spec[0]) > 2}  # a mixture's atoms
+
+    def check(path, key, positions, field, parse, *_):
+        def entry(row, position):
+            if path + (position,) in inner:  # the entry's own table, before its field
+                check(*inner[path + (position,)])
+            if field == "t":
+                _atom(row, position)
+            elif read:
+                parse(row[field])
+            else:
+                row[field]  # KeyError names a missing field
+        _table(doc, path, positions, key, entry)
+
+    for spec in tables:
+        if len(spec[0]) == 2:
+            check(*spec)
     if _at(doc, ("measures", "eps")) != []:  # eps vanishes identically on a generated system
         raise _Malformed("measures.eps: not [], the system's eps is 0 at every vertex")
     nd = _at(doc, ("certificates", "nd"))
@@ -701,38 +724,33 @@ def _parse_artifact(doc: dict, request: CounterexampleRequest):
     return _at(doc, ("omega",)), stored_nd, lemmas, _stored_leaves(doc, lemmas, kappa)
 
 
-def _distance(stored, written) -> Fraction:
+def _distance(read, stored, written) -> Fraction:
     """The larger endpoint distance from a stored table value, read by
-    `table_interval` or `rat_from_str` (ValueError), to the written one: 0
-    only for the written value in another form."""
+    `read`, to the written one: 0 only for the written value in another
+    form."""
+    value = read(stored)
     if isinstance(written, list):
-        return max(abs(Fraction(s) - Fraction(w)) for s, w in zip(table_interval(stored), written))
-    return abs(rat_from_str(stored) - Fraction(written))
+        return max(abs(Fraction(s) - Fraction(w)) for s, w in zip(value, written))
+    return abs(value - Fraction(written))
 
 
 def _table_misses(doc: dict, rule: CounterexampleArtifact) -> Dict[str, list]:
     """(vertex, `_distance`, detail) of each stored table number other than
     the one `_artifact_doc` writes for `rule`, by record, branches by (i, j)
-    and then the trunk by level.  Only these are read: _Malformed names
-    the path of one that does not read."""
+    and then the trunk by level.  Only these are read, and one that does
+    not read raises its reader's error."""
     misses = {name: [] for name in (
         "normalization-constant", "weight-reconstruction", "atom-reconstruction")}
     c = list(render_interval(rule.c))
     if not _same(doc["c"], c):
-        try:
-            misses["normalization-constant"].append((ZERO, _distance(doc["c"], c), ""))
-        except ValueError as exc:
-            raise _Malformed(f"c: {exc}") from None
-    for path, _, positions, field, value, record, vertex, detail in _window_tables(
+        misses["normalization-constant"].append((ZERO, _distance(table_interval, doc["c"], c), ""))
+    for path, _, positions, field, read, value, record, vertex, detail in _window_tables(
             rule.request.kappa, rule.window):
-        for p, (entry, position) in enumerate(zip(_at(doc, path), positions)):
+        for entry, position in zip(_at(doc, path), positions):
             stored, written = entry[field], value(rule, position)
             if not _same(stored, written):
-                try:
-                    residual = _distance(stored, written)
-                except ValueError as exc:
-                    raise _Malformed(f"{_path_text(path)}[{p}]: ValueError: {exc}") from None
-                misses[record].append((vertex(position), residual, detail.format(position)))
+                misses[record].append((vertex(position), _distance(read, stored, written),
+                                       detail.format(position)))
     for rows in misses.values():
         rows.sort(key=lambda row: (1, row[0].k) if isinstance(row[0], Trunk)
                   else (0, row[0].i, row[0].j))
@@ -813,7 +831,11 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     record, one whose rule writes a table number past the exponent range
     (`rationals.render`) a single `table-range` record, and a rule whose
     values leave a monomial other than one in an identity record a single
-    record of that name, at its class, with the leftover as detail.
+    record of that name, at its class, with the leftover as detail.  Where
+    verification stops before the tables are compared, the document's
+    values are read in document order first, so a value that does not
+    read fails `parse-artifact` if it comes before the fault that stopped
+    it: every record is the one a reader of every value gives.
 
     Otherwise the checks are: every stored table number against the text
     written for the rules that `build_rules` makes from the request alone
@@ -834,16 +856,14 @@ def verify(doc: Union[dict, CounterexampleArtifact]) -> VerificationReport:
     try:
         return _verify(doc)
     except IdentityLeftoverError as exc:
-        return _stopped(exc.record, exc.detail, str(exc.vertex))
+        return VerificationReport(False, (CheckRecord(
+            exc.record, False, vertex=str(exc.vertex), detail=exc.detail),))
     except (NoCertificateError, SupNotWitnessedError) as exc:
-        return _stopped("series-certificate", str(exc))
+        return VerificationReport(
+            False, (CheckRecord("series-certificate", False, detail=str(exc)),)
+        )
     except TableRangeError as exc:
-        return _stopped("table-range", str(exc))
-
-
-def _stopped(name: str, detail: str, vertex: Optional[str] = None) -> VerificationReport:
-    """The report of a verify that stopped at one failing record."""
-    return VerificationReport(False, (CheckRecord(name, False, vertex=vertex, detail=detail),))
+        return VerificationReport(False, (CheckRecord("table-range", False, detail=str(exc)),))
 
 
 def _verify(doc: Union[dict, CounterexampleArtifact]):
@@ -854,8 +874,15 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
     def rec(name, passed, vertex=None, residual=None, detail=""):
         if isinstance(residual, Fraction):
             residual = approx_residual(residual)
-        records.append(CheckRecord(name, bool(passed), None if vertex is None else str(vertex),
-                                   None if residual is None else str(residual), detail))
+        records.append(
+            CheckRecord(
+                name,
+                bool(passed),
+                vertex=None if vertex is None else str(vertex),
+                residual=None if residual is None else str(residual),
+                detail=detail,
+            )
+        )
 
     def table_records(name, misses, **passed):
         """A FAIL record per (vertex, residual, detail) miss, or one PASS."""
@@ -867,16 +894,32 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
     try:
         request = CounterexampleRequest.from_json(doc["request"])
     except Exception as exc:  # structural failure: nothing else can run
-        return _stopped("parse-request", str(exc))
+        return VerificationReport(
+            False, (CheckRecord("parse-request", False, detail=str(exc)),)
+        )
     cfg = request.cert
 
-    try:
-        stored_omega, stored_nd, identities, leaves = _parse_artifact(doc, request)
-    except Exception as exc:
-        return _stopped("parse-artifact", str(exc))
+    # No table value is read until the tables are compared: a document that
+    # stops before that may hold one that does not read, and then fails at
+    # its first fault in document order, where a full read meets it.
+    def unread(exc=None):
+        """The parse-artifact report of that fault (`_parse_artifact`,
+        every value read); without one, `exc` raised, or None."""
+        try:
+            _parse_artifact(doc, request, read=True)
+        except Exception as fault:
+            return VerificationReport(
+                False, (CheckRecord("parse-artifact", False, detail=str(fault)),)
+            )
+        if exc is not None:
+            raise exc
 
-    # the stored omega must be the request's, each key as canonical JSON text
-    omega = choose_subsequence(request.q, cfg).to_json()
+    try:
+        stored_omega, stored_nd, identities, leaves = _parse_artifact(doc, request, read=False)
+        # the stored omega must be the request's, each key as canonical JSON text
+        omega = choose_subsequence(request.q, cfg).to_json()
+    except Exception as exc:
+        return unread(exc)
     if not isinstance(stored_omega, dict):
         omega_ok, detail = False, "omega: not an object"
     else:
@@ -885,14 +928,14 @@ def _verify(doc: Union[dict, CounterexampleArtifact]):
                                         if differ else "greedy subsequence matches stored spec")
     rec("omega-reconstruction", omega_ok, detail=detail)
     if not omega_ok:  # a document of another rule: nothing below would compare
-        return VerificationReport(False, tuple(records))
+        return unread() or VerificationReport(False, tuple(records))
 
     # every stored number must be the one the rules write
-    rule = build_rules(request)
     try:
+        rule = build_rules(request)
         misses = _table_misses(doc, rule)
-    except _Malformed as exc:
-        return _stopped("parse-artifact", str(exc))
+    except Exception as exc:
+        return unread(exc)
     for name, rows in misses.items():
         table_records(name, rows, residual=0 if name == "normalization-constant" else None)
 

@@ -215,7 +215,6 @@ def cc_residual(
     P,
     window: Window,
     cfg: CertConfig = DEFAULT_CONFIG,
-    decided: bool = False,
 ) -> CCReport:
     """Max residual of the CC identity over sibling classes and sigmas.
 
@@ -224,9 +223,8 @@ def cc_residual(
     (k = 0: vertex 0) by the mixture rule (`P.class_identity`), and one row
     for every branch vertex by the branch rule: (i, j) and its one child
     carry the Dirac at q_i, and the child's weight q_i is h, so LHS - RHS is
-    q_i - q_i or 0 - 0 at every sigma.  Each row is exact (`_cc_row`) once
-    its monomial is one, decided here unless the caller has (`decided`);
-    h > 0 is read from the enclosures.  The classes of an explicit tree are
+    q_i - q_i or 0 - 0 at every sigma.  Each row is exact (`_cc_row`); h > 0
+    is read from the enclosures.  The classes of an explicit tree are
     evaluated exactly (`_cc_explicit_classes`).
     """
     if isinstance(data.tree, ModelTree):
@@ -235,8 +233,7 @@ def cc_residual(
         for k in range(len(P.mixtures)):
             h = h_function(data, Trunk(k), window, cfg)
             if _h_positive(h):
-                if not decided:
-                    exact_residual("cc", Trunk(k), P.class_identity(k))
+                exact_residual("cc", Trunk(k), P.class_identity(k))
                 per_class.append(_cc_row(Trunk(k)))
             elif scalar_upper(h) > 0:
                 h_ok = False  # h is the rule's sum of the children's weights

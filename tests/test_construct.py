@@ -1224,6 +1224,23 @@ _MULTI_EDITS = [
 ]
 
 
+# a table value that does not read, with a second fault that verify would
+# meet first if it did not read the values in document order when it stops
+_MASS, _UNREAD = ("measures", "mixtures", 0, "atoms", 2, "mass", 0), "4" * 40 + "E-40"
+_FIRST_FAULT_EDITS = [
+    _edits((_MASS, _UNREAD), (("omega", "slope"), 2.0)),
+    _edits((_MASS, _UNREAD), (("certificates", "nd", "1", "verdict"), "neither")),
+    _edits((_MASS, _UNREAD), (("certificates", "zgod_prime_residual"), "x")),
+    _edits((_MASS, _UNREAD), (("request", "window", "max_depth"), 7)),
+    _edits((_MASS, _UNREAD), (("request", "q"), {"tail": "constant", "prefix": ["2"]})),
+    _edits((("c", 0), _UNREAD), (("weights", "branch_first"), lambda rows: rows[:-1])),
+    _edits((("measures", "mixtures", 0, "atoms", 3, "mass"), "x"),
+           (("measures", "mixtures", 1, "prefactor"), "x")),
+    _edits((("measures", "mixtures", 0, "atoms"), lambda rows: rows[:-1]),
+           (("measures", "mixtures", 1, "shift"), 5)),
+]
+
+
 def _records_digest(docs):
     """sha256 of the full record list verify gives each document, in turn."""
     digest = hashlib.sha256()
@@ -1237,8 +1254,9 @@ def test_failing_document_records_pinned(doc_363):
     """The records verify gives failing documents, each with its order,
     vertex, residual and detail, are pinned: criterion 8's corruptions,
     every non-canonical number of `test_verify_rejects_noncanonical_numbers_fast`,
-    perfbench's twelve mutation kinds on three documents (seed 31), and
-    documents with mismatching entries in several tables."""
+    perfbench's twelve mutation kinds on three documents (seed 31),
+    documents with mismatching entries in several tables, and documents
+    with a table value that does not read and a second fault."""
     from test_acceptance import CORRUPTIONS, _corrupt
 
     criterion_8 = [_corrupt(get_artifact(*key).to_json_dict(), path, factor)
@@ -1254,16 +1272,18 @@ def test_failing_document_records_pinned(doc_363):
                for text in (_fuzz_document("linear"), _fuzz_document("mixed", ts.INF),
                             get_artifact(2, 3, MIXED_Q).to_json())
                for kind in _MUTATION_KINDS]
-    multi = [edit(json.loads(_fuzz_document(tail, kappa)))
-             for tail, kappa in (("linear", 3), ("mixed", ts.INF)) for edit in _MULTI_EDITS]
+    multi, first_fault = ([edit(json.loads(_fuzz_document(tail, kappa)))
+                           for tail, kappa in (("linear", 3), ("mixed", ts.INF)) for edit in edits]
+                          for edits in (_MULTI_EDITS, _FIRST_FAULT_EDITS))
     digests = {name: _records_digest(docs) for name, docs in (
         ("criterion-8", criterion_8), ("noncanonical", noncanonical), ("mutated", mutated),
-        ("multi", multi))}
+        ("multi", multi), ("first-fault", first_fault))}
     assert digests == {
         "criterion-8": "cfd73f51bc796f08d56332b5ffe178d6961bb9f961868fb05705553c6d4d7f8e",
         "noncanonical": "e5e7fa5125785d04978ac1cab294c25baae5df364467da783c91aaa390e853bd",
         "mutated": "db2e8797f3605015358d81de77963e03c6e205f3262b55c10ff5d2ecce094de7",
         "multi": "67b63792da8833e81331627e0f2d21f1e14a0a5dff592f59fd4234bf00d71659",
+        "first-fault": "2e755b7c01712f2b0b8c15ca3e4972097e28b4640397095a53e174ef45485ca6",
     }
 
 

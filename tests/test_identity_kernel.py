@@ -216,32 +216,6 @@ def test_class_rows_decide_the_class_monomial(monkeypatch):
                         art.request.cert)
 
 
-@pytest.mark.parametrize("kappa", [3, ts.INF])
-def test_each_class_built_and_decided_once(monkeypatch, kappa):
-    """generate and verify each build the class monomial of every trunk
-    level once (`identity_lemmas`), and decide each class once, as a
-    consist6 class: the CC classes are the same monomials."""
-    built, decided = [], []
-    class_identity = construct.MeasureSystem.class_identity
-    exact_residual = wco.exact_residual
-    monkeypatch.setattr(construct.MeasureSystem, "class_identity",
-                        staticmethod(lambda k: built.append(k) or class_identity(k)))
-    monkeypatch.setattr(wco, "exact_residual", lambda record, vertex, monomial: (
-        decided.append((record, vertex)) or exact_residual(record, vertex, monomial)))
-    request = ts.CounterexampleRequest(n=1, kappa=kappa, q=ts.MIXED_Q, window=SMALL)
-    classes = [Trunk(k) for k in reversed(range(4))] + [BRANCH_CLASS]
-
-    def counted(run):
-        built.clear(), decided.clear()
-        result = run()
-        assert sorted(built) == list(range(4))
-        assert [v for record, v in decided if record in ("consist6", "cc")] == classes
-        return result
-
-    doc = counted(lambda: ts.generate(request).to_json_dict())
-    assert counted(lambda: ts.verify(doc)).passed
-
-
 # --- the branch rule: one exact row for every branch ---
 
 BRANCH_ROW_WINDOWS = [
